@@ -22,7 +22,6 @@ prior-integration     5
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +38,11 @@ __all__ = [
     "substream",
     "Codebook",
     "TransmissionRound",
-    "EffectiveChannelSet",
     "gen_codebook",
     "sample_fading",
     "effective_channels",
     "synthesize_rx",
-    "dump_complex_matrix",
-    "load_complex_matrix",
+    "uplink",
 ]
 
 STREAM_CODEBOOK = 0
@@ -112,19 +109,6 @@ class TransmissionRound:
         return k / total if total > 0 else k
 
 
-@dataclass(frozen=True)
-class EffectiveChannelSet:
-    """Per-zone effective channel matrices, shape (U, M, F)."""
-
-    X: np.ndarray
-    is_ground_truth: bool = True
-    iteration: int | None = None
-
-    @property
-    def U(self) -> int:
-        return self.X.shape[0]
-
-
 def gen_codebook(cfg: SystemConfig, seed: int) -> Codebook:
     """i.i.d. CN(0, 1/Nc) entries with each column rescaled to unit norm.
 
@@ -165,41 +149,28 @@ def sample_fading(
     return std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def effective_channels(round_: TransmissionRound, fadings: dict) -> EffectiveChannelSet:
-    """Sum colliding users' channels into per-(zone, message) rows.
+def effective_channels(round_: TransmissionRound, fading: np.ndarray) -> np.ndarray:
+    """Sum colliding users' channels into per-(zone, message) rows, shape (U, M, F).
 
-    ``fadings`` maps zone index to an (n_u, F) array aligned with the
-    zone's (message, position) list; rows with multiplicity zero are exactly
-    zero.
+    ``fading`` is the (K_a, F) array of per-user channels, one row per
+    (message, position) entry of the round in zone order; rows with
+    multiplicity zero are exactly zero.
     """
-    U, M = round_.U, round_.M
-    F = None
-    for u in range(U):
-        if round_.per_zone[u]:
-            F = np.atleast_2d(fadings[u]).shape[1]
-            break
-    if F is None:
-        raise ValueError("effective_channels: cannot infer F from an empty round")
-    X = np.zeros((U, M, F), dtype=complex)
-    for u in range(U):
-        entries = round_.per_zone[u]
-        if not entries:
-            continue
-        h = np.atleast_2d(fadings[u])
-        if h.shape[0] != len(entries):
-            raise ValueError(
-                f"zone {u}: {h.shape[0]} fading rows for {len(entries)} users"
-            )
-        for (m, _pos), hv in zip(entries, h):
-            X[u, m] += hv
-    return EffectiveChannelSet(X=X, is_ground_truth=True)
+    h = np.atleast_2d(fading)
+    users = [(u, m) for u, entries in enumerate(round_.per_zone) for m, _pos in entries]
+    if h.shape[0] != len(users):
+        raise ValueError(f"effective_channels: {h.shape[0]} fading rows for {len(users)} users")
+    X = np.zeros((round_.U, round_.M, h.shape[1]), dtype=complex)
+    for (u, m), hv in zip(users, h):
+        X[u, m] += hv
+    return X
 
 
-def synthesize_rx(
-    codebook: Codebook, channels: EffectiveChannelSet, cfg: SystemConfig, seed: int
-) -> np.ndarray:
-    """Received signal ``Y = sqrt(Ec) sum_u C_u X_u + W`` with W ~ CN(0, sigma_w^2)."""
-    X = channels.X
+def synthesize_rx(codebook: Codebook, X: np.ndarray, cfg: SystemConfig, seed: int) -> np.ndarray:
+    """Received signal ``Y = sqrt(Ec) sum_u C_u X_u + W`` with W ~ CN(0, sigma_w^2).
+
+    ``X`` holds the (U, M, F) effective channels.
+    """
     if codebook.entries.shape[1] != cfg.U * cfg.M or X.shape[:2] != (cfg.U, cfg.M):
         raise ValueError("synthesize_rx: codebook/channel shapes inconsistent with cfg")
     Nc = codebook.entries.shape[0]
@@ -212,25 +183,21 @@ def synthesize_rx(
     return np.sqrt(cfg.Ec) * signal + w
 
 
-_MAGIC = b"TUMACPLX"
+def uplink(
+    round_: TransmissionRound,
+    codebook: Codebook,
+    topology: Topology,
+    cfg: SystemConfig,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One transmission round over the air; returns ``(X, Y)``.
 
-
-def dump_complex_matrix(path, mat: np.ndarray) -> None:
-    """Binary dump: magic, little-endian uint64 dims, row-major complex128 payload."""
-    mat = np.ascontiguousarray(mat, dtype=np.complex128)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQ", *mat.shape))
-        fh.write(mat.astype("<c16").tobytes())
-
-
-def load_complex_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a tumaloc complex-matrix dump")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.size != rows * cols:
-        raise ValueError(f"{path}: truncated payload")
-    return data.reshape(rows, cols).astype(np.complex128)
+    Fades every user's position (:func:`sample_fading`, users in zone
+    order), sums collisions into the (U, M, F) effective channels ``X``
+    (:func:`effective_channels`) and synthesizes the (Nc, F) received
+    signal ``Y`` (:func:`synthesize_rx`), all from sub-streams of ``seed``.
+    """
+    positions = [pos for entries in round_.per_zone for _m, pos in entries]
+    fading = sample_fading(np.array(positions).reshape(-1, 2), topology, cfg, seed)
+    X = effective_channels(round_, fading)
+    return X, synthesize_rx(codebook, X, cfg, seed)

@@ -27,6 +27,10 @@ pairs.  The finite-difference oracle in the test suite pins this identity.
 Monte-Carlo position samples are drawn once per (zone, multiplicity) and
 shared across all messages, iterations and the Onsager computation, so the
 analytic Jacobian is exactly the Jacobian of the implemented denoiser.
+
+Both decoders run the one recursion in :func:`amp_iterate`: :func:`amp_run`
+on all F antennas, and the distributed decoder's
+:func:`~tumaloc.amp_dist.local_amp_run` on one AP's antenna block.
 """
 
 from __future__ import annotations
@@ -39,20 +43,17 @@ import numpy as np
 from .airlink import STREAM_MC, Codebook, substream
 from .config import SystemConfig, Topology, lsfc_vector
 from .priors import MultiplicityPrior
-from .specfun import log_cgauss_diag
 
 __all__ = [
     "McTable",
-    "AmpState",
     "DecodeResult",
     "DecodeError",
     "TAU_FLOOR",
     "build_mc_table",
     "residual_covariance",
-    "hypothesis_loglik",
-    "denoise_row",
     "denoise_rows",
     "onsager",
+    "amp_iterate",
     "amp_run",
     "estimate_multiplicities",
     "estimate_type",
@@ -106,18 +107,6 @@ def build_mc_table(cfg: SystemConfig, topology: Topology, seed: int | None = Non
 
 
 @dataclass
-class AmpState:
-    """Mutable iteration state of one decode."""
-
-    X: np.ndarray                  # (U, M, F) current effective-channel estimate
-    Z: np.ndarray                  # (Nc, F) residual
-    tau: np.ndarray                # (B,) per-AP effective noise variances
-    iteration: int = 0
-    alpha: float = 0.0             # aspect ratio M / Nc
-    posteriors: np.ndarray | None = None   # (U, M, K_max + 1)
-
-
-@dataclass
 class DecodeResult:
     k_per_zone: np.ndarray         # (U, M) MAP multiplicities
     k_global: np.ndarray           # (M,)
@@ -125,6 +114,13 @@ class DecodeResult:
     empty_type: bool
     posteriors: np.ndarray         # (U, M, K_max + 1)
     diagnostics: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_posteriors(cls, posteriors: np.ndarray, diagnostics: dict) -> DecodeResult:
+        """MAP multiplicities, their sum over zones and the type, from (U, M, K_max + 1) posteriors."""
+        k_per_zone = estimate_multiplicities(posteriors)
+        t_hat, empty = estimate_type(k_per_zone)
+        return cls(k_per_zone, k_per_zone.sum(axis=0), t_hat, empty, posteriors, diagnostics)
 
 
 def residual_covariance(Z: np.ndarray, antennas_per_ap: int) -> np.ndarray:
@@ -138,17 +134,6 @@ def residual_covariance(Z: np.ndarray, antennas_per_ap: int) -> np.ndarray:
     return np.maximum(tau, TAU_FLOOR)
 
 
-def hypothesis_loglik(r: np.ndarray, tau: np.ndarray, g: np.ndarray, Ec: float, A: int) -> float:
-    """Log likelihood of one effective observation under fixed user positions.
-
-    ``g`` is the length-B aggregate LSFC of the hypothesized positions
-    (all-zero for the empty hypothesis); the covariance is
-    ``tau_b + Ec g_b`` per AP.
-    """
-    v = np.asarray(tau, dtype=float) + Ec * np.asarray(g, dtype=float)
-    return log_cgauss_diag(r, v, A)
-
-
 @dataclass
 class ZoneDenoiseResult:
     """Cached per-zone denoiser output shared with the Onsager computation."""
@@ -158,7 +143,6 @@ class ZoneDenoiseResult:
     log_mc_lik: np.ndarray         # (M, K_max + 1): log (1/N) sum_i p(r | rho^i_{1:k})
     sample_weights: np.ndarray     # (M, K_max, N) self-normalized
     shrink: np.ndarray             # (K_max, N, B) per-sample shrinkage factors
-    shrink_mean: np.ndarray        # (M, K_max, B) posterior-sample mean per k
     H: np.ndarray                  # (M, B) total shrinkage per AP
     degenerate: np.ndarray         # (M,) bool: prior-only fallback rows
 
@@ -224,16 +208,9 @@ def denoise_rows(
         log_mc_lik=log_mc,
         sample_weights=W,
         shrink=shrink,
-        shrink_mean=shrink_mean,
         H=H,
         degenerate=degenerate,
     )
-
-
-def denoise_row(r, tau, g, log_prior_row, Ec: float, A: int):
-    """Single-row denoiser: returns (x_hat, posterior over k, cached data)."""
-    res = denoise_rows(np.atleast_2d(r), tau, g, np.atleast_2d(log_prior_row), Ec, A)
-    return res.x_hat[0], res.posterior[0], res
 
 
 def onsager(R: np.ndarray, den: ZoneDenoiseResult, tau: np.ndarray, Ec: float, A: int) -> np.ndarray:
@@ -262,6 +239,88 @@ def onsager(R: np.ndarray, den: ZoneDenoiseResult, tau: np.ndarray, Ec: float, A
     return Q
 
 
+def amp_iterate(
+    Y: np.ndarray,
+    codebook: Codebook,
+    log_prior: np.ndarray,
+    g: tuple,
+    cfg: SystemConfig,
+    X_true: np.ndarray | None = None,
+    keep_effective_observations: bool = False,
+    diag_stream=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """The AMP recursion on the receive columns ``Y``, shared by both decoders.
+
+    ``Y`` (Nc, F') holds the antennas of some APs and ``g[u]`` (K_max, N,
+    F' / A) is zone u's MC aggregate-LSFC table restricted to those APs.
+    Returns ``(posteriors, log_lik, Z, diagnostics)``: the final per-zone
+    multiplicity posteriors and MC-averaged log-likelihood tables, both
+    (U, M, K_max + 1), the final residual (Nc, F') and the diagnostics.
+
+    ``X_true`` (U, M, F'), when given, adds per-iteration channel
+    estimation error and residual-variance gap traces;
+    ``keep_effective_observations`` stores the final-iteration per-zone
+    effective observations (for validation against brute-force posteriors);
+    ``diag_stream`` receives one JSON line per iteration.
+    """
+    Nc, F = Y.shape
+    U, M, A = cfg.U, cfg.M, cfg.A
+    sqrt_ec = np.sqrt(cfg.Ec)
+
+    X = np.zeros((U, M, F), dtype=complex)
+    Z = Y.copy()
+    posts = np.zeros((U, M, cfg.K_max + 1))
+    log_lik = np.zeros((U, M, cfg.K_max + 1))
+    tau_trace = []
+    err_trace = []
+    tau_gap_trace = []
+    final_R = [None] * U
+    degenerate_rows = 0
+
+    for t in range(1, cfg.T_AMP + 1):
+        tau = residual_covariance(Z, A)
+        tau_trace.append(tau)
+        Gamma = np.zeros_like(Z)
+        for u in range(U):
+            Cu = codebook.block(u)
+            R_u = Cu.conj().T @ Z + sqrt_ec * X[u]
+            if not np.all(np.isfinite(R_u.view(float))):
+                raise DecodeError(t)
+            den = denoise_rows(R_u, tau, g[u], log_prior[u], cfg.Ec, A)
+            degenerate_rows += int(den.degenerate.sum())
+            X[u] = den.x_hat
+            posts[u] = den.posterior
+            log_lik[u] = den.log_mc_lik
+            Q_u = onsager(R_u, den, tau, cfg.Ec, A)
+            Gamma += Cu @ X[u] - (M / Nc) * (Z @ Q_u)
+            if keep_effective_observations and t == cfg.T_AMP:
+                final_R[u] = R_u
+        Z = Y - sqrt_ec * Gamma
+        if not np.all(np.isfinite(Z.view(float))):
+            raise DecodeError(t)
+        if X_true is not None:
+            err_trace.append(channel_estimation_error(X, X_true, cfg))
+            tau_next = residual_covariance(Z, A)
+            tau_gap_trace.append(float(np.sum(A * (tau_next - cfg.sigma_w2))))
+        if diag_stream is not None:
+            line = {"t": t, "tau": tau.tolist()}
+            if err_trace:
+                line["channel_error"] = err_trace[-1]
+            diag_stream.write(json.dumps(line) + "\n")
+
+    diagnostics = {
+        "tau_trace": np.array(tau_trace),
+        "degenerate_rows": degenerate_rows,
+    }
+    if X_true is not None:
+        diagnostics["channel_error_trace"] = np.array(err_trace)
+        diagnostics["tau_gap_trace"] = np.array(tau_gap_trace)
+    if keep_effective_observations:
+        diagnostics["final_R"] = final_R
+        diagnostics["final_tau"] = tau_trace[-1]
+    return posts, log_lik, Z, diagnostics
+
+
 def amp_run(
     Y: np.ndarray,
     codebook: Codebook,
@@ -272,86 +331,16 @@ def amp_run(
     keep_effective_observations: bool = False,
     diag_stream=None,
 ) -> DecodeResult:
-    """Full centralized decode: AMP iterations, then MAP type estimation.
+    """Full centralized decode: :func:`amp_iterate` on all F antennas, then MAP type estimation.
 
-    ``X_true`` (U, M, F), when given, adds a per-iteration channel
-    estimation error trace to the diagnostics;
-    ``keep_effective_observations`` stores the final-iteration per-zone
-    effective observations (for validation against brute-force posteriors);
-    ``diag_stream`` receives one JSON line per iteration.
+    ``X_true``, ``keep_effective_observations`` and ``diag_stream`` are
+    passed to :func:`amp_iterate`.
     """
-    Nc, F = Y.shape
-    U, M = cfg.U, cfg.M
-    A = cfg.A
-    sqrt_ec = np.sqrt(cfg.Ec)
-    log_prior = prior.log_pmf
-
-    state = AmpState(
-        X=np.zeros((U, M, F), dtype=complex),
-        Z=Y.copy(),
-        tau=np.full(cfg.B, TAU_FLOOR),
-        alpha=M / Nc,
+    posts, _log_lik, _Z, diagnostics = amp_iterate(
+        Y, codebook, prior.log_pmf, mc.g, cfg, X_true, keep_effective_observations, diag_stream
     )
-    posts = np.zeros((U, M, cfg.K_max + 1))
-    tau_trace = []
-    err_trace = []
-    tau_gap_trace = []
-    final_R = [None] * U
-    degenerate_rows = 0
-
-    for t in range(1, cfg.T_AMP + 1):
-        state.iteration = t
-        state.tau = residual_covariance(state.Z, A)
-        tau_trace.append(state.tau.copy())
-        Gamma = np.zeros_like(state.Z)
-        for u in range(U):
-            Cu = codebook.block(u)
-            R_u = Cu.conj().T @ state.Z + sqrt_ec * state.X[u]
-            if not np.all(np.isfinite(R_u.view(float))):
-                raise DecodeError(t)
-            den = denoise_rows(R_u, state.tau, mc.zone(u), log_prior[u], cfg.Ec, A)
-            degenerate_rows += int(den.degenerate.sum())
-            state.X[u] = den.x_hat
-            posts[u] = den.posterior
-            Q_u = onsager(R_u, den, state.tau, cfg.Ec, A)
-            Gamma += Cu @ state.X[u] - (M / Nc) * (state.Z @ Q_u)
-            if keep_effective_observations and t == cfg.T_AMP:
-                final_R[u] = R_u
-        state.Z = Y - sqrt_ec * Gamma
-        if not np.all(np.isfinite(state.Z.view(float))):
-            raise DecodeError(t)
-        if X_true is not None:
-            err_trace.append(channel_estimation_error(state.X, X_true, cfg))
-            tau_next = residual_covariance(state.Z, A)
-            tau_gap_trace.append(float(np.sum(A * (tau_next - cfg.sigma_w2))))
-        if diag_stream is not None:
-            line = {"t": t, "tau": state.tau.tolist()}
-            if err_trace:
-                line["channel_error"] = err_trace[-1]
-            diag_stream.write(json.dumps(line) + "\n")
-
-    state.posteriors = posts
-    k_per_zone = estimate_multiplicities(posts)
-    t_hat, empty = estimate_type(k_per_zone)
-    diagnostics = {
-        "tau_trace": np.array(tau_trace),
-        "degenerate_rows": degenerate_rows,
-        "alpha": M / Nc,
-    }
-    if X_true is not None:
-        diagnostics["channel_error_trace"] = np.array(err_trace)
-        diagnostics["tau_gap_trace"] = np.array(tau_gap_trace)
-    if keep_effective_observations:
-        diagnostics["final_R"] = final_R
-        diagnostics["final_tau"] = tau_trace[-1]
-    return DecodeResult(
-        k_per_zone=k_per_zone,
-        k_global=k_per_zone.sum(axis=0),
-        t_hat=t_hat,
-        empty_type=empty,
-        posteriors=posts,
-        diagnostics=diagnostics,
-    )
+    diagnostics["alpha"] = cfg.M / Y.shape[0]
+    return DecodeResult.from_posteriors(posts, diagnostics)
 
 
 def channel_estimation_error(X: np.ndarray, X_true: np.ndarray, cfg: SystemConfig) -> float:

@@ -1,8 +1,9 @@
 """Distributed decoder: per-AP local AMP plus CPU-side likelihood aggregation.
 
-Each AP runs the full AMP recursion on its own antenna block with purely
-local likelihoods and a local Onsager term, exchanging nothing until the
-end; it then ships, per (zone, message, multiplicity), the final-iteration
+Each AP runs the centralized decoder's AMP recursion,
+:func:`tumaloc.amp_central.amp_iterate`, on its own antenna block with
+purely local likelihoods and a local Onsager term, exchanging nothing until
+the end; it then ships, per (zone, message, multiplicity), the final-iteration
 MC-averaged log-likelihood to the CPU.  Because every covariance in the
 model is block diagonal across APs, the product of local likelihoods equals
 the global likelihood exactly, and the CPU recovers the posterior by adding
@@ -11,23 +12,12 @@ log tables to the log prior.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .airlink import Codebook
-from .amp_central import (
-    DecodeError,
-    DecodeResult,
-    McTable,
-    channel_estimation_error,
-    denoise_rows,
-    estimate_multiplicities,
-    estimate_type,
-    onsager,
-    residual_covariance,
-)
+from .amp_central import DecodeError, DecodeResult, McTable, amp_iterate, residual_covariance
 from .config import SystemConfig
 from .priors import MultiplicityPrior
 
@@ -37,8 +27,6 @@ __all__ = [
     "aggregate_posteriors",
     "distributed_decode",
     "AggregationError",
-    "local_state_to_json",
-    "local_state_from_json",
 ]
 
 
@@ -75,56 +63,24 @@ def local_amp_run(
     cfg: SystemConfig,
     X_true_b: np.ndarray | None = None,
 ) -> LocalApState:
-    """Run the AMP recursion restricted to AP ``ap_index``'s antenna block.
+    """Run :func:`~tumaloc.amp_central.amp_iterate` on AP ``ap_index``'s antenna block.
 
     ``Y_b`` holds that AP's A columns of the received signal.  The recursion
-    is the centralized one with F -> A and B -> 1; the local residual
-    variance is the mean over the AP's antennas.
+    is the centralized one with F -> A and B -> 1: the MC table keeps only
+    the AP's LSFC column, and the local residual variance is the mean over
+    the AP's antennas.
     """
-    Nc, A = Y_b.shape
+    A = Y_b.shape[1]
     if A != cfg.A:
         raise ValueError(f"Y_b has {A} columns, expected A={cfg.A}")
-    U, M = cfg.U, cfg.M
-    sqrt_ec = np.sqrt(cfg.Ec)
-    log_prior = prior.log_pmf
     b = ap_index
-    g_local = tuple(mc.zone(u)[:, :, b : b + 1] for u in range(U))   # (K, N, 1) each
-
-    Z = Y_b.copy()
-    X = np.zeros((U, M, A), dtype=complex)
-    log_lik = np.zeros((U, M, cfg.K_max + 1))
-    tau_trace = []
-    err_trace = []
-    degenerate_rows = 0
-
-    for t in range(1, cfg.T_AMP + 1):
-        tau = residual_covariance(Z, A)                              # (1,)
-        tau_trace.append(float(tau[0]))
-        Gamma = np.zeros_like(Z)
-        for u in range(U):
-            Cu = codebook.block(u)
-            R_u = Cu.conj().T @ Z + sqrt_ec * X[u]
-            if not np.all(np.isfinite(R_u.view(float))):
-                raise DecodeError(t, f"AP {b}: non-finite iterate at iteration {t}")
-            den = denoise_rows(R_u, tau, g_local[u], log_prior[u], cfg.Ec, A)
-            degenerate_rows += int(den.degenerate.sum())
-            X[u] = den.x_hat
-            log_lik[u] = den.log_mc_lik
-            Q_u = onsager(R_u, den, tau, cfg.Ec, A)                  # (A, A)
-            Gamma += Cu @ X[u] - (M / Nc) * (Z @ Q_u)
-        Z = Y_b - sqrt_ec * Gamma
-        if not np.all(np.isfinite(Z.view(float))):
-            raise DecodeError(t, f"AP {b}: non-finite residual at iteration {t}")
-        if X_true_b is not None:
-            err_trace.append(channel_estimation_error(X, X_true_b, cfg))
-
-    diagnostics = {
-        "tau_trace": np.array(tau_trace),
-        "degenerate_rows": degenerate_rows,
-        "fronthaul_reals": U * M * (cfg.K_max + 1),
-    }
-    if X_true_b is not None:
-        diagnostics["channel_error_trace"] = np.array(err_trace)
+    g_local = tuple(mc.zone(u)[:, :, b : b + 1] for u in range(cfg.U))   # (K, N, 1) each
+    try:
+        _posts, log_lik, Z, diagnostics = amp_iterate(
+            Y_b, codebook, prior.log_pmf, g_local, cfg, X_true_b
+        )
+    except DecodeError as exc:
+        raise DecodeError(exc.iteration, f"AP {b}: {exc}") from exc
     return LocalApState(
         ap_index=b,
         log_lik=log_lik,
@@ -150,15 +106,9 @@ def aggregate_posteriors(
     mx = total.max(axis=-1, keepdims=True)
     post = np.exp(total - mx)
     post /= post.sum(axis=-1, keepdims=True)
-    k_per_zone = estimate_multiplicities(post)
-    t_hat, empty = estimate_type(k_per_zone)
-    return DecodeResult(
-        k_per_zone=k_per_zone,
-        k_global=k_per_zone.sum(axis=0),
-        t_hat=t_hat,
-        empty_type=empty,
-        posteriors=post,
-        diagnostics={
+    return DecodeResult.from_posteriors(
+        post,
+        {
             "fronthaul_reals_total": sum(s.fronthaul_reals for s in local_states),
             "tau_locals": np.array([by_index[b].tau_b for b in range(B)]),
         },
@@ -187,24 +137,3 @@ def distributed_decode(
     if err_traces:
         result.diagnostics["channel_error_trace"] = np.sum(err_traces, axis=0)
     return result
-
-
-def local_state_to_json(state: LocalApState) -> str:
-    """Serialize a per-AP summary so local runs can execute in separate processes."""
-    return json.dumps(
-        {
-            "ap_index": state.ap_index,
-            "tau_b": state.tau_b,
-            "shape": list(state.log_lik.shape),
-            "log_lik": state.log_lik.ravel().tolist(),
-        }
-    )
-
-
-def local_state_from_json(doc: str) -> LocalApState:
-    raw = json.loads(doc)
-    return LocalApState(
-        ap_index=raw["ap_index"],
-        log_lik=np.array(raw["log_lik"]).reshape(raw["shape"]),
-        tau_b=raw["tau_b"],
-    )

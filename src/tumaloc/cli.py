@@ -159,12 +159,7 @@ def _check_decoder_smoke() -> None:
     prior = build_prior(cfg, 0.4, np.full((cfg.U, cfg.M), 1.0 / cfg.M))
     mc = amp_central.build_mc_table(cfg, topo, 1)
     codebook = airlink.gen_codebook(cfg, 1)
-    Y = airlink.synthesize_rx(
-        codebook,
-        airlink.EffectiveChannelSet(X=np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex)),
-        cfg,
-        1,
-    )
+    Y = airlink.synthesize_rx(codebook, np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex), cfg, 1)
     res = amp_central.amp_run(Y, codebook, prior, mc, cfg)
     assert res.posteriors.shape == (cfg.U, cfg.M, cfg.K_max + 1)
 

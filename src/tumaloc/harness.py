@@ -143,19 +143,7 @@ def run_single(ctx: PointContext, decoder: str, seed: int) -> dict:
         if ctx.prior is None:
             raise ConfigError("decoder runs need a prepared prior (need_prior=True)")
         codebook = airlink.gen_codebook(cfg, seed)
-        positions = [
-            np.array([pos for _m, pos in round_.per_zone[u]]).reshape(-1, 2)
-            for u in range(cfg.U)
-        ]
-        flat = np.concatenate([p for p in positions if p.size > 0], axis=0)
-        h_all = airlink.sample_fading(flat, ctx.topology, cfg, seed)
-        fadings, at = {}, 0
-        for u in range(cfg.U):
-            n_u = positions[u].shape[0]
-            fadings[u] = h_all[at : at + n_u]
-            at += n_u
-        X = airlink.effective_channels(round_, fadings)
-        Y = airlink.synthesize_rx(codebook, X, cfg, seed)
+        _X, Y = airlink.uplink(round_, codebook, ctx.topology, cfg, seed)
         mc = amp_central.build_mc_table(cfg, ctx.topology, seed)
         try:
             if decoder == "centralized":

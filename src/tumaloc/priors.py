@@ -4,7 +4,7 @@ The chain: a sensor is active iff it detects at least one target; actives
 split uniformly across zones; an active sensor in zone u picks message m
 with a probability obtained by integrating detection-and-closest events
 over the quantizer cell of m.  Marginalizing the binomial chain gives
-``p(k_{u,m} = k)``.
+``p(k_{u,m} = k)`` in closed form, by binomial thinning.
 
 The two spatial integrals (activation, message selection) have no closed
 form and are estimated once per configuration by Monte Carlo, then cached
@@ -18,10 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .airlink import STREAM_PRIORS, substream
 from .config import SystemConfig, Topology
@@ -170,31 +170,14 @@ def compute_msg_probs(
 def multiplicity_pmf_full(K: int, U: int, p_active: float, msg_prob: np.ndarray) -> np.ndarray:
     """Exact binomial-chain pmf over k = 0..K for each entry of ``msg_prob``.
 
-    ``p(k) = sum_{Ka} sum_{Kau} Bin(k; Kau, pm) Bin(Kau; Ka, 1/U)
-    Bin(Ka; K, p_active)``, evaluated with log-domain binomials.  Returns an
-    array of shape ``msg_prob.shape + (K + 1,)``.
+    The chain ``p(k) = sum_{Ka} sum_{Kau} Bin(k; Kau, pm) Bin(Kau; Ka, 1/U)
+    Bin(Ka; K, p_active)`` is three successive binomial thinnings of the K
+    sensors, so it equals ``Bin(k; K, p_active pm / U)``, evaluated with
+    log-domain binomials.  Returns an array of shape
+    ``msg_prob.shape + (K + 1,)``.
     """
-    ks = np.arange(K + 1)
-    # inner marginal over Ka is (u, m)-independent: w[Kau]
-    log_b_ka = binom_logpmf(ks, K, p_active)                          # over Ka
-    log_b_kau = binom_logpmf(ks[:, None], ks[None, :], 1.0 / U)       # (Kau, Ka)
-    w = np.exp(log_b_kau) @ np.exp(log_b_ka)                          # (Kau,)
-
-    # Bin(k; Kau, pm) over the (k, Kau) grid, with the log-choose table
-    # shared across all (u, m) entries.
-    lchoose = np.where(
-        ks[None, :] >= ks[:, None],
-        gammaln(ks[None, :] + 1) - gammaln(ks[:, None] + 1) - gammaln(ks[None, :] - ks[:, None] + 1),
-        -np.inf,
-    )  # (k, Kau)
-    pm = np.asarray(msg_prob, dtype=float).reshape(-1)
-    out = np.empty((pm.size, K + 1))
-    kk = ks[:, None].astype(float)
-    dk = np.maximum(ks[None, :] - ks[:, None], 0).astype(float)
-    for i, p in enumerate(pm):
-        log_b_k = lchoose + xlogy(kk, p) + xlog1py(dk, -p)            # (k, Kau)
-        out[i] = np.exp(log_b_k) @ w
-    return out.reshape(np.shape(msg_prob) + (K + 1,))
+    q = p_active * np.asarray(msg_prob, dtype=float)[..., None] / U
+    return np.exp(binom_logpmf(np.arange(K + 1), K, q))
 
 
 def build_prior(
@@ -219,14 +202,6 @@ def build_prior(
     )
 
 
-def auto_k_max(cfg: SystemConfig, p_active: float, msg_probs: np.ndarray, tail: float = 1e-4) -> int:
-    """Smallest k* whose cumulative untruncated prior reaches 1 - tail everywhere."""
-    full = multiplicity_pmf_full(cfg.K, cfg.U, p_active, msg_probs)
-    cum = np.cumsum(full, axis=-1)
-    needed = np.argmax(cum >= 1.0 - tail, axis=-1)
-    return int(needed.max())
-
-
 _SENSING_FIELDS = (
     "area_side",
     "zone_grid",
@@ -242,7 +217,7 @@ _SENSING_FIELDS = (
     "gamma_threshold",
 )
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def prior_cache_key(cfg: SystemConfig, n_active: int, n_cell: int, seed: int) -> str:
@@ -264,25 +239,33 @@ def load_or_build_prior(
     n_cell: int = DEFAULT_N_CELL,
     seed: int | None = None,
 ) -> MultiplicityPrior:
-    """Build the prior, reusing the cache file when the config hash matches."""
+    """Build the prior, reusing the cache file when the config hash matches.
+
+    A cache file that does not parse or holds another key is rebuilt and
+    overwritten.  The file is written to a temporary name in the cache
+    directory and then moved into place, so an interrupted write never
+    leaves a partial cache file.
+    """
     seed = cfg.master_seed if seed is None else seed
     key = prior_cache_key(cfg, n_active, n_cell, seed)
     path = None
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         path = os.path.join(cache_dir, f"prior_{key}.json")
-        if os.path.exists(path):
+        try:
             with open(path) as fh:
                 doc = json.load(fh)
-            if doc.get("key") == key:
-                return MultiplicityPrior(
-                    pmf=np.array(doc["pmf"]),
-                    p_active=doc["p_active"],
-                    msg_probs=np.array(doc["msg_probs"]),
-                    K_max=doc["K_max"],
-                    n_active_samples=doc["n_active"],
-                    n_cell_samples=doc["n_cell"],
-                )
+        except (FileNotFoundError, json.JSONDecodeError):
+            doc = {}
+        if doc.get("key") == key:
+            return MultiplicityPrior(
+                pmf=np.array(doc["pmf"]),
+                p_active=doc["p_active"],
+                msg_probs=np.array(doc["msg_probs"]),
+                K_max=doc["K_max"],
+                n_active_samples=doc["n_active"],
+                n_cell_samples=doc["n_cell"],
+            )
     p_active = compute_p_active(cfg, topology, n_active, seed)
     msg_probs = compute_msg_probs(cfg, topology, quantizer, n_cell, seed)
     prior = build_prior(cfg, p_active, msg_probs, n_active, n_cell)
@@ -296,6 +279,12 @@ def load_or_build_prior(
             "n_active": n_active,
             "n_cell": n_cell,
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".prior_", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(doc, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return prior

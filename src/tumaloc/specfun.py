@@ -1,23 +1,18 @@
 """Numerically robust special functions and log-domain probability kernels.
 
 All likelihood arithmetic in the decoder runs in the natural-log domain;
-posteriors are formed only through ``logsumexp`` normalization, because
+posteriors are normalized after subtracting the maximum log-weight, because
 products over a large number of receive antennas underflow in linear domain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaln, ndtr, xlog1py, xlogy
 
 __all__ = [
-    "LogWeightVector",
     "marcum_q1",
     "log_cgauss_diag",
-    "logsumexp",
-    "binom_pmf",
     "binom_logpmf",
 ]
 
@@ -26,25 +21,6 @@ _MARCUM_TOL = 1e-14
 # Beyond this noncentrality the series weights underflow; switch to the
 # Gaussian tail approximation (error O(1/a), reachable only for a > 34).
 _MARCUM_SERIES_XMAX = 600.0
-
-
-@dataclass(frozen=True)
-class LogWeightVector:
-    """Unnormalized weights in natural log; index semantics supplied by caller."""
-
-    log_weights: np.ndarray
-
-    def normalize(self) -> np.ndarray:
-        """Return linear-domain weights summing to 1.
-
-        Invariant to adding a constant to all log-weights.  All ``-inf``
-        input is a domain error (nothing to normalize).
-        """
-        lw = np.asarray(self.log_weights, dtype=float)
-        total = logsumexp(lw)
-        if total == -np.inf:
-            raise ValueError("cannot normalize: all log-weights are -inf")
-        return np.exp(lw - total)
 
 
 def marcum_q1(a, b):
@@ -126,17 +102,6 @@ def log_cgauss_diag(r: np.ndarray, v: np.ndarray, antennas_per_ap: int) -> float
     return float(np.sum(-A * np.log(np.pi * v) - energy / v))
 
 
-def logsumexp(xs) -> float:
-    """Max-shifted log(sum(exp(xs))); returns -inf for all-(-inf) input."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        raise ValueError("logsumexp: empty input")
-    m = np.max(xs)
-    if m == -np.inf:
-        return -np.inf
-    return float(m + np.log(np.sum(np.exp(xs - m))))
-
-
 def binom_logpmf(k, n, p) -> np.ndarray:
     """Log binomial pmf via log-gamma; ``k > n`` yields -inf by convention."""
     k = np.asarray(k, dtype=float)
@@ -151,9 +116,3 @@ def binom_logpmf(k, n, p) -> np.ndarray:
     lchoose = gammaln(nv + 1) - gammaln(kv + 1) - gammaln(nv - kv + 1)
     out[valid] = lchoose + xlogy(kv, pv) + xlog1py(nv - kv, -pv)
     return out
-
-
-def binom_pmf(k, n, p):
-    """Binomial pmf; exact to double precision, sums to 1 over ``k = 0..n``."""
-    res = np.exp(binom_logpmf(k, n, p))
-    return float(res[()]) if res.ndim == 0 else res

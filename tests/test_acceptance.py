@@ -17,14 +17,7 @@ from oracle_utils import (
     random_denoiser_instance,
 )
 from tumaloc import airlink, harness
-from tumaloc.amp_central import (
-    amp_run,
-    build_mc_table,
-    denoise_row,
-    denoise_rows,
-    hypothesis_loglik,
-    onsager,
-)
+from tumaloc.amp_central import amp_run, build_mc_table, denoise_rows, onsager
 from tumaloc.amp_dist import aggregate_posteriors, local_amp_run
 from tumaloc.config import SystemConfig, build_topology, desk_preset, paper_preset, sigma_w2_for_snr_rx
 from tumaloc.metrics import WeightedPointSet, transport_plan, wasserstein_p
@@ -80,7 +73,8 @@ def test_criterion_03_denoiser_vs_grid_integration():
             inst["zone"], inst["d0"], inst["beta"],
         )
         g = mc_table_for(inst["aps"], inst["zone"], inst["d0"], inst["beta"], 100_000, 2, 777 + i)
-        x, post, _ = denoise_row(inst["r"], inst["tau"], g, np.log(inst["prior"]), inst["Ec"], 1)
+        den = denoise_rows(inst["r"][None], inst["tau"], g, np.log(inst["prior"])[None], inst["Ec"], 1)
+        x, post = den.x_hat[0], den.posterior[0]
         worst_post = max(worst_post, np.abs(post - post_o).max() / post_o.max())
         worst_x = max(worst_x, np.linalg.norm(x - x_o) / max(np.linalg.norm(x_o), 1e-300))
     ok = worst_post <= 1e-3 and worst_x <= 1e-3
@@ -109,8 +103,7 @@ def test_criterion_04_onsager_vs_finite_difference():
         Q = onsager(R, den, tau, Ec, A)
 
         def eta(r):
-            x, _p, _c = denoise_row(r, tau, g, lp, Ec, A)
-            return x
+            return denoise_rows(r[None], tau, g, lp[None], Ec, A).x_hat[0]
 
         Q_fd = sum(fd_wirtinger_jacobian(eta, R[m]) for m in range(M)) / M
         worst = max(worst, np.abs(Q - Q_fd).max())
@@ -133,7 +126,7 @@ def test_criterion_05_distributed_central_equivalences():
     X = np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex)
     h = airlink.sample_fading(np.array([[20.0, 20.0]]), topo, cfg, seed=5)
     X[0, 1] = h[0]
-    Y = airlink.synthesize_rx(cb, airlink.EffectiveChannelSet(X), cfg, seed=5)
+    Y = airlink.synthesize_rx(cb, X, cfg, seed=5)
     central = amp_run(Y, cb, prior, mc, cfg)
     dist = aggregate_posteriors([local_amp_run(Y, 0, cb, prior, mc, cfg)], prior, B=1)
     bit_equal = (
@@ -148,9 +141,9 @@ def test_criterion_05_distributed_central_equivalences():
         tau = rng.uniform(0.3, 1.5, size=B)
         gv = rng.uniform(0.05, 1.0, size=B)
         r = rng.normal(size=B * A) + 1j * rng.normal(size=B * A)
-        total = hypothesis_loglik(r, tau, gv, 2.0, A)
+        total = log_cgauss_diag(r, tau + 2.0 * gv, A)
         parts = sum(
-            hypothesis_loglik(r[b * A:(b + 1) * A], tau[b:b + 1], gv[b:b + 1], 2.0, A)
+            log_cgauss_diag(r[b * A:(b + 1) * A], tau[b:b + 1] + 2.0 * gv[b:b + 1], A)
             for b in range(B)
         )
         worst = max(worst, abs(total - parts))
@@ -296,18 +289,9 @@ def _desk_decode_runs(cfg, ctx, decoder, master, runs, raw_codebook=False, with_
         if rnd.K_a == 0:
             continue
         cb = (airlink.raw_gaussian_codebook if raw_codebook else airlink.gen_codebook)(cfg, seed)
-        positions = [np.array([p for _m, p in rnd.per_zone[u]]).reshape(-1, 2) for u in range(cfg.U)]
-        flat = np.concatenate([p for p in positions if p.size > 0], axis=0)
-        h_all = airlink.sample_fading(flat, ctx.topology, cfg, seed)
-        fad, at = {}, 0
-        for u in range(cfg.U):
-            n_u = positions[u].shape[0]
-            fad[u] = h_all[at:at + n_u]
-            at += n_u
-        X = airlink.effective_channels(rnd, fad)
-        Y = airlink.synthesize_rx(cb, X, cfg, seed)
+        X, Y = airlink.uplink(rnd, cb, ctx.topology, cfg, seed)
         mc = build_mc_table(cfg, ctx.topology, seed)
-        Xt = X.X if with_truth else None
+        Xt = X if with_truth else None
         if decoder == "centralized":
             res = amp_central.amp_run(Y, cb, ctx.prior, mc, cfg, X_true=Xt)
         else:

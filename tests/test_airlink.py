@@ -3,15 +3,13 @@ import pytest
 
 from tumaloc import airlink
 from tumaloc.airlink import (
-    EffectiveChannelSet,
     TransmissionRound,
-    dump_complex_matrix,
     effective_channels,
     gen_codebook,
-    load_complex_matrix,
     raw_gaussian_codebook,
     sample_fading,
     synthesize_rx,
+    uplink,
 )
 from tumaloc.config import build_topology, lsfc_vector
 
@@ -94,39 +92,36 @@ class TestEffectiveChannels:
         rnd = _round_from_lists(
             [[(1, np.zeros(2))], []], U=2, M=3
         )
-        h = {0: np.array([[1 + 1j, 2.0]]), 1: np.zeros((0, 2))}
-        X = effective_channels(rnd, h).X
+        X = effective_channels(rnd, np.array([[1 + 1j, 2.0]]))
         assert np.all(X[0, 0] == 0) and np.all(X[0, 2] == 0)
         assert np.all(X[1] == 0)
 
     def test_single_user_row(self):
         rnd = _round_from_lists([[(0, np.zeros(2))]], U=1, M=2)
-        h = {0: np.array([[3.0 - 1j, 0.5j]])}
-        X = effective_channels(rnd, h).X
-        np.testing.assert_array_equal(X[0, 0], h[0][0])
+        h = np.array([[3.0 - 1j, 0.5j]])
+        X = effective_channels(rnd, h)
+        np.testing.assert_array_equal(X[0, 0], h[0])
 
     def test_collision_sums_elementwise(self):
         rnd = _round_from_lists([[(1, np.zeros(2)), (1, np.ones(2))]], U=1, M=2)
         h1 = np.array([1 + 2j, -1.0])
         h2 = np.array([0.5j, 4.0])
-        X = effective_channels(rnd, {0: np.stack([h1, h2])}).X
+        X = effective_channels(rnd, np.stack([h1, h2]))
         np.testing.assert_allclose(X[0, 1], h1 + h2)
 
     def test_permutation_invariance(self, rng):
         entries = [(int(m), rng.uniform(0, 10, 2)) for m in rng.integers(0, 4, size=6)]
         h = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
-        X1 = effective_channels(_round_from_lists([entries], 1, 4), {0: h}).X
+        X1 = effective_channels(_round_from_lists([entries], 1, 4), h)
         perm = rng.permutation(6)
-        X2 = effective_channels(
-            _round_from_lists([[entries[i] for i in perm]], 1, 4), {0: h[perm]}
-        ).X
+        X2 = effective_channels(_round_from_lists([[entries[i] for i in perm]], 1, 4), h[perm])
         np.testing.assert_allclose(X1, X2, atol=1e-12)
 
     def test_multiplicity_bookkeeping(self, rng):
         entries = [(int(m), rng.uniform(0, 10, 2)) for m in rng.integers(0, 6, size=9)]
         rnd = _round_from_lists([entries], 1, 6)
         h = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
-        X = effective_channels(rnd, {0: h}).X
+        X = effective_channels(rnd, h)
         k = rnd.multiplicities[0]
         support = np.any(X[0] != 0, axis=1)
         np.testing.assert_array_equal(support, k > 0)
@@ -136,14 +131,14 @@ class TestEffectiveChannels:
     def test_misaligned_inputs_rejected(self):
         rnd = _round_from_lists([[(0, np.zeros(2)), (1, np.zeros(2))]], U=1, M=2)
         with pytest.raises(ValueError):
-            effective_channels(rnd, {0: np.ones((1, 4), dtype=complex)})
+            effective_channels(rnd, np.ones((1, 4), dtype=complex))
 
 
 class TestSynthesizeRx:
     def test_zero_energy_gives_pure_noise(self, tiny_cfg):
         cfg = tiny_cfg.with_updates(Ec=1e-300)
         cb = gen_codebook(cfg, seed=0)
-        X = EffectiveChannelSet(X=np.ones((cfg.U, cfg.M, cfg.F), dtype=complex))
+        X = np.ones((cfg.U, cfg.M, cfg.F), dtype=complex)
         Y = synthesize_rx(cb, X, cfg, seed=0)
         emp = np.mean(np.abs(Y) ** 2)
         assert emp == pytest.approx(cfg.sigma_w2, rel=0.05)
@@ -154,7 +149,7 @@ class TestSynthesizeRx:
         X = np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex)
         h = np.arange(1, cfg.F + 1) + 0.5j
         X[0, 3] = h
-        Y = synthesize_rx(cb, EffectiveChannelSet(X=X), cfg, seed=1)
+        Y = synthesize_rx(cb, X, cfg, seed=1)
         want = 2.0 * np.outer(cb.entries[:, 3], h)
         np.testing.assert_allclose(Y, want, atol=1e-10)
         assert np.linalg.matrix_rank(Y, tol=1e-8) == 1
@@ -169,7 +164,7 @@ class TestSynthesizeRx:
         vals = []
         for seed in range(30):
             cb = gen_codebook(cfg, seed=seed)
-            Y = synthesize_rx(cb, EffectiveChannelSet(X=X), cfg, seed=seed)
+            Y = synthesize_rx(cb, X, cfg, seed=seed)
             vals.append(np.sum(np.abs(Y) ** 2))
         got = np.mean(vals)
         want = sig_energy + noise_energy
@@ -179,26 +174,29 @@ class TestSynthesizeRx:
         cfg = tiny_cfg.with_updates(sigma_w2=1e-300)
         cb = gen_codebook(cfg, seed=4)
         X = rng.normal(size=(cfg.U, cfg.M, cfg.F)) * (1 + 0j)
-        Y1 = synthesize_rx(cb, EffectiveChannelSet(X=X), cfg, seed=4)
-        Y3 = synthesize_rx(cb, EffectiveChannelSet(X=3.0 * X), cfg, seed=4)
+        Y1 = synthesize_rx(cb, X, cfg, seed=4)
+        Y3 = synthesize_rx(cb, 3.0 * X, cfg, seed=4)
         np.testing.assert_allclose(Y3, 3.0 * Y1, rtol=1e-12, atol=1e-12)
 
     def test_shape_mismatch_rejected(self, tiny_cfg):
         cb = gen_codebook(tiny_cfg, seed=0)
-        bad = EffectiveChannelSet(X=np.zeros((1, 2, 3), dtype=complex))
+        bad = np.zeros((1, 2, 3), dtype=complex)
         with pytest.raises(ValueError):
             synthesize_rx(cb, bad, tiny_cfg, seed=0)
 
 
-class TestBinaryDump:
-    def test_roundtrip(self, tmp_path, rng):
-        mat = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
-        path = tmp_path / "mat.bin"
-        dump_complex_matrix(path, mat)
-        np.testing.assert_array_equal(load_complex_matrix(path), mat)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            load_complex_matrix(path)
+class TestUplink:
+    def test_composes_fading_channels_and_synthesis(self, tiny_cfg):
+        # users fade in zone order: zone 0's two users take the first two rows
+        cfg = tiny_cfg
+        topo = build_topology(cfg)
+        per_zone = [[] for _ in range(cfg.U)]
+        per_zone[2] = [(5, np.array([30.0, 40.0]))]
+        per_zone[0] = [(1, np.array([10.0, 20.0])), (1, np.array([15.0, 5.0]))]
+        rnd = _round_from_lists(per_zone, cfg.U, cfg.M)
+        cb = gen_codebook(cfg, seed=3)
+        X, Y = uplink(rnd, cb, topo, cfg, seed=3)
+        pos = np.array([[10.0, 20.0], [15.0, 5.0], [30.0, 40.0]])
+        want_X = effective_channels(rnd, sample_fading(pos, topo, cfg, seed=3))
+        np.testing.assert_array_equal(X, want_X)
+        np.testing.assert_array_equal(Y, synthesize_rx(cb, want_X, cfg, seed=3))

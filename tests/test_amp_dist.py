@@ -1,18 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tumaloc import airlink
-from tumaloc.amp_central import amp_run, build_mc_table, hypothesis_loglik
+from tumaloc.amp_central import amp_run, build_mc_table
 from tumaloc.amp_dist import (
     AggregationError,
     aggregate_posteriors,
     distributed_decode,
     local_amp_run,
-    local_state_from_json,
-    local_state_to_json,
 )
 from tumaloc.config import SystemConfig, build_topology
 from tumaloc.priors import MultiplicityPrior, build_prior
+from tumaloc.specfun import log_cgauss_diag
 
 
 def _system(B=2, A=2, U=2, M=4, Nc=64, N_MC=48, K_max=2, Ec=3.0, sigma_w2=0.05,
@@ -45,7 +46,7 @@ def _received(cfg, topo, cb, seed, n_users=3):
         pos = rng.uniform([x0, y0], [x1, y1])[None, :]
         h = airlink.sample_fading(pos, topo, cfg, seed=int(rng.integers(1 << 30)))
         X[u, m] += h[0]
-    Y = airlink.synthesize_rx(cb, airlink.EffectiveChannelSet(X), cfg, seed=seed)
+    Y = airlink.synthesize_rx(cb, X, cfg, seed=seed)
     return Y, X
 
 
@@ -61,6 +62,19 @@ class TestLocalEqualsCentralWhenSingleAp:
         np.testing.assert_array_equal(central.t_hat, dist.t_hat)
         assert central.empty_type == dist.empty_type
 
+    def test_each_ap_of_two_equals_central_on_that_ap(self):
+        # AP b's local run is the centralized decoder on a system with AP b only
+        cfg, topo, prior, cb, mc = _system(B=2, A=2)
+        Y, _ = _received(cfg, topo, cb, seed=12)
+        for b in range(cfg.B):
+            Y_b = Y[:, b * cfg.A : (b + 1) * cfg.A]
+            cfg_b = cfg.with_updates(ap_positions=(cfg.ap_positions[b],))
+            mc_b = build_mc_table(cfg_b, build_topology(cfg_b), seed=cfg.master_seed)
+            central = amp_run(Y_b, cb, prior, mc_b, cfg_b)
+            local = local_amp_run(Y_b, b, cb, prior, mc, cfg)
+            dist = aggregate_posteriors([replace(local, ap_index=0)], prior, B=1)
+            np.testing.assert_array_equal(central.posteriors, dist.posteriors)
+
 
 class TestLikelihoodFactorization:
     def test_local_product_equals_global(self, rng):
@@ -72,28 +86,25 @@ class TestLikelihoodFactorization:
         Ec = 2.2
         for _ in range(100):
             r = rng.normal(size=B * A) + 1j * rng.normal(size=B * A)
-            total = hypothesis_loglik(r, tau, g, Ec, A)
+            total = log_cgauss_diag(r, tau + Ec * g, A)
             parts = sum(
-                hypothesis_loglik(
-                    r[b * A : (b + 1) * A], tau[b : b + 1], g[b : b + 1], Ec, A
-                )
+                log_cgauss_diag(r[b * A : (b + 1) * A], tau[b : b + 1] + Ec * g[b : b + 1], A)
                 for b in range(B)
             )
             assert total == pytest.approx(parts, abs=1e-10)
 
     def test_end_to_end_local_tables_product(self):
         # with F=4 (B=2, A=2), local per-position likelihoods multiply to the
-        # global one; here checked through hypothesis_loglik on row slices
+        # global one; here checked through log_cgauss_diag on row slices
         cfg, topo, prior, cb, mc = _system(B=2, A=2)
         rng = np.random.default_rng(0)
         r = rng.normal(size=cfg.F) + 1j * rng.normal(size=cfg.F)
         tau = rng.uniform(0.5, 1.0, size=cfg.B)
         g = mc.zone(0)[1, 17]          # some aggregate sample, k=2
-        total = hypothesis_loglik(r, tau, g, cfg.Ec, cfg.A)
+        total = log_cgauss_diag(r, tau + cfg.Ec * g, cfg.A)
         parts = sum(
-            hypothesis_loglik(
-                r[b * cfg.A : (b + 1) * cfg.A], tau[b : b + 1], g[b : b + 1],
-                cfg.Ec, cfg.A,
+            log_cgauss_diag(
+                r[b * cfg.A : (b + 1) * cfg.A], tau[b : b + 1] + cfg.Ec * g[b : b + 1], cfg.A
             )
             for b in range(cfg.B)
         )
@@ -151,15 +162,6 @@ class TestLocalRun:
         with pytest.raises(ValueError):
             local_amp_run(np.zeros((cfg.Nc, 3), dtype=complex), 0, cb, prior, mc, cfg)
 
-    def test_json_roundtrip(self):
-        cfg, topo, prior, cb, mc = _system(B=2)
-        Y, _ = _received(cfg, topo, cb, seed=8)
-        st = local_amp_run(Y[:, : cfg.A], 0, cb, prior, mc, cfg)
-        back = local_state_from_json(local_state_to_json(st))
-        np.testing.assert_allclose(back.log_lik, st.log_lik, rtol=1e-15)
-        assert back.ap_index == st.ap_index
-        assert back.tau_b == st.tau_b
-
 
 class TestEndToEnd:
     def test_distributed_decodes_strong_single_user(self):
@@ -168,7 +170,7 @@ class TestEndToEnd:
         pos = np.array([[15.0, 20.0]])
         h = airlink.sample_fading(pos, topo, cfg, seed=2)
         X[0, 1] = h[0]
-        Y = airlink.synthesize_rx(cb, airlink.EffectiveChannelSet(X), cfg, seed=2)
+        Y = airlink.synthesize_rx(cb, X, cfg, seed=2)
         res = distributed_decode(Y, cb, prior, mc, cfg, X_true=X)
         assert res.k_per_zone[0, 1] >= 1
         assert res.k_per_zone.sum() <= 3

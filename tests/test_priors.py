@@ -6,7 +6,6 @@ import pytest
 from tumaloc.airlink import substream
 from tumaloc.config import SystemConfig, build_topology, desk_preset
 from tumaloc.priors import (
-    auto_k_max,
     build_prior,
     compute_msg_probs,
     compute_p_active,
@@ -224,15 +223,6 @@ class TestBuildPrior:
         np.testing.assert_array_equal(prior.pmf, full[..., :4])
         assert prior.pmf[0, 0].sum() < 1.0  # truncation leaves mass out
 
-    def test_auto_k_max(self):
-        cfg = _one_zone_cfg(K=10)
-        pm = np.full((1, cfg.M), 1.0 / cfg.M)
-        k_star = auto_k_max(cfg, 0.9, pm, tail=1e-4)
-        full = multiplicity_pmf_full(cfg.K, cfg.U, 0.9, pm)
-        assert np.all(full[..., : k_star + 1].sum(axis=-1) >= 1 - 1e-4)
-        if k_star > 0:
-            assert np.any(full[..., :k_star].sum(axis=-1) < 1 - 1e-4)
-
 
 class TestPriorCache:
     def test_roundtrip_and_key_stability(self, tmp_path):
@@ -249,6 +239,23 @@ class TestPriorCache:
         )
         np.testing.assert_array_equal(first.pmf, again.pmf)
         assert first.p_active == again.p_active
+
+    def test_truncated_file_is_rebuilt(self, tmp_path):
+        # an interrupted write leaves a partial file: the load rebuilds the
+        # prior and replaces the file with a valid one
+        cfg = _one_zone_cfg(M=4, K=6, K_max=3, N_MC=20)
+        topo = build_topology(cfg)
+        quant = build_quantizer(2, cfg.area_side)
+        kw = dict(cache_dir=str(tmp_path), n_active=2000, n_cell=500)
+        built = load_or_build_prior(cfg, topo, quant, **kw)
+        (path,) = tmp_path.glob("prior_*.json")
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        again = load_or_build_prior(cfg, topo, quant, **kw)
+        np.testing.assert_array_equal(again.pmf, built.pmf)
+        assert again.p_active == built.p_active
+        assert path.read_text() == text
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_key_changes_with_sensing_fields(self):
         cfg = _one_zone_cfg()
