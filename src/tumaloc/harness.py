@@ -106,9 +106,9 @@ def _sense_and_encode(ctx: PointContext, seed: int):
 def run_single(ctx: PointContext, decoder: str, seed: int) -> dict:
     """One end-to-end run; returns a JSON-serializable record.
 
-    Decode failures and degenerate outcomes are recorded in ``status``
-    rather than raised; sensing-side metrics are filled in whenever the
-    scene has at least one active sensor.
+    Decode and transport-LP failures and degenerate outcomes are recorded
+    in ``status`` rather than raised; sensing-side metrics are filled in
+    whenever the scene has at least one active sensor.
     """
     if decoder not in DECODERS:
         raise ConfigError(f"unknown decoder {decoder!r}")
@@ -164,7 +164,13 @@ def run_single(ctx: PointContext, decoder: str, seed: int) -> dict:
     rec["tv"] = metrics.tv_distance(t_true, t_hat)
     mu = metrics.WeightedPointSet(sc.targets, omega)
     mu_hat = metrics.WeightedPointSet(ctx.quantizer.grid_points, t_hat)
-    w_val = metrics.wasserstein_p(mu, mu_hat, cfg.p_order)
+    try:
+        w_val = metrics.wasserstein_p(mu, mu_hat, cfg.p_order)
+    except RuntimeError:
+        # transport LP failed: keep the sensing and type metrics of the run
+        rec["status"] = "lp-error"
+        rec["wall_time_s"] = time.perf_counter() - t0
+        return rec
     rec["w_p"] = w_val
     rec["gospa"] = metrics.gospa_like(w_val, T_d, sc.T, cfg.c_gospa, cfg.p_order)
     rec["wall_time_s"] = time.perf_counter() - t0

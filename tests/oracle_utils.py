@@ -114,3 +114,26 @@ def mc_table_for(aps, zone, d0, beta, n_mc, k_max, seed):
     )
     gam = gamma_of(pos.reshape(-1, 2), aps, d0, beta).reshape(n_mc, k_max, -1)
     return np.cumsum(gam, axis=1).transpose(1, 0, 2).copy()
+
+
+def onsager_reference(R, den, tau, Ec, A):
+    """Onsager matrix by the plain einsum algebra, with no subnormal flush.
+
+    ``den`` is the denoiser output of ``tumaloc.amp_central.denoise_rows``
+    for the rows ``R``; the result is the row-averaged Wirtinger Jacobian
+    ``Q[a, f] = delta(a, f) mean_m H - mean_m conj(r_a) r_f psi[b(f), b(a)]``.
+    """
+    M, F = R.shape
+    K, N, B = den.shrink.shape
+    tau = np.maximum(np.asarray(tau, dtype=float), 1e-15)
+    omega = (den.posterior[:, 1:, None] * den.sample_weights).reshape(M, K * N)
+    cfl = den.shrink.reshape(K * N, B)
+    cpair = (cfl[:, :, None] * cfl[:, None, :]).reshape(K * N, B * B)
+    M2 = (omega @ cpair).reshape(M, B, B)
+    H = den.H
+    psi = np.sqrt(Ec) * (H[:, :, None] * H[:, None, :] - M2) / tau[None, None, :]
+    Rr = R.reshape(M, B, A)
+    Q2 = np.einsum("max,mby,mba->axby", np.conj(Rr), Rr, psi).reshape(F, F)
+    Q = np.diag(np.repeat(H.mean(axis=0), A)).astype(complex)
+    Q -= Q2 / M
+    return Q

@@ -361,5 +361,6 @@ def test_optional_full_scale_centralized_tv(desk_prior_cache):
     recs = _desk_decode_runs(cfg, ctx, "centralized", master=555, runs=runs)
     vals = [r["tv"] for r in recs if r["tv"] is not None]
     tv = float(np.mean(vals))
+    se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else float("nan")
     _report(14, "full-scale centralized TV at 10 dB (optional)", abs(tv - 0.065) <= 0.02,
-            f"mean TV {tv:.4f} over {len(vals)} runs (0.065±0.02)")
+            f"mean TV {tv:.4f}, standard error {se:.4f}, over {len(vals)} runs (0.065±0.02)")

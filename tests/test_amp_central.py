@@ -5,6 +5,7 @@ from oracle_utils import (
     fd_wirtinger_jacobian,
     grid_denoiser_oracle,
     mc_table_for,
+    onsager_reference,
     random_denoiser_instance,
 )
 from tumaloc import airlink
@@ -187,6 +188,37 @@ class TestOnsager:
                 J_sum += fd_wirtinger_jacobian(eta, R[m])
             Q_fd = J_sum / M
             assert np.abs(Q - Q_fd).max() <= 1e-4
+
+    @staticmethod
+    def _instance(rng):
+        # B = 3 APs with distinct tau, A = 2 antennas, K = 3, N = 50, M = 12 rows
+        g = np.cumsum(rng.uniform(0.05, 1.5, size=(3, 50, 3)), axis=0)
+        tau = np.array([0.4, 0.9, 1.3])
+        R = (rng.normal(size=(12, 6)) + 1j * rng.normal(size=(12, 6))) * 0.8
+        return R, tau, g, 2.3, 2
+
+    def test_vs_einsum_reference(self, rng):
+        R, tau, g, Ec, A = self._instance(rng)
+        lp = np.log(rng.dirichlet(np.ones(g.shape[0] + 1), size=R.shape[0]))
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        np.testing.assert_allclose(
+            onsager(R, den, tau, Ec, A), onsager_reference(R, den, tau, Ec, A), rtol=1e-12
+        )
+
+    def test_subnormal_weight_products_vs_einsum_reference(self, rng):
+        # half the rows put log-prior ~ -700 on every k >= 1, so their
+        # posterior x sample-weight products reach the subnormal range
+        R, tau, g, Ec, A = self._instance(rng)
+        M, K = R.shape[0], g.shape[0]
+        lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
+        lp[::2, 1:] = -700.0 - np.arange(K)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        omega = den.posterior[:, 1:, None] * den.sample_weights
+        assert np.any((omega > 0) & (omega < np.finfo(float).tiny))
+        np.testing.assert_allclose(
+            onsager(R, den, tau, Ec, A), onsager_reference(R, den, tau, Ec, A),
+            rtol=1e-12, atol=1e-300,
+        )
 
 
 def _tiny_system(rng_seed=0, U=2, M=4, B=2, A=1, Nc=64, N_MC=64, K_max=2, Ec=3.0,

@@ -180,6 +180,21 @@ class TestSweep:
             want_mean = float(np.mean([r["gospa"] for r in ok]))
             assert float(rows[0]["gospa_mean"]) == pytest.approx(want_mean, abs=1e-12)
 
+    def test_transport_lp_failure_recorded_not_raised(self, tiny_cfg, tmp_path, monkeypatch):
+        def failing_lp(*_args, **_kw):
+            raise RuntimeError("transport LP failed: forced")
+
+        monkeypatch.setattr(harness.metrics, "wasserstein_p", failing_lp)
+        res = run_sweep(self._spec(tiny_cfg, tmp_path, runs=4))
+        assert len(res["records"]) == 4
+        lp_err = [r for r in res["records"] if r["status"] == "lp-error"]
+        assert lp_err
+        assert all(r["status"] in ("lp-error", "no-active-sensors") for r in res["records"])
+        for rec in lp_err:
+            assert rec["tv"] == 0.0
+            assert rec["p_md"] is not None and rec["T_d"] is not None
+            assert rec["w_p"] is None and rec["gospa"] is None
+
     def test_unknown_axis_rejected(self, tiny_cfg, tmp_path):
         with pytest.raises(ConfigError):
             self._spec(tiny_cfg, tmp_path, axis="humidity")
