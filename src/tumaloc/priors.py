@@ -31,7 +31,6 @@ from .specfun import binom_logpmf
 __all__ = [
     "MultiplicityPrior",
     "compute_p_active",
-    "compute_p_closest",
     "compute_msg_probs",
     "build_prior",
     "multiplicity_pmf_full",
@@ -93,26 +92,6 @@ def compute_p_active(
         acc += float(np.sum(1.0 - miss**cfg.T_targets))
         done += n_s
     return acc / n_int
-
-
-def compute_p_closest(
-    s, p, cfg: SystemConfig, n_int: int = DEFAULT_N_CELL, seed: int | None = None
-) -> float:
-    """Probability that target ``p`` is the closest detected one for sensor ``s``.
-
-    ``J(s, p)^(T-1)`` with ``J`` the single-competitor MC integral; the
-    strict-inequality indicator makes the coincident case return 1.
-    """
-    rng = substream(cfg.master_seed if seed is None else seed, STREAM_PRIORS, 1)
-    s = np.asarray(s, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if cfg.T_targets <= 1:
-        return 1.0
-    others = rng.uniform(0, cfg.area_side, size=(n_int, 2))
-    pd = detection_prob_array(s[None, :], others, cfg)[0]
-    closer = ((others - s) ** 2).sum(axis=1) < ((p - s) ** 2).sum()
-    J = float(np.mean(1.0 - pd * closer))
-    return J ** (cfg.T_targets - 1)
 
 
 def compute_msg_probs(
@@ -217,7 +196,7 @@ _SENSING_FIELDS = (
     "gamma_threshold",
 )
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 def prior_cache_key(cfg: SystemConfig, n_active: int, n_cell: int, seed: int) -> str:

@@ -3,10 +3,15 @@
 Everything here avoids the package's denoiser/Onsager code paths: the
 denoiser oracle evaluates the position integrals by Gauss-Legendre
 quadrature, and the Jacobian oracle uses central finite differences of the
-Wirtinger derivative.
+Wirtinger derivative.  ``compute_p_closest`` is the per-pair closest-target
+integral that the pooled message-probability estimator replaces.
 """
 
 import numpy as np
+
+from tumaloc.airlink import STREAM_PRIORS, substream
+from tumaloc.priors import DEFAULT_N_CELL
+from tumaloc.scene import detection_prob_array
 
 
 def gamma_of(points, aps, d0, beta):
@@ -137,3 +142,21 @@ def onsager_reference(R, den, tau, Ec, A):
     Q = np.diag(np.repeat(H.mean(axis=0), A)).astype(complex)
     Q -= Q2 / M
     return Q
+
+
+def compute_p_closest(s, p, cfg, n_int=DEFAULT_N_CELL, seed=None):
+    """Probability that target ``p`` is the closest detected one for sensor ``s``.
+
+    ``J(s, p)^(T-1)`` with ``J`` the single-competitor MC integral; the
+    strict-inequality indicator makes the coincident case return 1.
+    """
+    rng = substream(cfg.master_seed if seed is None else seed, STREAM_PRIORS, 1)
+    s = np.asarray(s, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if cfg.T_targets <= 1:
+        return 1.0
+    others = rng.uniform(0, cfg.area_side, size=(n_int, 2))
+    pd = detection_prob_array(s[None, :], others, cfg)[0]
+    closer = ((others - s) ** 2).sum(axis=1) < ((p - s) ** 2).sum()
+    J = float(np.mean(1.0 - pd * closer))
+    return J ** (cfg.T_targets - 1)

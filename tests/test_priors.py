@@ -2,6 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from oracle_utils import compute_p_closest
 
 from tumaloc.airlink import substream
 from tumaloc.config import SystemConfig, build_topology, desk_preset
@@ -9,7 +10,6 @@ from tumaloc.priors import (
     build_prior,
     compute_msg_probs,
     compute_p_active,
-    compute_p_closest,
     load_or_build_prior,
     multiplicity_pmf_full,
     prior_cache_key,

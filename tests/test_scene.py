@@ -7,6 +7,9 @@ from tumaloc.airlink import substream
 from tumaloc.config import ConfigError, build_topology, desk_preset, paper_preset
 from tumaloc.scene import (
     Scene,
+    _detection_noncentrality,
+    _noncentrality_scale,
+    _pd_table,
     build_quantizer,
     detection_prob,
     detection_prob_array,
@@ -94,6 +97,45 @@ class TestDetectionProb:
                 assert table[i, j] == pytest.approx(
                     detection_prob(s[i], p[j], paper_cfg), rel=1e-12
                 )
+
+
+class TestDetectionTable:
+    """The tabulated kernel against the ``marcum_q1`` series it interpolates.
+
+    In the style of criterion 1: at least 10^5 distances log-spaced in d^2
+    from 1e-2 m^2 to beyond the area's squared diagonal, plus every
+    cell midpoint of the table.
+    """
+
+    @pytest.mark.parametrize("preset", [desk_preset, paper_preset])
+    def test_matches_series_over_the_area(self, preset):
+        cfg = preset()
+        b = np.sqrt(cfg.gamma_threshold)
+        d2_max = 2.0 * cfg.area_side**2
+        u_lo, inv_h, coef = _pd_table(_noncentrality_scale(cfg), b, d2_max)
+        spread = np.exp(np.linspace(np.log(1e-2), np.log(4.0 * d2_max), 100_000))
+        mids = np.exp(u_lo + (np.arange(coef.shape[1]) + 0.5) / inv_h)
+        d = np.sqrt(np.concatenate([[0.0], spread, mids]))
+        targets = np.stack([np.zeros_like(d), d], axis=1)
+        got = detection_prob_array(np.zeros((1, 2)), targets, cfg)[0]
+        d2 = (targets**2).sum(axis=1)
+        want = np.ones_like(d2)
+        want[1:] = marcum_q1(_detection_noncentrality(d2[1:], cfg), b)
+        assert got[0] == 1.0
+        assert np.abs(got - want).max() <= 1e-13
+        above = d2 > d2_max
+        assert above.any()
+        np.testing.assert_array_equal(got[above], want[above])
+
+    def test_empty_range_link_budget(self, paper_cfg, rng):
+        # the noncentrality never leaves the Gaussian-tail branch: no table,
+        # every pair through the series, and pd = 1 in double
+        cfg = paper_cfg.with_updates(P_n=1e-300)
+        b = np.sqrt(cfg.gamma_threshold)
+        assert _pd_table(_noncentrality_scale(cfg), b, 2.0 * cfg.area_side**2) is None
+        s = rng.uniform(0, 300, size=(20, 2))
+        p = np.vstack([s[:3], rng.uniform(0, 300, size=(30, 2))])
+        np.testing.assert_array_equal(detection_prob_array(s, p, cfg), 1.0)
 
 
 class TestSenseAll:
