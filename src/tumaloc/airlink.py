@@ -65,7 +65,6 @@ class Codebook:
     entries: np.ndarray   # (Nc, U*M) complex
     U: int
     M: int
-    seed: int
 
     def block(self, u: int) -> np.ndarray:
         """Codewords of zone ``u``: an (Nc, M) view."""
@@ -98,10 +97,6 @@ class TransmissionRound:
         return sum(len(entries) for entries in self.per_zone)
 
     @property
-    def K_a_per_zone(self) -> np.ndarray:
-        return np.array([len(entries) for entries in self.per_zone], dtype=int)
-
-    @property
     def true_type(self) -> np.ndarray:
         """Global type ``t = k / K_a``; zeros when no user is active."""
         k = self.global_multiplicities.astype(float)
@@ -110,26 +105,11 @@ class TransmissionRound:
 
 
 def gen_codebook(cfg: SystemConfig, seed: int) -> Codebook:
-    """i.i.d. CN(0, 1/Nc) entries with each column rescaled to unit norm.
-
-    ``normalize=False`` on :func:`raw_gaussian_codebook` gives the
-    unnormalized variant used for state-evolution comparisons.
-    """
-    return _make_codebook(cfg, seed, normalize=True)
-
-
-def raw_gaussian_codebook(cfg: SystemConfig, seed: int) -> Codebook:
-    """Unnormalized CN(0, 1/Nc) codebook (state-evolution analysis variant)."""
-    return _make_codebook(cfg, seed, normalize=False)
-
-
-def _make_codebook(cfg: SystemConfig, seed: int, normalize: bool) -> Codebook:
+    """i.i.d. CN(0, 1/Nc) entries with each column rescaled to unit norm."""
     rng = substream(seed, STREAM_CODEBOOK)
     shape = (cfg.Nc, cfg.U * cfg.M)
     c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2 * cfg.Nc)
-    if normalize:
-        c = c / np.linalg.norm(c, axis=0, keepdims=True)
-    return Codebook(entries=c, U=cfg.U, M=cfg.M, seed=seed)
+    return Codebook(entries=c / np.linalg.norm(c, axis=0, keepdims=True), U=cfg.U, M=cfg.M)
 
 
 def sample_fading(

@@ -39,13 +39,14 @@ near the subnormal range.
 
 Both decoders run the one recursion in :func:`amp_iterate`: :func:`amp_run`
 on all F antennas, and the distributed decoder's
-:func:`~tumaloc.amp_dist.local_amp_run` on one AP's antenna block.
+:func:`~tumaloc.amp_dist.local_amp_run` on one AP's antenna block.  The
+recursion returns its final iterate; iteration t of a run is reproduced
+exactly by a run with ``T_AMP = t``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +55,6 @@ from .config import SystemConfig, Topology, lsfc_vector
 from .priors import MultiplicityPrior
 
 __all__ = [
-    "McTable",
     "DecodeResult",
     "DecodeError",
     "TAU_FLOOR",
@@ -80,25 +80,15 @@ class DecodeError(RuntimeError):
         self.iteration = iteration
 
 
-@dataclass(frozen=True)
-class McTable:
-    """Per-zone aggregate-LSFC samples.
+def build_mc_table(cfg: SystemConfig, topology: Topology, seed: int | None = None) -> np.ndarray:
+    """Per-zone aggregate-LSFC samples, shape (U, K_max, N_MC, B).
 
-    ``g[u][k-1, i, b] = sum_{j<=k} gamma_b(rho^i_j)`` for positions drawn
+    ``g[u, k-1, i, b] = sum_{j<=k} gamma_b(rho^i_j)`` for positions drawn
     i.i.d. uniform on zone u; the position streams are shared across
     multiplicities (cumulative sums), deterministic under the seed.
     """
-
-    g: tuple
-    seed: int
-
-    def zone(self, u: int) -> np.ndarray:
-        return self.g[u]
-
-
-def build_mc_table(cfg: SystemConfig, topology: Topology, seed: int | None = None) -> McTable:
     seed = cfg.master_seed if seed is None else seed
-    tables = []
+    g = np.empty((topology.U, cfg.K_max, cfg.N_MC, topology.B))
     for u in range(topology.U):
         rng = substream(seed, STREAM_MC, u)
         x0, y0, x1, y1 = topology.zone_rects[u]
@@ -112,25 +102,24 @@ def build_mc_table(cfg: SystemConfig, topology: Topology, seed: int | None = Non
         gam = lsfc_vector(pos.reshape(-1, 2), topology, cfg).reshape(
             cfg.N_MC, cfg.K_max, topology.B
         )
-        tables.append(np.cumsum(gam, axis=1).transpose(1, 0, 2).copy())  # (K_max, N_MC, B)
-    return McTable(g=tuple(tables), seed=seed)
+        g[u] = np.cumsum(gam, axis=1).transpose(1, 0, 2)
+    return g
 
 
 @dataclass
 class DecodeResult:
     k_per_zone: np.ndarray         # (U, M) MAP multiplicities
-    k_global: np.ndarray           # (M,)
     t_hat: np.ndarray              # (M,) estimated type; zeros when empty
     empty_type: bool
     posteriors: np.ndarray         # (U, M, K_max + 1)
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     @classmethod
     def from_posteriors(cls, posteriors: np.ndarray, diagnostics: dict) -> DecodeResult:
-        """MAP multiplicities, their sum over zones and the type, from (U, M, K_max + 1) posteriors."""
+        """MAP multiplicities and the type from (U, M, K_max + 1) posteriors."""
         k_per_zone = estimate_multiplicities(posteriors)
         t_hat, empty = estimate_type(k_per_zone)
-        return cls(k_per_zone, k_per_zone.sum(axis=0), t_hat, empty, posteriors, diagnostics)
+        return cls(k_per_zone, t_hat, empty, posteriors, diagnostics)
 
 
 def residual_covariance(Z: np.ndarray, antennas_per_ap: int) -> np.ndarray:
@@ -257,25 +246,17 @@ def amp_iterate(
     Y: np.ndarray,
     codebook: Codebook,
     log_prior: np.ndarray,
-    g: tuple,
+    g: np.ndarray,
     cfg: SystemConfig,
-    X_true: np.ndarray | None = None,
-    keep_effective_observations: bool = False,
-    diag_stream=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
     """The AMP recursion on the receive columns ``Y``, shared by both decoders.
 
-    ``Y`` (Nc, F') holds the antennas of some APs and ``g[u]`` (K_max, N,
-    F' / A) is zone u's MC aggregate-LSFC table restricted to those APs.
-    Returns ``(posteriors, log_lik, Z, diagnostics)``: the final per-zone
-    multiplicity posteriors and MC-averaged log-likelihood tables, both
-    (U, M, K_max + 1), the final residual (Nc, F') and the diagnostics.
-
-    ``X_true`` (U, M, F'), when given, adds per-iteration channel
-    estimation error and residual-variance gap traces;
-    ``keep_effective_observations`` stores the final-iteration per-zone
-    effective observations (for validation against brute-force posteriors);
-    ``diag_stream`` receives one JSON line per iteration.
+    ``Y`` (Nc, F') holds the antennas of some APs and ``g`` (U, K_max, N,
+    F' / A) is the MC aggregate-LSFC table restricted to those APs.
+    Returns the final iterate ``(posteriors, log_lik, X, Z, diagnostics)``:
+    the per-zone multiplicity posteriors and MC-averaged log-likelihood
+    tables, both (U, M, K_max + 1), the channel estimates (U, M, F'), the
+    residual (Nc, F') and the diagnostics.
     """
     Nc, F = Y.shape
     U, M, A = cfg.U, cfg.M, cfg.A
@@ -286,9 +267,6 @@ def amp_iterate(
     posts = np.zeros((U, M, cfg.K_max + 1))
     log_lik = np.zeros((U, M, cfg.K_max + 1))
     tau_trace = []
-    err_trace = []
-    tau_gap_trace = []
-    final_R = [None] * U
     degenerate_rows = 0
 
     for t in range(1, cfg.T_AMP + 1):
@@ -307,64 +285,24 @@ def amp_iterate(
             log_lik[u] = den.log_mc_lik
             Q_u = onsager(R_u, den, tau, cfg.Ec, A)
             Gamma += Cu @ X[u] - (M / Nc) * (Z @ Q_u)
-            if keep_effective_observations and t == cfg.T_AMP:
-                final_R[u] = R_u
         Z = Y - sqrt_ec * Gamma
         if not np.all(np.isfinite(Z.view(float))):
             raise DecodeError(t)
-        if X_true is not None:
-            err_trace.append(channel_estimation_error(X, X_true, cfg))
-            tau_next = residual_covariance(Z, A)
-            tau_gap_trace.append(float(np.sum(A * (tau_next - cfg.sigma_w2))))
-        if diag_stream is not None:
-            line = {"t": t, "tau": tau.tolist()}
-            if err_trace:
-                line["channel_error"] = err_trace[-1]
-            diag_stream.write(json.dumps(line) + "\n")
 
-    diagnostics = {
-        "tau_trace": np.array(tau_trace),
-        "degenerate_rows": degenerate_rows,
-    }
-    if X_true is not None:
-        diagnostics["channel_error_trace"] = np.array(err_trace)
-        diagnostics["tau_gap_trace"] = np.array(tau_gap_trace)
-    if keep_effective_observations:
-        diagnostics["final_R"] = final_R
-        diagnostics["final_tau"] = tau_trace[-1]
-    return posts, log_lik, Z, diagnostics
+    diagnostics = {"tau_trace": np.array(tau_trace), "degenerate_rows": degenerate_rows}
+    return posts, log_lik, X, Z, diagnostics
 
 
 def amp_run(
     Y: np.ndarray,
     codebook: Codebook,
     prior: MultiplicityPrior,
-    mc: McTable,
+    g: np.ndarray,
     cfg: SystemConfig,
-    X_true: np.ndarray | None = None,
-    keep_effective_observations: bool = False,
-    diag_stream=None,
 ) -> DecodeResult:
-    """Full centralized decode: :func:`amp_iterate` on all F antennas, then MAP type estimation.
-
-    ``X_true``, ``keep_effective_observations`` and ``diag_stream`` are
-    passed to :func:`amp_iterate`.
-    """
-    posts, _log_lik, _Z, diagnostics = amp_iterate(
-        Y, codebook, prior.log_pmf, mc.g, cfg, X_true, keep_effective_observations, diag_stream
-    )
-    diagnostics["alpha"] = cfg.M / Y.shape[0]
+    """Full centralized decode: :func:`amp_iterate` on all F antennas, then MAP type estimation."""
+    posts, _log_lik, _X, _Z, diagnostics = amp_iterate(Y, codebook, prior.log_pmf, g, cfg)
     return DecodeResult.from_posteriors(posts, diagnostics)
-
-
-def channel_estimation_error(X: np.ndarray, X_true: np.ndarray, cfg: SystemConfig) -> float:
-    """Energy-normalized squared estimation error ``(Ec / Nc) sum_u ||X_u - X_u^true||_F^2``.
-
-    The 1/Nc factor puts the error on the same scale as the residual-based
-    variance gap ``sum_b A (tau_b - sigma_w^2)`` it is compared against.
-    """
-    diff = X - X_true
-    return float(cfg.Ec / cfg.Nc * np.sum(np.abs(diff) ** 2))
 
 
 def estimate_multiplicities(posteriors: np.ndarray) -> np.ndarray:

@@ -21,10 +21,7 @@ __all__ = [
     "Topology",
     "ConfigError",
     "build_topology",
-    "lsfc",
     "lsfc_vector",
-    "zone_of",
-    "snr_conversions",
     "sigma_w2_for_snr_rx",
     "desk_preset",
     "paper_preset",
@@ -147,11 +144,6 @@ class Topology:
     def U(self) -> int:
         return self.zone_rects.shape[0]
 
-    @property
-    def zone_area(self) -> float:
-        x0, y0, x1, y1 = self.zone_rects[0]
-        return float((x1 - x0) * (y1 - y0))
-
     def centroid_nearest_ap_distance(self) -> float:
         d = np.linalg.norm(
             self.zone_centroids[:, None, :] - self.ap_positions[None, :, :], axis=-1
@@ -206,60 +198,26 @@ def _gamma_of_distance(d: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     return 1.0 / (1.0 + (d / cfg.d0) ** cfg.beta)
 
 
-def lsfc(rho, ap_position, cfg: SystemConfig) -> float:
-    """Large-scale fading coefficient ``1 / (1 + (d / d0)^beta)`` in (0, 1]."""
-    diff = np.asarray(rho, dtype=float) - np.asarray(ap_position, dtype=float)
-    # 1-element array, not a 0-d scalar: keeps the ufunc kernel identical to
-    # the vectorized path so lsfc_vector entries match bit-for-bit
-    d = np.sqrt((diff * diff).sum(axis=-1, keepdims=True))
-    return float(_gamma_of_distance(d, cfg)[0])
-
-
 def lsfc_vector(rho, topology: Topology, cfg: SystemConfig) -> np.ndarray:
-    """Per-AP LSFC sequence of length B; entry b equals ``lsfc(rho, b)`` exactly."""
+    """Per-AP large-scale fading coefficients ``1 / (1 + (d_b / d0)^beta)``, shape (..., B)."""
     rho = np.asarray(rho, dtype=float)
     diff = topology.ap_positions - rho[..., None, :]
     d = np.sqrt((diff * diff).sum(axis=-1))
     return _gamma_of_distance(d, cfg)
 
 
-def zone_of(rho, topology: Topology) -> int:
-    """Zone index of a point; half-open rectangles, left/bottom inclusive.
-
-    The outer boundary of the area belongs to the last row/column so that
-    the map is total on the closed square.
-    """
-    x, y = float(rho[0]), float(rho[1])
-    side = topology.area_side
-    if not (0.0 <= x <= side and 0.0 <= y <= side):
-        raise ValueError(f"point {(x, y)} outside coverage area")
-    rows, cols = topology.zone_grid
-    ix = min(int(x // (side / cols)), cols - 1)
-    iy = min(int(y // (side / rows)), rows - 1)
-    return iy * cols + ix
-
-
 def zone_of_array(points: np.ndarray, topology: Topology) -> np.ndarray:
-    """Vectorized :func:`zone_of` for an (N, 2) array of in-area points."""
+    """Zone index per point of an (N, 2) array of in-area points.
+
+    Zones are half-open rectangles, left/bottom inclusive; the outer
+    boundary of the area belongs to the last row/column, so the map is
+    total on the closed square.
+    """
     side = topology.area_side
     rows, cols = topology.zone_grid
     ix = np.minimum((points[:, 0] // (side / cols)).astype(int), cols - 1)
     iy = np.minimum((points[:, 1] // (side / rows)).astype(int), rows - 1)
     return iy * cols + ix
-
-
-def snr_conversions(cfg: SystemConfig, topology: Topology) -> dict:
-    """Transmit and received SNR implied by the configuration.
-
-    ``SNR_tx = Ec / (Nc sigma_w^2)`` and
-    ``SNR_rx = SNR_tx / (1 + (varsigma / d0)^beta)`` with ``varsigma`` the
-    centroid-to-nearest-AP distance.  The attenuation exponent is the
-    path-loss exponent ``beta``.
-    """
-    snr_tx = cfg.Ec / (cfg.Nc * cfg.sigma_w2)
-    varsigma = topology.centroid_nearest_ap_distance()
-    snr_rx = snr_tx / (1.0 + (varsigma / cfg.d0) ** cfg.beta)
-    return {"snr_tx": snr_tx, "snr_rx": snr_rx, "varsigma": varsigma}
 
 
 def sigma_w2_for_snr_rx(cfg: SystemConfig, topology: Topology, snr_rx_db: float) -> float:

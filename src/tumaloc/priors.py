@@ -54,8 +54,6 @@ class MultiplicityPrior:
     p_active: float
     msg_probs: np.ndarray      # (U, M) conditional message probabilities
     K_max: int
-    n_active_samples: int
-    n_cell_samples: int
 
     @property
     def log_pmf(self) -> np.ndarray:
@@ -159,13 +157,7 @@ def multiplicity_pmf_full(K: int, U: int, p_active: float, msg_prob: np.ndarray)
     return np.exp(binom_logpmf(np.arange(K + 1), K, q))
 
 
-def build_prior(
-    cfg: SystemConfig,
-    p_active: float,
-    msg_probs: np.ndarray,
-    n_active_samples: int = DEFAULT_N_ACTIVE,
-    n_cell_samples: int = DEFAULT_N_CELL,
-) -> MultiplicityPrior:
+def build_prior(cfg: SystemConfig, p_active: float, msg_probs: np.ndarray) -> MultiplicityPrior:
     """Assemble the truncated multiplicity prior from the integral tables."""
     full = multiplicity_pmf_full(cfg.K, cfg.U, p_active, msg_probs)
     sums = full.sum(axis=-1)
@@ -176,8 +168,6 @@ def build_prior(
         p_active=float(p_active),
         msg_probs=np.asarray(msg_probs, dtype=float),
         K_max=cfg.K_max,
-        n_active_samples=n_active_samples,
-        n_cell_samples=n_cell_samples,
     )
 
 
@@ -242,12 +232,10 @@ def load_or_build_prior(
                 p_active=doc["p_active"],
                 msg_probs=np.array(doc["msg_probs"]),
                 K_max=doc["K_max"],
-                n_active_samples=doc["n_active"],
-                n_cell_samples=doc["n_cell"],
             )
     p_active = compute_p_active(cfg, topology, n_active, seed)
     msg_probs = compute_msg_probs(cfg, topology, quantizer, n_cell, seed)
-    prior = build_prior(cfg, p_active, msg_probs, n_active, n_cell)
+    prior = build_prior(cfg, p_active, msg_probs)
     if path is not None:
         doc = {
             "key": key,
@@ -255,8 +243,6 @@ def load_or_build_prior(
             "msg_probs": prior.msg_probs.tolist(),
             "pmf": prior.pmf.tolist(),
             "K_max": prior.K_max,
-            "n_active": n_active,
-            "n_cell": n_cell,
         }
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".prior_", suffix=".tmp")
         try:

@@ -4,8 +4,10 @@ Targets and sensors are placed uniformly over the coverage area.  Each
 (sensor, target) pair is detected independently with a Marcum-Q detection
 probability driven by the two-way radar link budget; an active sensor
 reports the nearest detected target, quantizes its position on a regular
-grid and transmits the grid index as its message.  Detected targets are
-localized perfectly; false alarms are not generated.
+grid and transmits the grid index as its message.  A sensed scene keeps
+only these reports (one masked argmin over all pairs), not the detections
+behind them.  Detected targets are localized perfectly; false alarms are
+not generated.
 
 The detection probability depends on a pair only through ``d^2``.  It is
 evaluated by the ``marcum_q1`` series at the nodes of a uniform grid in
@@ -19,8 +21,7 @@ through ``marcum_q1`` directly, and ``d^2 = 0`` gives 1.
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ive
@@ -33,24 +34,20 @@ __all__ = [
     "Scene",
     "Quantizer",
     "sample_scene",
-    "detection_prob",
     "detection_prob_array",
     "sense_all",
     "build_quantizer",
-    "quantize",
     "messages_of",
-    "scene_to_json",
 ]
 
 
 @dataclass(frozen=True)
 class Scene:
-    """Target and sensor placement plus (after sensing) detections and reports."""
+    """Target and sensor placement plus (after sensing) each sensor's report."""
 
     targets: np.ndarray                 # (T, 2)
     sensors: np.ndarray                 # (K, 2)
     sensor_zones: np.ndarray            # (K,) int
-    detected: tuple | None = None       # per sensor: sorted tuple of detected target indices
     reported: np.ndarray | None = None  # (K,) int; -1 when inactive
 
     @property
@@ -161,18 +158,6 @@ def _pd_table(c0: float, b: float, d2_max: float):
     return float(u_lo), 1.0 / h, coef
 
 
-def detection_prob(sensor, target, cfg: SystemConfig) -> float:
-    """Probability that a sensor detects a target at the given positions.
-
-    ``Q1(sqrt(2 Ns Ps S lambda^2 / ((4 pi)^3 Pn ||s-p||^4)), sqrt(gamma))``;
-    the coincident-position limit returns 1.  Evaluated like
-    :func:`detection_prob_array`, on one pair.
-    """
-    s = np.asarray(sensor, float).reshape(1, 2)
-    p = np.asarray(target, float).reshape(1, 2)
-    return float(detection_prob_array(s, p, cfg)[0, 0])
-
-
 def detection_prob_array(sensors: np.ndarray, targets: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Detection probabilities for all (sensor, target) pairs, shape (K, T)."""
     # dx^2 + dy^2 without a (K, T, 2) temporary; the same sum as over the last axis
@@ -210,33 +195,16 @@ def detection_prob_array(sensors: np.ndarray, targets: np.ndarray, cfg: SystemCo
 
 
 def sense_all(scene: Scene, cfg: SystemConfig, rng: np.random.Generator) -> Scene:
-    """Draw independent Bernoulli detections and resolve nearest-target reports."""
+    """Draw independent Bernoulli detections; each sensor reports its nearest detected target."""
     K, T = scene.K, scene.T
-    if T == 0 or K == 0:
-        return Scene(
-            targets=scene.targets,
-            sensors=scene.sensors,
-            sensor_zones=scene.sensor_zones,
-            detected=tuple(() for _ in range(K)),
-            reported=np.full(K, -1, dtype=int),
-        )
-    pd = detection_prob_array(scene.sensors, scene.targets, cfg)
-    hits = rng.uniform(size=(K, T)) < pd
-    d2 = ((scene.sensors[:, None, :] - scene.targets[None, :, :]) ** 2).sum(-1)
     reported = np.full(K, -1, dtype=int)
-    detected = []
-    for k in range(K):
-        idx = np.nonzero(hits[k])[0]
-        detected.append(tuple(int(i) for i in idx))
-        if idx.size:
-            reported[k] = int(idx[np.argmin(d2[k, idx])])
-    return Scene(
-        targets=scene.targets,
-        sensors=scene.sensors,
-        sensor_zones=scene.sensor_zones,
-        detected=tuple(detected),
-        reported=reported,
-    )
+    if K and T:
+        pd = detection_prob_array(scene.sensors, scene.targets, cfg)
+        hits = rng.uniform(size=(K, T)) < pd
+        d2 = ((scene.sensors[:, None, :] - scene.targets[None, :, :]) ** 2).sum(-1)
+        active = hits.any(axis=1)
+        reported[active] = np.where(hits, d2, np.inf).argmin(axis=1)[active]
+    return replace(scene, reported=reported)
 
 
 def build_quantizer(bits: int, area_side: float) -> Quantizer:
@@ -257,13 +225,6 @@ def build_quantizer(bits: int, area_side: float) -> Quantizer:
         [np.tile(xs, gy), np.repeat(ys, gx)], axis=1
     )  # index m = iy * gx + ix
     return Quantizer(grid_points=gpts, gx=gx, gy=gy, area_side=area_side)
-
-
-def quantize(q: Quantizer, point) -> int:
-    """Index of the nearest grid point; ties break toward the lowest index."""
-    p = np.asarray(point, dtype=float)
-    d2 = ((q.grid_points - p) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
 
 
 def quantize_array(q: Quantizer, points: np.ndarray) -> np.ndarray:
@@ -288,22 +249,3 @@ def messages_of(scene: Scene, quantizer: Quantizer, U: int) -> TransmissionRound
     return TransmissionRound(
         per_zone=tuple(tuple(e) for e in per_zone), U=U, M=quantizer.M
     )
-
-
-def scene_to_json(scene: Scene, quantizer: Quantizer | None = None) -> str:
-    """Debug/record export of positions, detections and reports."""
-    doc = {
-        "targets": scene.targets.tolist(),
-        "sensors": scene.sensors.tolist(),
-        "sensor_zones": scene.sensor_zones.tolist(),
-    }
-    if scene.reported is not None:
-        doc["detected"] = [list(d) for d in scene.detected]
-        doc["reported"] = scene.reported.tolist()
-        if quantizer is not None:
-            act = scene.active_mask
-            msgs = np.full(scene.K, -1, dtype=int)
-            if act.any():
-                msgs[act] = quantize_array(quantizer, scene.targets[scene.reported[act]])
-            doc["messages"] = msgs.tolist()
-    return json.dumps(doc)

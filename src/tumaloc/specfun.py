@@ -12,7 +12,6 @@ from scipy.special import gammaln, ndtr, xlog1py, xlogy
 
 __all__ = [
     "marcum_q1",
-    "log_cgauss_diag",
     "binom_logpmf",
 ]
 
@@ -80,26 +79,6 @@ def marcum_q1(a, b):
         out[idx] = acc
     out = np.clip(out, 0.0, 1.0).reshape(a.shape)
     return float(out.reshape(-1)[0]) if scalar else out
-
-
-def log_cgauss_diag(r: np.ndarray, v: np.ndarray, antennas_per_ap: int) -> float:
-    """Log density of a circular complex Gaussian with per-AP-constant diagonal covariance.
-
-    ``r`` has length ``F = A * B`` with antenna blocks ordered by AP; ``v``
-    holds the B per-AP variances.  Returns
-    ``sum_b [ -A log(pi v_b) - E_b / v_b ]`` where ``E_b`` is the received
-    energy summed over the A antennas of AP ``b``.
-    """
-    r = np.asarray(r)
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0):
-        raise ValueError("log_cgauss_diag: variances must be positive")
-    A = int(antennas_per_ap)
-    B = v.shape[0]
-    if r.shape[-1] != A * B:
-        raise ValueError(f"log_cgauss_diag: r has length {r.shape[-1]}, expected {A * B}")
-    energy = (np.abs(r) ** 2).reshape(B, A).sum(axis=-1)
-    return float(np.sum(-A * np.log(np.pi * v) - energy / v))
 
 
 def binom_logpmf(k, n, p) -> np.ndarray:

@@ -1,15 +1,26 @@
-"""Shared independent oracles for the decoder tests.
+"""Shared independent oracles and test-only helpers.
 
-Everything here avoids the package's denoiser/Onsager code paths: the
-denoiser oracle evaluates the position integrals by Gauss-Legendre
-quadrature, and the Jacobian oracle uses central finite differences of the
-Wirtinger derivative.  ``compute_p_closest`` is the per-pair closest-target
-integral that the pooled message-probability estimator replaces.
+The oracles avoid the package's denoiser/Onsager code paths: the denoiser
+oracle evaluates the position integrals by Gauss-Legendre quadrature, and
+the Jacobian oracle uses central finite differences of the Wirtinger
+derivative.  ``compute_p_closest`` is the per-pair closest-target integral
+that the pooled message-probability estimator replaces; ``lsfc``,
+``zone_of`` and ``quantize`` are the scalar references of the package's
+vectorized maps.
+
+The helpers read quantities off the package that only tests need:
+``decoder_loglik`` the decoder's own diagonal log-Gaussian likelihood,
+``amp_traces`` the channel estimation error and residual-variance gap of
+chosen AMP iterations, ``raw_gaussian_codebook`` the unnormalized codebook
+of the state-evolution analysis and ``snr_conversions`` the SNRs implied by
+a configuration.
 """
 
 import numpy as np
 
-from tumaloc.airlink import STREAM_PRIORS, substream
+from tumaloc.airlink import STREAM_CODEBOOK, STREAM_PRIORS, Codebook, substream
+from tumaloc.amp_central import amp_iterate, denoise_rows, residual_covariance
+from tumaloc.config import _gamma_of_distance
 from tumaloc.priors import DEFAULT_N_CELL
 from tumaloc.scene import detection_prob_array
 
@@ -160,3 +171,96 @@ def compute_p_closest(s, p, cfg, n_int=DEFAULT_N_CELL, seed=None):
     closer = ((others - s) ** 2).sum(axis=1) < ((p - s) ** 2).sum()
     J = float(np.mean(1.0 - pd * closer))
     return J ** (cfg.T_targets - 1)
+
+
+def lsfc(rho, ap_position, cfg):
+    """Large-scale fading coefficient ``1 / (1 + (d / d0)^beta)`` in (0, 1] for one point and AP."""
+    diff = np.asarray(rho, dtype=float) - np.asarray(ap_position, dtype=float)
+    # 1-element array, not a 0-d scalar: keeps the ufunc kernel identical to
+    # the vectorized path so lsfc_vector entries match bit-for-bit
+    d = np.sqrt((diff * diff).sum(axis=-1, keepdims=True))
+    return float(_gamma_of_distance(d, cfg)[0])
+
+
+def zone_of(rho, topology):
+    """Zone index of a point; half-open rectangles, left/bottom inclusive.
+
+    The outer boundary of the area belongs to the last row/column so that
+    the map is total on the closed square.
+    """
+    x, y = float(rho[0]), float(rho[1])
+    side = topology.area_side
+    if not (0.0 <= x <= side and 0.0 <= y <= side):
+        raise ValueError(f"point {(x, y)} outside coverage area")
+    rows, cols = topology.zone_grid
+    ix = min(int(x // (side / cols)), cols - 1)
+    iy = min(int(y // (side / rows)), rows - 1)
+    return iy * cols + ix
+
+
+def quantize(q, point):
+    """Index of the nearest grid point; ties break toward the lowest index."""
+    p = np.asarray(point, dtype=float)
+    d2 = ((q.grid_points - p) ** 2).sum(axis=1)
+    return int(np.argmin(d2))
+
+
+def snr_conversions(cfg, topology):
+    """Transmit and received SNR implied by the configuration.
+
+    ``SNR_tx = Ec / (Nc sigma_w^2)`` and
+    ``SNR_rx = SNR_tx / (1 + (varsigma / d0)^beta)`` with ``varsigma`` the
+    centroid-to-nearest-AP distance.  The attenuation exponent is the
+    path-loss exponent ``beta``.
+    """
+    snr_tx = cfg.Ec / (cfg.Nc * cfg.sigma_w2)
+    varsigma = topology.centroid_nearest_ap_distance()
+    snr_rx = snr_tx / (1.0 + (varsigma / cfg.d0) ** cfg.beta)
+    return {"snr_tx": snr_tx, "snr_rx": snr_rx, "varsigma": varsigma}
+
+
+def decoder_loglik(r, tau, g, Ec, A):
+    """The decoder's log-likelihoods of one observation ``r`` (length A * B).
+
+    ``denoise_rows`` on a one-sample table (N = 1) with aggregate LSFC
+    ``g`` (B,): entry 0 is the diagonal circular log-Gaussian density with
+    per-AP variances ``tau``, entry 1 the same at ``tau + Ec g``.
+    """
+    g = np.asarray(g, dtype=float).reshape(1, 1, -1)
+    den = denoise_rows(np.asarray(r)[None], tau, g, np.zeros((1, 2)), Ec, A)
+    return den.log_mc_lik[0]
+
+
+def raw_gaussian_codebook(cfg, seed):
+    """Unnormalized CN(0, 1/Nc) codebook: ``gen_codebook``'s draws before the column scaling."""
+    rng = substream(seed, STREAM_CODEBOOK)
+    shape = (cfg.Nc, cfg.U * cfg.M)
+    c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2 * cfg.Nc)
+    return Codebook(entries=c, U=cfg.U, M=cfg.M)
+
+
+def channel_estimation_error(X, X_true, cfg):
+    """Energy-normalized squared estimation error ``(Ec / Nc) sum_u ||X_u - X_u^true||_F^2``.
+
+    The 1/Nc factor puts the error on the same scale as the residual-based
+    variance gap ``sum_b A (tau_b - sigma_w^2)`` it is compared against.
+    """
+    return float(cfg.Ec / cfg.Nc * np.sum(np.abs(X - X_true) ** 2))
+
+
+def amp_traces(Y, codebook, log_prior, g, cfg, X_true, iterations):
+    """Channel estimation error and residual-variance gap after each of ``iterations``.
+
+    Iteration t is the final iterate of ``amp_iterate`` at ``T_AMP = t``,
+    which reproduces iteration t of any longer run exactly.  ``Y``, ``g``
+    and ``X_true`` may be restricted to one AP's antennas, as in the
+    distributed decoder's local runs.
+    """
+    errs, gaps = [], []
+    for t in iterations:
+        _posts, _log_lik, X, Z, _diag = amp_iterate(
+            Y, codebook, log_prior, g, cfg.with_updates(T_AMP=t)
+        )
+        errs.append(channel_estimation_error(X, X_true, cfg))
+        gaps.append(float(np.sum(cfg.A * (residual_covariance(Z, cfg.A) - cfg.sigma_w2))))
+    return np.array(errs), np.array(gaps)

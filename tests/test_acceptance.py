@@ -11,18 +11,21 @@ import numpy as np
 import pytest
 
 from oracle_utils import (
+    amp_traces,
+    decoder_loglik,
     fd_wirtinger_jacobian,
     grid_denoiser_oracle,
     mc_table_for,
     random_denoiser_instance,
+    raw_gaussian_codebook,
 )
-from tumaloc import airlink, harness
+from tumaloc import airlink, amp_central, amp_dist, harness
 from tumaloc.amp_central import amp_run, build_mc_table, denoise_rows, onsager
 from tumaloc.amp_dist import aggregate_posteriors, local_amp_run
 from tumaloc.config import SystemConfig, build_topology, desk_preset, paper_preset, sigma_w2_for_snr_rx
-from tumaloc.metrics import WeightedPointSet, transport_plan, wasserstein_p
+from tumaloc.metrics import WeightedPointSet, transport_plan, tv_distance, wasserstein_p
 from tumaloc.priors import build_prior, multiplicity_pmf_full
-from tumaloc.specfun import log_cgauss_diag, marcum_q1
+from tumaloc.specfun import marcum_q1
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -47,6 +50,13 @@ def test_criterion_01_marcum_vs_quadrature():
 
 
 def test_criterion_02_diag_gaussian_vs_dense():
+    # the decoder's own likelihood (denoise_rows on a one-sample table):
+    # the empty hypothesis at variances v, one position at v + Ec g
+    def dense(r, v, A):
+        cov = np.diag(np.repeat(v, A)).astype(complex)
+        _sign, logdet = np.linalg.slogdet(np.pi * cov)
+        return float(-logdet - np.real(r.conj() @ np.linalg.solve(cov, r)))
+
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(1000):
@@ -55,12 +65,11 @@ def test_criterion_02_diag_gaussian_vs_dense():
         if A * B > 16:
             A = max(1, 16 // B)
         v = rng.uniform(0.05, 4.0, size=B)
+        g = rng.uniform(0.0, 1.0, size=B)
         r = rng.normal(size=A * B) + 1j * rng.normal(size=A * B)
-        got = log_cgauss_diag(r, v, A)
-        cov = np.diag(np.repeat(v, A)).astype(complex)
-        _sign, logdet = np.linalg.slogdet(np.pi * cov)
-        want = float(-logdet - np.real(r.conj() @ np.linalg.solve(cov, r)))
-        worst = max(worst, abs(got - want) / abs(want))
+        got = decoder_loglik(r, v, g, 2.0, A)
+        for got_k, want in zip(got, (dense(r, v, A), dense(r, v + 2.0 * g, A))):
+            worst = max(worst, abs(got_k - want) / abs(want))
     _report(2, "diagonal log-Gaussian vs dense oracle", worst <= 1e-10, f"max rel err {worst:.2e} <= 1e-10")
 
 
@@ -128,7 +137,7 @@ def test_criterion_05_distributed_central_equivalences():
     X[0, 1] = h[0]
     Y = airlink.synthesize_rx(cb, X, cfg, seed=5)
     central = amp_run(Y, cb, prior, mc, cfg)
-    dist = aggregate_posteriors([local_amp_run(Y, 0, cb, prior, mc, cfg)], prior, B=1)
+    dist = aggregate_posteriors([local_amp_run(Y, 0, cb, prior, mc, cfg)], prior)
     bit_equal = (
         np.array_equal(central.posteriors, dist.posteriors)
         and np.array_equal(central.k_per_zone, dist.k_per_zone)
@@ -141,12 +150,12 @@ def test_criterion_05_distributed_central_equivalences():
         tau = rng.uniform(0.3, 1.5, size=B)
         gv = rng.uniform(0.05, 1.0, size=B)
         r = rng.normal(size=B * A) + 1j * rng.normal(size=B * A)
-        total = log_cgauss_diag(r, tau + 2.0 * gv, A)
+        total = decoder_loglik(r, tau, gv, 2.0, A)
         parts = sum(
-            log_cgauss_diag(r[b * A:(b + 1) * A], tau[b:b + 1] + 2.0 * gv[b:b + 1], A)
+            decoder_loglik(r[b * A:(b + 1) * A], tau[b:b + 1], gv[b:b + 1], 2.0, A)
             for b in range(B)
         )
-        worst = max(worst, abs(total - parts))
+        worst = max(worst, np.abs(total - parts).max())
     ok = bit_equal and worst <= 1e-10
     _report(5, "B=1 bit-equality and likelihood factorization", ok,
             f"bit-equal={bit_equal}, factorization max err {worst:.2e} <= 1e-10")
@@ -279,49 +288,48 @@ def test_criterion_11_perfect_comm_wasserstein_floor(perfect_comm_bits_sweep):
             f"mean W2 {w:.3f} m (3.84±0.5)")
 
 
-def _desk_decode_runs(cfg, ctx, decoder, master, runs, raw_codebook=False, with_truth=False):
-    from tumaloc import amp_central, amp_dist
-
-    records = []
+def _desk_uplinks(cfg, ctx, master, runs, make_codebook=airlink.gen_codebook):
+    """Seeded rounds with at least one active sensor: ``(round, codebook, X, Y, mc)``."""
     for r in range(runs):
         seed = harness.derive_run_seed(master, 0, r)
-        sc, rnd = harness._sense_and_encode(ctx, seed)
+        _sc, rnd = harness._sense_and_encode(ctx, seed)
         if rnd.K_a == 0:
             continue
-        cb = (airlink.raw_gaussian_codebook if raw_codebook else airlink.gen_codebook)(cfg, seed)
+        cb = make_codebook(cfg, seed)
         X, Y = airlink.uplink(rnd, cb, ctx.topology, cfg, seed)
-        mc = build_mc_table(cfg, ctx.topology, seed)
-        Xt = X if with_truth else None
-        if decoder == "centralized":
-            res = amp_central.amp_run(Y, cb, ctx.prior, mc, cfg, X_true=Xt)
-        else:
-            res = amp_dist.distributed_decode(Y, cb, ctx.prior, mc, cfg, X_true=Xt)
-        from tumaloc.metrics import tv_distance
+        yield rnd, cb, X, Y, build_mc_table(cfg, ctx.topology, seed)
 
-        records.append({
-            "tv": None if res.empty_type else tv_distance(rnd.true_type, res.t_hat),
-            "diag": res.diagnostics,
-        })
-    return records
+
+def _desk_decode_runs(cfg, ctx, decoder, master, runs):
+    """TV of each decode; None for an empty type."""
+    decode = amp_central.amp_run if decoder == "centralized" else amp_dist.distributed_decode
+    tvs = []
+    for rnd, cb, _X, Y, mc in _desk_uplinks(cfg, ctx, master, runs):
+        res = decode(Y, cb, ctx.prior, mc, cfg)
+        tvs.append(None if res.empty_type else tv_distance(rnd.true_type, res.t_hat))
+    return tvs
 
 
 def test_criterion_12_state_evolution_consistency(desk_prior_cache):
+    # iterations 6 and T_AMP of each run, unnormalized codebook
     cfg0 = desk_preset()
     topo = build_topology(cfg0)
     ctx0 = harness.prepare_context(cfg0, cache_dir=desk_prior_cache)
     cfg = cfg0.with_updates(sigma_w2=sigma_w2_for_snr_rx(cfg0, topo, 10.0))
     ctx = harness.PointContext(cfg, ctx0.topology, ctx0.quantizer, ctx0.prior)
-    recs = _desk_decode_runs(cfg, ctx, "centralized", master=606, runs=40,
-                             raw_codebook=True, with_truth=True)
-    errs = np.array([r["diag"]["channel_error_trace"] for r in recs])
-    gaps = np.array([r["diag"]["tau_gap_trace"] for r in recs])
+    traces = [
+        amp_traces(Y, cb, ctx.prior.log_pmf, mc, cfg, X, (6, cfg.T_AMP))
+        for _rnd, cb, X, Y, mc in _desk_uplinks(cfg, ctx, 606, 40, raw_gaussian_codebook)
+    ]
+    errs = np.array([err for err, _gap in traces])
+    gaps = np.array([gap for _err, gap in traces])
     mean_err = errs.mean(axis=0)
     mean_gap = gaps.mean(axis=0)
-    plateau = abs(mean_err[5] - mean_err[-1]) <= 0.2 * mean_err[-1]
+    plateau = abs(mean_err[0] - mean_err[-1]) <= 0.2 * mean_err[-1]
     ratio = mean_err[-1] / mean_gap[-1]
     agree = abs(ratio - 1.0) <= 0.2
     _report(12, "channel-error plateau and residual-variance agreement", plateau and agree,
-            f"plateau-by-6={plateau}, err/gap ratio {ratio:.3f} within 20% (runs={len(recs)})")
+            f"plateau-by-6={plateau}, err/gap ratio {ratio:.3f} within 20% (runs={len(traces)})")
 
 
 def test_criterion_13_tv_vs_snr_and_decoder_ordering(desk_prior_cache):
@@ -333,8 +341,8 @@ def test_criterion_13_tv_vs_snr_and_decoder_ordering(desk_prior_cache):
         for snr in (-40.0, -20.0, 0.0):
             cfg = cfg0.with_updates(sigma_w2=sigma_w2_for_snr_rx(cfg0, topo, snr))
             ctx = harness.PointContext(cfg, ctx0.topology, ctx0.quantizer, ctx0.prior)
-            recs = _desk_decode_runs(cfg, ctx, dec, master=909, runs=100)
-            vals = [r["tv"] for r in recs if r["tv"] is not None]
+            vals = [tv for tv in _desk_decode_runs(cfg, ctx, dec, master=909, runs=100)
+                    if tv is not None]
             means[(dec, snr)] = float(np.mean(vals))
     cen = [means[("centralized", s)] for s in (-40.0, -20.0, 0.0)]
     dis = [means[("distributed", s)] for s in (-40.0, -20.0, 0.0)]
@@ -358,8 +366,8 @@ def test_optional_full_scale_centralized_tv(desk_prior_cache):
     ctx0 = harness.prepare_context(cfg0, cache_dir=desk_prior_cache)
     cfg = cfg0.with_updates(sigma_w2=sigma_w2_for_snr_rx(cfg0, topo, 10.0))
     ctx = harness.PointContext(cfg, ctx0.topology, ctx0.quantizer, ctx0.prior)
-    recs = _desk_decode_runs(cfg, ctx, "centralized", master=555, runs=runs)
-    vals = [r["tv"] for r in recs if r["tv"] is not None]
+    vals = [tv for tv in _desk_decode_runs(cfg, ctx, "centralized", master=555, runs=runs)
+            if tv is not None]
     tv = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else float("nan")
     _report(14, "full-scale centralized TV at 10 dB (optional)", abs(tv - 0.065) <= 0.02,

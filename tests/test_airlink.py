@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracle_utils import raw_gaussian_codebook
 from tumaloc import airlink
 from tumaloc.airlink import (
     TransmissionRound,
     effective_channels,
     gen_codebook,
-    raw_gaussian_codebook,
     sample_fading,
     synthesize_rx,
     uplink,

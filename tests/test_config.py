@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import lsfc, snr_conversions, zone_of
 from tumaloc.config import (
     ConfigError,
     SystemConfig,
@@ -12,12 +13,9 @@ from tumaloc.config import (
     config_to_dict,
     desk_preset,
     load_config,
-    lsfc,
     lsfc_vector,
     paper_preset,
     sigma_w2_for_snr_rx,
-    snr_conversions,
-    zone_of,
     zone_of_array,
 )
 

@@ -137,7 +137,7 @@ class TestSweep:
         assert spec.point_config(4).M == 16
 
     def test_snr_axis_sets_noise(self, tiny_cfg, tmp_path):
-        from tumaloc.config import snr_conversions
+        from oracle_utils import snr_conversions
 
         spec = self._spec(tiny_cfg, tmp_path, axis="snr_rx", values=(-10.0, 0.0))
         cfg = spec.point_config(-10.0)

@@ -82,7 +82,6 @@ class TestTargetType:
             targets=np.zeros((T, 2)),
             sensors=np.zeros((K, 2)),
             sensor_zones=np.zeros(K, dtype=int),
-            detected=tuple((r,) if r >= 0 else () for r in reported),
             reported=np.array(reported),
         )
 

@@ -1,8 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
+from oracle_utils import quantize
 from tumaloc.airlink import substream
 from tumaloc.config import ConfigError, build_topology, desk_preset, paper_preset
 from tumaloc.scene import (
@@ -11,13 +10,10 @@ from tumaloc.scene import (
     _noncentrality_scale,
     _pd_table,
     build_quantizer,
-    detection_prob,
     detection_prob_array,
     messages_of,
-    quantize,
     quantize_array,
     sample_scene,
-    scene_to_json,
     sense_all,
 )
 from tumaloc.specfun import marcum_q1
@@ -56,17 +52,24 @@ class TestSampleScene:
         assert np.all(np.abs(counts - n / 9) < 4 * sigma)
 
 
+def _pd(sensor, target, cfg):
+    """``detection_prob_array`` on the single pair (sensor, target)."""
+    s = np.asarray(sensor, float).reshape(1, 2)
+    p = np.asarray(target, float).reshape(1, 2)
+    return float(detection_prob_array(s, p, cfg)[0, 0])
+
+
 class TestDetectionProb:
     def test_far_limit_is_false_alarm_floor(self, paper_cfg):
         # p_fa = exp(-gamma / 2) = 1e-8 at gamma = 36.84
-        p_far = detection_prob((0.0, 0.0), (0.0, 1e9), paper_cfg)
+        p_far = _pd((0.0, 0.0), (0.0, 1e9), paper_cfg)
         p_fa = np.exp(-paper_cfg.gamma_threshold / 2)
         assert p_far == pytest.approx(p_fa, rel=1e-3)
         assert p_fa == pytest.approx(1e-8, rel=2e-3)
 
     def test_coincident_limit_is_one(self, paper_cfg):
-        assert detection_prob((5.0, 5.0), (5.0, 5.0), paper_cfg) == 1.0
-        assert detection_prob((5.0, 5.0), (5.0, 5.0 + 1e-9), paper_cfg) == pytest.approx(1.0)
+        assert _pd((5.0, 5.0), (5.0, 5.0), paper_cfg) == 1.0
+        assert _pd((5.0, 5.0), (5.0, 5.0 + 1e-9), paper_cfg) == pytest.approx(1.0)
 
     def test_paper_constants_at_30m_vs_marcum_oracle(self, paper_cfg):
         # direct re-evaluation through the Marcum-Q implementation validated
@@ -78,14 +81,14 @@ class TestDetectionProb:
             / ((4 * np.pi) ** 3 * paper_cfg.P_n * d**4)
         )
         want = marcum_q1(a, np.sqrt(paper_cfg.gamma_threshold))
-        got = detection_prob((0.0, 0.0), (0.0, d), paper_cfg)
+        got = _pd((0.0, 0.0), (0.0, d), paper_cfg)
         assert got == pytest.approx(want, rel=1e-12)
         assert 0 < got < 1
 
     def test_monotone_in_distance(self, paper_cfg):
         # slack matches the series' 1e-14 Poisson-mass truncation
         ds = np.linspace(5.0, 60.0, 40)
-        vals = [detection_prob((0.0, 0.0), (0.0, d), paper_cfg) for d in ds]
+        vals = [_pd((0.0, 0.0), (0.0, d), paper_cfg) for d in ds]
         assert np.all(np.diff(vals) <= 2e-14)
 
     def test_array_matches_scalar(self, paper_cfg, rng):
@@ -95,7 +98,7 @@ class TestDetectionProb:
         for i in range(6):
             for j in range(4):
                 assert table[i, j] == pytest.approx(
-                    detection_prob(s[i], p[j], paper_cfg), rel=1e-12
+                    _pd(s[i], p[j], paper_cfg), rel=1e-12
                 )
 
 
@@ -150,12 +153,32 @@ class TestSenseAll:
         )
         sensed = sense_all(sc, cfg, substream(1, 99))
         assert sensed.K_a == 5
+        # replay the Bernoulli draws of the same substream
+        hits = substream(1, 99).uniform(size=(5, 5)) < detection_prob_array(
+            sc.sensors, sc.targets, cfg
+        )
         d2 = ((sc.sensors[:, None] - sc.targets[None]) ** 2).sum(-1)
         for k in range(5):
-            assert sensed.reported[k] in sensed.detected[k]
-            dets = np.array(sensed.detected[k])
+            assert hits[k, sensed.reported[k]]
+            dets = np.nonzero(hits[k])[0]
             assert d2[k, sensed.reported[k]] == d2[k, dets].min()
             assert sensed.reported[k] == k
+
+    def test_reports_match_per_sensor_loop(self, paper_cfg, paper_topo):
+        # reference: each sensor's nearest hit found by a loop over sensors,
+        # on the Bernoulli draws replayed from the same substream
+        for seed in range(20):
+            sc = sample_scene(paper_cfg, paper_topo, seed)
+            sensed = sense_all(sc, paper_cfg, substream(seed, 99))
+            pd = detection_prob_array(sc.sensors, sc.targets, paper_cfg)
+            hits = substream(seed, 99).uniform(size=(sc.K, sc.T)) < pd
+            d2 = ((sc.sensors[:, None] - sc.targets[None]) ** 2).sum(-1)
+            want = np.full(sc.K, -1)
+            for k in range(sc.K):
+                idx = np.nonzero(hits[k])[0]
+                if idx.size:
+                    want[k] = idx[np.argmin(d2[k, idx])]
+            np.testing.assert_array_equal(sensed.reported, want)
 
     def test_activation_rate_at_false_alarm_floor(self, paper_cfg, paper_topo):
         # targets effectively infinitely far: activation ~ 1-(1-p_fa)^T ~ T 1e-8
@@ -229,7 +252,6 @@ class TestMessagesOf:
             targets=np.array([[15.0, 15.0]]),
             sensors=sensors,
             sensor_zones=np.array([0, 0]),
-            detected=((0,), (0,)),
             reported=np.array([0, 0]),
         )
         rnd = messages_of(sc, build_quantizer(10, 300.0), cfg.U)
@@ -245,12 +267,3 @@ class TestMessagesOf:
         got = set(map(tuple, collected))
         want = set(map(tuple, sensed.sensors[act]))
         assert got == want
-
-
-def test_scene_json_roundtrip(paper_cfg, paper_topo):
-    sc = sample_scene(paper_cfg.with_updates(K=5, T_targets=3, K_max=5), paper_topo, 4)
-    sensed = sense_all(sc, paper_cfg, substream(4, 99))
-    doc = json.loads(scene_to_json(sensed, build_quantizer(4, 300.0)))
-    assert len(doc["sensors"]) == 5
-    assert len(doc["reported"]) == 5
-    assert len(doc["messages"]) == 5

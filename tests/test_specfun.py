@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ive
 
-from tumaloc.specfun import binom_logpmf, log_cgauss_diag, marcum_q1
+from oracle_utils import decoder_loglik
+from tumaloc.specfun import binom_logpmf, marcum_q1
 
 
 def marcum_quadrature(a: float, b: float) -> float:
@@ -61,6 +62,8 @@ class TestMarcumQ:
 
 
 class TestLogCGaussDiag:
+    """The decoder's diagonal log-Gaussian likelihood (``denoise_rows`` at N = 1)."""
+
     def dense_oracle(self, r, v, A):
         """Dense-covariance log density with the expanded F x F diagonal."""
         cov = np.diag(np.repeat(v, A)).astype(complex)
@@ -70,13 +73,12 @@ class TestLogCGaussDiag:
         return float(-logdet - np.real(r.conj() @ np.linalg.solve(cov, r)))
 
     def test_single_antenna_zero(self):
-        assert log_cgauss_diag(np.array([0.0 + 0.0j]), np.array([1.0]), 1) == pytest.approx(
-            -np.log(np.pi)
-        )
+        got = decoder_loglik(np.array([0.0 + 0.0j]), np.array([1.0]), np.zeros(1), 1.0, 1)
+        assert got == pytest.approx(-np.log(np.pi))
 
     def test_zero_energy(self):
         v = np.array([0.5, 2.0, 1.3])
-        got = log_cgauss_diag(np.zeros(6, dtype=complex), v, 2)
+        got = decoder_loglik(np.zeros(6, dtype=complex), v, np.zeros(3), 1.0, 2)
         assert got == pytest.approx(-2 * np.sum(np.log(np.pi * v)))
 
     def test_matches_dense_oracle(self, rng):
@@ -86,14 +88,11 @@ class TestLogCGaussDiag:
             if A * B > 16:
                 continue
             v = rng.uniform(0.1, 3.0, size=B)
+            g = rng.uniform(0.0, 1.0, size=B)
             r = rng.normal(size=A * B) + 1j * rng.normal(size=A * B)
-            got = log_cgauss_diag(r, v, A)
-            want = self.dense_oracle(r, v, A)
+            got = decoder_loglik(r, v, g, 1.5, A)
+            want = np.array([self.dense_oracle(r, v, A), self.dense_oracle(r, v + 1.5 * g, A)])
             assert got == pytest.approx(want, rel=1e-10)
-
-    def test_rejects_bad_variance(self):
-        with pytest.raises(ValueError):
-            log_cgauss_diag(np.zeros(2, dtype=complex), np.array([1.0, -1.0]), 1)
 
 
 class TestBinom:
