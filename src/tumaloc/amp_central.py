@@ -26,16 +26,30 @@ pairs.  The finite-difference oracle in the test suite pins this identity.
 
 Monte-Carlo position samples are drawn once per (zone, multiplicity) and
 shared across all messages, iterations and the Onsager computation, so the
-analytic Jacobian is exactly the Jacobian of the implemented denoiser.
+analytic Jacobian is the exact Jacobian of the implemented denoiser up to
+the weight floors below.
 
-Once the importance weights collapse, a few percent of the posterior ×
-sample-weight products that enter the second moment M are subnormal, and a
+Once the importance weights collapse, the posterior sits on one
+multiplicity per row and a few samples carry all its weight.  The posterior
+× sample-weight products ``omega[m, j]`` (j a (k, i) sample) that enter the
+second moment M are then mostly negligible, some of them subnormal, and a
 GEMM with subnormal operands runs about twenty times slower on x86 BLAS.
-:func:`onsager` therefore sets those products to zero before the GEMM.  The
-products are non-negative and the shrinkage factors satisfy c <= 1/sqrt(Ec),
-so each dropped term of M is below 2.3e-308 / Ec (the smallest normal double
-over Ec): far below double rounding for any entry of M that is not itself
-near the subnormal range.
+:func:`onsager` therefore sets the subnormal products to zero and, for
+B > 1, runs the GEMM only on the sample columns j in which some row m has
+``omega[m, j] >= max(1e-16 * max_j' omega[m, j'], tiny)`` (tiny the
+smallest normal double).  The products are non-negative and the shrinkage
+factors satisfy c <= 1/sqrt(Ec), so the dropped terms move each entry of M
+by at most
+
+    |dM[m, b, b']| <= K N 1e-16 max_j omega[m, j] / Ec,
+
+plus K N 2.3e-308 / Ec for the subnormal flush: at most K N roundings
+relative to the row's largest possible term max_j omega[m, j] / Ec.  At
+B = 1 the GEMM is a matrix-vector product and keeps every column.
+
+:func:`denoise_rows` likewise sets the real and imaginary parts of its
+channel estimates below tiny to zero, so that the residual GEMM
+``C_u @ X_u`` never sees subnormal operands.
 
 Both decoders run the one recursion in :func:`amp_iterate`: :func:`amp_run`
 on all F antennas, and the distributed decoder's
@@ -70,6 +84,7 @@ __all__ = [
 
 TAU_FLOOR = 1e-15
 _TINY = np.finfo(float).tiny
+_OMEGA_REL_FLOOR = 1e-16       # Onsager drops sample columns below this share of every row's peak
 
 
 class DecodeError(RuntimeError):
@@ -172,16 +187,20 @@ def denoise_rows(
     v = tau[None, None, :] + Ec * g                                  # (K, N, B)
     inv_v = 1.0 / v
     logdet = A * np.log(np.pi * v).sum(axis=2)                       # (K, N)
-    ll = -(energy @ inv_v.reshape(K * N, B).T).reshape(M, K, N) - logdet[None, :, :]
+    # one (M, K, N) buffer: log-likelihoods, then weights, then normalized weights
+    W = (energy @ inv_v.reshape(K * N, B).T).reshape(M, K, N)
+    np.negative(W, out=W)
+    W -= logdet
     ll0 = -(energy @ (1.0 / tau)) - A * np.log(np.pi * tau).sum()    # (M,)
 
-    mx = ll.max(axis=2)                                              # (M, K)
-    w_un = np.exp(ll - mx[..., None])
-    w_sum = w_un.sum(axis=2)
+    mx = W.max(axis=2)                                               # (M, K)
+    W -= mx[..., None]
+    np.exp(W, out=W)
+    w_sum = W.sum(axis=2)
     log_mc = np.empty((M, K + 1))
     log_mc[:, 0] = ll0
     log_mc[:, 1:] = mx + np.log(w_sum / N)
-    W = w_un / w_sum[..., None]                                      # (M, K, N)
+    W /= w_sum[..., None]
 
     log_post_un = log_prior + log_mc
     post_mx = log_post_un.max(axis=1)
@@ -201,6 +220,8 @@ def denoise_rows(
     if degenerate.any():
         H[degenerate] = 0.0
     x_hat = R * np.repeat(H, A, axis=1)
+    for part in (x_hat.real, x_hat.imag):
+        part[np.abs(part) < _TINY] = 0.0     # subnormal operands slow the residual GEMM
     return ZoneDenoiseResult(
         x_hat=x_hat,
         posterior=post,
@@ -216,7 +237,8 @@ def onsager(R: np.ndarray, den: ZoneDenoiseResult, tau: np.ndarray, Ec: float, A
     """Average Wirtinger Jacobian of the denoiser over the zone's rows.
 
     Reuses the denoiser's cached per-sample weights, so the result is the
-    exact Jacobian of the implemented (sample-fixed) estimator.
+    exact Jacobian of the implemented (sample-fixed) estimator up to the
+    weight floors stated in the module docstring.
     """
     M, F = R.shape
     K, N, B = den.shrink.shape
@@ -226,18 +248,29 @@ def onsager(R: np.ndarray, den: ZoneDenoiseResult, tau: np.ndarray, Ec: float, A
     omega = (den.posterior[:, 1:, None] * den.sample_weights).reshape(M, K * N)
     omega[omega < _TINY] = 0.0     # subnormal operands slow the GEMM ~20x
     cfl = den.shrink.reshape(K * N, B)
-    cpair = (cfl[:, :, None] * cfl[:, None, :]).reshape(K * N, B * B)
+    if B > 1:
+        # drop the sample columns that are negligible in every row
+        floor = np.maximum(_OMEGA_REL_FLOOR * omega.max(axis=1), _TINY)
+        keep = (omega >= floor[:, None]).any(axis=0)
+        if not keep.all():
+            omega, cfl = omega[:, keep], cfl[keep]
+    cpair = (cfl[:, :, None] * cfl[:, None, :]).reshape(-1, B * B)
     M2 = (omega @ cpair).reshape(M, B, B)
 
     H = den.H
-    psi = np.sqrt(Ec) * (H[:, :, None] * H[:, None, :] - M2) / tau[None, None, :]
+    psi = H[:, :, None] * H[:, None, :]
+    psi -= M2
+    psi *= np.sqrt(Ec)
+    psi /= tau
     # psi[m, b_out, b_in]; J[a, f] = delta H - r_f conj(r_a) psi[b(f), b(a)]
     Rr = R.reshape(M, B, A)
-    Rc = np.conj(Rr)
+    Rc = np.conj(Rr).view(float)                                     # (M, B, 2A)
+    prod = np.empty_like(Rc)
     Q = np.diag(np.repeat(H.mean(axis=0), A)).astype(complex)
     for b in range(B):
         # columns of output AP b: sum_m conj(r_a) psi[m, b, b(a)] r_f
-        Q2_b = (psi[:, b, :, None] * Rc).reshape(M, F).T @ Rr[:, b, :]
+        np.multiply(psi[:, b, :, None], Rc, out=prod)
+        Q2_b = prod.view(complex).reshape(M, F).T @ Rr[:, b, :]
         Q[:, b * A:(b + 1) * A] -= Q2_b / M
     return Q
 
@@ -273,9 +306,11 @@ def amp_iterate(
         tau = residual_covariance(Z, A)
         tau_trace.append(tau)
         Gamma = np.zeros_like(Z)
+        Zh = Z.conj().T
         for u in range(U):
             Cu = codebook.block(u)
-            R_u = Cu.conj().T @ Z + sqrt_ec * X[u]
+            # matched filter Cu^H Z, conjugating the small residual instead of Cu
+            R_u = (Zh @ Cu).conj().T + sqrt_ec * X[u]
             if not np.all(np.isfinite(R_u.view(float))):
                 raise DecodeError(t)
             den = denoise_rows(R_u, tau, g[u], log_prior[u], cfg.Ec, A)

@@ -26,7 +26,6 @@ __all__ = [
     "desk_preset",
     "paper_preset",
     "load_config",
-    "config_to_dict",
 ]
 
 LAYOUT_GRID = "grid3x3-corners-and-midpoints"
@@ -303,13 +302,3 @@ def load_config(path) -> SystemConfig:
         return SystemConfig(**raw)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def config_to_dict(cfg: SystemConfig) -> dict:
-    d = {}
-    for name in SystemConfig.__dataclass_fields__:
-        val = getattr(cfg, name)
-        if isinstance(val, tuple):
-            val = list(list(v) if isinstance(v, tuple) else v for v in val)
-        d[name] = val
-    return d

@@ -23,6 +23,12 @@ def tiny_cfg():
     )
 
 
+@pytest.fixture(scope="session")
+def desk_prior_cache(tmp_path_factory):
+    """Prior cache directory shared by the tests that run desk sweeps."""
+    return str(tmp_path_factory.mktemp("prior_cache"))
+
+
 @pytest.fixture()
 def rng():
     # fresh per test: results do not depend on test execution order

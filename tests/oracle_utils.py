@@ -12,15 +12,15 @@ The helpers read quantities off the package that only tests need:
 ``decoder_loglik`` the decoder's own diagonal log-Gaussian likelihood,
 ``amp_traces`` the channel estimation error and residual-variance gap of
 chosen AMP iterations, ``raw_gaussian_codebook`` the unnormalized codebook
-of the state-evolution analysis and ``snr_conversions`` the SNRs implied by
-a configuration.
+of the state-evolution analysis, ``snr_conversions`` the SNRs implied by
+a configuration and ``config_to_dict`` the JSON form of a configuration.
 """
 
 import numpy as np
 
 from tumaloc.airlink import STREAM_CODEBOOK, STREAM_PRIORS, Codebook, substream
 from tumaloc.amp_central import amp_iterate, denoise_rows, residual_covariance
-from tumaloc.config import _gamma_of_distance
+from tumaloc.config import SystemConfig, _gamma_of_distance
 from tumaloc.priors import DEFAULT_N_CELL
 from tumaloc.scene import detection_prob_array
 
@@ -217,6 +217,17 @@ def snr_conversions(cfg, topology):
     varsigma = topology.centroid_nearest_ap_distance()
     snr_rx = snr_tx / (1.0 + (varsigma / cfg.d0) ** cfg.beta)
     return {"snr_tx": snr_tx, "snr_rx": snr_rx, "varsigma": varsigma}
+
+
+def config_to_dict(cfg):
+    """JSON-serializable field dict of a configuration, as ``load_config`` reads it."""
+    d = {}
+    for name in SystemConfig.__dataclass_fields__:
+        val = getattr(cfg, name)
+        if isinstance(val, tuple):
+            val = list(list(v) if isinstance(v, tuple) else v for v in val)
+        d[name] = val
+    return d
 
 
 def decoder_loglik(r, tau, g, Ec, A):

@@ -33,11 +33,6 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {name}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def desk_prior_cache(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("prior_cache"))
-
-
 def test_criterion_01_marcum_vs_quadrature():
     from test_specfun import marcum_quadrature
 

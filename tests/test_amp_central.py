@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,23 @@ class TestDenoiser:
         den = denoise_rows(r[None], np.ones(2), g, lp[None], 2.0, 1)
         assert den.posterior[0, 0] > 0.999
         assert np.linalg.norm(den.x_hat[0]) < 1e-2 * np.linalg.norm(r)
+
+    def test_subnormal_estimates_flushed_to_zero(self, rng):
+        # half the rows put log-prior ~ -700 on every k >= 1, so some of
+        # their shrunk observations H r fall below the smallest normal double
+        R, tau, g, Ec, A = TestOnsager._instance(rng)
+        M, K = R.shape[0], g.shape[0]
+        lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
+        lp[::2, 1:] = -705.0 - np.arange(K)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        tiny = np.finfo(float).tiny
+        raw = (R * np.repeat(den.H, A, axis=1)).view(float)
+        sub = (raw != 0) & (np.abs(raw) < tiny)
+        assert sub.any()
+        got = den.x_hat.view(float)
+        assert not np.any((got != 0) & (np.abs(got) < tiny))
+        np.testing.assert_array_equal(got[sub], 0.0)
+        np.testing.assert_array_equal(got[~sub], raw[~sub])
 
     def test_shrinkage_bound(self, rng):
         # all per-sample shrinkage factors lie in (0, 1) when Ec >= 1
@@ -220,6 +239,52 @@ class TestOnsager:
             onsager(R, den, tau, Ec, A), onsager_reference(R, den, tau, Ec, A),
             rtol=1e-12, atol=1e-300,
         )
+
+    @staticmethod
+    def _poisoned(den, dropped):
+        # NaN shrink factors in the sample columns the weight floor drops:
+        # the result stays finite only if none of them reaches the GEMM
+        K, N, B = den.shrink.shape
+        shrink = den.shrink.reshape(K * N, B).copy()
+        shrink[dropped] = np.nan
+        return dataclasses.replace(den, shrink=shrink.reshape(K, N, B))
+
+    def test_pruned_columns_vs_einsum_reference(self, rng):
+        # k = 2 sits 80 nats below the other multiplicities in every row, so
+        # its sample columns fall below the 1e-16 relative floor everywhere;
+        # every fourth row is dead (all weight products zero)
+        R, tau, g, Ec, A = self._instance(rng)
+        M, K, N = R.shape[0], g.shape[0], g.shape[1]
+        lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
+        lp[:, 2] -= 80.0
+        lp[::4, 1:] = -1000.0
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        omega = (den.posterior[:, 1:, None] * den.sample_weights).reshape(M, K * N)
+        floor = np.maximum(1e-16 * omega.max(axis=1), np.finfo(float).tiny)
+        dropped = (omega < floor[:, None]).all(axis=0)
+        assert 0 < dropped.sum() < K * N
+        assert np.all(omega[::4] == 0)
+        got = onsager(R, self._poisoned(den, dropped), tau, Ec, A)
+        want = onsager_reference(R, den, tau, Ec, A)
+        # |dM2[m]| <= K N 1e-16 max_j omega[m, j] / Ec, carried through psi
+        dM2 = K * N * 1e-16 * omega.max(axis=1) / Ec
+        absR = np.abs(R)
+        tau_in = np.repeat(tau, A)
+        bound = np.sqrt(Ec) * (absR.T * dM2) @ absR / tau_in[:, None] / M
+        assert np.all(np.abs(got - want) <= bound + 1e-12 * np.abs(want))
+
+    def test_dead_zone_gives_mean_shrinkage_diagonal(self, rng):
+        # every row's posterior on k >= 1 underflows: no sample column
+        # carries weight, and Q is the diagonal of the mean shrinkage
+        R, tau, g, Ec, A = self._instance(rng)
+        M, K, N = R.shape[0], g.shape[0], g.shape[1]
+        lp = np.zeros((M, K + 1))
+        lp[:, 1:] = -720.0
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        assert (den.posterior[:, 1:, None] * den.sample_weights).max() < np.finfo(float).tiny
+        assert np.all(den.H > 0)
+        Q = onsager(R, self._poisoned(den, np.ones(K * N, dtype=bool)), tau, Ec, A)
+        np.testing.assert_array_equal(Q, np.diag(np.repeat(den.H.mean(axis=0), A)))
 
 
 def _tiny_system(rng_seed=0, U=2, M=4, B=2, A=1, Nc=64, N_MC=64, K_max=2, Ec=3.0,

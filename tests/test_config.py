@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import lsfc, snr_conversions, zone_of
+from oracle_utils import config_to_dict, lsfc, snr_conversions, zone_of
 from tumaloc.config import (
     ConfigError,
     SystemConfig,
     build_topology,
-    config_to_dict,
     desk_preset,
     load_config,
     lsfc_vector,
