@@ -73,35 +73,29 @@ class Codebook:
 
 @dataclass(frozen=True)
 class TransmissionRound:
-    """Per-zone (message, user position) lists with derived multiplicities."""
+    """The active users of one round, in zone order and sensor order within a zone."""
 
-    per_zone: tuple          # per zone: list of (message m, position (2,))
+    zones: np.ndarray        # (K_a,) int
+    messages: np.ndarray     # (K_a,) int
+    positions: np.ndarray    # (K_a, 2)
     U: int
     M: int
 
     @property
+    def K_a(self) -> int:
+        return len(self.zones)
+
+    @property
     def multiplicities(self) -> np.ndarray:
         """Per-zone multiplicity vectors, shape (U, M)."""
-        k = np.zeros((self.U, self.M), dtype=int)
-        for u, entries in enumerate(self.per_zone):
-            for m, _pos in entries:
-                k[u, m] += 1
-        return k
-
-    @property
-    def global_multiplicities(self) -> np.ndarray:
-        return self.multiplicities.sum(axis=0)
-
-    @property
-    def K_a(self) -> int:
-        return sum(len(entries) for entries in self.per_zone)
+        flat = np.bincount(self.zones * self.M + self.messages, minlength=self.U * self.M)
+        return flat.reshape(self.U, self.M)
 
     @property
     def true_type(self) -> np.ndarray:
         """Global type ``t = k / K_a``; zeros when no user is active."""
-        k = self.global_multiplicities.astype(float)
-        total = k.sum()
-        return k / total if total > 0 else k
+        k = self.multiplicities.sum(axis=0).astype(float)
+        return k / self.K_a if self.K_a else k
 
 
 def gen_codebook(cfg: SystemConfig, seed: int) -> Codebook:
@@ -132,17 +126,14 @@ def sample_fading(
 def effective_channels(round_: TransmissionRound, fading: np.ndarray) -> np.ndarray:
     """Sum colliding users' channels into per-(zone, message) rows, shape (U, M, F).
 
-    ``fading`` is the (K_a, F) array of per-user channels, one row per
-    (message, position) entry of the round in zone order; rows with
-    multiplicity zero are exactly zero.
+    ``fading`` is the (K_a, F) array of per-user channels, one row per user
+    of the round in its order; rows with multiplicity zero are exactly zero.
     """
     h = np.atleast_2d(fading)
-    users = [(u, m) for u, entries in enumerate(round_.per_zone) for m, _pos in entries]
-    if h.shape[0] != len(users):
-        raise ValueError(f"effective_channels: {h.shape[0]} fading rows for {len(users)} users")
+    if h.shape[0] != round_.K_a:
+        raise ValueError(f"effective_channels: {h.shape[0]} fading rows for {round_.K_a} users")
     X = np.zeros((round_.U, round_.M, h.shape[1]), dtype=complex)
-    for (u, m), hv in zip(users, h):
-        X[u, m] += hv
+    np.add.at(X, (round_.zones, round_.messages), h)
     return X
 
 
@@ -172,12 +163,11 @@ def uplink(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One transmission round over the air; returns ``(X, Y)``.
 
-    Fades every user's position (:func:`sample_fading`, users in zone
+    Fades every user's position (:func:`sample_fading`, users in round
     order), sums collisions into the (U, M, F) effective channels ``X``
     (:func:`effective_channels`) and synthesizes the (Nc, F) received
     signal ``Y`` (:func:`synthesize_rx`), all from sub-streams of ``seed``.
     """
-    positions = [pos for entries in round_.per_zone for _m, pos in entries]
-    fading = sample_fading(np.array(positions).reshape(-1, 2), topology, cfg, seed)
+    fading = sample_fading(round_.positions, topology, cfg, seed)
     X = effective_channels(round_, fading)
     return X, synthesize_rx(codebook, X, cfg, seed)

@@ -95,14 +95,13 @@ class DecodeError(RuntimeError):
         self.iteration = iteration
 
 
-def build_mc_table(cfg: SystemConfig, topology: Topology, seed: int | None = None) -> np.ndarray:
+def build_mc_table(cfg: SystemConfig, topology: Topology, seed: int) -> np.ndarray:
     """Per-zone aggregate-LSFC samples, shape (U, K_max, N_MC, B).
 
     ``g[u, k-1, i, b] = sum_{j<=k} gamma_b(rho^i_j)`` for positions drawn
     i.i.d. uniform on zone u; the position streams are shared across
     multiplicities (cumulative sums), deterministic under the seed.
     """
-    seed = cfg.master_seed if seed is None else seed
     g = np.empty((topology.U, cfg.K_max, cfg.N_MC, topology.B))
     for u in range(topology.U):
         rng = substream(seed, STREAM_MC, u)

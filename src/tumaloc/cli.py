@@ -1,9 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``run`` (single point), ``sweep`` (spec file), ``priors``
-(build/cache priors), ``hist`` (multiplicity histogram), ``validate``
-(quick oracle/property checks).  Exit code 0 on success, nonzero on
-configuration or I/O errors.
+(build/cache priors) and ``hist`` (multiplicity histogram).  Exit code 0
+on success, 2 on configuration errors and 3 on I/O errors.
 """
 
 from __future__ import annotations
@@ -114,63 +113,6 @@ def cmd_hist(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    failures = 0
-    for name, fn in _VALIDATIONS:
-        try:
-            fn()
-            print(f"PASS {name}")
-        except AssertionError as exc:
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-    return 1 if failures else 0
-
-
-def _check_marcum() -> None:
-    from scipy import integrate
-
-    from .specfun import marcum_q1
-
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a, b = rng.uniform(0, 6, size=2)
-        val, _err = integrate.quad(
-            lambda x: x * np.exp(-(x * x + a * a) / 2) * np.i0(a * x), b, max(b + 40, 60),
-            limit=200,
-        )
-        assert abs(marcum_q1(a, b) - val) < 1e-8, f"Q1({a},{b})"
-
-
-def _check_wasserstein() -> None:
-    from .metrics import WeightedPointSet, wasserstein_p
-
-    a = WeightedPointSet(np.array([[0.0, 0.0]]), np.array([1.0]))
-    b = WeightedPointSet(np.array([[3.0, 4.0]]), np.array([1.0]))
-    assert abs(wasserstein_p(a, b, 2.0) - 5.0) < 1e-12
-
-
-def _check_decoder_smoke() -> None:
-    from . import airlink, amp_central
-    from .config import build_topology, desk_preset
-    from .priors import build_prior
-
-    cfg = desk_preset(M=8, K=10, T_targets=4, N_MC=30, K_max=3, Nc=120, T_AMP=4)
-    topo = build_topology(cfg)
-    prior = build_prior(cfg, 0.4, np.full((cfg.U, cfg.M), 1.0 / cfg.M))
-    mc = amp_central.build_mc_table(cfg, topo, 1)
-    codebook = airlink.gen_codebook(cfg, 1)
-    Y = airlink.synthesize_rx(codebook, np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex), cfg, 1)
-    res = amp_central.amp_run(Y, codebook, prior, mc, cfg)
-    assert res.posteriors.shape == (cfg.U, cfg.M, cfg.K_max + 1)
-
-
-_VALIDATIONS = [
-    ("marcum-q vs quadrature", _check_marcum),
-    ("wasserstein single-atom", _check_wasserstein),
-    ("decoder smoke", _check_decoder_smoke),
-]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tumaloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -200,9 +142,6 @@ def main(argv=None) -> int:
     p_hist.add_argument("--runs", type=int, default=100)
     p_hist.add_argument("--out")
     p_hist.set_defaults(fn=cmd_hist)
-
-    p_val = sub.add_parser("validate", help="quick oracle/property checks")
-    p_val.set_defaults(fn=cmd_validate)
 
     args = parser.parse_args(argv)
     try:

@@ -1,9 +1,10 @@
 """Network topology, zone partitioning, large-scale fading and the master configuration.
 
 The coverage area is a square tiled by a ``rows x cols`` grid of square
-zones.  The canonical access-point layout places one AP on every zone-lattice
-corner and one on every lattice edge midpoint (40 APs for the 3x3 grid);
-arbitrary deployments are supported through an explicit position list.
+zones.  The access-point layout is ``ap_positions``: ``None`` is the
+canonical layout, one AP on every zone-lattice corner and one on every
+lattice edge midpoint (40 APs for the 3x3 grid); a tuple of points is any
+other deployment, with one AP per point.
 
 All types here are immutable after construction and safe to share across
 threads.
@@ -28,9 +29,6 @@ __all__ = [
     "load_config",
 ]
 
-LAYOUT_GRID = "grid3x3-corners-and-midpoints"
-LAYOUT_EXPLICIT = "explicit-list"
-
 SPEED_OF_LIGHT = 299_792_458.0
 
 
@@ -49,8 +47,7 @@ class SystemConfig:
 
     area_side: float = 300.0
     zone_grid: tuple[int, int] = (3, 3)
-    ap_layout: str = LAYOUT_GRID
-    ap_positions: tuple[tuple[float, float], ...] | None = None
+    ap_positions: tuple[tuple[float, float], ...] | None = None   # None: canonical grid
     A: int = 4                      # antennas per AP
     M: int = 1024                   # messages per zone
     Nc: int = 1000                  # communication blocklength (symbols)
@@ -77,10 +74,8 @@ class SystemConfig:
         rows, cols = self.zone_grid
         if rows < 1 or cols < 1:
             raise ConfigError("zone_grid must have positive dimensions")
-        if self.ap_layout not in (LAYOUT_GRID, LAYOUT_EXPLICIT):
-            raise ConfigError(f"unsupported ap_layout: {self.ap_layout!r}")
-        if self.ap_layout == LAYOUT_EXPLICIT and not self.ap_positions:
-            raise ConfigError("explicit-list layout requires ap_positions")
+        if self.ap_positions is not None and len(self.ap_positions) == 0:
+            raise ConfigError("ap_positions must hold at least one AP (None for the grid)")
         if self.A < 1 or self.B < 1:
             raise ConfigError("need at least one AP antenna")
         if self.M < 2:
@@ -105,7 +100,7 @@ class SystemConfig:
     @property
     def B(self) -> int:
         """AP count implied by the layout."""
-        if self.ap_layout == LAYOUT_EXPLICIT:
+        if self.ap_positions is not None:
             return len(self.ap_positions)
         rows, cols = self.zone_grid
         corners = (rows + 1) * (cols + 1)
@@ -170,7 +165,7 @@ def _grid_layout_positions(rows: int, cols: int, area_side: float) -> np.ndarray
 def build_topology(cfg: SystemConfig) -> Topology:
     """Construct the AP layout and the zone tiling for ``cfg``."""
     rows, cols = cfg.zone_grid
-    if cfg.ap_layout == LAYOUT_GRID:
+    if cfg.ap_positions is None:
         aps = _grid_layout_positions(rows, cols, cfg.area_side)
     else:
         aps = np.array(cfg.ap_positions, dtype=float)
@@ -251,7 +246,6 @@ def desk_preset(**overrides) -> SystemConfig:
     cfg = SystemConfig(
         area_side=s,
         zone_grid=(2, 2),
-        ap_layout=LAYOUT_EXPLICIT,
         ap_positions=tuple(ring),
         A=2,
         M=64,

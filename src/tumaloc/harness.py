@@ -129,9 +129,15 @@ def run_single(ctx: PointContext, decoder: str, seed: int) -> dict:
     }
     if round_.K_a == 0:
         rec["status"] = "no-active-sensors"
-        rec["wall_time_s"] = time.perf_counter() - t0
-        return rec
+    else:
+        _fill_metrics(ctx, decoder, seed, sc, round_, rec)
+    rec["wall_time_s"] = time.perf_counter() - t0
+    return rec
 
+
+def _fill_metrics(ctx: PointContext, decoder: str, seed: int, sc, round_, rec: dict) -> None:
+    """Fill ``rec`` with the metrics of a run with at least one active sensor."""
+    cfg = ctx.cfg
     omega, T_d = metrics.target_type(sc)
     rec["T_d"] = T_d
     rec["p_md"] = metrics.misdetection(T_d, sc.T)
@@ -152,12 +158,10 @@ def run_single(ctx: PointContext, decoder: str, seed: int) -> dict:
                 result = amp_dist.distributed_decode(Y, codebook, ctx.prior, mc, cfg)
         except amp_central.DecodeError as exc:
             rec["status"] = f"decode-error:{exc.iteration}"
-            rec["wall_time_s"] = time.perf_counter() - t0
-            return rec
+            return
         if result.empty_type:
             rec["status"] = "empty-type"
-            rec["wall_time_s"] = time.perf_counter() - t0
-            return rec
+            return
         t_hat = result.t_hat
         rec["decode_iters"] = cfg.T_AMP
 
@@ -169,12 +173,9 @@ def run_single(ctx: PointContext, decoder: str, seed: int) -> dict:
     except RuntimeError:
         # transport LP failed: keep the sensing and type metrics of the run
         rec["status"] = "lp-error"
-        rec["wall_time_s"] = time.perf_counter() - t0
-        return rec
+        return
     rec["w_p"] = w_val
     rec["gospa"] = metrics.gospa_like(w_val, T_d, sc.T, cfg.c_gospa, cfg.p_order)
-    rec["wall_time_s"] = time.perf_counter() - t0
-    return rec
 
 
 @dataclass(frozen=True)
@@ -220,21 +221,17 @@ class ExperimentSpec:
         return cfg.with_updates(M=2**bits)
 
 
-def spec_from_json(path, base: SystemConfig | None = None) -> ExperimentSpec:
+def spec_from_json(path) -> ExperimentSpec:
     from .config import load_config, preset
 
     with open(path) as fh:
         raw = json.load(fh)
-    if base is None:
-        if "preset" in raw:
-            base = preset(raw.pop("preset"), **raw.pop("config", {}))
-        elif "config_file" in raw:
-            base = load_config(raw.pop("config_file"))
-        else:
-            base = SystemConfig(**raw.pop("config", {}))
+    if "preset" in raw:
+        base = preset(raw.pop("preset"), **raw.pop("config", {}))
+    elif "config_file" in raw:
+        base = load_config(raw.pop("config_file"))
     else:
-        raw.pop("preset", None)
-        raw.pop("config", None)
+        base = SystemConfig(**raw.pop("config", {}))
     known = {"axis", "values", "decoders", "runs", "master_seed", "out_dir", "total_blocklength", "prior_cache"}
     unknown = set(raw) - known
     if unknown:
@@ -338,23 +335,16 @@ def multiplicity_histogram(cfg: SystemConfig, runs: int, seed: int) -> dict:
     more than one sensor (the collision fraction).
     """
     ctx = prepare_context(cfg, need_prior=False)
-    counts: dict[int, int] = {}
-    collided = 0
-    total = 0
+    nonzero = [np.zeros(0, dtype=int)]
     for r_idx in range(runs):
-        run_seed = derive_run_seed(seed, 0, r_idx)
-        _sc, round_ = _sense_and_encode(ctx, run_seed)
+        _sc, round_ = _sense_and_encode(ctx, derive_run_seed(seed, 0, r_idx))
         k = round_.multiplicities
-        nz = k[k > 0]
-        for val in nz:
-            counts[int(val)] = counts.get(int(val), 0) + 1
-        collided += int(nz[nz >= 2].sum())
-        total += int(nz.sum())
-    n_all = sum(counts.values())
-    kmax = max(counts) if counts else 0
-    hist = np.zeros(kmax + 1)
-    for k_val, c in counts.items():
-        hist[k_val] = c / n_all
+        nonzero.append(k[k > 0])
+    nz = np.concatenate(nonzero)
+    n_all = len(nz)
+    total = int(nz.sum())
+    collided = int(nz[nz >= 2].sum())
+    hist = np.bincount(nz, minlength=1) / max(n_all, 1)
     return {
         "hist": hist,                       # hist[k] = P(multiplicity == k | nonzero)
         "collision_fraction": collided / total if total else 0.0,

@@ -236,16 +236,18 @@ def quantize_array(q: Quantizer, points: np.ndarray) -> np.ndarray:
 
 
 def messages_of(scene: Scene, quantizer: Quantizer, U: int) -> TransmissionRound:
-    """Turn sensed reports into the per-zone (message, sensor position) round."""
+    """Turn sensed reports into the round's user table, in zone order.
+
+    The sort is stable, so users keep sensor order within each zone.
+    """
     if scene.reported is None:
         raise ValueError("messages_of: run sense_all first")
-    per_zone = [[] for _ in range(U)]
-    act = scene.active_mask
-    if act.any():
-        msgs = quantize_array(quantizer, scene.targets[scene.reported[act]])
-        for zone, m, pos in zip(scene.sensor_zones[act], msgs, scene.sensors[act]):
-            per_zone[int(zone)].append((int(m), pos.copy()))
-    # active sensors come first within each zone by construction of the loop
+    act = np.flatnonzero(scene.active_mask)
+    act = act[np.argsort(scene.sensor_zones[act], kind="stable")]
     return TransmissionRound(
-        per_zone=tuple(tuple(e) for e in per_zone), U=U, M=quantizer.M
+        zones=scene.sensor_zones[act],
+        messages=quantize_array(quantizer, scene.targets[scene.reported[act]]),
+        positions=scene.sensors[act],
+        U=U,
+        M=quantizer.M,
     )

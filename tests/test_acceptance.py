@@ -118,7 +118,7 @@ def test_criterion_04_onsager_vs_finite_difference():
 def test_criterion_05_distributed_central_equivalences():
     side = 60.0
     cfg = SystemConfig(
-        area_side=side, zone_grid=(1, 2), ap_layout="explicit-list",
+        area_side=side, zone_grid=(1, 2),
         ap_positions=((30.0, -35.0),), A=3, M=4, Nc=64, Ns=100, Ec=3.0,
         sigma_w2=0.05, d0=60.0, K=8, T_targets=4, N_MC=48, T_AMP=4, K_max=2,
     )

@@ -81,45 +81,50 @@ class TestFading:
         assert np.max(np.abs(h)) < 1e-6
 
 
-def _round_from_lists(per_zone, U, M):
+def _round(zones, messages, U, M, positions=None):
+    """A round from its user table; positions default to the origin."""
+    zones = np.asarray(zones, dtype=int)
+    if positions is None:
+        positions = np.zeros((len(zones), 2))
     return TransmissionRound(
-        per_zone=tuple(tuple(entries) for entries in per_zone), U=U, M=M
+        zones=zones, messages=np.asarray(messages, dtype=int),
+        positions=np.asarray(positions, dtype=float), U=U, M=M,
     )
 
 
 class TestEffectiveChannels:
     def test_zero_multiplicity_rows_exactly_zero(self):
-        rnd = _round_from_lists(
-            [[(1, np.zeros(2))], []], U=2, M=3
-        )
+        rnd = _round([0], [1], U=2, M=3)
         X = effective_channels(rnd, np.array([[1 + 1j, 2.0]]))
         assert np.all(X[0, 0] == 0) and np.all(X[0, 2] == 0)
         assert np.all(X[1] == 0)
 
     def test_single_user_row(self):
-        rnd = _round_from_lists([[(0, np.zeros(2))]], U=1, M=2)
+        rnd = _round([0], [0], U=1, M=2)
         h = np.array([[3.0 - 1j, 0.5j]])
         X = effective_channels(rnd, h)
         np.testing.assert_array_equal(X[0, 0], h[0])
 
     def test_collision_sums_elementwise(self):
-        rnd = _round_from_lists([[(1, np.zeros(2)), (1, np.ones(2))]], U=1, M=2)
+        rnd = _round([0, 0], [1, 1], U=1, M=2, positions=[np.zeros(2), np.ones(2)])
         h1 = np.array([1 + 2j, -1.0])
         h2 = np.array([0.5j, 4.0])
         X = effective_channels(rnd, np.stack([h1, h2]))
         np.testing.assert_allclose(X[0, 1], h1 + h2)
 
     def test_permutation_invariance(self, rng):
-        entries = [(int(m), rng.uniform(0, 10, 2)) for m in rng.integers(0, 4, size=6)]
+        ms = rng.integers(0, 4, size=6)
+        pos = rng.uniform(0, 10, (6, 2))
         h = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
-        X1 = effective_channels(_round_from_lists([entries], 1, 4), h)
+        zones = np.zeros(6, dtype=int)
+        X1 = effective_channels(_round(zones, ms, 1, 4, pos), h)
         perm = rng.permutation(6)
-        X2 = effective_channels(_round_from_lists([[entries[i] for i in perm]], 1, 4), h[perm])
+        X2 = effective_channels(_round(zones, ms[perm], 1, 4, pos[perm]), h[perm])
         np.testing.assert_allclose(X1, X2, atol=1e-12)
 
     def test_multiplicity_bookkeeping(self, rng):
-        entries = [(int(m), rng.uniform(0, 10, 2)) for m in rng.integers(0, 6, size=9)]
-        rnd = _round_from_lists([entries], 1, 6)
+        ms = rng.integers(0, 6, size=9)
+        rnd = _round(np.zeros(9, dtype=int), ms, 1, 6, rng.uniform(0, 10, (9, 2)))
         h = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
         X = effective_channels(rnd, h)
         k = rnd.multiplicities[0]
@@ -129,7 +134,7 @@ class TestEffectiveChannels:
         assert rnd.true_type.sum() == pytest.approx(1.0)
 
     def test_misaligned_inputs_rejected(self):
-        rnd = _round_from_lists([[(0, np.zeros(2)), (1, np.zeros(2))]], U=1, M=2)
+        rnd = _round([0, 0], [0, 1], U=1, M=2)
         with pytest.raises(ValueError):
             effective_channels(rnd, np.ones((1, 4), dtype=complex))
 
@@ -190,13 +195,20 @@ class TestUplink:
         # users fade in zone order: zone 0's two users take the first two rows
         cfg = tiny_cfg
         topo = build_topology(cfg)
-        per_zone = [[] for _ in range(cfg.U)]
-        per_zone[2] = [(5, np.array([30.0, 40.0]))]
-        per_zone[0] = [(1, np.array([10.0, 20.0])), (1, np.array([15.0, 5.0]))]
-        rnd = _round_from_lists(per_zone, cfg.U, cfg.M)
+        pos = np.array([[10.0, 20.0], [15.0, 5.0], [30.0, 40.0]])
+        rnd = _round([0, 0, 2], [1, 1, 5], cfg.U, cfg.M, pos)
         cb = gen_codebook(cfg, seed=3)
         X, Y = uplink(rnd, cb, topo, cfg, seed=3)
-        pos = np.array([[10.0, 20.0], [15.0, 5.0], [30.0, 40.0]])
         want_X = effective_channels(rnd, sample_fading(pos, topo, cfg, seed=3))
         np.testing.assert_array_equal(X, want_X)
         np.testing.assert_array_equal(Y, synthesize_rx(cb, want_X, cfg, seed=3))
+
+    def test_empty_round_gives_noise_only(self, tiny_cfg):
+        cfg = tiny_cfg
+        rnd = _round([], [], cfg.U, cfg.M)
+        cb = gen_codebook(cfg, seed=4)
+        X, Y = uplink(rnd, cb, build_topology(cfg), cfg, seed=4)
+        assert X.shape == (cfg.U, cfg.M, cfg.F) and not X.any()
+        assert rnd.K_a == 0 and not rnd.multiplicities.any() and not rnd.true_type.any()
+        np.testing.assert_array_equal(Y, synthesize_rx(cb, np.zeros_like(X), cfg, seed=4))
+        assert Y.shape == (cfg.Nc, cfg.F) and np.all(Y != 0)

@@ -295,7 +295,6 @@ def _tiny_system(rng_seed=0, U=2, M=4, B=2, A=1, Nc=64, N_MC=64, K_max=2, Ec=3.0
     cfg = SystemConfig(
         area_side=side,
         zone_grid=(1, U),
-        ap_layout="explicit-list",
         ap_positions=tuple((side * (b + 0.5) / B, -40.0) for b in range(B)),
         A=A, M=M, Nc=Nc, Ns=100, Ec=Ec, sigma_w2=sigma_w2,
         d0=60.0, K=K, T_targets=4, N_MC=N_MC, T_AMP=T_AMP, K_max=K_max,

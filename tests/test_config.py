@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import config_to_dict, lsfc, snr_conversions, zone_of
+from tumaloc.cli import main as cli_main
 from tumaloc.config import (
     ConfigError,
     SystemConfig,
@@ -51,9 +52,7 @@ class TestBuildTopology:
         assert paper_topo.centroid_nearest_ap_distance() == pytest.approx(50.0)
 
     def test_explicit_list_passthrough(self):
-        cfg = SystemConfig(
-            ap_layout="explicit-list", ap_positions=((10.0, 20.0),), A=1, K_max=5, K=10
-        )
+        cfg = SystemConfig(ap_positions=((10.0, 20.0),), A=1, K_max=5, K=10)
         topo = build_topology(cfg)
         assert cfg.B == 1
         np.testing.assert_allclose(topo.ap_positions, [[10.0, 20.0]])
@@ -66,9 +65,16 @@ class TestBuildTopology:
             (i * 100.0, j * 100.0) for j in range(3) for i in range(3)
         )
 
-    def test_unsupported_layout_rejected(self):
+    def test_positions_alone_set_the_layout(self):
+        # no other key: the listed APs replace the canonical grid
+        aps = ((1.0, 2.0), (30.0, 40.0), (250.0, 5.0))
+        cfg = SystemConfig(ap_positions=aps)
+        assert cfg.B == 3 and cfg.F == 3 * cfg.A
+        np.testing.assert_array_equal(build_topology(cfg).ap_positions, aps)
+
+    def test_empty_position_list_rejected(self):
         with pytest.raises(ConfigError):
-            SystemConfig(ap_layout="honeycomb")
+            SystemConfig(ap_positions=())
 
 
 class TestLsfc:
@@ -110,9 +116,7 @@ class TestLsfc:
         assert set(np.argsort(vec)[-4:]) == set(near)
 
     def test_single_ap_at_rho(self, paper_cfg):
-        cfg = paper_cfg.with_updates(
-            ap_layout="explicit-list", ap_positions=((5.0, 5.0),)
-        )
+        cfg = paper_cfg.with_updates(ap_positions=((5.0, 5.0),))
         topo = build_topology(cfg)
         np.testing.assert_allclose(lsfc_vector((5.0, 5.0), topo, cfg), [1.0])
 
@@ -162,7 +166,6 @@ class TestSnr:
         cfg = paper_cfg.with_updates(
             area_side=100.0,
             zone_grid=(1, 1),
-            ap_layout="explicit-list",
             ap_positions=((50.0 - paper_cfg.d0, 50.0),),
             A=1,
         )
@@ -197,6 +200,14 @@ class TestConfigIO:
         path.write_text(json.dumps({"area_side": 100.0, "bogus": 1}))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_layout_key_rejected(self, tmp_path):
+        # the layout is the position list alone; a file naming a layout is stale
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"ap_layout": "explicit-list", "ap_positions": [[1.0, 2.0]]}))
+        with pytest.raises(ConfigError, match="ap_layout"):
+            load_config(path)
+        assert cli_main(["run", "--config", str(path), "--decoder", "perfect"]) == 2
 
     def test_preset_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -21,7 +21,6 @@ def _one_zone_cfg(**kw):
     base = dict(
         area_side=50.0,
         zone_grid=(1, 1),
-        ap_layout="explicit-list",
         ap_positions=((25.0, 25.0),),
         A=1,
         M=4,
@@ -131,7 +130,6 @@ class TestMsgProbs:
         cfg = SystemConfig(
             area_side=100.0,
             zone_grid=(2, 2),
-            ap_layout="explicit-list",
             ap_positions=((50.0, 50.0),),
             A=1,
             M=4,

@@ -263,7 +263,27 @@ class TestMessagesOf:
         sensed = self._sensed_scene(paper_cfg, paper_topo, 12)
         rnd = messages_of(sensed, build_quantizer(10, 300.0), paper_cfg.U)
         act = sensed.active_mask
-        collected = np.vstack([pos for entries in rnd.per_zone for _m, pos in entries])
-        got = set(map(tuple, collected))
+        got = set(map(tuple, rnd.positions))
         want = set(map(tuple, sensed.sensors[act]))
         assert got == want
+
+    @pytest.mark.parametrize("repeat", [1, 10])
+    def test_zone_order_keeps_sensor_order(self, repeat):
+        # zones [1, 0, 1, 0] (tiled): zone 0's sensors first, each zone in
+        # sensor order; the tiled case defeats sorts that are stable only on
+        # short inputs
+        n = 4 * repeat
+        q = build_quantizer(2, 300.0)
+        targets = np.array([[75.0, 75.0], [225.0, 75.0], [75.0, 225.0], [225.0, 225.0]])
+        sc = Scene(
+            targets=targets,
+            sensors=np.stack([np.arange(n) + 1.0, np.full(n, 7.0)], axis=1),
+            sensor_zones=np.tile([1, 0, 1, 0], repeat),
+            reported=np.arange(n) % 4,
+        )
+        rnd = messages_of(sc, q, 2)
+        order = np.concatenate([np.arange(1, n, 2), np.arange(0, n, 2)])
+        np.testing.assert_array_equal(rnd.zones, np.repeat([0, 1], n // 2))
+        np.testing.assert_array_equal(rnd.positions, sc.sensors[order])
+        np.testing.assert_array_equal(rnd.messages, order % 4)
+        assert (rnd.U, rnd.M, rnd.K_a) == (2, 4, n)
