@@ -1,17 +1,17 @@
 """Command-line interface.
 
-Subcommands: ``run`` (single point), ``sweep`` (spec file), ``priors``
-(build/cache priors) and ``hist`` (multiplicity histogram).  Exit code 0
-on success, 2 on configuration errors and 3 on I/O errors.
+Subcommands: ``run`` (a one-point sweep that prints each record), ``sweep``
+(spec file), ``priors`` (build/cache priors) and ``hist`` (multiplicity
+histogram).  Exit code 0 on success, 2 on configuration errors and 3 on
+I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-
-import numpy as np
 
 from . import harness
 from .config import ConfigError, SystemConfig, load_config, preset
@@ -35,36 +35,18 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_run(args) -> int:
     cfg = _base_config(args)
-    ctx = harness.prepare_context(
-        cfg, cache_dir=args.cache, need_prior=args.decoder != "perfect"
+    spec = harness.ExperimentSpec(
+        base=cfg, decoders=(args.decoder,), runs=args.runs, master_seed=cfg.master_seed,
+        out_dir=args.out, prior_cache=args.cache,
     )
-    recs = []
-    for r_idx in range(args.runs):
-        seed = harness.derive_run_seed(cfg.master_seed, 0, r_idx)
-        rec = harness.run_single(ctx, args.decoder, seed)
-        rec["run"] = r_idx
-        recs.append(rec)
-    out = "\n".join(json.dumps(rec) for rec in recs)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
-    print(out)
-    if args.runs > 1:
-        ok = [r for r in recs if r["status"] == "ok"]
-        summary = {
-            "runs": args.runs,
-            "degenerate": args.runs - len(ok),
-            "tv_mean": float(np.mean([r["tv"] for r in ok])) if ok else None,
-            "gospa_mean": float(np.mean([r["gospa"] for r in ok])) if ok else None,
-        }
-        print(json.dumps(summary), file=sys.stderr)
+    harness.run_sweep(spec, progress=lambda rec: print(json.dumps(rec)))
     return 0
 
 
 def cmd_sweep(args) -> int:
     spec = harness.spec_from_json(args.spec)
     if args.out:
-        spec = harness.ExperimentSpec(**{**spec.__dict__, "out_dir": args.out})
+        spec = dataclasses.replace(spec, out_dir=args.out)
     res = harness.run_sweep(
         spec, progress=_progress if args.verbose else None, workers=args.workers
     )
@@ -121,7 +103,7 @@ def main(argv=None) -> int:
     _add_config_flags(p_run)
     p_run.add_argument("--decoder", default="centralized", choices=harness.DECODERS)
     p_run.add_argument("--runs", type=int, default=1)
-    p_run.add_argument("--out", help="write the records to this file (JSON lines)")
+    p_run.add_argument("--out", default="results", help="output directory (default results)")
     p_run.add_argument("--cache", help="prior cache directory")
     p_run.set_defaults(fn=cmd_run)
 

@@ -26,6 +26,7 @@ __all__ = [
     "sigma_w2_for_snr_rx",
     "desk_preset",
     "paper_preset",
+    "config_from_dict",
     "load_config",
 ]
 
@@ -273,16 +274,15 @@ def preset(name: str, **overrides) -> SystemConfig:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
 
 
-_JSON_FIELDS = {f: None for f in SystemConfig.__dataclass_fields__}
+def config_from_dict(raw) -> SystemConfig:
+    """SystemConfig from a JSON object, from a ``preset`` if it names one.
 
-
-def load_config(path) -> SystemConfig:
-    """Load a SystemConfig from a JSON file; unknown keys are rejected."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    Unknown keys and ill-typed values raise ``ConfigError``; position lists become tuples.
+    """
     if not isinstance(raw, dict):
-        raise ConfigError("config file must contain a JSON object")
-    unknown = set(raw) - set(_JSON_FIELDS) - {"preset"}
+        raise ConfigError("a config must be a JSON object")
+    raw = dict(raw)
+    unknown = set(raw) - set(SystemConfig.__dataclass_fields__) - {"preset"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     base_name = raw.pop("preset", None)
@@ -290,9 +290,13 @@ def load_config(path) -> SystemConfig:
         raw["zone_grid"] = tuple(raw["zone_grid"])
     if raw.get("ap_positions") is not None:
         raw["ap_positions"] = tuple(tuple(p) for p in raw["ap_positions"])
-    if base_name is not None:
-        return preset(base_name, **raw)
     try:
-        return SystemConfig(**raw)
+        return preset(base_name, **raw) if base_name is not None else SystemConfig(**raw)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def load_config(path) -> SystemConfig:
+    """Load a SystemConfig from a JSON file; unknown keys are rejected."""
+    with open(path) as fh:
+        return config_from_dict(json.load(fh))

@@ -3,9 +3,10 @@
 A single run walks the whole pipeline: sample scene -> probabilistic sensing
 -> quantize reports into messages -> (perfect-communication oracle: hand the
 true type to the receiver; otherwise synthesize the uplink and decode) ->
-metrics.  Sweeps vary received SNR, the sensing/communication blocklength
-split, or quantizer resolution, with per-point records written as JSON lines
-and aggregates as CSV.
+metrics.  Sweeps vary received SNR, the split of the base config's ``Ns + Nc``
+between sensing and communication, or quantizer resolution; each record is
+written as a JSON line as soon as its run returns, aggregates as CSV.  A
+spec file's ``preset`` and ``config`` are read as a config file is.
 
 Seeds: every run gets a 64-bit seed from a splitmix-style mix of
 (master seed, sweep point index, run index); all randomness inside a run
@@ -19,7 +20,9 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .config import (
     SystemConfig,
     Topology,
     build_topology,
+    config_from_dict,
     sigma_w2_for_snr_rx,
 )
 from .scene import Quantizer, build_quantizer
@@ -57,10 +61,10 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def derive_run_seed(master_seed: int, point_index: int, run_index: int, stream: int = 0) -> int:
+def derive_run_seed(master_seed: int, point_index: int, run_index: int) -> int:
     """Documented 64-bit mix; each (point, run) is independently reproducible."""
     x = master_seed & _MASK64
-    for word in (point_index, run_index, stream):
+    for word in (point_index, run_index, 0):    # the 0 word is part of the documented mix
         x = _splitmix64(x ^ _splitmix64(word & _MASK64))
     return x
 
@@ -189,7 +193,6 @@ class ExperimentSpec:
     runs: int = 1
     master_seed: int = 0
     out_dir: str = "results"
-    total_blocklength: int = 2000      # Ns + Nc on blocklength sweeps
     prior_cache: str | None = None
 
     def __post_init__(self):
@@ -213,7 +216,7 @@ class ExperimentSpec:
             return cfg.with_updates(sigma_w2=sigma_w2_for_snr_rx(cfg, topo, float(value)))
         if self.axis == "ns":
             ns = int(value)
-            nc = self.total_blocklength - ns
+            nc = cfg.Ns + cfg.Nc - ns
             if nc < 1:
                 raise ConfigError(f"Ns={ns} leaves no communication symbols")
             return cfg.with_updates(Ns=ns, Nc=nc)
@@ -222,23 +225,21 @@ class ExperimentSpec:
 
 
 def spec_from_json(path) -> ExperimentSpec:
-    from .config import load_config, preset
-
+    """Load a sweep spec; its ``preset`` and ``config`` go through ``config_from_dict``."""
     with open(path) as fh:
         raw = json.load(fh)
-    if "preset" in raw:
-        base = preset(raw.pop("preset"), **raw.pop("config", {}))
-    elif "config_file" in raw:
-        base = load_config(raw.pop("config_file"))
-    else:
-        base = SystemConfig(**raw.pop("config", {}))
-    known = {"axis", "values", "decoders", "runs", "master_seed", "out_dir", "total_blocklength", "prior_cache"}
+    if not isinstance(raw, dict) or not isinstance(raw.get("config", {}), dict):
+        raise ConfigError("a sweep spec and its config must be JSON objects")
+    known = {"preset", "config", "axis", "values", "decoders", "runs", "master_seed", "out_dir", "prior_cache"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown sweep-spec keys: {sorted(unknown)}")
+    config = raw.pop("config", {})
+    if "preset" in raw:
+        config = {**config, "preset": raw.pop("preset")}
     raw["values"] = tuple(raw.get("values", ()))
     raw["decoders"] = tuple(raw.get("decoders", ("centralized",)))
-    return ExperimentSpec(base=base, **raw)
+    return ExperimentSpec(base=config_from_dict(config), **raw)
 
 
 def run_sweep(spec: ExperimentSpec, progress=None, workers: int = 1) -> dict:
@@ -246,37 +247,32 @@ def run_sweep(spec: ExperimentSpec, progress=None, workers: int = 1) -> dict:
 
     Files: ``runs.jsonl`` (one record per run, timestamps in a separate
     field) and ``summary.csv`` (one row per sweep point per decoder, means
-    and standard errors over non-degenerate runs).  ``workers > 1`` runs the
-    independent runs of each point concurrently; records are still written
-    in deterministic (point, decoder, run) order through the single writer.
+    and standard errors over non-degenerate runs).  ``workers > 1`` runs
+    each point's runs on one thread pool kept for the sweep, ``workers ==
+    1`` in the calling thread; records are written in (point, decoder, run)
+    order, each as soon as it returns.
     """
     os.makedirs(spec.out_dir, exist_ok=True)
     jsonl_path = os.path.join(spec.out_dir, "runs.jsonl")
     csv_path = os.path.join(spec.out_dir, "summary.csv")
+    need_prior = any(d != "perfect" for d in spec.decoders)
     records = []
     try:
-        jsonl = open(jsonl_path, "w")
+        jsonl = open(jsonl_path, "w", buffering=1)   # line-buffered: one write per record
     except OSError as exc:
         raise ConfigError(f"cannot write {jsonl_path}: {exc}") from exc
-    with jsonl:
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    with jsonl, pool:
+        run_map = pool.map if workers > 1 else map
         for p_idx, value in enumerate(spec.point_values()):
             cfg = spec.point_config(value)
-            need_prior = any(d != "perfect" for d in spec.decoders)
             ctx = prepare_context(cfg, cache_dir=spec.prior_cache, need_prior=need_prior)
             jobs = [
                 (decoder, r_idx, derive_run_seed(spec.master_seed, p_idx, r_idx))
                 for decoder in spec.decoders
                 for r_idx in range(spec.runs)
             ]
-            if workers > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(
-                        pool.map(lambda j: run_single(ctx, j[0], j[2]), jobs)
-                    )
-            else:
-                results = [run_single(ctx, dec, seed) for dec, _r, seed in jobs]
+            results = run_map(lambda j: run_single(ctx, j[0], j[2]), jobs)
             for (decoder, r_idx, _seed), rec in zip(jobs, results):
                 rec.update({"point": value, "point_index": p_idx, "run": r_idx})
                 rec["timestamp"] = time.time()

@@ -61,9 +61,7 @@ class MultiplicityPrior:
             return np.log(self.pmf)
 
 
-def compute_p_active(
-    cfg: SystemConfig, topology: Topology, n_int: int = DEFAULT_N_ACTIVE, seed: int | None = None
-) -> float:
+def compute_p_active(cfg: SystemConfig, topology: Topology, n_int: int = DEFAULT_N_ACTIVE) -> float:
     """Average sensor activation probability.
 
     ``p_active(s) = 1 - I(s)^T`` with ``I(s)`` the mean single-target miss
@@ -73,7 +71,7 @@ def compute_p_active(
     """
     if n_int < 1:
         raise ValueError("n_int must be positive")
-    rng = substream(cfg.master_seed if seed is None else seed, STREAM_PRIORS, 0)
+    rng = substream(cfg.master_seed, STREAM_PRIORS, 0)
     side = cfg.area_side
     # Outer MC over sensor positions; the inner single-target miss integral
     # I(s) uses a fresh target cloud per chunk of sensor samples.
@@ -97,7 +95,6 @@ def compute_msg_probs(
     topology: Topology,
     quantizer: Quantizer,
     n_int: int = DEFAULT_N_CELL,
-    seed: int | None = None,
 ) -> np.ndarray:
     """Conditional message probabilities p(m | active sensor in zone u), shape (U, M).
 
@@ -111,7 +108,7 @@ def compute_msg_probs(
     receives ``n_int`` effective samples at far lower cost than independent
     per-cell integration.
     """
-    rng = substream(cfg.master_seed if seed is None else seed, STREAM_PRIORS, 2)
+    rng = substream(cfg.master_seed, STREAM_PRIORS, 2)
     U, M = topology.U, quantizer.M
     # the outer sensor average dominates the variance: spend ~n_int/8 draws
     # on it, and size each draw's target cloud so every cell still sees at
@@ -189,10 +186,10 @@ _SENSING_FIELDS = (
 CACHE_VERSION = 3
 
 
-def prior_cache_key(cfg: SystemConfig, n_active: int, n_cell: int, seed: int) -> str:
+def prior_cache_key(cfg: SystemConfig, n_active: int, n_cell: int) -> str:
     blob = json.dumps(
         {f: getattr(cfg, f) for f in _SENSING_FIELDS}
-        | {"n_active": n_active, "n_cell": n_cell, "seed": seed, "v": CACHE_VERSION},
+        | {"n_active": n_active, "n_cell": n_cell, "seed": cfg.master_seed, "v": CACHE_VERSION},
         sort_keys=True,
         default=list,
     )
@@ -206,7 +203,6 @@ def load_or_build_prior(
     cache_dir: str | None = None,
     n_active: int = DEFAULT_N_ACTIVE,
     n_cell: int = DEFAULT_N_CELL,
-    seed: int | None = None,
 ) -> MultiplicityPrior:
     """Build the prior, reusing the cache file when the config hash matches.
 
@@ -215,8 +211,7 @@ def load_or_build_prior(
     directory and then moved into place, so an interrupted write never
     leaves a partial cache file.
     """
-    seed = cfg.master_seed if seed is None else seed
-    key = prior_cache_key(cfg, n_active, n_cell, seed)
+    key = prior_cache_key(cfg, n_active, n_cell)
     path = None
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
@@ -233,8 +228,8 @@ def load_or_build_prior(
                 msg_probs=np.array(doc["msg_probs"]),
                 K_max=doc["K_max"],
             )
-    p_active = compute_p_active(cfg, topology, n_active, seed)
-    msg_probs = compute_msg_probs(cfg, topology, quantizer, n_cell, seed)
+    p_active = compute_p_active(cfg, topology, n_active)
+    msg_probs = compute_msg_probs(cfg, topology, quantizer, n_cell)
     prior = build_prior(cfg, p_active, msg_probs)
     if path is not None:
         doc = {

@@ -1,12 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tumaloc import harness
 from tumaloc.cli import main as cli_main
-from tumaloc.config import ConfigError, build_topology
+from tumaloc.config import ConfigError, build_topology, desk_preset, load_config
 from tumaloc.harness import (
     ExperimentSpec,
     aggregate_records,
@@ -17,6 +18,8 @@ from tumaloc.harness import (
     run_sweep,
     spec_from_json,
 )
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 @pytest.fixture(scope="session")
@@ -119,7 +122,7 @@ class TestSweep:
 
     def test_ns_axis_preserves_total_blocklength(self, tiny_cfg, tmp_path):
         spec = self._spec(
-            tiny_cfg, tmp_path, axis="ns", values=(40, 100), total_blocklength=200
+            tiny_cfg.with_updates(Ns=100, Nc=100), tmp_path, axis="ns", values=(40, 100)
         )
         for v in spec.point_values():
             cfg = spec.point_config(v)
@@ -127,7 +130,7 @@ class TestSweep:
 
     def test_ns_axis_rejects_no_comm_budget(self, tiny_cfg, tmp_path):
         spec = self._spec(
-            tiny_cfg, tmp_path, axis="ns", values=(200,), total_blocklength=200
+            tiny_cfg.with_updates(Ns=100, Nc=100), tmp_path, axis="ns", values=(200,)
         )
         with pytest.raises(ConfigError):
             spec.point_config(200)
@@ -160,6 +163,29 @@ class TestSweep:
             return rows
 
         assert stripped(out1) == stripped(out2)
+
+    def test_records_stream_before_a_failure(self, tiny_cfg, tmp_path, monkeypatch):
+        # each record reaches runs.jsonl as its run returns, so a run that
+        # raises leaves the records before it on disk
+        real = harness.run_single
+        seeds = []
+
+        def second_run_fails(ctx, decoder, seed):
+            seeds.append(seed)
+            if len(seeds) == 2:
+                raise RuntimeError("forced failure of the second run")
+            return real(ctx, decoder, seed)
+
+        monkeypatch.setattr(harness, "run_single", second_run_fails)
+        with pytest.raises(RuntimeError, match="second run"):
+            run_sweep(self._spec(tiny_cfg, tmp_path))
+        lines = (tmp_path / "runs.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        got = json.loads(lines[0])
+        want = real(prepare_context(tiny_cfg, need_prior=False), "perfect", seeds[0])
+        want.pop("wall_time_s")
+        assert got["run"] == 0
+        assert {k: got[k] for k in want} == want
 
     def test_thread_pool_matches_one_worker(self, tiny_cfg, tmp_path):
         # the runs of a point are independent: two workers write the same
@@ -245,6 +271,56 @@ class TestSweep:
             spec_from_json(bad)
 
 
+class TestSpecLoader:
+    # a spec's preset and config object go through the config-file loader
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"preset": "desk", "config": {"bogus": 1}, "out_dir": str(tmp_path / "out")}
+        ))
+        with pytest.raises(ConfigError, match="bogus"):
+            spec_from_json(path)
+        assert cli_main(["sweep", "--spec", str(path)]) == 2
+
+    def test_position_lists_match_config_file(self, tmp_path):
+        config = {"zone_grid": [3, 3], "ap_positions": [[0, 0], [200, 200]], "K": 30}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"preset": "desk", "config": config}))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preset": "desk", **config}))
+        got = spec_from_json(spec_path).base
+        want = load_config(cfg_path)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert got.zone_grid == (3, 3) and got.B == 2
+
+    @pytest.mark.parametrize(
+        "removed",
+        [{"preset": "paper", "total_blocklength": 2000}, {"config_file": "cfg.json"}],
+        ids=["total_blocklength", "config_file"],
+    )
+    def test_removed_keys_rejected(self, tmp_path, monkeypatch, removed):
+        # the blocklength total is the base config's; a config comes in the spec
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"preset": "paper"}))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"axis": "ns", "values": [10], **removed}))
+        (key,) = set(removed) - {"preset"}
+        with pytest.raises(ConfigError, match=key):
+            spec_from_json(path)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_shipped_spec_loads(self, path):
+        spec = spec_from_json(path)
+        cfgs = [spec.point_config(v) for v in spec.point_values()]
+        assert len(cfgs) == len(spec.values)
+        if spec.axis == "ns":
+            # the paper's blocklength sweeps keep Ns + Nc fixed at 2000
+            assert [c.Ns for c in cfgs] == list(spec.values)
+            assert all(c.Ns + c.Nc == 2000 for c in cfgs)
+
+
 class TestHistogram:
     def test_single_sensor_all_mass_at_one(self, tiny_cfg):
         cfg = tiny_cfg.with_updates(K=1, K_max=1)
@@ -263,14 +339,39 @@ class TestHistogram:
 
 class TestCli:
     def test_run_perfect(self, tmp_path, capsys):
-        out = tmp_path / "rec.json"
+        out = tmp_path / "run"
         code = cli_main(
             ["run", "--preset", "desk", "--decoder", "perfect", "--seed", "4",
              "--out", str(out)]
         )
         assert code == 0
-        rec = json.loads(out.read_text())
+        rec = json.loads((out / "runs.jsonl").read_text())
         assert rec["decoder"] == "perfect"
+        assert (out / "summary.csv").exists()
+
+    def test_run_records_are_run_single(self, tmp_path, capsys):
+        # a one-point sweep: run r of --seed S is run_single at derive_run_seed(S, 0, r)
+        out = tmp_path / "run"
+        code = cli_main(
+            ["run", "--preset", "desk", "--decoder", "perfect", "--seed", "4",
+             "--runs", "2", "--out", str(out)]
+        )
+        assert code == 0
+        recs = [json.loads(l) for l in (out / "runs.jsonl").read_text().splitlines()]
+        printed = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert printed == recs
+        ctx = prepare_context(desk_preset(master_seed=4), need_prior=False)
+        assert [r["run"] for r in recs] == [0, 1]
+        for r, rec in enumerate(recs):
+            want = run_single(ctx, "perfect", derive_run_seed(4, 0, r))
+            want.pop("wall_time_s")
+            assert {k: rec[k] for k in want} == want
+
+    def test_run_without_runs_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli_main(["run", "--decoder", "perfect", "--runs", "0", "--out", str(out)])
+        assert code == 2
+        assert "runs must be >= 1" in capsys.readouterr().err
 
     def test_hist_command(self, tmp_path, capsys):
         code = cli_main(["hist", "--preset", "desk", "--runs", "5", "--seed", "1"])
@@ -284,13 +385,13 @@ class TestCli:
         assert cli_main(["run", "--config", str(bad), "--decoder", "perfect"]) == 2
 
     def test_run_multiple(self, tmp_path):
-        out = tmp_path / "recs.jsonl"
+        out = tmp_path / "run"
         code = cli_main(
             ["run", "--preset", "desk", "--decoder", "perfect", "--runs", "3",
              "--seed", "8", "--out", str(out)]
         )
         assert code == 0
-        lines = out.read_text().strip().splitlines()
+        lines = (out / "runs.jsonl").read_text().strip().splitlines()
         assert len(lines) == 3
         assert {json.loads(l)["run"] for l in lines} == {0, 1, 2}
 
