@@ -52,6 +52,8 @@ STREAM_SCENE = 3
 STREAM_MC = 4
 STREAM_PRIORS = 5
 
+_CODEBOOK_BLOCK_ROWS = 64      # rows drawn per standard-normal call in gen_codebook
+
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic generator for sub-stream ``key`` of ``master_seed``."""
@@ -99,11 +101,29 @@ class TransmissionRound:
 
 
 def gen_codebook(cfg: SystemConfig, seed: int) -> Codebook:
-    """i.i.d. CN(0, 1/Nc) entries with each column rescaled to unit norm."""
+    """i.i.d. CN(0, 1/Nc) entries with each column rescaled to unit norm.
+
+    Built in place, with transients of a few rows, and bit-identical to
+    ``c = (a + 1j b) / sqrt(2 Nc)`` followed by ``c / np.linalg.norm(c,
+    axis=0)``: the real parts, then the imaginary parts, are one
+    standard-normal stream drawn in row blocks; numpy divides complex by
+    real as a product with the reciprocal; and the squared column norms
+    are summed row after row, as that reduction over axis 0 does.
+    """
     rng = substream(seed, STREAM_CODEBOOK)
-    shape = (cfg.Nc, cfg.U * cfg.M)
-    c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2 * cfg.Nc)
-    return Codebook(entries=c / np.linalg.norm(c, axis=0, keepdims=True), U=cfg.U, M=cfg.M)
+    Nc, cols = cfg.Nc, cfg.U * cfg.M
+    c = np.empty((Nc, cols), dtype=complex)
+    for part in (c.real, c.imag):
+        for r0 in range(0, Nc, _CODEBOOK_BLOCK_ROWS):
+            block = part[r0 : r0 + _CODEBOOK_BLOCK_ROWS]
+            block[...] = rng.standard_normal(block.shape)
+    parts = c.view(float).reshape(Nc, cols, 2)
+    parts *= 1.0 / np.sqrt(2 * Nc)
+    norm2 = np.zeros(cols)
+    for row in c:
+        norm2 += (row.conj() * row).real
+    parts *= (1.0 / np.sqrt(norm2))[:, None]
+    return Codebook(entries=c, U=cfg.U, M=cfg.M)
 
 
 def sample_fading(

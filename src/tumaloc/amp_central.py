@@ -27,7 +27,8 @@ pairs.  The finite-difference oracle in the test suite pins this identity.
 Monte-Carlo position samples are drawn once per (zone, multiplicity) and
 shared across all messages, iterations and the Onsager computation, so the
 analytic Jacobian is the exact Jacobian of the implemented denoiser up to
-the weight floors below.
+the weight and row floors below.  All of them rest on the shrinkage bound
+c = sqrt(Ec) g / (tau + Ec g) <= 1/sqrt(Ec).
 
 Once the importance weights collapse, the posterior sits on one
 multiplicity per row and a few samples carry all its weight.  The posterior
@@ -37,9 +38,8 @@ GEMM with subnormal operands runs about twenty times slower on x86 BLAS.
 :func:`onsager` therefore sets the subnormal products to zero and, for
 B > 1, runs the GEMM only on the sample columns j in which some row m has
 ``omega[m, j] >= max(1e-16 * max_j' omega[m, j'], tiny)`` (tiny the
-smallest normal double).  The products are non-negative and the shrinkage
-factors satisfy c <= 1/sqrt(Ec), so the dropped terms move each entry of M
-by at most
+smallest normal double).  The products are non-negative, so the dropped
+terms move each entry of M by at most
 
     |dM[m, b, b']| <= K N 1e-16 max_j omega[m, j] / Ec,
 
@@ -50,6 +50,21 @@ B = 1 the GEMM is a matrix-vector product and keeps every column.
 :func:`denoise_rows` likewise sets the real and imaginary parts of its
 channel estimates below tiny to zero, so that the residual GEMM
 ``C_u @ X_u`` never sees subnormal operands.
+
+Rows whose posterior sits almost wholly on k = 0 are dropped the same way.
+:func:`denoise_rows` marks row m live when its mass on k >= 1,
+``s_m = sum_{k>=1} post(k | r_m)``, satisfies
+``s_m >= max(1e-16 * max_m' s_m', tiny)``.  The Onsager second-moment and
+``Q2`` products and the residual GEMM ``C_u @ X_u`` run on the live rows
+only; the denoiser, every posterior and log-likelihood, the
+``diag(mean_m H)`` term and the 1/M normalization still cover all M rows.
+A dead row has |H_b| <= s_m / sqrt(Ec) and M_{b,b'} <= s_m / Ec, so
+dropping it moves each entry by at most
+
+    |dQ[a, f]|     <= 2 s_m |r_ma| |r_mf| / (M sqrt(Ec) tau_{b(a)}),
+    |dGamma[n, f]| <= |C[n, m]| s_m |r_mf| / sqrt(Ec)
+
+(Gamma = sum_u C_u X_u - (M / Nc) Z Q_u the residual's update).
 
 Both decoders run the one recursion in :func:`amp_iterate`: :func:`amp_run`
 on all F antennas, and the distributed decoder's
@@ -84,7 +99,7 @@ __all__ = [
 
 TAU_FLOOR = 1e-15
 _TINY = np.finfo(float).tiny
-_OMEGA_REL_FLOOR = 1e-16       # Onsager drops sample columns below this share of every row's peak
+_REL_FLOOR = 1e-16     # Onsager and residual drop sample columns and rows below this share of the peak
 
 
 class DecodeError(RuntimeError):
@@ -158,6 +173,7 @@ class ZoneDenoiseResult:
     shrink: np.ndarray             # (K_max, N, B) per-sample shrinkage factors
     H: np.ndarray                  # (M, B) total shrinkage per AP
     degenerate: np.ndarray         # (M,) bool: prior-only fallback rows
+    live: np.ndarray               # (L,) rows whose mass on k >= 1 reaches the row floor
 
 
 def denoise_rows(
@@ -221,6 +237,8 @@ def denoise_rows(
     x_hat = R * np.repeat(H, A, axis=1)
     for part in (x_hat.real, x_hat.imag):
         part[np.abs(part) < _TINY] = 0.0     # subnormal operands slow the residual GEMM
+    active = post[:, 1:].sum(axis=1)
+    live = np.flatnonzero(active >= max(_REL_FLOOR * active.max(), _TINY))
     return ZoneDenoiseResult(
         x_hat=x_hat,
         posterior=post,
@@ -229,6 +247,7 @@ def denoise_rows(
         shrink=shrink,
         H=H,
         degenerate=degenerate,
+        live=live,
     )
 
 
@@ -237,39 +256,45 @@ def onsager(R: np.ndarray, den: ZoneDenoiseResult, tau: np.ndarray, Ec: float, A
 
     Reuses the denoiser's cached per-sample weights, so the result is the
     exact Jacobian of the implemented (sample-fixed) estimator up to the
-    weight floors stated in the module docstring.
+    weight and row floors stated in the module docstring: the diagonal
+    mean shrinkage covers all M rows, the second-moment term only the
+    denoiser's live rows.
     """
     M, F = R.shape
     K, N, B = den.shrink.shape
     tau = np.maximum(np.asarray(tau, dtype=float), TAU_FLOOR)
+    Q = np.diag(np.repeat(den.H.mean(axis=0), A)).astype(complex)
 
-    # posterior second moment of shrinkage over AP pairs: (M, B, B)
-    omega = (den.posterior[:, 1:, None] * den.sample_weights).reshape(M, K * N)
+    post, W, H = den.posterior, den.sample_weights, den.H
+    L = len(den.live)
+    if L < M:
+        post, W, H, R = post[den.live], W[den.live], H[den.live], R[den.live]
+
+    # posterior second moment of shrinkage over AP pairs: (L, B, B)
+    omega = (post[:, 1:, None] * W).reshape(L, K * N)
     omega[omega < _TINY] = 0.0     # subnormal operands slow the GEMM ~20x
     cfl = den.shrink.reshape(K * N, B)
     if B > 1:
         # drop the sample columns that are negligible in every row
-        floor = np.maximum(_OMEGA_REL_FLOOR * omega.max(axis=1), _TINY)
+        floor = np.maximum(_REL_FLOOR * omega.max(axis=1), _TINY)
         keep = (omega >= floor[:, None]).any(axis=0)
         if not keep.all():
             omega, cfl = omega[:, keep], cfl[keep]
     cpair = (cfl[:, :, None] * cfl[:, None, :]).reshape(-1, B * B)
-    M2 = (omega @ cpair).reshape(M, B, B)
+    M2 = (omega @ cpair).reshape(L, B, B)
 
-    H = den.H
     psi = H[:, :, None] * H[:, None, :]
     psi -= M2
     psi *= np.sqrt(Ec)
     psi /= tau
     # psi[m, b_out, b_in]; J[a, f] = delta H - r_f conj(r_a) psi[b(f), b(a)]
-    Rr = R.reshape(M, B, A)
-    Rc = np.conj(Rr).view(float)                                     # (M, B, 2A)
+    Rr = R.reshape(L, B, A)
+    Rc = np.conj(Rr).view(float)                                     # (L, B, 2A)
     prod = np.empty_like(Rc)
-    Q = np.diag(np.repeat(H.mean(axis=0), A)).astype(complex)
     for b in range(B):
         # columns of output AP b: sum_m conj(r_a) psi[m, b, b(a)] r_f
         np.multiply(psi[:, b, :, None], Rc, out=prod)
-        Q2_b = prod.view(complex).reshape(M, F).T @ Rr[:, b, :]
+        Q2_b = prod.view(complex).reshape(L, F).T @ Rr[:, b, :]
         Q[:, b * A:(b + 1) * A] -= Q2_b / M
     return Q
 
@@ -288,7 +313,9 @@ def amp_iterate(
     Returns the final iterate ``(posteriors, log_lik, X, Z, diagnostics)``:
     the per-zone multiplicity posteriors and MC-averaged log-likelihood
     tables, both (U, M, K_max + 1), the channel estimates (U, M, F'), the
-    residual (Nc, F') and the diagnostics.
+    residual (Nc, F') and the diagnostics: ``tau_trace`` (T_AMP, F' / A),
+    ``degenerate_rows`` and ``live_rows``, the rows that reached the
+    residual and Onsager products in each iteration, summed over zones.
     """
     Nc, F = Y.shape
     U, M, A = cfg.U, cfg.M, cfg.A
@@ -299,6 +326,7 @@ def amp_iterate(
     posts = np.zeros((U, M, cfg.K_max + 1))
     log_lik = np.zeros((U, M, cfg.K_max + 1))
     tau_trace = []
+    live_rows = []
     degenerate_rows = 0
 
     for t in range(1, cfg.T_AMP + 1):
@@ -306,6 +334,7 @@ def amp_iterate(
         tau_trace.append(tau)
         Gamma = np.zeros_like(Z)
         Zh = Z.conj().T
+        live_rows.append(0)
         for u in range(U):
             Cu = codebook.block(u)
             # matched filter Cu^H Z, conjugating the small residual instead of Cu
@@ -314,16 +343,25 @@ def amp_iterate(
                 raise DecodeError(t)
             den = denoise_rows(R_u, tau, g[u], log_prior[u], cfg.Ec, A)
             degenerate_rows += int(den.degenerate.sum())
+            live_rows[-1] += len(den.live)
             X[u] = den.x_hat
             posts[u] = den.posterior
             log_lik[u] = den.log_mc_lik
             Q_u = onsager(R_u, den, tau, cfg.Ec, A)
-            Gamma += Cu @ X[u] - (M / Nc) * (Z @ Q_u)
+            if len(den.live) == M:
+                CX = Cu @ X[u]
+            else:
+                CX = Cu[:, den.live] @ X[u][den.live]
+            Gamma += CX - (M / Nc) * (Z @ Q_u)
         Z = Y - sqrt_ec * Gamma
         if not np.all(np.isfinite(Z.view(float))):
             raise DecodeError(t)
 
-    diagnostics = {"tau_trace": np.array(tau_trace), "degenerate_rows": degenerate_rows}
+    diagnostics = {
+        "tau_trace": np.array(tau_trace),
+        "degenerate_rows": degenerate_rows,
+        "live_rows": live_rows,
+    }
     return posts, log_lik, X, Z, diagnostics
 
 

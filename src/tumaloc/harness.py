@@ -234,12 +234,42 @@ def spec_from_json(path) -> ExperimentSpec:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown sweep-spec keys: {sorted(unknown)}")
+    _check_spec_types(raw)
     config = raw.pop("config", {})
     if "preset" in raw:
         config = {**config, "preset": raw.pop("preset")}
     raw["values"] = tuple(raw.get("values", ()))
     raw["decoders"] = tuple(raw.get("decoders", ("centralized",)))
     return ExperimentSpec(base=config_from_dict(config), **raw)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_spec_types(raw: dict) -> None:
+    """Reject sweep keys of the wrong JSON type; ExperimentSpec checks the names."""
+    runs = raw.get("runs", 1)
+    if not _is_int(runs) or runs < 1:
+        raise ConfigError(f"runs must be an integer >= 1, got {runs!r}")
+    if not _is_int(raw.get("master_seed", 0)):
+        raise ConfigError(f"master_seed must be an integer, got {raw['master_seed']!r}")
+    out_dir, cache = raw.get("out_dir", ""), raw.get("prior_cache")
+    if not isinstance(out_dir, str) or not (cache is None or isinstance(cache, str)):
+        raise ConfigError("out_dir and prior_cache must be path strings")
+    values, decoders = raw.get("values", []), raw.get("decoders", [])
+    if not isinstance(values, list) or not isinstance(decoders, list):
+        raise ConfigError("values and decoders must be JSON lists")
+    axis = raw.get("axis")
+    if axis == "snr_rx":
+        bad = [v for v in values if not (_is_int(v) or isinstance(v, float))]
+    elif axis in ("ns", "bits"):
+        bad = [v for v in values if not _is_int(v)]
+    else:
+        bad = []
+    if bad:
+        kind = "numbers" if axis == "snr_rx" else "integers"
+        raise ConfigError(f"{axis} values must be {kind}, got {bad}")
 
 
 def run_sweep(spec: ExperimentSpec, progress=None, workers: int = 1) -> dict:

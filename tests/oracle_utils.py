@@ -6,7 +6,9 @@ the Jacobian oracle uses central finite differences of the Wirtinger
 derivative.  ``compute_p_closest`` is the per-pair closest-target integral
 that the pooled message-probability estimator replaces; ``lsfc``,
 ``zone_of`` and ``quantize`` are the scalar references of the package's
-vectorized maps.
+vectorized maps.  ``gen_codebook_reference`` and ``amp_iterate_reference``
+are the whole-array codebook and the all-rows AMP recursion that the
+package's in-place codebook and live-row recursion must reproduce.
 
 The helpers read quantities off the package that only tests need:
 ``decoder_loglik`` the decoder's own diagonal log-Gaussian likelihood,
@@ -16,10 +18,12 @@ of the state-evolution analysis, ``snr_conversions`` the SNRs implied by
 a configuration and ``config_to_dict`` the JSON form of a configuration.
 """
 
+import dataclasses
+
 import numpy as np
 
 from tumaloc.airlink import STREAM_CODEBOOK, STREAM_PRIORS, Codebook, substream
-from tumaloc.amp_central import amp_iterate, denoise_rows, residual_covariance
+from tumaloc.amp_central import amp_iterate, denoise_rows, onsager, residual_covariance
 from tumaloc.config import SystemConfig, _gamma_of_distance
 from tumaloc.priors import DEFAULT_N_CELL
 from tumaloc.scene import detection_prob_array
@@ -155,6 +159,38 @@ def onsager_reference(R, den, tau, Ec, A):
     return Q
 
 
+def amp_iterate_reference(Y, codebook, log_prior, g, cfg):
+    """The AMP recursion with every row in the Onsager and residual products.
+
+    ``amp_iterate`` as it was before the live-row floor: the denoiser's
+    ``live`` mask is overridden to all rows, so the Onsager term and the
+    residual GEMM ``C_u @ X_u`` cover all M rows of every zone.  Returns
+    ``(posteriors, log_lik, X, Z)``.
+    """
+    Nc, F = Y.shape
+    U, M, A = cfg.U, cfg.M, cfg.A
+    X = np.zeros((U, M, F), dtype=complex)
+    Z = Y.copy()
+    posts = np.zeros((U, M, cfg.K_max + 1))
+    log_lik = np.zeros((U, M, cfg.K_max + 1))
+    for _t in range(cfg.T_AMP):
+        tau = residual_covariance(Z, A)
+        Gamma = np.zeros_like(Z)
+        Zh = Z.conj().T
+        for u in range(U):
+            Cu = codebook.block(u)
+            R_u = (Zh @ Cu).conj().T + np.sqrt(cfg.Ec) * X[u]
+            den = denoise_rows(R_u, tau, g[u], log_prior[u], cfg.Ec, A)
+            den = dataclasses.replace(den, live=np.arange(M))
+            X[u] = den.x_hat
+            posts[u] = den.posterior
+            log_lik[u] = den.log_mc_lik
+            Q_u = onsager(R_u, den, tau, cfg.Ec, A)
+            Gamma += Cu @ X[u] - (M / Nc) * (Z @ Q_u)
+        Z = Y - np.sqrt(cfg.Ec) * Gamma
+    return posts, log_lik, X, Z
+
+
 def compute_p_closest(s, p, cfg, n_int=DEFAULT_N_CELL, seed=None):
     """Probability that target ``p`` is the closest detected one for sensor ``s``.
 
@@ -248,6 +284,12 @@ def raw_gaussian_codebook(cfg, seed):
     shape = (cfg.Nc, cfg.U * cfg.M)
     c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2 * cfg.Nc)
     return Codebook(entries=c, U=cfg.U, M=cfg.M)
+
+
+def gen_codebook_reference(cfg, seed):
+    """The codebook by whole-array arithmetic: ``gen_codebook`` before it was built in place."""
+    c = raw_gaussian_codebook(cfg, seed).entries
+    return Codebook(entries=c / np.linalg.norm(c, axis=0, keepdims=True), U=cfg.U, M=cfg.M)
 
 
 def channel_estimation_error(X, X_true, cfg):

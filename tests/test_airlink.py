@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracle_utils import raw_gaussian_codebook
+from oracle_utils import gen_codebook_reference, raw_gaussian_codebook
 from tumaloc import airlink
 from tumaloc.airlink import (
     TransmissionRound,
@@ -11,7 +11,7 @@ from tumaloc.airlink import (
     synthesize_rx,
     uplink,
 )
-from tumaloc.config import build_topology, lsfc_vector
+from tumaloc.config import build_topology, desk_preset, lsfc_vector, paper_preset
 
 
 class TestCodebook:
@@ -43,6 +43,18 @@ class TestCodebook:
         norms2 = np.linalg.norm(cb.entries, axis=0) ** 2
         assert norms2.mean() == pytest.approx(1.0, rel=0.05)
         assert norms2.std() > 1e-3  # genuinely unnormalized
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize(
+        "make_cfg",
+        [desk_preset, paper_preset, lambda: paper_preset(Nc=1900), lambda: paper_preset(Nc=100)],
+        ids=["desk", "paper", "paper-Nc1900", "paper-Nc100"],
+    )
+    def test_bit_identical_to_whole_array_construction(self, make_cfg, seed):
+        cfg = make_cfg()
+        got = gen_codebook(cfg, seed).entries
+        want = gen_codebook_reference(cfg, seed).entries
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_block_partitioning(self, tiny_cfg):
         cb = gen_codebook(tiny_cfg, seed=1)

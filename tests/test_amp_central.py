@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracle_utils import (
+    amp_iterate_reference,
     amp_traces,
     decoder_loglik,
     fd_wirtinger_jacobian,
@@ -12,7 +13,7 @@ from oracle_utils import (
     onsager_reference,
     random_denoiser_instance,
 )
-from tumaloc import airlink
+from tumaloc import airlink, harness
 from tumaloc.amp_central import (
     DecodeError,
     amp_iterate,
@@ -24,7 +25,7 @@ from tumaloc.amp_central import (
     onsager,
     residual_covariance,
 )
-from tumaloc.config import build_topology, lsfc_vector
+from tumaloc.config import build_topology, desk_preset, lsfc_vector, sigma_w2_for_snr_rx
 from tumaloc.priors import build_prior
 
 
@@ -225,21 +226,6 @@ class TestOnsager:
             onsager(R, den, tau, Ec, A), onsager_reference(R, den, tau, Ec, A), rtol=1e-12
         )
 
-    def test_subnormal_weight_products_vs_einsum_reference(self, rng):
-        # half the rows put log-prior ~ -700 on every k >= 1, so their
-        # posterior x sample-weight products reach the subnormal range
-        R, tau, g, Ec, A = self._instance(rng)
-        M, K = R.shape[0], g.shape[0]
-        lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
-        lp[::2, 1:] = -700.0 - np.arange(K)
-        den = denoise_rows(R, tau, g, lp, Ec, A)
-        omega = den.posterior[:, 1:, None] * den.sample_weights
-        assert np.any((omega > 0) & (omega < np.finfo(float).tiny))
-        np.testing.assert_allclose(
-            onsager(R, den, tau, Ec, A), onsager_reference(R, den, tau, Ec, A),
-            rtol=1e-12, atol=1e-300,
-        )
-
     @staticmethod
     def _poisoned(den, dropped):
         # NaN shrink factors in the sample columns the weight floor drops:
@@ -272,6 +258,66 @@ class TestOnsager:
         tau_in = np.repeat(tau, A)
         bound = np.sqrt(Ec) * (absR.T * dM2) @ absR / tau_in[:, None] / M
         assert np.all(np.abs(got - want) <= bound + 1e-12 * np.abs(want))
+
+    def test_live_rows_follow_the_row_floor(self, rng):
+        # the rows' log-prior on k >= 1 falls by 2 nats per row, so the
+        # mass s_m on k >= 1 spans 1e-20 of the peak, across the 1e-16 floor
+        R, tau, g, Ec, A = self._instance(rng)
+        R = np.concatenate([R, R])
+        M, K = R.shape[0], g.shape[0]
+        lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
+        lp[:, 1:] -= 2.0 * np.arange(M)[:, None]
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        share = den.posterior[:, 1:].sum(axis=1) / den.posterior[:, 1:].sum(axis=1).max()
+        np.testing.assert_array_equal(den.live, np.flatnonzero(share >= 1e-16))
+        assert np.any((share >= 1e-16) & (share < 1e-14))
+        assert np.any((share < 1e-16) & (share > 1e-18))
+
+    @staticmethod
+    def _half_dead(rng):
+        # half the rows put log-prior ~ -700 on every k >= 1: their mass on
+        # k >= 1 is far below 1e-16 of the live rows'
+        R, tau, g, Ec, A = TestOnsager._instance(rng)
+        M, K = R.shape[0], g.shape[0]
+        lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
+        lp[::2, 1:] = -700.0 - np.arange(K)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        np.testing.assert_array_equal(den.live, np.arange(1, M, 2))
+        return R, tau, Ec, A, den
+
+    def test_subnormal_weight_products_vs_einsum_reference(self, rng):
+        # the dead rows' posterior x sample-weight products reach the
+        # subnormal range; dropping those rows moves Q by at most
+        # sum over dead m of 2 s_m |r_ma| |r_mf| / (M sqrt(Ec) tau_b(a))
+        R, tau, Ec, A, den = self._half_dead(rng)
+        M = R.shape[0]
+        omega = den.posterior[:, 1:, None] * den.sample_weights
+        assert np.any((omega > 0) & (omega < np.finfo(float).tiny))
+        got = onsager(R, den, tau, Ec, A)
+        want = onsager_reference(R, den, tau, Ec, A)
+        dead = np.arange(0, M, 2)
+        s = den.posterior[dead, 1:].sum(axis=1)
+        absR = np.abs(R[dead])
+        tau_in = np.repeat(tau, A)
+        bound = 2.0 * (absR.T * s) @ absR / (M * np.sqrt(Ec) * tau_in[:, None])
+        assert np.all(np.abs(got - want) <= bound + 1e-12 * np.abs(want))
+
+    def test_dead_rows_never_reach_the_products(self, rng):
+        # NaN weights and shrinkage on the dead rows: the second-moment term
+        # stays finite and unchanged, only the all-row mean shrinkage on
+        # the diagonal sees the NaN
+        R, tau, Ec, A, den = self._half_dead(rng)
+        dead = np.arange(0, R.shape[0], 2)
+        W, H = den.sample_weights.copy(), den.H.copy()
+        W[dead] = np.nan
+        H[dead] = np.nan
+        clean = onsager(R, den, tau, Ec, A)
+        Q = onsager(R, dataclasses.replace(den, sample_weights=W), tau, Ec, A)
+        np.testing.assert_array_equal(Q, clean)
+        Q = onsager(R, dataclasses.replace(den, sample_weights=W, H=H), tau, Ec, A)
+        off = ~np.eye(Q.shape[0], dtype=bool)
+        np.testing.assert_array_equal(Q[off], clean[off])
+        assert np.all(np.isnan(np.diag(Q)))
 
     def test_dead_zone_gives_mean_shrinkage_diagonal(self, rng):
         # every row's posterior on k >= 1 underflows: no sample column
@@ -354,6 +400,28 @@ class TestAmpRun:
             np.array(cfg.ap_positions), ((x0, x1), (y0, y1)), cfg.d0, cfg.beta,
         )
         np.testing.assert_allclose(res.posteriors[0, 2], post_o, atol=0.02)
+
+    def test_live_rows_vs_all_rows_reference(self):
+        # desk at 10 dB: most rows' posteriors leave no mass on k >= 1 that
+        # reaches 1e-16 of the zone's peak, and those rows skip the Onsager
+        # and residual products
+        cfg0 = desk_preset()
+        topo = build_topology(cfg0)
+        cfg = cfg0.with_updates(sigma_w2=sigma_w2_for_snr_rx(cfg0, topo, 10.0))
+        ctx = harness.prepare_context(cfg, need_prior=False)
+        prior = build_prior(cfg, 0.5, np.full((cfg.U, cfg.M), 1.0 / (cfg.U * cfg.M)))
+        _sc, rnd = harness._sense_and_encode(ctx, 3)
+        cb = airlink.gen_codebook(cfg, 3)
+        _X, Y = airlink.uplink(rnd, cb, topo, cfg, 3)
+        mc = build_mc_table(cfg, topo, 3)
+        posts, _ll, _Xh, _Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)
+        want = amp_iterate_reference(Y, cb, prior.log_pmf, mc, cfg)[0]
+        assert len(diag["live_rows"]) == cfg.T_AMP
+        assert 0 < min(diag["live_rows"]) and max(diag["live_rows"]) < cfg.U * cfg.M
+        np.testing.assert_allclose(posts, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(
+            estimate_multiplicities(posts), estimate_multiplicities(want)
+        )
 
     def test_decode_error_raised_on_nonfinite(self):
         cfg, topo = _tiny_system()

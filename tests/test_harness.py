@@ -310,6 +310,30 @@ class TestSpecLoader:
         with pytest.raises(ConfigError, match=key):
             spec_from_json(path)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"runs": "3"},
+            {"runs": True},
+            {"runs": 0},
+            {"master_seed": 1.5},
+            {"axis": "bits", "values": ["x"]},
+            {"axis": "ns", "values": [100.5]},
+            {"axis": "snr_rx", "values": ["0"]},
+            {"axis": "snr_rx", "values": 0.0},
+            {"decoders": ["nope"]},
+            {"decoders": "centralized"},
+            {"out_dir": 5},
+        ],
+        ids=lambda bad: json.dumps(bad),
+    )
+    def test_mistyped_sweep_keys_exit_2(self, tmp_path, bad):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"preset": "desk", "out_dir": str(tmp_path / "out"), **bad}))
+        with pytest.raises(ConfigError):
+            spec_from_json(path)
+        assert cli_main(["sweep", "--spec", str(path)]) == 2
+
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
     def test_shipped_spec_loads(self, path):
         spec = spec_from_json(path)
