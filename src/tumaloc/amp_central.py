@@ -36,7 +36,8 @@ multiplicity per row and a few samples carry all its weight.  The posterior
 second moment M are then mostly negligible, some of them subnormal, and a
 GEMM with subnormal operands runs about twenty times slower on x86 BLAS.
 :func:`onsager` therefore sets the subnormal products to zero and, for
-B > 1, runs the GEMM only on the sample columns j in which some row m has
+blocks of more than one AP, runs the GEMM only on the sample columns j in
+which some row m of the block has
 ``omega[m, j] >= max(1e-16 * max_j' omega[m, j'], tiny)`` (tiny the
 smallest normal double).  The products are non-negative, so the dropped
 terms move each entry of M by at most
@@ -44,8 +45,8 @@ terms move each entry of M by at most
     |dM[m, b, b']| <= K N 1e-16 max_j omega[m, j] / Ec,
 
 plus K N 2.3e-308 / Ec for the subnormal flush: at most K N roundings
-relative to the row's largest possible term max_j omega[m, j] / Ec.  At
-B = 1 the GEMM is a matrix-vector product and keeps every column.
+relative to the row's largest possible term max_j omega[m, j] / Ec.  On a
+one-AP block the GEMM is a matrix-vector product and keeps every column.
 
 :func:`denoise_rows` likewise sets the real and imaginary parts of its
 channel estimates below tiny to zero, so that the residual GEMM
@@ -54,7 +55,8 @@ channel estimates below tiny to zero, so that the residual GEMM
 Rows whose posterior sits almost wholly on k = 0 are dropped the same way.
 :func:`denoise_rows` marks row m live when its mass on k >= 1,
 ``s_m = sum_{k>=1} post(k | r_m)``, satisfies
-``s_m >= max(1e-16 * max_m' s_m', tiny)``.  The Onsager second-moment and
+``s_m >= max(1e-16 * max_m' s_m', tiny)``, m' over the rows of m's block.
+The Onsager second-moment and
 ``Q2`` products and the residual GEMM ``C_u @ X_u`` run on the live rows
 only; the denoiser, every posterior and log-likelihood, the
 ``diag(mean_m H)`` term and the 1/M normalization still cover all M rows.
@@ -64,13 +66,23 @@ dropping it moves each entry by at most
     |dQ[a, f]|     <= 2 s_m |r_ma| |r_mf| / (M sqrt(Ec) tau_{b(a)}),
     |dGamma[n, f]| <= |C[n, m]| s_m |r_mf| / sqrt(Ec)
 
-(Gamma = sum_u C_u X_u - (M / Nc) Z Q_u the residual's update).
+(Gamma = sum_u C_u X_u - (M / Nc) Z sum_u Q_u the residual's update,
+its Onsager part one GEMM per iteration).
 
 Both decoders run the one recursion in :func:`amp_iterate`: :func:`amp_run`
-on all F antennas, and the distributed decoder's
-:func:`~tumaloc.amp_dist.local_amp_run` on one AP's antenna block.  The
-recursion returns its final iterate; iteration t of a run is reproduced
-exactly by a run with ``T_AMP = t``.
+on all F antennas as one block, the distributed decoder on G independent
+blocks of one AP each.  The G blocks are stacked along the row axis: the
+matched filter gives R_u of shape (G M, F / G), and :func:`denoise_rows`
+and :func:`onsager` read G = B / (F' / A) off the shapes of R and the MC
+table, keep one row floor per block, and sum rows only within a block.
+Every stacked operation does a one-block call's arithmetic on each block
+(element-wise passes, per-slice BLAS calls on stacks with the one-block
+strides, and per-block row gathers where the live sets differ), so each
+block's output is bit-identical to :func:`amp_iterate` on that block
+alone.  Once stacked, the desk distributed decode is bound by element-wise
+passes over the (G M, K_max, N) weights rather than by per-call overhead.
+The recursion returns its final iterate; iteration t of a run is
+reproduced exactly by a run with ``T_AMP = t``.
 """
 
 from __future__ import annotations
@@ -164,16 +176,33 @@ def residual_covariance(Z: np.ndarray, antennas_per_ap: int) -> np.ndarray:
 
 @dataclass
 class ZoneDenoiseResult:
-    """Cached per-zone denoiser output shared with the Onsager computation."""
+    """Cached per-zone denoiser output shared with the Onsager computation.
 
-    x_hat: np.ndarray              # (M, F)
-    posterior: np.ndarray          # (M, K_max + 1)
-    log_mc_lik: np.ndarray         # (M, K_max + 1): log (1/N) sum_i p(r | rho^i_{1:k})
-    sample_weights: np.ndarray     # (M, K_max, N) self-normalized
+    The G stacked blocks' rows follow one another: rows ``j M .. (j+1) M - 1``
+    belong to block j.
+    """
+
+    x_hat: np.ndarray              # (G M, F')
+    posterior: np.ndarray          # (G M, K_max + 1)
+    log_mc_lik: np.ndarray         # (G M, K_max + 1): log (1/N) sum_i p(r | rho^i_{1:k})
+    sample_weights: np.ndarray     # (G M, K_max, N) self-normalized
     shrink: np.ndarray             # (K_max, N, B) per-sample shrinkage factors
-    H: np.ndarray                  # (M, B) total shrinkage per AP
-    degenerate: np.ndarray         # (M,) bool: prior-only fallback rows
-    live: np.ndarray               # (L,) rows whose mass on k >= 1 reaches the row floor
+    H: np.ndarray                  # (G M, B / G) total shrinkage per AP of the row's block
+    degenerate: np.ndarray         # (G M,) bool: prior-only fallback rows
+    live: np.ndarray               # (L,) rows whose mass on k >= 1 reaches their block's row floor
+
+
+def _block_shape(R: np.ndarray, B: int, A: int) -> tuple[int, int, int]:
+    """``(G, M, B / G)`` of G stacked blocks: R is (G M, F'), each block F' / A of the B APs."""
+    per_block = R.shape[1] // A
+    G = B // per_block
+    return G, R.shape[0] // G, per_block
+
+
+def _live_blocks(live: np.ndarray, G: int, M: int) -> list[tuple[int, int, int]]:
+    """``(j, s, e)`` per block: block j's live rows are ``live[s:e]``."""
+    ends = np.searchsorted(live, M * np.arange(1, G + 1))
+    return [(j, s, e) for j, (s, e) in enumerate(zip([0, *ends[:-1]], ends))]
 
 
 def denoise_rows(
@@ -184,40 +213,55 @@ def denoise_rows(
     Ec: float,
     A: int,
 ) -> ZoneDenoiseResult:
-    """Vectorized PME denoiser for all M rows of one zone.
+    """Vectorized PME denoiser for all rows of one zone, for G stacked AP blocks.
 
-    ``R``: (M, F) effective observations; ``tau``: (B,) per-AP variances;
-    ``g``: (K_max, N, B) MC aggregate-LSFC table; ``log_prior``: (M, K_max+1).
+    ``R``: (G M, F') effective observations, block j's M rows after block
+    j - 1's, each block on F' / A APs; ``tau``: (B,) per-AP variances, block
+    by block; ``g``: (K_max, N, B) MC aggregate-LSFC table;
+    ``log_prior``: (M, K_max+1), shared by the blocks.  G = B / (F' / A) is
+    read off the shapes; the centralized decoder is G = 1.
 
     The multiplicity posterior uses the MC average of the position
     likelihood per hypothesis (the empty hypothesis has a single
     deterministic term); the conditional means are self-normalized
-    importance averages of per-AP linear shrinkages of ``r``.
+    importance averages of per-AP linear shrinkages of ``r``.  Each row
+    sees only its own block's APs, with the arithmetic of a one-block call.
     """
-    M, F = R.shape
     K, N, B = g.shape
+    G, M, Bb = _block_shape(R, B, A)
+    rows = G * M
     tau = np.maximum(np.asarray(tau, dtype=float), TAU_FLOOR)
 
-    energy = (np.abs(R) ** 2).reshape(M, B, A).sum(axis=2)          # (M, B)
+    energy = (np.abs(R) ** 2).reshape(rows, Bb, A).sum(axis=2)      # (G M, Bb)
     v = tau[None, None, :] + Ec * g                                  # (K, N, B)
     inv_v = 1.0 / v
-    logdet = A * np.log(np.pi * v).sum(axis=2)                       # (K, N)
-    # one (M, K, N) buffer: log-likelihoods, then weights, then normalized weights
-    W = (energy @ inv_v.reshape(K * N, B).T).reshape(M, K, N)
-    np.negative(W, out=W)
-    W -= logdet
-    ll0 = -(energy @ (1.0 / tau)) - A * np.log(np.pi * tau).sum()    # (M,)
+    neg_inv_v = -inv_v
+    logdet = A * np.log(np.pi * v).reshape(K, N, G, Bb).sum(axis=3)  # (K, N, G)
+    log_tau = A * np.log(np.pi * tau).reshape(G, Bb).sum(axis=1)     # (G,)
+    # one (G, M, K, N) buffer: log-likelihoods, then weights, then normalized weights
+    if Bb == 1:
+        # a rank-1 product: multiplying is exact, where a GEMM only adds call cost
+        W = energy.reshape(G, M, 1, 1) * neg_inv_v.transpose(2, 0, 1)[:, None]
+        ll0 = -(energy.reshape(G, M) * (1.0 / tau)[:, None])
+    else:
+        e = energy.reshape(G, M, Bb)
+        W = np.matmul(e, neg_inv_v.reshape(K * N, G, Bb).transpose(1, 2, 0))
+        ll0 = -np.matmul(e, (1.0 / tau).reshape(G, Bb, 1))[..., 0]
+    W = W.reshape(G, M, K, N)
+    W -= logdet.transpose(2, 0, 1)[:, None]
+    W = W.reshape(rows, K, N)
+    ll0 -= log_tau[:, None]
 
-    mx = W.max(axis=2)                                               # (M, K)
+    mx = W.max(axis=2)                                               # (G M, K)
     W -= mx[..., None]
     np.exp(W, out=W)
     w_sum = W.sum(axis=2)
-    log_mc = np.empty((M, K + 1))
-    log_mc[:, 0] = ll0
+    log_mc = np.empty((rows, K + 1))
+    log_mc[:, 0] = ll0.reshape(rows)
     log_mc[:, 1:] = mx + np.log(w_sum / N)
     W /= w_sum[..., None]
 
-    log_post_un = log_prior + log_mc
+    log_post_un = (log_mc.reshape(G, M, K + 1) + log_prior).reshape(rows, K + 1)
     post_mx = log_post_un.max(axis=1)
     degenerate = ~np.isfinite(post_mx)
     safe_mx = np.where(degenerate, 0.0, post_mx)
@@ -225,20 +269,27 @@ def denoise_rows(
     post = post_un / post_un.sum(axis=1, keepdims=True)
     if degenerate.any():
         # all hypotheses at -inf: fall back to the prior, estimate zero
-        prior_lin = np.exp(log_prior[degenerate])
+        prior_lin = np.exp(log_prior[np.flatnonzero(degenerate) % M])
         post[degenerate] = prior_lin / prior_lin.sum(axis=1, keepdims=True)
         W[degenerate] = 1.0 / N
 
     shrink = np.sqrt(Ec) * g * inv_v                                 # (K, N, B)
-    shrink_mean = np.matmul(W.transpose(1, 0, 2), shrink).transpose(1, 0, 2)  # (M, K, B)
-    H = np.einsum("mk,mkb->mb", post[:, 1:], shrink_mean)            # (M, B)
+    # contiguous per block, so that each BLAS call sees a one-block call's strides
+    shrink_blocks = np.ascontiguousarray(shrink.reshape(K, N, G, Bb).transpose(2, 0, 1, 3))
+    shrink_mean = np.matmul(
+        W.reshape(G, M, K, N).transpose(0, 2, 1, 3), shrink_blocks
+    ).transpose(0, 2, 1, 3)                                          # (G, M, K, Bb)
+    H = np.einsum(
+        "gmk,gmkb->gmb", post.reshape(G, M, K + 1)[..., 1:], shrink_mean
+    ).reshape(rows, Bb)
     if degenerate.any():
         H[degenerate] = 0.0
     x_hat = R * np.repeat(H, A, axis=1)
     for part in (x_hat.real, x_hat.imag):
         part[np.abs(part) < _TINY] = 0.0     # subnormal operands slow the residual GEMM
     active = post[:, 1:].sum(axis=1)
-    live = np.flatnonzero(active >= max(_REL_FLOOR * active.max(), _TINY))
+    floor = np.maximum(_REL_FLOOR * active.reshape(G, M).max(axis=1), _TINY)
+    live = np.flatnonzero(active >= np.repeat(floor, M))
     return ZoneDenoiseResult(
         x_hat=x_hat,
         posterior=post,
@@ -252,50 +303,59 @@ def denoise_rows(
 
 
 def onsager(R: np.ndarray, den: ZoneDenoiseResult, tau: np.ndarray, Ec: float, A: int) -> np.ndarray:
-    """Average Wirtinger Jacobian of the denoiser over the zone's rows.
+    """Average Wirtinger Jacobian of the denoiser over each block's rows, (G, F', F').
 
     Reuses the denoiser's cached per-sample weights, so the result is the
     exact Jacobian of the implemented (sample-fixed) estimator up to the
     weight and row floors stated in the module docstring: the diagonal
-    mean shrinkage covers all M rows, the second-moment term only the
-    denoiser's live rows.
+    mean shrinkage covers all M rows of a block, the second-moment term
+    only the denoiser's live rows.  Row sums stay within their block.
     """
-    M, F = R.shape
+    F = R.shape[1]
     K, N, B = den.shrink.shape
+    G, M, Bb = _block_shape(R, B, A)
     tau = np.maximum(np.asarray(tau, dtype=float), TAU_FLOOR)
-    Q = np.diag(np.repeat(den.H.mean(axis=0), A)).astype(complex)
+    Q = np.zeros((G, F, F), dtype=complex)
+    diag = np.arange(F)
+    Q[:, diag, diag] = np.repeat(den.H.reshape(G, M, Bb).mean(axis=1), A, axis=1)
 
-    post, W, H = den.posterior, den.sample_weights, den.H
-    L = len(den.live)
-    if L < M:
-        post, W, H, R = post[den.live], W[den.live], H[den.live], R[den.live]
+    post, W, H, live = den.posterior, den.sample_weights, den.H, den.live
+    L = len(live)
+    if L < G * M:
+        post, W, H, R = post[live], W[live], H[live], R[live]
+    blocks = _live_blocks(live, G, M)
 
-    # posterior second moment of shrinkage over AP pairs: (L, B, B)
+    # posterior second moment of shrinkage over AP pairs: (L, Bb, Bb)
     omega = (post[:, 1:, None] * W).reshape(L, K * N)
     omega[omega < _TINY] = 0.0     # subnormal operands slow the GEMM ~20x
-    cfl = den.shrink.reshape(K * N, B)
-    if B > 1:
-        # drop the sample columns that are negligible in every row
-        floor = np.maximum(_REL_FLOOR * omega.max(axis=1), _TINY)
-        keep = (omega >= floor[:, None]).any(axis=0)
-        if not keep.all():
-            omega, cfl = omega[:, keep], cfl[keep]
-    cpair = (cfl[:, :, None] * cfl[:, None, :]).reshape(-1, B * B)
-    M2 = (omega @ cpair).reshape(L, B, B)
+    cfl_blocks = den.shrink.reshape(K * N, G, Bb)
+    M2 = np.empty((L, Bb, Bb))
+    for j, s, e in blocks:
+        om, cfl = omega[s:e], cfl_blocks[:, j]
+        if Bb > 1:
+            # drop the sample columns that are negligible in every row
+            floor = np.maximum(_REL_FLOOR * om.max(axis=1), _TINY)
+            keep = (om >= floor[:, None]).any(axis=0)
+            if not keep.all():
+                om, cfl = om[:, keep], cfl[keep]
+        cpair = (cfl[:, :, None] * cfl[:, None, :]).reshape(-1, Bb * Bb)
+        M2[s:e] = (om @ cpair).reshape(e - s, Bb, Bb)
 
     psi = H[:, :, None] * H[:, None, :]
     psi -= M2
     psi *= np.sqrt(Ec)
-    psi /= tau
+    psi /= tau.reshape(G, Bb)[live // M, None, :]
     # psi[m, b_out, b_in]; J[a, f] = delta H - r_f conj(r_a) psi[b(f), b(a)]
-    Rr = R.reshape(L, B, A)
-    Rc = np.conj(Rr).view(float)                                     # (L, B, 2A)
+    Rr = R.reshape(L, Bb, A)
+    Rc = np.conj(Rr).view(float)                                     # (L, Bb, 2A)
     prod = np.empty_like(Rc)
-    for b in range(B):
+    for b in range(Bb):
         # columns of output AP b: sum_m conj(r_a) psi[m, b, b(a)] r_f
         np.multiply(psi[:, b, :, None], Rc, out=prod)
-        Q2_b = prod.view(complex).reshape(L, F).T @ Rr[:, b, :]
-        Q[:, b * A:(b + 1) * A] -= Q2_b / M
+        P = prod.view(complex).reshape(L, F)
+        for j, s, e in blocks:
+            Q2_b = P[s:e].T @ Rr[s:e, b, :]
+            Q[j, :, b * A:(b + 1) * A] -= Q2_b / M
     return Q
 
 
@@ -305,26 +365,34 @@ def amp_iterate(
     log_prior: np.ndarray,
     g: np.ndarray,
     cfg: SystemConfig,
+    blocks: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
     """The AMP recursion on the receive columns ``Y``, shared by both decoders.
 
     ``Y`` (Nc, F') holds the antennas of some APs and ``g`` (U, K_max, N,
-    F' / A) is the MC aggregate-LSFC table restricted to those APs.
+    F' / A) is the MC aggregate-LSFC table restricted to those APs.  The
+    columns split into ``blocks`` = G independent recursions of F' / G
+    antennas each, run at once with their rows stacked: block j's rows are
+    ``j M .. (j+1) M - 1`` of every per-zone array, and its outputs equal
+    those of a one-block call on its columns bit for bit.
     Returns the final iterate ``(posteriors, log_lik, X, Z, diagnostics)``:
     the per-zone multiplicity posteriors and MC-averaged log-likelihood
-    tables, both (U, M, K_max + 1), the channel estimates (U, M, F'), the
-    residual (Nc, F') and the diagnostics: ``tau_trace`` (T_AMP, F' / A),
+    tables, both (U, G M, K_max + 1), the channel estimates (U, G M, F' / G),
+    the residual (Nc, F') and the diagnostics: ``tau_trace`` (T_AMP, F' / A),
     ``degenerate_rows`` and ``live_rows``, the rows that reached the
     residual and Onsager products in each iteration, summed over zones.
     """
-    Nc, F = Y.shape
+    Nc, F_all = Y.shape
     U, M, A = cfg.U, cfg.M, cfg.A
+    G = blocks
+    F = F_all // G
+    rows = G * M
     sqrt_ec = np.sqrt(cfg.Ec)
 
-    X = np.zeros((U, M, F), dtype=complex)
+    X = np.zeros((U, rows, F), dtype=complex)
     Z = Y.copy()
-    posts = np.zeros((U, M, cfg.K_max + 1))
-    log_lik = np.zeros((U, M, cfg.K_max + 1))
+    posts = np.zeros((U, rows, cfg.K_max + 1))
+    log_lik = np.zeros((U, rows, cfg.K_max + 1))
     tau_trace = []
     live_rows = []
     degenerate_rows = 0
@@ -333,12 +401,15 @@ def amp_iterate(
         tau = residual_covariance(Z, A)
         tau_trace.append(tau)
         Gamma = np.zeros_like(Z)
-        Zh = Z.conj().T
+        Gamma_blocks = Gamma.reshape(Nc, G, F).transpose(1, 0, 2)   # (G, Nc, F) views
+        Z_blocks = Z.reshape(Nc, G, F).transpose(1, 0, 2)
+        Zh = Z.conj().T.reshape(G, F, Nc)
+        Q = np.zeros((G, F, F), dtype=complex)
         live_rows.append(0)
         for u in range(U):
             Cu = codebook.block(u)
             # matched filter Cu^H Z, conjugating the small residual instead of Cu
-            R_u = (Zh @ Cu).conj().T + sqrt_ec * X[u]
+            R_u = np.matmul(Zh, Cu).conj().transpose(0, 2, 1).reshape(rows, F) + sqrt_ec * X[u]
             if not np.all(np.isfinite(R_u.view(float))):
                 raise DecodeError(t)
             den = denoise_rows(R_u, tau, g[u], log_prior[u], cfg.Ec, A)
@@ -347,12 +418,16 @@ def amp_iterate(
             X[u] = den.x_hat
             posts[u] = den.posterior
             log_lik[u] = den.log_mc_lik
-            Q_u = onsager(R_u, den, tau, cfg.Ec, A)
-            if len(den.live) == M:
-                CX = Cu @ X[u]
-            else:
-                CX = Cu[:, den.live] @ X[u][den.live]
-            Gamma += CX - (M / Nc) * (Z @ Q_u)
+            Q += onsager(R_u, den, tau, cfg.Ec, A)
+            X_blocks = X[u].reshape(G, M, F)
+            for j, s, e in _live_blocks(den.live, G, M):
+                if e - s == M:
+                    Gamma_blocks[j] += Cu @ X_blocks[j]
+                else:
+                    live = den.live[s:e] - j * M
+                    Gamma_blocks[j] += Cu[:, live] @ X_blocks[j][live]
+        # the Onsager correction of all zones in one GEMM per block: Z (sum_u Q_u)
+        Gamma_blocks -= (M / Nc) * np.matmul(Z_blocks, Q)
         Z = Y - sqrt_ec * Gamma
         if not np.all(np.isfinite(Z.view(float))):
             raise DecodeError(t)

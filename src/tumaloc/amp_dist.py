@@ -8,6 +8,14 @@ MC-averaged log-likelihood to the CPU.  Because every covariance in the
 model is block diagonal across APs, the product of local likelihoods equals
 the global likelihood exactly, and the CPU recovers the posterior by adding
 the log tables to the log prior.
+
+The APs' recursions are independent, so :func:`distributed_decode` runs
+them in groups, each group as one :func:`~tumaloc.amp_central.amp_iterate`
+call with one block per AP stacked along the rows.  Every AP's table is
+bit-identical to its own :func:`local_amp_run`.  The group size bounds the
+stacked (rows, K_max, N_MC) weight array by ``_MAX_STACKED_WEIGHTS``: all
+12 APs in one call at the desk preset, one AP per call at the paper preset,
+whose 5.6 M weights per AP already exceed the bound.
 """
 
 from __future__ import annotations
@@ -24,6 +32,14 @@ __all__ = [
     "aggregate_posteriors",
     "distributed_decode",
 ]
+
+_MAX_STACKED_WEIGHTS = 1 << 22     # bound on a stacked call's (rows, K_max, N_MC) weight array
+
+
+def _group_size(cfg: SystemConfig) -> int:
+    """APs per stacked :func:`~tumaloc.amp_central.amp_iterate` call."""
+    per_ap = cfg.M * cfg.K_max * cfg.N_MC
+    return max(1, min(cfg.B, _MAX_STACKED_WEIGHTS // per_ap))
 
 
 def local_amp_run(
@@ -76,8 +92,19 @@ def distributed_decode(
     cfg: SystemConfig,
 ) -> DecodeResult:
     """Run every AP's local AMP on its antenna block and aggregate at the CPU."""
-    A = cfg.A
-    log_liks = [
-        local_amp_run(Y[:, b * A : (b + 1) * A], b, codebook, prior, g, cfg) for b in range(cfg.B)
-    ]
+    A, M = cfg.A, cfg.M
+    size = _group_size(cfg)
+    log_liks = []
+    for b0 in range(0, cfg.B, size):
+        b1 = min(b0 + size, cfg.B)
+        try:
+            _posts, log_lik, _X, _Z, _diag = amp_iterate(
+                Y[:, b0 * A : b1 * A], codebook, prior.log_pmf, g[..., b0:b1], cfg, blocks=b1 - b0
+            )
+        except DecodeError:
+            # name the first failing AP and its iteration, as one AP at a time would
+            for b in range(b0, b1):
+                local_amp_run(Y[:, b * A : (b + 1) * A], b, codebook, prior, g, cfg)
+            raise
+        log_liks += [log_lik[:, j * M : (j + 1) * M] for j in range(b1 - b0)]
     return aggregate_posteriors(log_liks, prior)

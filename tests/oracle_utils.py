@@ -185,7 +185,7 @@ def amp_iterate_reference(Y, codebook, log_prior, g, cfg):
             X[u] = den.x_hat
             posts[u] = den.posterior
             log_lik[u] = den.log_mc_lik
-            Q_u = onsager(R_u, den, tau, cfg.Ec, A)
+            Q_u = onsager(R_u, den, tau, cfg.Ec, A)[0]
             Gamma += Cu @ X[u] - (M / Nc) * (Z @ Q_u)
         Z = Y - np.sqrt(cfg.Ec) * Gamma
     return posts, log_lik, X, Z

@@ -176,7 +176,7 @@ class TestOnsager:
         lp = np.log(np.array([1e-300, 1.0]))
         R = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
         res = denoise_rows(R, tau, g, lp, Ec, 1)
-        Q = onsager(R, res, tau, Ec, 1)
+        Q = onsager(R, res, tau, Ec, 1)[0]
         D = np.sqrt(Ec) * g[0, 0] / (tau + Ec * g[0, 0])
         np.testing.assert_allclose(Q, np.diag(D), atol=1e-9)
 
@@ -186,7 +186,7 @@ class TestOnsager:
         lp = np.log(np.array([1.0, 1e-300, 1e-300]))
         R = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         res = denoise_rows(R, tau, g, lp, 2.0, 1)
-        Q = onsager(R, res, tau, 2.0, 1)
+        Q = onsager(R, res, tau, 2.0, 1)[0]
         np.testing.assert_allclose(Q, 0.0, atol=1e-6)
 
     @pytest.mark.parametrize("B,A,K,M", [(2, 1, 2, 3), (4, 2, 3, 5), (2, 4, 2, 4), (1, 1, 3, 6)])
@@ -202,7 +202,7 @@ class TestOnsager:
             lp = np.log(rng.dirichlet(np.ones(K + 1)))
             R = (rng.normal(size=(M, F)) + 1j * rng.normal(size=(M, F))) * 0.8
             res = denoise_rows(R, tau, g, lp, Ec, A)
-            Q = onsager(R, res, tau, Ec, A)
+            Q = onsager(R, res, tau, Ec, A)[0]
             eta = self._eta(tau, g, lp, Ec, A)
             J_sum = np.zeros((F, F), dtype=complex)
             for m in range(M):
@@ -223,7 +223,7 @@ class TestOnsager:
         lp = np.log(rng.dirichlet(np.ones(g.shape[0] + 1), size=R.shape[0]))
         den = denoise_rows(R, tau, g, lp, Ec, A)
         np.testing.assert_allclose(
-            onsager(R, den, tau, Ec, A), onsager_reference(R, den, tau, Ec, A), rtol=1e-12
+            onsager(R, den, tau, Ec, A)[0], onsager_reference(R, den, tau, Ec, A), rtol=1e-12
         )
 
     @staticmethod
@@ -250,7 +250,7 @@ class TestOnsager:
         dropped = (omega < floor[:, None]).all(axis=0)
         assert 0 < dropped.sum() < K * N
         assert np.all(omega[::4] == 0)
-        got = onsager(R, self._poisoned(den, dropped), tau, Ec, A)
+        got = onsager(R, self._poisoned(den, dropped), tau, Ec, A)[0]
         want = onsager_reference(R, den, tau, Ec, A)
         # |dM2[m]| <= K N 1e-16 max_j omega[m, j] / Ec, carried through psi
         dM2 = K * N * 1e-16 * omega.max(axis=1) / Ec
@@ -293,7 +293,7 @@ class TestOnsager:
         M = R.shape[0]
         omega = den.posterior[:, 1:, None] * den.sample_weights
         assert np.any((omega > 0) & (omega < np.finfo(float).tiny))
-        got = onsager(R, den, tau, Ec, A)
+        got = onsager(R, den, tau, Ec, A)[0]
         want = onsager_reference(R, den, tau, Ec, A)
         dead = np.arange(0, M, 2)
         s = den.posterior[dead, 1:].sum(axis=1)
@@ -311,10 +311,10 @@ class TestOnsager:
         W, H = den.sample_weights.copy(), den.H.copy()
         W[dead] = np.nan
         H[dead] = np.nan
-        clean = onsager(R, den, tau, Ec, A)
-        Q = onsager(R, dataclasses.replace(den, sample_weights=W), tau, Ec, A)
+        clean = onsager(R, den, tau, Ec, A)[0]
+        Q = onsager(R, dataclasses.replace(den, sample_weights=W), tau, Ec, A)[0]
         np.testing.assert_array_equal(Q, clean)
-        Q = onsager(R, dataclasses.replace(den, sample_weights=W, H=H), tau, Ec, A)
+        Q = onsager(R, dataclasses.replace(den, sample_weights=W, H=H), tau, Ec, A)[0]
         off = ~np.eye(Q.shape[0], dtype=bool)
         np.testing.assert_array_equal(Q[off], clean[off])
         assert np.all(np.isnan(np.diag(Q)))
@@ -329,8 +329,40 @@ class TestOnsager:
         den = denoise_rows(R, tau, g, lp, Ec, A)
         assert (den.posterior[:, 1:, None] * den.sample_weights).max() < np.finfo(float).tiny
         assert np.all(den.H > 0)
-        Q = onsager(R, self._poisoned(den, np.ones(K * N, dtype=bool)), tau, Ec, A)
+        Q = onsager(R, self._poisoned(den, np.ones(K * N, dtype=bool)), tau, Ec, A)[0]
         np.testing.assert_array_equal(Q, np.diag(np.repeat(den.H.mean(axis=0), A)))
+
+
+class TestStackedBlocks:
+    def test_blocks_equal_one_block_calls_with_their_own_row_floor(self, rng):
+        # two one-AP blocks stacked along the rows: block 0 has strong rows
+        # (mass on k >= 1 near 1), block 1 a variance so small that all its
+        # rows' mass on k >= 1 lies far below 1e-16 of block 0's largest;
+        # only a per-block row floor keeps them live
+        K, N, M, A, Ec = 2, 30, 6, 4, 2.0
+        g = rng.uniform(0.3, 1.0, size=(K, N, 2))
+        tau = np.array([1.0, 1e-8])
+        lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
+        blocks = [
+            (rng.normal(size=(M, A)) + 1j * rng.normal(size=(M, A))) * np.sqrt(t / 2) for t in tau
+        ]
+        blocks[0][:2] *= 4.0
+        R = np.concatenate(blocks)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        Q = onsager(R, den, tau, Ec, A)
+        assert Q.shape == (2, A, A)
+        for j, R_j in enumerate(blocks):
+            one = denoise_rows(R_j, tau[j : j + 1], g[..., j : j + 1], lp, Ec, A)
+            rows = slice(j * M, (j + 1) * M)
+            for name in ("x_hat", "posterior", "log_mc_lik", "sample_weights", "H", "degenerate"):
+                np.testing.assert_array_equal(getattr(den, name)[rows], getattr(one, name))
+            np.testing.assert_array_equal(den.shrink[..., j : j + 1], one.shrink)
+            live_j = den.live[(den.live >= j * M) & (den.live < (j + 1) * M)] - j * M
+            np.testing.assert_array_equal(live_j, one.live)
+            np.testing.assert_array_equal(Q[j], onsager(R_j, one, tau[j : j + 1], Ec, A)[0])
+        active = den.posterior[:, 1:].sum(axis=1)
+        assert active[M:].max() < 1e-16 * active[:M].max()
+        assert np.any(den.live >= M)
 
 
 def _tiny_system(rng_seed=0, U=2, M=4, B=2, A=1, Nc=64, N_MC=64, K_max=2, Ec=3.0,

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from oracle_utils import amp_traces, decoder_loglik
-from tumaloc import airlink
-from tumaloc.amp_central import amp_run, build_mc_table
+from tumaloc import airlink, amp_dist
+from tumaloc.amp_central import DecodeError, amp_iterate, amp_run, build_mc_table
 from tumaloc.amp_dist import aggregate_posteriors, distributed_decode, local_amp_run
-from tumaloc.config import SystemConfig, build_topology
+from tumaloc.config import SystemConfig, build_topology, desk_preset, paper_preset
 from tumaloc.priors import build_prior
 
 
@@ -145,6 +145,67 @@ class TestLocalRun:
         cfg, topo, prior, cb, mc = _system(B=2, A=2)
         with pytest.raises(ValueError):
             local_amp_run(np.zeros((cfg.Nc, 3), dtype=complex), 0, cb, prior, mc, cfg)
+
+
+def _dead_row_system():
+    # high SNR and A = 4: noise-only rows fall below the row floor, and the
+    # APs' live sets differ from iteration 2 on
+    cfg, topo, prior, cb, mc = _system(B=3, A=4, M=8, Nc=128, sigma_w2=1e-6, Ec=6.0, T_AMP=6)
+    Y, _ = _received(cfg, topo, cb, seed=20, n_users=2)
+    return cfg, prior, cb, mc, Y
+
+
+class TestStackedRecursion:
+    def test_stacked_blocks_equal_per_ap_runs(self):
+        cfg, prior, cb, mc, Y = _dead_row_system()
+        A, M = cfg.A, cfg.M
+        posts, log_lik, X, Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, blocks=cfg.B)
+        per_ap_live = []
+        for b in range(cfg.B):
+            rows, cols = slice(b * M, (b + 1) * M), slice(b * A, (b + 1) * A)
+            p_b, l_b, X_b, Z_b, d_b = amp_iterate(
+                Y[:, cols], cb, prior.log_pmf, mc[..., b : b + 1], cfg
+            )
+            np.testing.assert_array_equal(log_lik[:, rows], l_b)
+            local = local_amp_run(Y[:, cols], b, cb, prior, mc, cfg)
+            np.testing.assert_array_equal(log_lik[:, rows], local)
+            np.testing.assert_array_equal(posts[:, rows], p_b)
+            np.testing.assert_array_equal(X[:, rows], X_b)
+            np.testing.assert_array_equal(Z[:, cols], Z_b)
+            np.testing.assert_array_equal(diag["tau_trace"][:, b], d_b["tau_trace"][:, 0])
+            per_ap_live.append(d_b["live_rows"])
+        live = np.array(per_ap_live)                 # (B, T_AMP)
+        assert np.all(live.min(axis=0)[1:] < cfg.U * M), "some rows of every AP are dead"
+        assert np.any(live.min(axis=0) != live.max(axis=0)), "the APs' live sets differ"
+        assert diag["live_rows"] == list(live.sum(axis=0))
+
+    def test_group_size_does_not_change_results(self, monkeypatch):
+        cfg, prior, cb, mc, Y = _dead_row_system()
+        per_ap = cfg.M * cfg.K_max * cfg.N_MC
+        results = []
+        for size in (1, 2, cfg.B):                   # 2 leaves a group of one AP
+            monkeypatch.setattr(amp_dist, "_MAX_STACKED_WEIGHTS", size * per_ap)
+            assert amp_dist._group_size(cfg) == size
+            results.append(distributed_decode(Y, cb, prior, mc, cfg))
+        for res in results[1:]:
+            np.testing.assert_array_equal(res.posteriors, results[0].posteriors)
+            assert res.diagnostics == results[0].diagnostics
+
+    def test_group_size_rule(self):
+        # all APs in one call at desk scale; one AP per call at the paper
+        # preset, whose per-AP weight array alone exceeds the bound
+        desk, paper = desk_preset(), paper_preset()
+        assert amp_dist._group_size(desk) == desk.B == 12
+        assert paper.M * paper.K_max * paper.N_MC > amp_dist._MAX_STACKED_WEIGHTS
+        assert amp_dist._group_size(paper) == 1
+
+    def test_failing_ap_named_as_in_per_ap_runs(self):
+        cfg, topo, prior, cb, mc = _system(B=3, A=2)
+        Y, _ = _received(cfg, topo, cb, seed=3)
+        Y[5, 1 * cfg.A] = np.nan                     # AP 1's first antenna
+        with pytest.raises(DecodeError, match="AP 1") as err:
+            distributed_decode(Y, cb, prior, mc, cfg)
+        assert err.value.iteration == 1
 
 
 class TestEndToEnd:
