@@ -13,7 +13,9 @@ threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+import typing
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -79,18 +81,20 @@ class SystemConfig:
             raise ConfigError("ap_positions must hold at least one AP (None for the grid)")
         if self.A < 1 or self.B < 1:
             raise ConfigError("need at least one AP antenna")
-        if self.M < 2:
-            raise ConfigError("M must be at least 2")
-        if self.Nc < 1:
-            raise ConfigError("Nc must be at least 1")
-        if self.K_max > self.K:
-            raise ConfigError("K_max cannot exceed the sensor count K")
-        if self.Ec <= 0 or self.sigma_w2 <= 0:
-            raise ConfigError("Ec and sigma_w2 must be positive")
-        if self.beta <= 2 or self.d0 <= 0:
-            raise ConfigError("require beta > 2 and d0 > 0")
-        if self.area_side <= 0:
-            raise ConfigError("area_side must be positive")
+        if not 4 <= self.M <= 4096 or self.M & (self.M - 1):
+            raise ConfigError(f"M must be a power of two in 4..4096 (2..12 bits), got {self.M}")
+        if self.Nc < 1 or self.Ns < 1 or self.N_MC < 1 or self.T_AMP < 1:
+            raise ConfigError("Nc, Ns, N_MC and T_AMP must be at least 1")
+        if self.K < 0 or self.T_targets < 0 or self.master_seed < 0:
+            raise ConfigError("K, T_targets and master_seed must be non-negative")
+        if not min(self.K, 1) <= self.K_max <= self.K:
+            raise ConfigError(f"need 1 <= K_max <= K (0 only for K = 0), got K_max={self.K_max}")
+        if self.area_side <= 0 or self.Ec <= 0 or self.sigma_w2 <= 0 or self.d0 <= 0:
+            raise ConfigError("area_side, Ec, sigma_w2 and d0 must be positive")
+        if self.S_rcs <= 0 or self.f_c <= 0 or self.P_n <= 0 or self.P_s <= 0:
+            raise ConfigError("S_rcs, f_c, P_n and P_s must be positive")
+        if self.beta <= 2 or self.gamma_threshold < 0 or self.c_gospa <= 0 or self.p_order < 1:
+            raise ConfigError("need beta > 2, gamma_threshold >= 0, c_gospa > 0 and p_order >= 1")
 
     @property
     def U(self) -> int:
@@ -170,8 +174,6 @@ def build_topology(cfg: SystemConfig) -> Topology:
         aps = _grid_layout_positions(rows, cols, cfg.area_side)
     else:
         aps = np.array(cfg.ap_positions, dtype=float)
-        if aps.ndim != 2 or aps.shape[1] != 2:
-            raise ConfigError("ap_positions must be a list of 2-D points")
     sx = cfg.area_side / cols
     sy = cfg.area_side / rows
     rects = []
@@ -268,32 +270,63 @@ _PRESETS = {"desk": desk_preset, "paper": paper_preset}
 
 
 def preset(name: str, **overrides) -> SystemConfig:
-    try:
-        return _PRESETS[name](**overrides)
-    except KeyError:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(_PRESETS)}")
+    return _PRESETS[name](**overrides)
+
+
+_JSON_SCALARS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _from_json(value, hint, name: str):
+    """Check ``value`` against ``hint``: no bool ints, finite floats; lists become tuples."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        return _from_json(value, hint, name)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(args) != len(value):
+            raise ConfigError(f"{name} must be a list of {len(args)} items, got {value!r}")
+        return tuple(_from_json(v, h, f"{name}[{i}]") for i, (v, h) in enumerate(zip(value, args)))
+    ok = isinstance(value, (int, float) if hint is float else hint) and not isinstance(value, bool)
+    if not ok or (hint is float and not math.isfinite(value)):
+        raise ConfigError(f"{name} must be {_JSON_SCALARS[hint]}, got {value!r}")
+    return value
+
+
+def _fields_from_json(cls, raw: dict, what: str, skip=(), **hints) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from the JSON object ``raw``.
+
+    Every key must name a field of ``cls`` outside ``skip``, and every value
+    fit the field's declared type, or its type in ``hints``; range checks
+    are ``cls``'s own.  Anything else raises ``ConfigError``.
+    """
+    names = {f.name for f in fields(cls)} - set(skip)
+    unknown = set(raw) - names
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    types = {**typing.get_type_hints(cls), **hints}
+    return {key: _from_json(value, types[key], key) for key, value in raw.items()}
 
 
 def config_from_dict(raw) -> SystemConfig:
     """SystemConfig from a JSON object, from a ``preset`` if it names one.
 
-    Unknown keys and ill-typed values raise ``ConfigError``; position lists become tuples.
+    Unknown keys and ill-typed values raise ``ConfigError`` (see
+    ``_fields_from_json``), and so do out-of-range values.
     """
     if not isinstance(raw, dict):
         raise ConfigError("a config must be a JSON object")
     raw = dict(raw)
-    unknown = set(raw) - set(SystemConfig.__dataclass_fields__) - {"preset"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     base_name = raw.pop("preset", None)
-    if "zone_grid" in raw:
-        raw["zone_grid"] = tuple(raw["zone_grid"])
-    if raw.get("ap_positions") is not None:
-        raw["ap_positions"] = tuple(tuple(p) for p in raw["ap_positions"])
-    try:
-        return preset(base_name, **raw) if base_name is not None else SystemConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    kwargs = _fields_from_json(SystemConfig, raw, "config")
+    return preset(base_name, **kwargs) if base_name is not None else SystemConfig(**kwargs)
 
 
 def load_config(path) -> SystemConfig:

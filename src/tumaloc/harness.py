@@ -31,6 +31,7 @@ from .config import (
     ConfigError,
     SystemConfig,
     Topology,
+    _fields_from_json,
     build_topology,
     config_from_dict,
     sigma_w2_for_snr_rx,
@@ -79,18 +80,11 @@ class PointContext:
     prior: priors.MultiplicityPrior | None
 
 
-def quantizer_bits(cfg: SystemConfig) -> int:
-    bits = int(round(math.log2(cfg.M)))
-    if 2**bits != cfg.M:
-        raise ConfigError(f"M={cfg.M} is not a power of two")
-    return bits
-
-
 def prepare_context(
     cfg: SystemConfig, cache_dir: str | None = None, need_prior: bool = True
 ) -> PointContext:
     topo = build_topology(cfg)
-    quant = build_quantizer(quantizer_bits(cfg), cfg.area_side)
+    quant = build_quantizer(cfg.M.bit_length() - 1, cfg.area_side)    # M is 2**bits
     prior = (
         priors.load_or_build_prior(cfg, topo, quant, cache_dir=cache_dir)
         if need_prior
@@ -188,8 +182,8 @@ class ExperimentSpec:
 
     base: SystemConfig
     axis: str = "none"                 # none | snr_rx | ns | bits
-    values: tuple = ()
-    decoders: tuple = ("centralized",)
+    values: tuple[float, ...] = ()     # integers on the ns and bits axes
+    decoders: tuple[str, ...] = ("centralized",)
     runs: int = 1
     master_seed: int = 0
     out_dir: str = "results"
@@ -198,11 +192,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.axis not in ("none", "snr_rx", "ns", "bits"):
             raise ConfigError(f"unknown sweep axis {self.axis!r}")
+        if (self.axis != "none") != bool(self.values):
+            raise ConfigError("values must be non-empty on a swept axis and empty on axis none")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        bad = [d for d in self.decoders if d not in DECODERS]
-        if bad:
-            raise ConfigError(f"unknown decoders: {bad}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
+        if not self.decoders or not set(self.decoders) <= set(DECODERS):
+            raise ConfigError(f"decoders must be one or more of {DECODERS}, got {self.decoders}")
 
     def point_values(self) -> tuple:
         return (None,) if self.axis == "none" else tuple(self.values)
@@ -212,16 +209,15 @@ class ExperimentSpec:
         if self.axis == "none":
             return cfg
         if self.axis == "snr_rx":
-            topo = build_topology(cfg)
-            return cfg.with_updates(sigma_w2=sigma_w2_for_snr_rx(cfg, topo, float(value)))
-        if self.axis == "ns":
-            ns = int(value)
-            nc = cfg.Ns + cfg.Nc - ns
-            if nc < 1:
-                raise ConfigError(f"Ns={ns} leaves no communication symbols")
-            return cfg.with_updates(Ns=ns, Nc=nc)
-        bits = int(value)
-        return cfg.with_updates(M=2**bits)
+            updates = {"sigma_w2": sigma_w2_for_snr_rx(cfg, build_topology(cfg), float(value))}
+        elif self.axis == "ns":
+            updates = {"Ns": int(value), "Nc": cfg.Ns + cfg.Nc - int(value)}
+        else:
+            updates = {"M": 2 ** int(value)}
+        try:
+            return cfg.with_updates(**updates)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep point {self.axis}={value}: {exc}") from None
 
 
 def spec_from_json(path) -> ExperimentSpec:
@@ -230,46 +226,13 @@ def spec_from_json(path) -> ExperimentSpec:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not isinstance(raw.get("config", {}), dict):
         raise ConfigError("a sweep spec and its config must be JSON objects")
-    known = {"preset", "config", "axis", "values", "decoders", "runs", "master_seed", "out_dir", "prior_cache"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown sweep-spec keys: {sorted(unknown)}")
-    _check_spec_types(raw)
     config = raw.pop("config", {})
     if "preset" in raw:
         config = {**config, "preset": raw.pop("preset")}
-    raw["values"] = tuple(raw.get("values", ()))
-    raw["decoders"] = tuple(raw.get("decoders", ("centralized",)))
-    return ExperimentSpec(base=config_from_dict(config), **raw)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _check_spec_types(raw: dict) -> None:
-    """Reject sweep keys of the wrong JSON type; ExperimentSpec checks the names."""
-    runs = raw.get("runs", 1)
-    if not _is_int(runs) or runs < 1:
-        raise ConfigError(f"runs must be an integer >= 1, got {runs!r}")
-    if not _is_int(raw.get("master_seed", 0)):
-        raise ConfigError(f"master_seed must be an integer, got {raw['master_seed']!r}")
-    out_dir, cache = raw.get("out_dir", ""), raw.get("prior_cache")
-    if not isinstance(out_dir, str) or not (cache is None or isinstance(cache, str)):
-        raise ConfigError("out_dir and prior_cache must be path strings")
-    values, decoders = raw.get("values", []), raw.get("decoders", [])
-    if not isinstance(values, list) or not isinstance(decoders, list):
-        raise ConfigError("values and decoders must be JSON lists")
-    axis = raw.get("axis")
-    if axis == "snr_rx":
-        bad = [v for v in values if not (_is_int(v) or isinstance(v, float))]
-    elif axis in ("ns", "bits"):
-        bad = [v for v in values if not _is_int(v)]
-    else:
-        bad = []
-    if bad:
-        kind = "numbers" if axis == "snr_rx" else "integers"
-        raise ConfigError(f"{axis} values must be {kind}, got {bad}")
+    # the one rule a field's type cannot state: ns and bits points are integers
+    values = tuple[int, ...] if raw.get("axis") in ("ns", "bits") else tuple[float, ...]
+    kwargs = _fields_from_json(ExperimentSpec, raw, "sweep-spec", skip=("base",), values=values)
+    return ExperimentSpec(base=config_from_dict(config), **kwargs)
 
 
 def run_sweep(spec: ExperimentSpec, progress=None, workers: int = 1) -> dict:
@@ -280,8 +243,10 @@ def run_sweep(spec: ExperimentSpec, progress=None, workers: int = 1) -> dict:
     and standard errors over non-degenerate runs).  ``workers > 1`` runs
     each point's runs on one thread pool kept for the sweep, ``workers ==
     1`` in the calling thread; records are written in (point, decoder, run)
-    order, each as soon as it returns.
+    order, each as soon as it returns.  Every point's config is built
+    first, so a bad point fails before any file is touched.
     """
+    configs = [spec.point_config(value) for value in spec.point_values()]
     os.makedirs(spec.out_dir, exist_ok=True)
     jsonl_path = os.path.join(spec.out_dir, "runs.jsonl")
     csv_path = os.path.join(spec.out_dir, "summary.csv")
@@ -294,8 +259,7 @@ def run_sweep(spec: ExperimentSpec, progress=None, workers: int = 1) -> dict:
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
     with jsonl, pool:
         run_map = pool.map if workers > 1 else map
-        for p_idx, value in enumerate(spec.point_values()):
-            cfg = spec.point_config(value)
+        for p_idx, (value, cfg) in enumerate(zip(spec.point_values(), configs)):
             ctx = prepare_context(cfg, cache_dir=spec.prior_cache, need_prior=need_prior)
             jobs = [
                 (decoder, r_idx, derive_run_seed(spec.master_seed, p_idx, r_idx))
@@ -343,8 +307,6 @@ def aggregate_records(records: list[dict]) -> list[dict]:
 
 
 def _write_summary_csv(path: str, table: list[dict]) -> None:
-    if not table:
-        return
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(table[0].keys()))

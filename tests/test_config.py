@@ -217,14 +217,34 @@ class TestConfigIO:
         assert cfg.zone_grid == (2, 2)
 
     def test_invariants_enforced(self):
-        with pytest.raises(ConfigError):
-            SystemConfig(K_max=500, K=100)
-        with pytest.raises(ConfigError):
-            SystemConfig(Ec=0.0)
-        with pytest.raises(ConfigError):
-            SystemConfig(beta=1.5)
-        with pytest.raises(ConfigError):
-            SystemConfig(M=1)
+        for bad in (
+            {"K_max": 500, "K": 100},
+            {"Ec": 0.0},
+            {"beta": 1.5},
+            {"M": 1},
+            {"M": 2},
+            {"M": 100},
+            {"M": 2**13},
+            {"Ns": 0},
+            {"Nc": 0},
+            {"N_MC": 0},
+            {"T_AMP": 0},
+            {"K_max": 0},
+            {"K": -1, "K_max": 0},
+            {"T_targets": -1},
+            {"master_seed": -1},
+            {"P_n": 0.0},
+            {"P_s": 0.0},
+            {"f_c": 0.0},
+            {"S_rcs": -1.0},
+            {"gamma_threshold": -1.0},
+            {"c_gospa": 0.0},
+            {"p_order": 0.5},
+        ):
+            with pytest.raises(ConfigError):
+                SystemConfig(**bad)
+        # K_max = 0 goes with K = 0 only
+        assert SystemConfig(K=0, K_max=0).K_max == 0
 
     def test_desk_preset_shape(self):
         cfg = desk_preset()
@@ -232,3 +252,40 @@ class TestConfigIO:
         assert cfg.U == 4
         assert cfg.F == 24
         assert cfg.M == 64
+
+
+# known keys whose values break a type or a range; none may reach a run
+MALFORMED = [
+    {"Ns": 0},
+    {"Ns": -5},
+    {"N_MC": 0},
+    {"K_max": 0},
+    {"T_AMP": 0},
+    {"master_seed": -3},
+    {"A": 2.5},
+    {"A": True},
+    {"zone_grid": 3},
+    {"zone_grid": [2]},
+    {"ap_positions": [[0, 0], [1]]},
+    {"area_side": float("nan")},
+    {"M": 100},
+]
+
+
+@pytest.mark.parametrize("bad", MALFORMED, ids=lambda bad: json.dumps(bad))
+def test_malformed_config_exit_2(tmp_path, capsys, bad):
+    # through a config file, and inside a sweep spec's config
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"preset": "desk", **bad}))
+    with pytest.raises(ConfigError):
+        load_config(cfg_path)
+    out = str(tmp_path / "out")
+    assert cli_main(["run", "--config", str(cfg_path), "--decoder", "perfect", "--out", out]) == 2
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        json.dumps({"preset": "desk", "config": bad, "decoders": ["perfect"], "out_dir": out})
+    )
+    assert cli_main(["sweep", "--spec", str(spec_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+    assert not (tmp_path / "out").exists()

@@ -323,7 +323,16 @@ class TestSpecLoader:
             {"axis": "snr_rx", "values": 0.0},
             {"decoders": ["nope"]},
             {"decoders": "centralized"},
+            {"decoders": [1]},
             {"out_dir": 5},
+            {"prior_cache": ["cache"]},
+            {"master_seed": -1},
+            {"config": {"A": 2.5}},
+            {"config": {"zone_grid": 3}},
+            {"config": {"zone_grid": [2, "2"]}},
+            {"config": {"sigma_w2": "1e-6"}},
+            {"config": []},
+            {"preset": ["desk"]},
         ],
         ids=lambda bad: json.dumps(bad),
     )
@@ -333,6 +342,31 @@ class TestSpecLoader:
         with pytest.raises(ConfigError):
             spec_from_json(path)
         assert cli_main(["sweep", "--spec", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"axis": "ns", "values": [100, 1300]},     # Ns + Nc = 1300 on the desk preset
+            {"axis": "bits", "values": [6, 13]},
+            {"axis": "snr_rx", "values": []},
+            {"values": [-20, 0]},                      # no axis to sweep them on
+            {"decoders": []},
+        ],
+        ids=lambda bad: json.dumps(bad),
+    )
+    def test_bad_sweep_fails_before_any_run(self, tmp_path, capsys, bad):
+        # the earlier sweep's files stay as they were
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("runs.jsonl", "summary.csv"):
+            (out / name).write_text("earlier sweep\n")
+        path = tmp_path / "spec.json"
+        spec = {"preset": "desk", "decoders": ["perfect"], "out_dir": str(out), **bad}
+        path.write_text(json.dumps(spec))
+        assert cli_main(["sweep", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        for name in ("runs.jsonl", "summary.csv"):
+            assert (out / name).read_text() == "earlier sweep\n"
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
     def test_shipped_spec_loads(self, path):
