@@ -160,13 +160,20 @@ def effective_channels(round_: TransmissionRound, fading: np.ndarray) -> np.ndar
 def synthesize_rx(codebook: Codebook, X: np.ndarray, cfg: SystemConfig, seed: int) -> np.ndarray:
     """Received signal ``Y = sqrt(Ec) sum_u C_u X_u + W`` with W ~ CN(0, sigma_w^2).
 
-    ``X`` holds the (U, M, F) effective channels.
+    ``X`` holds the (U, M, F) effective channels.  The product runs over
+    the sent codewords only: the rows of ``X`` with a nonzero entry, real
+    or imaginary, at most K_a of the U M.  The other rows are exactly zero,
+    so leaving them out changes only the summation order of the signal,
+    by a few roundings of ``sum_j |C_nj| |X_jf|``; the noise is drawn
+    as for the dense product.
     """
     if codebook.entries.shape[1] != cfg.U * cfg.M or X.shape[:2] != (cfg.U, cfg.M):
         raise ValueError("synthesize_rx: codebook/channel shapes inconsistent with cfg")
     Nc = codebook.entries.shape[0]
     F = X.shape[2]
-    signal = codebook.entries @ X.reshape(cfg.U * cfg.M, F)
+    Xf = np.ascontiguousarray(X.reshape(cfg.U * cfg.M, F))
+    sent = np.flatnonzero(Xf.view(float).any(axis=1))     # real or imaginary part nonzero
+    signal = codebook.entries[:, sent] @ Xf[sent]
     rng = substream(seed, STREAM_NOISE)
     w = (rng.standard_normal((Nc, F)) + 1j * rng.standard_normal((Nc, F))) * np.sqrt(
         cfg.sigma_w2 / 2.0

@@ -69,6 +69,32 @@ dropping it moves each entry by at most
 (Gamma = sum_u C_u X_u - (M / Nc) Z sum_u Q_u the residual's update,
 its Onsager part one GEMM per iteration).
 
+On a block of more than one AP alone in its call (the centralized
+decoder), most rows are ruled dead before the weight passes.  With
+``mx_k = max_i log p(r | rho^i_{1:k})`` the MC average of N samples obeys
+``mx_k - log N <= log_mc_k <= mx_k``, and s_m grows with each log_mc_k,
+k >= 1.  So s_m evaluated at ``log_mc_k = mx_k``, s_m^hi, bounds s_m from
+above, s_m at ``mx_k - log N``, s_m^lo, from below, and
+``floor^lo = max(1e-16 * max_m' s_m'^lo, tiny)`` bounds the row floor
+from below.  A row with ``s_m^hi < floor^lo / 2`` (the factor 2 absorbs
+rounding) is ruled dead: it skips the subtraction, exp, sum,
+normalization and shrinkage product over its (K_max, N) weights and
+keeps ``log_mc_k = mx_k``, ``H = 0``, ``x_hat = 0`` and zero sample
+weights.  The other rows keep the all-rows arithmetic, so their
+posteriors and s_m are unchanged bit for bit; only their shrinkage
+product, a GEMM on the gathered rows, may round in another order.  A
+ruled-dead row is not live, since its s_m^hi is below half the floor,
+and it does not set the floor: if it held the block's largest s_m, then
+``s_m'^lo <= s_m^hi < floor^lo / 2`` for every row m', so
+``floor^lo = tiny``, every s_m is below tiny / 2 and the floor is tiny
+either way.  Hence ``live`` is the set the all-rows denoiser gives.  A
+ruled-dead row's posterior mass on k >= 1 moves by at most a factor N
+on a mass already below 1e-16 of the block's peak, and its H, x_hat and
+weights, at most s_m / sqrt(Ec), s_m |r| / sqrt(Ec) and 1, become zero;
+only the posterior, the ``diag(mean_m H)`` term and the next matched
+filter see them.  One-AP blocks weigh every row: the distributed decoder
+fronthauls their log-likelihoods.
+
 Both decoders run the one recursion in :func:`amp_iterate`: :func:`amp_run`
 on all F antennas as one block, the distributed decoder on G independent
 blocks of one AP each.  The G blocks are stacked along the row axis: the
@@ -179,17 +205,21 @@ class ZoneDenoiseResult:
     """Cached per-zone denoiser output shared with the Onsager computation.
 
     The G stacked blocks' rows follow one another: rows ``j M .. (j+1) M - 1``
-    belong to block j.
+    belong to block j.  Sample weights are self-normalized on weighed rows
+    and zero on ruled-dead rows, whose ``log_mc_lik`` on k >= 1 holds the
+    largest sample log-likelihood and whose ``H`` and ``x_hat`` are zero
+    (module docstring).
     """
 
     x_hat: np.ndarray              # (G M, F')
     posterior: np.ndarray          # (G M, K_max + 1)
-    log_mc_lik: np.ndarray         # (G M, K_max + 1): log (1/N) sum_i p(r | rho^i_{1:k})
-    sample_weights: np.ndarray     # (G M, K_max, N) self-normalized
+    log_mc_lik: np.ndarray         # (G M, K_max + 1): log (1/N) sum_i p(r | rho^i_{1:k}) on weighed rows
+    sample_weights: np.ndarray     # (G M, K_max, N) self-normalized on weighed rows, else zero
     shrink: np.ndarray             # (K_max, N, B) per-sample shrinkage factors
     H: np.ndarray                  # (G M, B / G) total shrinkage per AP of the row's block
     degenerate: np.ndarray         # (G M,) bool: prior-only fallback rows
     live: np.ndarray               # (L,) rows whose mass on k >= 1 reaches their block's row floor
+    weighed: np.ndarray            # (L',) rows that went through the weight passes; L <= L'
 
 
 def _block_shape(R: np.ndarray, B: int, A: int) -> tuple[int, int, int]:
@@ -203,6 +233,49 @@ def _live_blocks(live: np.ndarray, G: int, M: int) -> list[tuple[int, int, int]]
     """``(j, s, e)`` per block: block j's live rows are ``live[s:e]``."""
     ends = np.searchsorted(live, M * np.arange(1, G + 1))
     return [(j, s, e) for j, (s, e) in enumerate(zip([0, *ends[:-1]], ends))]
+
+
+def _posterior(log_mc: np.ndarray, log_prior: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Multiplicity posteriors of stacked rows and their degenerate-row mask.
+
+    ``log_mc`` (G M, K_max + 1) log-likelihoods, ``log_prior`` (M, K_max + 1)
+    shared by the G blocks.  A row with every hypothesis at -inf is
+    degenerate and gets the prior.
+    """
+    rows, K1 = log_mc.shape
+    log_post_un = (log_mc.reshape(rows // M, M, K1) + log_prior).reshape(rows, K1)
+    post_mx = log_post_un.max(axis=1)
+    degenerate = ~np.isfinite(post_mx)
+    safe_mx = np.where(degenerate, 0.0, post_mx)
+    post_un = np.exp(log_post_un - safe_mx[:, None])
+    post = post_un / post_un.sum(axis=1, keepdims=True)
+    if degenerate.any():
+        prior_lin = np.exp(log_prior[np.flatnonzero(degenerate) % M])
+        post[degenerate] = prior_lin / prior_lin.sum(axis=1, keepdims=True)
+    return post, degenerate
+
+
+def _scatter_rows(values: np.ndarray, at: np.ndarray, rows: int) -> np.ndarray:
+    """``rows`` rows of zeros with ``values`` in rows ``at``."""
+    out = np.zeros((rows, *values.shape[1:]), dtype=values.dtype)
+    out[at] = values
+    return out
+
+
+def _weighed_rows(log_mc: np.ndarray, log_prior: np.ndarray, N: int) -> np.ndarray:
+    """Rows of one block that the weight passes cannot rule out of the row floor.
+
+    ``log_mc[:, 1:]`` holds mx_k, the largest sample log-likelihood, with
+    ``mx_k - log N <= log_mc_k <= mx_k``.  The other rows are ruled dead
+    (module docstring).
+    """
+    M = len(log_mc)
+    s_hi = _posterior(log_mc, log_prior, M)[0][:, 1:].sum(axis=1)
+    lower = log_mc.copy()
+    lower[:, 1:] -= np.log(N)
+    s_lo = _posterior(lower, log_prior, M)[0][:, 1:].sum(axis=1)
+    floor_lo = max(_REL_FLOOR * s_lo.max(), _TINY)
+    return np.flatnonzero(s_hi >= floor_lo / 2)
 
 
 def denoise_rows(
@@ -226,6 +299,8 @@ def denoise_rows(
     deterministic term); the conditional means are self-normalized
     importance averages of per-AP linear shrinkages of ``r``.  Each row
     sees only its own block's APs, with the arithmetic of a one-block call.
+    On a one-block call with more than one AP, rows that provably miss the
+    row floor skip the weight passes (module docstring).
     """
     K, N, B = g.shape
     G, M, Bb = _block_shape(R, B, A)
@@ -238,7 +313,8 @@ def denoise_rows(
     neg_inv_v = -inv_v
     logdet = A * np.log(np.pi * v).reshape(K, N, G, Bb).sum(axis=3)  # (K, N, G)
     log_tau = A * np.log(np.pi * tau).reshape(G, Bb).sum(axis=1)     # (G,)
-    # one (G, M, K, N) buffer: log-likelihoods, then weights, then normalized weights
+    # one (G, M, K, N) buffer: log-likelihoods, then weights, then normalized
+    # weights; the weight passes run on a copy of the weighed rows where rows are ruled dead
     if Bb == 1:
         # a rank-1 product: multiplying is exact, where a GEMM only adds call cost
         W = energy.reshape(G, M, 1, 1) * neg_inv_v.transpose(2, 0, 1)[:, None]
@@ -253,40 +329,43 @@ def denoise_rows(
     ll0 -= log_tau[:, None]
 
     mx = W.max(axis=2)                                               # (G M, K)
-    W -= mx[..., None]
-    np.exp(W, out=W)
-    w_sum = W.sum(axis=2)
     log_mc = np.empty((rows, K + 1))
     log_mc[:, 0] = ll0.reshape(rows)
-    log_mc[:, 1:] = mx + np.log(w_sum / N)
+    log_mc[:, 1:] = mx       # log_mc_k <= mx_k: kept on ruled-dead rows
+    weighed = slice(None)    # every row, or the indices of the rows not ruled dead
+    if G == 1 and Bb > 1:
+        weighed = _weighed_rows(log_mc, log_prior, N)
+        W = W[weighed]
+    W -= mx[weighed][..., None]
+    np.exp(W, out=W)
+    w_sum = W.sum(axis=2)
+    log_mc[weighed, 1:] = mx[weighed] + np.log(w_sum / N)
     W /= w_sum[..., None]
 
-    log_post_un = (log_mc.reshape(G, M, K + 1) + log_prior).reshape(rows, K + 1)
-    post_mx = log_post_un.max(axis=1)
-    degenerate = ~np.isfinite(post_mx)
-    safe_mx = np.where(degenerate, 0.0, post_mx)
-    post_un = np.exp(log_post_un - safe_mx[:, None])
-    post = post_un / post_un.sum(axis=1, keepdims=True)
+    post, degenerate = _posterior(log_mc, log_prior, M)
     if degenerate.any():
-        # all hypotheses at -inf: fall back to the prior, estimate zero
-        prior_lin = np.exp(log_prior[np.flatnonzero(degenerate) % M])
-        post[degenerate] = prior_lin / prior_lin.sum(axis=1, keepdims=True)
-        W[degenerate] = 1.0 / N
+        # all hypotheses at -inf: the posterior falls back to the prior, the estimate to zero
+        W[degenerate[weighed]] = 1.0 / N
 
     shrink = np.sqrt(Ec) * g * inv_v                                 # (K, N, B)
     # contiguous per block, so that each BLAS call sees a one-block call's strides
     shrink_blocks = np.ascontiguousarray(shrink.reshape(K, N, G, Bb).transpose(2, 0, 1, 3))
+    L = W.shape[0] // G
     shrink_mean = np.matmul(
-        W.reshape(G, M, K, N).transpose(0, 2, 1, 3), shrink_blocks
-    ).transpose(0, 2, 1, 3)                                          # (G, M, K, Bb)
-    H = np.einsum(
-        "gmk,gmkb->gmb", post.reshape(G, M, K + 1)[..., 1:], shrink_mean
-    ).reshape(rows, Bb)
-    if degenerate.any():
-        H[degenerate] = 0.0
-    x_hat = R * np.repeat(H, A, axis=1)
+        W.reshape(G, L, K, N).transpose(0, 2, 1, 3), shrink_blocks
+    ).transpose(0, 2, 1, 3)                                          # (G, L, K, Bb)
+    H = np.zeros((rows, Bb))
+    H[weighed] = np.einsum(
+        "gmk,gmkb->gmb", post[weighed].reshape(G, L, K + 1)[..., 1:], shrink_mean
+    ).reshape(G * L, Bb)
+    H[degenerate] = 0.0
+    x_hat = R[weighed] * np.repeat(H[weighed], A, axis=1)
     for part in (x_hat.real, x_hat.imag):
         part[np.abs(part) < _TINY] = 0.0     # subnormal operands slow the residual GEMM
+    sample_weights = W
+    if L < M:
+        # zero weights and estimates on the ruled-dead rows
+        sample_weights, x_hat = _scatter_rows(W, weighed, rows), _scatter_rows(x_hat, weighed, rows)
     active = post[:, 1:].sum(axis=1)
     floor = np.maximum(_REL_FLOOR * active.reshape(G, M).max(axis=1), _TINY)
     live = np.flatnonzero(active >= np.repeat(floor, M))
@@ -294,11 +373,12 @@ def denoise_rows(
         x_hat=x_hat,
         posterior=post,
         log_mc_lik=log_mc,
-        sample_weights=W,
+        sample_weights=sample_weights,
         shrink=shrink,
         H=H,
         degenerate=degenerate,
         live=live,
+        weighed=np.arange(rows)[weighed],
     )
 
 
@@ -379,8 +459,10 @@ def amp_iterate(
     the per-zone multiplicity posteriors and MC-averaged log-likelihood
     tables, both (U, G M, K_max + 1), the channel estimates (U, G M, F' / G),
     the residual (Nc, F') and the diagnostics: ``tau_trace`` (T_AMP, F' / A),
-    ``degenerate_rows`` and ``live_rows``, the rows that reached the
-    residual and Onsager products in each iteration, summed over zones.
+    ``degenerate_rows``, ``live_rows``, the rows that reached the
+    residual and Onsager products in each iteration, and ``weighed_rows``,
+    the rows that went through the denoiser's weight passes, both summed
+    over zones.
     """
     Nc, F_all = Y.shape
     U, M, A = cfg.U, cfg.M, cfg.A
@@ -395,6 +477,7 @@ def amp_iterate(
     log_lik = np.zeros((U, rows, cfg.K_max + 1))
     tau_trace = []
     live_rows = []
+    weighed_rows = []
     degenerate_rows = 0
 
     for t in range(1, cfg.T_AMP + 1):
@@ -406,6 +489,7 @@ def amp_iterate(
         Zh = Z.conj().T.reshape(G, F, Nc)
         Q = np.zeros((G, F, F), dtype=complex)
         live_rows.append(0)
+        weighed_rows.append(0)
         for u in range(U):
             Cu = codebook.block(u)
             # matched filter Cu^H Z, conjugating the small residual instead of Cu
@@ -415,6 +499,7 @@ def amp_iterate(
             den = denoise_rows(R_u, tau, g[u], log_prior[u], cfg.Ec, A)
             degenerate_rows += int(den.degenerate.sum())
             live_rows[-1] += len(den.live)
+            weighed_rows[-1] += len(den.weighed)
             X[u] = den.x_hat
             posts[u] = den.posterior
             log_lik[u] = den.log_mc_lik
@@ -436,6 +521,7 @@ def amp_iterate(
         "tau_trace": np.array(tau_trace),
         "degenerate_rows": degenerate_rows,
         "live_rows": live_rows,
+        "weighed_rows": weighed_rows,
     }
     return posts, log_lik, X, Z, diagnostics
 

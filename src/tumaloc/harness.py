@@ -320,8 +320,10 @@ def multiplicity_histogram(cfg: SystemConfig, runs: int, seed: int) -> dict:
     """Pooled histogram of nonzero per-(zone, message) multiplicities.
 
     Also reports the fraction of transmissions whose codeword was sent by
-    more than one sensor (the collision fraction).
+    more than one sensor (the collision fraction).  ``runs`` must be >= 1.
     """
+    if runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {runs}")
     ctx = prepare_context(cfg, need_prior=False)
     nonzero = [np.zeros(0, dtype=int)]
     for r_idx in range(runs):

@@ -6,9 +6,10 @@ the Jacobian oracle uses central finite differences of the Wirtinger
 derivative.  ``compute_p_closest`` is the per-pair closest-target integral
 that the pooled message-probability estimator replaces; ``lsfc``,
 ``zone_of`` and ``quantize`` are the scalar references of the package's
-vectorized maps.  ``gen_codebook_reference`` and ``amp_iterate_reference``
-are the whole-array codebook and the all-rows AMP recursion that the
-package's in-place codebook and live-row recursion must reproduce.
+vectorized maps.  ``gen_codebook_reference``, ``denoise_rows_reference``
+and ``amp_iterate_reference`` are the whole-array codebook, the all-rows
+denoiser and the all-rows AMP recursion that the package's in-place
+codebook, ruled-dead rows and live-row recursion must reproduce.
 
 The helpers read quantities off the package that only tests need:
 ``decoder_loglik`` the decoder's own diagonal log-Gaussian likelihood,
@@ -23,7 +24,14 @@ import dataclasses
 import numpy as np
 
 from tumaloc.airlink import STREAM_CODEBOOK, STREAM_PRIORS, Codebook, substream
-from tumaloc.amp_central import amp_iterate, denoise_rows, onsager, residual_covariance
+from tumaloc.amp_central import (
+    TAU_FLOOR,
+    ZoneDenoiseResult,
+    amp_iterate,
+    denoise_rows,
+    onsager,
+    residual_covariance,
+)
 from tumaloc.config import SystemConfig, _gamma_of_distance
 from tumaloc.priors import DEFAULT_N_CELL
 from tumaloc.scene import detection_prob_array
@@ -136,11 +144,88 @@ def mc_table_for(aps, zone, d0, beta, n_mc, k_max, seed):
     return np.cumsum(gam, axis=1).transpose(1, 0, 2).copy()
 
 
+def denoise_rows_reference(R, tau, g, log_prior, Ec, A):
+    """``denoise_rows`` with every row through the weight passes.
+
+    The package's denoiser as it was before it ruled rows dead: the
+    exp, sum, normalization and shrinkage product run over the full
+    (G M, K_max, N) weight array, so every row's ``log_mc_lik`` is the
+    exact MC average and ``weighed`` is every row.  Same arguments and
+    result type as ``tumaloc.amp_central.denoise_rows``.
+    """
+    K, N, B = g.shape
+    Bb = R.shape[1] // A
+    G = B // Bb
+    M = R.shape[0] // G
+    rows = G * M
+    tiny = np.finfo(float).tiny
+    tau = np.maximum(np.asarray(tau, dtype=float), TAU_FLOOR)
+
+    energy = (np.abs(R) ** 2).reshape(rows, Bb, A).sum(axis=2)
+    v = tau[None, None, :] + Ec * g
+    inv_v = 1.0 / v
+    neg_inv_v = -inv_v
+    logdet = A * np.log(np.pi * v).reshape(K, N, G, Bb).sum(axis=3)
+    log_tau = A * np.log(np.pi * tau).reshape(G, Bb).sum(axis=1)
+    if Bb == 1:
+        W = energy.reshape(G, M, 1, 1) * neg_inv_v.transpose(2, 0, 1)[:, None]
+        ll0 = -(energy.reshape(G, M) * (1.0 / tau)[:, None])
+    else:
+        e = energy.reshape(G, M, Bb)
+        W = np.matmul(e, neg_inv_v.reshape(K * N, G, Bb).transpose(1, 2, 0))
+        ll0 = -np.matmul(e, (1.0 / tau).reshape(G, Bb, 1))[..., 0]
+    W = W.reshape(G, M, K, N)
+    W -= logdet.transpose(2, 0, 1)[:, None]
+    W = W.reshape(rows, K, N)
+    ll0 -= log_tau[:, None]
+
+    mx = W.max(axis=2)
+    W -= mx[..., None]
+    np.exp(W, out=W)
+    w_sum = W.sum(axis=2)
+    log_mc = np.empty((rows, K + 1))
+    log_mc[:, 0] = ll0.reshape(rows)
+    log_mc[:, 1:] = mx + np.log(w_sum / N)
+    W /= w_sum[..., None]
+
+    log_post_un = (log_mc.reshape(G, M, K + 1) + log_prior).reshape(rows, K + 1)
+    post_mx = log_post_un.max(axis=1)
+    degenerate = ~np.isfinite(post_mx)
+    safe_mx = np.where(degenerate, 0.0, post_mx)
+    post_un = np.exp(log_post_un - safe_mx[:, None])
+    post = post_un / post_un.sum(axis=1, keepdims=True)
+    if degenerate.any():
+        prior_lin = np.exp(log_prior[np.flatnonzero(degenerate) % M])
+        post[degenerate] = prior_lin / prior_lin.sum(axis=1, keepdims=True)
+        W[degenerate] = 1.0 / N
+
+    shrink = np.sqrt(Ec) * g * inv_v
+    shrink_blocks = np.ascontiguousarray(shrink.reshape(K, N, G, Bb).transpose(2, 0, 1, 3))
+    shrink_mean = np.matmul(
+        W.reshape(G, M, K, N).transpose(0, 2, 1, 3), shrink_blocks
+    ).transpose(0, 2, 1, 3)
+    H = np.einsum(
+        "gmk,gmkb->gmb", post.reshape(G, M, K + 1)[..., 1:], shrink_mean
+    ).reshape(rows, Bb)
+    if degenerate.any():
+        H[degenerate] = 0.0
+    x_hat = R * np.repeat(H, A, axis=1)
+    for part in (x_hat.real, x_hat.imag):
+        part[np.abs(part) < tiny] = 0.0
+    active = post[:, 1:].sum(axis=1)
+    floor = np.maximum(1e-16 * active.reshape(G, M).max(axis=1), tiny)
+    live = np.flatnonzero(active >= np.repeat(floor, M))
+    return ZoneDenoiseResult(
+        x_hat=x_hat, posterior=post, log_mc_lik=log_mc, sample_weights=W, shrink=shrink,
+        H=H, degenerate=degenerate, live=live, weighed=np.arange(rows),
+    )
+
+
 def onsager_reference(R, den, tau, Ec, A):
     """Onsager matrix by the plain einsum algebra, with no subnormal flush.
 
-    ``den`` is the denoiser output of ``tumaloc.amp_central.denoise_rows``
-    for the rows ``R``; the result is the row-averaged Wirtinger Jacobian
+    ``den`` is a denoiser output for the rows ``R`` (``denoise_rows`` or
+    ``denoise_rows_reference``); the result is the row-averaged Wirtinger Jacobian
     ``Q[a, f] = delta(a, f) mean_m H - mean_m conj(r_a) r_f psi[b(f), b(a)]``.
     """
     M, F = R.shape
@@ -160,11 +245,12 @@ def onsager_reference(R, den, tau, Ec, A):
 
 
 def amp_iterate_reference(Y, codebook, log_prior, g, cfg):
-    """The AMP recursion with every row in the Onsager and residual products.
+    """The AMP recursion with every row in every product.
 
-    ``amp_iterate`` as it was before the live-row floor: the denoiser's
-    ``live`` mask is overridden to all rows, so the Onsager term and the
-    residual GEMM ``C_u @ X_u`` cover all M rows of every zone.  Returns
+    ``amp_iterate`` as it was before the live-row floor and the ruled-dead
+    rows: ``denoise_rows_reference`` weighs every row, and its ``live``
+    mask is overridden to all rows, so the Onsager term and the residual
+    GEMM ``C_u @ X_u`` cover all M rows of every zone.  Returns
     ``(posteriors, log_lik, X, Z)``.
     """
     Nc, F = Y.shape
@@ -180,7 +266,7 @@ def amp_iterate_reference(Y, codebook, log_prior, g, cfg):
         for u in range(U):
             Cu = codebook.block(u)
             R_u = (Zh @ Cu).conj().T + np.sqrt(cfg.Ec) * X[u]
-            den = denoise_rows(R_u, tau, g[u], log_prior[u], cfg.Ec, A)
+            den = denoise_rows_reference(R_u, tau, g[u], log_prior[u], cfg.Ec, A)
             den = dataclasses.replace(den, live=np.arange(M))
             X[u] = den.x_hat
             posts[u] = den.posterior

@@ -195,6 +195,31 @@ class TestSynthesizeRx:
         Y3 = synthesize_rx(cb, 3.0 * X, cfg, seed=4)
         np.testing.assert_allclose(Y3, 3.0 * Y1, rtol=1e-12, atol=1e-12)
 
+    def test_sent_rows_vs_dense_product(self, tiny_cfg, rng):
+        # three sent codewords, one with a channel that is purely imaginary
+        # and one with a single nonzero entry: the noise is the documented
+        # stream bit for bit, and the signal is sqrt(Ec) entries @ X up to
+        # the summation order of the S sent terms and the two scalings:
+        # |dY| <= 2 (S + 2) eps sqrt(Ec) |C| @ |X| + eps |Y|
+        cfg = tiny_cfg.with_updates(Ec=2.5)
+        Nc, F = cfg.Nc, cfg.F
+        cb = gen_codebook(cfg, seed=5)
+        X = np.zeros((cfg.U, cfg.M, F), dtype=complex)
+        X[0, 1] = rng.normal(size=F) + 1j * rng.normal(size=F)
+        X[2, 5] = 1j * rng.normal(size=F)
+        X[3, 0, 1] = 0.5
+        noise = airlink.substream(5, airlink.STREAM_NOISE)
+        w = (noise.standard_normal((Nc, F)) + 1j * noise.standard_normal((Nc, F))) * np.sqrt(
+            cfg.sigma_w2 / 2.0
+        )
+        np.testing.assert_array_equal(synthesize_rx(cb, np.zeros_like(X), cfg, seed=5), w)
+        Xf = X.reshape(cfg.U * cfg.M, F)
+        want = np.sqrt(cfg.Ec) * (cb.entries @ Xf) + w
+        got = synthesize_rx(cb, X, cfg, seed=5)
+        eps = np.finfo(float).eps
+        bound = 2 * (3 + 2) * eps * np.sqrt(cfg.Ec) * (np.abs(cb.entries) @ np.abs(Xf))
+        assert np.all(np.abs(got - want) <= bound + eps * np.abs(want))
+
     def test_shape_mismatch_rejected(self, tiny_cfg):
         cb = gen_codebook(tiny_cfg, seed=0)
         bad = np.zeros((1, 2, 3), dtype=complex)

@@ -7,6 +7,7 @@ from oracle_utils import (
     amp_iterate_reference,
     amp_traces,
     decoder_loglik,
+    denoise_rows_reference,
     fd_wirtinger_jacobian,
     grid_denoiser_oracle,
     mc_table_for,
@@ -91,14 +92,18 @@ class TestDenoiser:
         assert np.linalg.norm(den.x_hat[0]) < 1e-2 * np.linalg.norm(r)
 
     def test_subnormal_estimates_flushed_to_zero(self, rng):
-        # half the rows put log-prior ~ -700 on every k >= 1, so some of
-        # their shrunk observations H r fall below the smallest normal double
+        # the log-prior puts each row's posterior odds of every k >= 1
+        # against k = 0 at 2 tiny: every row's mass on k >= 1 is a few tiny,
+        # so all rows are live, and many of their shrunk observations H r
+        # fall below the smallest normal double
         R, tau, g, Ec, A = TestOnsager._instance(rng)
         M, K = R.shape[0], g.shape[0]
-        lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
-        lp[::2, 1:] = -705.0 - np.arange(K)
-        den = denoise_rows(R, tau, g, lp, Ec, A)
         tiny = np.finfo(float).tiny
+        log_mc = denoise_rows_reference(R, tau, g, np.zeros((M, K + 1)), Ec, A).log_mc_lik
+        lp = np.zeros((M, K + 1))
+        lp[:, 1:] = log_mc[:, :1] - log_mc[:, 1:] + np.log(2 * tiny)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        np.testing.assert_array_equal(den.live, np.arange(M))
         raw = (R * np.repeat(den.H, A, axis=1)).view(float)
         sub = (raw != 0) & (np.abs(raw) < tiny)
         assert sub.any()
@@ -274,22 +279,23 @@ class TestOnsager:
         assert np.any((share < 1e-16) & (share > 1e-18))
 
     @staticmethod
-    def _half_dead(rng):
+    def _half_dead(rng, denoise=denoise_rows):
         # half the rows put log-prior ~ -700 on every k >= 1: their mass on
         # k >= 1 is far below 1e-16 of the live rows'
         R, tau, g, Ec, A = TestOnsager._instance(rng)
         M, K = R.shape[0], g.shape[0]
         lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
         lp[::2, 1:] = -700.0 - np.arange(K)
-        den = denoise_rows(R, tau, g, lp, Ec, A)
+        den = denoise(R, tau, g, lp, Ec, A)
         np.testing.assert_array_equal(den.live, np.arange(1, M, 2))
         return R, tau, Ec, A, den
 
     def test_subnormal_weight_products_vs_einsum_reference(self, rng):
         # the dead rows' posterior x sample-weight products reach the
-        # subnormal range; dropping those rows moves Q by at most
+        # subnormal range in the all-rows denoiser's output; dropping those
+        # rows moves Q by at most
         # sum over dead m of 2 s_m |r_ma| |r_mf| / (M sqrt(Ec) tau_b(a))
-        R, tau, Ec, A, den = self._half_dead(rng)
+        R, tau, Ec, A, den = self._half_dead(rng, denoise_rows_reference)
         M = R.shape[0]
         omega = den.posterior[:, 1:, None] * den.sample_weights
         assert np.any((omega > 0) & (omega < np.finfo(float).tiny))
@@ -320,17 +326,82 @@ class TestOnsager:
         assert np.all(np.isnan(np.diag(Q)))
 
     def test_dead_zone_gives_mean_shrinkage_diagonal(self, rng):
-        # every row's posterior on k >= 1 underflows: no sample column
-        # carries weight, and Q is the diagonal of the mean shrinkage
+        # every row's posterior on k >= 1 underflows: no sample column of
+        # the all-rows denoiser's output carries weight, and Q is the
+        # diagonal of the mean shrinkage
         R, tau, g, Ec, A = self._instance(rng)
         M, K, N = R.shape[0], g.shape[0], g.shape[1]
         lp = np.zeros((M, K + 1))
         lp[:, 1:] = -720.0
-        den = denoise_rows(R, tau, g, lp, Ec, A)
+        den = denoise_rows_reference(R, tau, g, lp, Ec, A)
         assert (den.posterior[:, 1:, None] * den.sample_weights).max() < np.finfo(float).tiny
         assert np.all(den.H > 0)
         Q = onsager(R, self._poisoned(den, np.ones(K * N, dtype=bool)), tau, Ec, A)[0]
         np.testing.assert_array_equal(Q, np.diag(np.repeat(den.H.mean(axis=0), A)))
+
+
+class TestRuledDeadRows:
+    @staticmethod
+    def _spanning(rng, N, B):
+        # the rows' log-prior on k >= 1 falls by 0.25 nats per row, so their
+        # mass s_m on k >= 1 spans about 1e-26 of the peak: across the 1e-16
+        # row floor and, further down, across the bound that rules rows dead
+        K, M, A, Ec = 3, 240, 2, 2.3
+        g = np.cumsum(rng.uniform(0.05, 1.5, size=(K, N, B)), axis=0)
+        tau = rng.uniform(0.4, 1.3, size=B)
+        R = (rng.normal(size=(M, B * A)) + 1j * rng.normal(size=(M, B * A))) * 0.8
+        lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
+        lp[:, 1:] -= 0.25 * np.arange(M)[:, None]
+        return R, tau, g, lp, Ec, A
+
+    @pytest.mark.parametrize("N", [1, 50])
+    def test_vs_all_rows_reference(self, rng, N):
+        R, tau, g, lp, Ec, A = self._spanning(rng, N, B=3)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
+        M, K = R.shape[0], g.shape[0]
+        s = ref.posterior[:, 1:].sum(axis=1)
+        floor = max(1e-16 * s.max(), np.finfo(float).tiny)
+        weighed = den.weighed
+        dead = np.setdiff1d(np.arange(M), weighed)
+        # live rows just above the floor, rows within the factor-2 margin
+        # below it, and ruled-dead rows
+        assert np.any((s >= floor) & (s < 2 * floor))
+        assert np.any((s >= floor / 2) & (s < floor))
+        assert len(dead) > 0
+        np.testing.assert_array_equal(den.live, ref.live)
+        # no row that reaches half the floor is ruled dead
+        assert np.isin(np.flatnonzero(s >= floor / 2), weighed).all()
+        for name in ("posterior", "log_mc_lik", "sample_weights", "degenerate"):
+            np.testing.assert_array_equal(getattr(den, name)[weighed], getattr(ref, name)[weighed])
+        # H sums N K non-negative terms per AP, and BLAS may order the
+        # shrinkage product's sums differently on the gathered rows
+        rtol = 2 * (N + K) * np.finfo(float).eps
+        np.testing.assert_allclose(den.H[weighed], ref.H[weighed], rtol=rtol, atol=0)
+        np.testing.assert_allclose(
+            den.x_hat[weighed], ref.x_hat[weighed], rtol=rtol, atol=np.finfo(float).tiny
+        )
+        # a ruled-dead row keeps mx_k, at most log N above the MC average
+        mx = den.log_mc_lik[dead, 1:]
+        assert np.all(ref.log_mc_lik[dead, 1:] <= mx)
+        assert np.all(ref.log_mc_lik[dead, 1:] >= mx - np.log(N) - 1e-12 * (1 + np.abs(mx)))
+        np.testing.assert_array_equal(den.log_mc_lik[dead, 0], ref.log_mc_lik[dead, 0])
+        assert not den.H[dead].any() and not den.x_hat[dead].any()
+        assert not den.sample_weights[dead].any()
+
+    def test_one_ap_block_weighs_every_row(self, rng):
+        # one-AP blocks, the distributed decoder's and B = 1, keep the exact
+        # MC averages on every row, also on rows far enough below the floor
+        # that a block of more APs would rule them dead
+        N = 50
+        R, tau, g, lp, Ec, A = self._spanning(rng, N, B=1)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
+        s = ref.posterior[:, 1:].sum(axis=1)
+        assert np.any(s < 1e-16 * s.max() / (2 * N * N))
+        np.testing.assert_array_equal(den.weighed, np.arange(R.shape[0]))
+        for name in ("x_hat", "posterior", "log_mc_lik", "sample_weights", "H", "degenerate", "live"):
+            np.testing.assert_array_equal(getattr(den, name), getattr(ref, name))
 
 
 class TestStackedBlocks:
@@ -448,8 +519,10 @@ class TestAmpRun:
         mc = build_mc_table(cfg, topo, 3)
         posts, _ll, _Xh, _Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)
         want = amp_iterate_reference(Y, cb, prior.log_pmf, mc, cfg)[0]
-        assert len(diag["live_rows"]) == cfg.T_AMP
+        assert len(diag["live_rows"]) == len(diag["weighed_rows"]) == cfg.T_AMP
         assert 0 < min(diag["live_rows"]) and max(diag["live_rows"]) < cfg.U * cfg.M
+        for live, weighed in zip(diag["live_rows"], diag["weighed_rows"]):
+            assert live <= weighed < cfg.U * cfg.M
         np.testing.assert_allclose(posts, want, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(
             estimate_multiplicities(posts), estimate_multiplicities(want)

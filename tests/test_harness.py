@@ -437,6 +437,14 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert "collision_fraction" in doc
 
+    @pytest.mark.parametrize("runs", ["0", "-4"])
+    def test_hist_without_runs_exit_code(self, capsys, runs):
+        code = cli_main(["hist", "--preset", "desk", "--runs", runs])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: runs must be >= 1, got {runs}\n"
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"nonsense": True}))
