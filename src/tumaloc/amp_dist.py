@@ -15,7 +15,11 @@ call with one block per AP stacked along the rows.  Every AP's table is
 bit-identical to its own :func:`local_amp_run`.  The group size bounds the
 stacked (rows, K_max, N_MC) weight array by ``_MAX_STACKED_WEIGHTS``: all
 12 APs in one call at the desk preset, one AP per call at the paper preset,
-whose 5.6 M weights per AP already exceed the bound.
+whose 5.6 M weights per AP already exceed the bound.  On its one-AP block
+the Onsager second moment is one scalar per row, which the denoiser
+computes beside the shrinkage (``ZoneDenoiseResult.m2``), so the Onsager
+term reads no sample weights.  The decode's diagnostics sum the groups'
+row counts.
 """
 
 from __future__ import annotations
@@ -91,14 +95,19 @@ def distributed_decode(
     g: np.ndarray,
     cfg: SystemConfig,
 ) -> DecodeResult:
-    """Run every AP's local AMP on its antenna block and aggregate at the CPU."""
+    """Run every AP's local AMP on its antenna block and aggregate at the CPU.
+
+    The diagnostics hold ``fronthaul_reals_total`` and the groups'
+    ``amp_iterate`` row counts summed over all APs: ``live_rows`` and
+    ``weighed_rows`` per iteration, and ``degenerate_rows``.
+    """
     A, M = cfg.A, cfg.M
     size = _group_size(cfg)
-    log_liks = []
+    log_liks, diags = [], []
     for b0 in range(0, cfg.B, size):
         b1 = min(b0 + size, cfg.B)
         try:
-            _posts, log_lik, _X, _Z, _diag = amp_iterate(
+            _posts, log_lik, _X, _Z, diag = amp_iterate(
                 Y[:, b0 * A : b1 * A], codebook, prior.log_pmf, g[..., b0:b1], cfg, blocks=b1 - b0
             )
         except DecodeError:
@@ -107,4 +116,9 @@ def distributed_decode(
                 local_amp_run(Y[:, b * A : (b + 1) * A], b, codebook, prior, g, cfg)
             raise
         log_liks += [log_lik[:, j * M : (j + 1) * M] for j in range(b1 - b0)]
-    return aggregate_posteriors(log_liks, prior)
+        diags.append(diag)
+    result = aggregate_posteriors(log_liks, prior)
+    for key in ("live_rows", "weighed_rows"):
+        result.diagnostics[key] = [sum(rows) for rows in zip(*(d[key] for d in diags))]
+    result.diagnostics["degenerate_rows"] = sum(d["degenerate_rows"] for d in diags)
+    return result

@@ -246,6 +246,8 @@ def run_sweep(spec: ExperimentSpec, progress=None, workers: int = 1) -> dict:
     order, each as soon as it returns.  Every point's config is built
     first, so a bad point fails before any file is touched.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     configs = [spec.point_config(value) for value in spec.point_values()]
     os.makedirs(spec.out_dir, exist_ok=True)
     jsonl_path = os.path.join(spec.out_dir, "runs.jsonl")

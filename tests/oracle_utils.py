@@ -6,10 +6,12 @@ the Jacobian oracle uses central finite differences of the Wirtinger
 derivative.  ``compute_p_closest`` is the per-pair closest-target integral
 that the pooled message-probability estimator replaces; ``lsfc``,
 ``zone_of`` and ``quantize`` are the scalar references of the package's
-vectorized maps.  ``gen_codebook_reference``, ``denoise_rows_reference``
-and ``amp_iterate_reference`` are the whole-array codebook, the all-rows
-denoiser and the all-rows AMP recursion that the package's in-place
-codebook, ruled-dead rows and live-row recursion must reproduce.
+vectorized maps.  ``gen_codebook_reference``, ``denoise_rows_reference``,
+``onsager_loop_reference`` and ``amp_iterate_reference`` are the
+whole-array codebook, the all-rows denoiser, the per-output-AP Onsager
+loop and the all-rows AMP recursion that the package's in-place
+codebook, ruled-dead rows, batched ``Q2`` product and live-row recursion
+must reproduce.
 
 The helpers read quantities off the package that only tests need:
 ``decoder_loglik`` the decoder's own diagonal log-Gaussian likelihood,
@@ -241,6 +243,69 @@ def onsager_reference(R, den, tau, Ec, A):
     Q2 = np.einsum("max,mby,mba->axby", np.conj(Rr), Rr, psi).reshape(F, F)
     Q = np.diag(np.repeat(H.mean(axis=0), A)).astype(complex)
     Q -= Q2 / M
+    return Q
+
+
+def onsager_loop_reference(R, den, tau, Ec, A):
+    """``onsager`` with one ``Q2`` product per output AP and block.
+
+    The package's Onsager matrix as it was before the ``Q2`` products of
+    all output APs ran as one batched product: a Python loop over the
+    output APs, each a (F, L) @ (L, A) GEMM per block.  The second moment
+    comes from ``den.m2`` where it is set, as in ``onsager``; with
+    ``den.m2`` None it is the pruned ``omega`` GEMM on blocks of more than
+    one AP and a matrix-vector product on one-AP blocks, as before one-AP
+    blocks took it from the denoiser.  Same arguments and result as
+    ``tumaloc.amp_central.onsager``.
+    """
+    F = R.shape[1]
+    K, N, B = den.shrink.shape
+    Bb = F // A
+    G = B // Bb
+    M = R.shape[0] // G
+    tiny = np.finfo(float).tiny
+    tau = np.maximum(np.asarray(tau, dtype=float), TAU_FLOOR)
+    Q = np.zeros((G, F, F), dtype=complex)
+    diag = np.arange(F)
+    Q[:, diag, diag] = np.repeat(den.H.reshape(G, M, Bb).mean(axis=1), A, axis=1)
+
+    post, W, H, live = den.posterior, den.sample_weights, den.H, den.live
+    L = len(live)
+    if L < G * M:
+        post, W, H, R = post[live], W[live], H[live], R[live]
+    ends = np.searchsorted(live, M * np.arange(1, G + 1))
+    blocks = list(enumerate(zip([0, *ends[:-1]], ends)))
+
+    if den.m2 is not None:
+        M2 = den.m2[live].reshape(L, 1, 1)
+    else:
+        omega = (post[:, 1:, None] * W).reshape(L, K * N)
+        omega[omega < tiny] = 0.0
+        cfl_blocks = den.shrink.reshape(K * N, G, Bb)
+        M2 = np.empty((L, Bb, Bb))
+        for j, (s, e) in blocks:
+            om, cfl = omega[s:e], cfl_blocks[:, j]
+            if Bb > 1:
+                floor = np.maximum(1e-16 * om.max(axis=1), tiny)
+                keep = (om >= floor[:, None]).any(axis=0)
+                if not keep.all():
+                    om, cfl = om[:, keep], cfl[keep]
+            cpair = (cfl[:, :, None] * cfl[:, None, :]).reshape(-1, Bb * Bb)
+            M2[s:e] = (om @ cpair).reshape(e - s, Bb, Bb)
+
+    psi = H[:, :, None] * H[:, None, :]
+    psi -= M2
+    psi *= np.sqrt(Ec)
+    psi /= tau.reshape(G, Bb)[live // M, None, :]
+    Rr = R.reshape(L, Bb, A)
+    Rc = np.conj(Rr).view(float)
+    prod = np.empty_like(Rc)
+    for b in range(Bb):
+        np.multiply(psi[:, b, :, None], Rc, out=prod)
+        P = prod.view(complex).reshape(L, F)
+        for j, (s, e) in blocks:
+            Q2_b = P[s:e].T @ Rr[s:e, b, :]
+            Q[j, :, b * A:(b + 1) * A] -= Q2_b / M
     return Q
 
 

@@ -11,10 +11,11 @@ from oracle_utils import (
     fd_wirtinger_jacobian,
     grid_denoiser_oracle,
     mc_table_for,
+    onsager_loop_reference,
     onsager_reference,
     random_denoiser_instance,
 )
-from tumaloc import airlink, harness
+from tumaloc import airlink, amp_central, harness
 from tumaloc.amp_central import (
     DecodeError,
     amp_iterate,
@@ -436,6 +437,142 @@ class TestStackedBlocks:
         assert np.any(den.live >= M)
 
 
+class TestOneApSecondMoment:
+    @staticmethod
+    def _blocks(rng, G):
+        # G one-AP blocks of M = 12 rows, each with its own variance, LSFC
+        # table and observation scale; every row is live
+        K, N, M, A, Ec = 3, 50, 12, 2, 2.3
+        g = np.cumsum(rng.uniform(0.05, 1.5, size=(K, N, G)), axis=0)
+        tau = rng.uniform(0.4, 1.3, size=G)
+        scale = np.repeat(rng.uniform(0.5, 2.0, size=G), M)[:, None]
+        R = (rng.normal(size=(G * M, A)) + 1j * rng.normal(size=(G * M, A))) * scale
+        lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
+        return R, tau, g, lp, Ec, A
+
+    @pytest.mark.parametrize("G", [1, 3])
+    def test_vs_einsum_reference(self, rng, G):
+        R, tau, g, lp, Ec, A = self._blocks(rng, G)
+        K, N = g.shape[:2]
+        M = R.shape[0] // G
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        assert den.m2.shape == (G * M,)
+        assert len(den.live) == G * M
+        Q = onsager(R, den, tau, Ec, A)
+        eps = np.finfo(float).eps
+        for j in range(G):
+            rows = slice(j * M, (j + 1) * M)
+            den_j = dataclasses.replace(
+                den, posterior=den.posterior[rows], sample_weights=den.sample_weights[rows],
+                H=den.H[rows], shrink=den.shrink[..., j : j + 1],
+            )
+            want = onsager_reference(R[rows], den_j, tau[j : j + 1], Ec, A)
+            # the second moment summed over the (k, i) samples, as the reference does
+            m2 = np.einsum(
+                "mk,mki,ki->m", den_j.posterior[:, 1:], den_j.sample_weights, den_j.shrink[..., 0] ** 2
+            )
+            # M2 sums K N non-negative terms in another order than the
+            # reference; psi and the Q2 sums add at most 2 M roundings of
+            # terms no larger than sqrt(Ec) |r_a| |r_f| M2 / tau (H^2 <= M2),
+            # the diagonal mean M roundings of H
+            absR = np.abs(R[rows])
+            unit = np.sqrt(Ec) * (absR.T * m2) @ absR / (M * tau[j])
+            bound = (K * N + K + N + 2 * M) * eps * unit + M * eps * np.abs(want)
+            assert np.all(np.abs(Q[j] - want) <= bound)
+
+    @pytest.mark.parametrize("G", [1, 3])
+    def test_sample_weights_unread(self, rng, G):
+        # one-AP blocks take the second moment from the denoiser's m2
+        R, tau, g, lp, Ec, A = self._blocks(rng, G)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        nan_weights = np.full_like(den.sample_weights, np.nan)
+        np.testing.assert_array_equal(
+            onsager(R, dataclasses.replace(den, sample_weights=nan_weights), tau, Ec, A),
+            onsager(R, den, tau, Ec, A),
+        )
+
+    def test_multi_ap_blocks_have_no_m2(self, rng):
+        R, tau, g, Ec, A = TestOnsager._instance(rng)
+        lp = np.log(rng.dirichlet(np.ones(g.shape[0] + 1), size=R.shape[0]))
+        assert denoise_rows(R, tau, g, lp, Ec, A).m2 is None
+
+
+def _paper_shaped(rng):
+    # one paper-decode zone call: M = 1024 rows on B = 40 APs of A = 4
+    # antennas, K_max = 11, N = 100; 150 rows carry signal, the rest
+    # put log-prior -800 on every k >= 1 and are dead
+    K, N, M, B, A, Ec = 11, 100, 1024, 40, 4, 1.0
+    g = np.cumsum(rng.uniform(0.0, 0.02, size=(K, N, B)), axis=0)
+    tau = rng.uniform(0.5e-3, 2e-3, size=B)
+    noise = rng.normal(size=(M, B * A)) + 1j * rng.normal(size=(M, B * A))
+    R = noise * np.sqrt(np.repeat(tau, A) / 2)
+    R[:150] *= rng.uniform(1.0, 6.0, size=(150, 1))
+    lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
+    lp[150:, 1:] = -800.0
+    return R, tau, g, lp, Ec, A
+
+
+class TestBatchedQ2:
+    @staticmethod
+    def _checked(monkeypatch):
+        # every onsager call, checked against the per-output-AP loop
+        live = []
+
+        def checked(R, den, tau, Ec, A):
+            Q = onsager(R, den, tau, Ec, A)
+            np.testing.assert_array_equal(Q, onsager_loop_reference(R, den, tau, Ec, A))
+            live.append(len(den.live))
+            return Q
+
+        monkeypatch.setattr(amp_central, "onsager", checked)
+        return live
+
+    @pytest.mark.parametrize("blocks", [1, 12], ids=["centralized", "stacked"])
+    def test_desk_recursion_vs_per_output_ap_loop(self, monkeypatch, blocks):
+        cfg, cb, prior, mc, Y = _desk_at_10db()
+        live = self._checked(monkeypatch)
+        amp_iterate(Y, cb, prior.log_pmf, mc, cfg, blocks=blocks)
+        assert len(live) == cfg.T_AMP * cfg.U
+        assert 0 < min(live) and max(live) <= blocks * cfg.M
+
+    def test_paper_shaped_vs_per_output_ap_loop(self, rng):
+        R, tau, g, lp, Ec, A = _paper_shaped(rng)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        L, Bb = len(den.live), R.shape[1] // A
+        assert L > 100
+        # the product runs in more than one chunk of output APs
+        assert amp_central._Q2_CHUNK_REALS < L * Bb * Bb * 2 * A
+        np.testing.assert_array_equal(
+            onsager(R, den, tau, Ec, A), onsager_loop_reference(R, den, tau, Ec, A)
+        )
+
+    def test_stacked_multi_ap_blocks_vs_per_output_ap_loop(self, rng):
+        # two blocks of three APs with their own rows and live sets
+        R, tau, g, Ec, A = TestOnsager._instance(rng)
+        M, K = R.shape[0], g.shape[0]
+        R2 = np.concatenate([R, 0.5 * R[::-1]])
+        tau2, g2 = np.concatenate([tau, tau[::-1]]), np.concatenate([g, g[..., ::-1]], axis=2)
+        lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
+        lp[::3, 1:] = -800.0
+        den = denoise_rows(R2, tau2, g2, lp, Ec, A)
+        assert den.m2 is None and 0 < len(den.live) < 2 * M
+        np.testing.assert_array_equal(
+            onsager(R2, den, tau2, Ec, A), onsager_loop_reference(R2, den, tau2, Ec, A)
+        )
+
+    def test_chunks_equal_one_chunk(self, rng, monkeypatch):
+        R, tau, g, lp, Ec, A = _paper_shaped(rng)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        L, Bb = len(den.live), R.shape[1] // A
+        per_ap = L * Bb * 2 * A
+        results = []
+        for chunk in (Bb, 1, 7):                     # 7 leaves a last chunk of 5
+            monkeypatch.setattr(amp_central, "_Q2_CHUNK_REALS", chunk * per_ap)
+            results.append(onsager(R, den, tau, Ec, A))
+        for Q in results[1:]:
+            np.testing.assert_array_equal(Q, results[0])
+
+
 def _tiny_system(rng_seed=0, U=2, M=4, B=2, A=1, Nc=64, N_MC=64, K_max=2, Ec=3.0,
                  sigma_w2=0.05, T_AMP=5, K=8):
     from tumaloc.config import SystemConfig
@@ -451,6 +588,19 @@ def _tiny_system(rng_seed=0, U=2, M=4, B=2, A=1, Nc=64, N_MC=64, K_max=2, Ec=3.0
     )
     topo = build_topology(cfg)
     return cfg, topo
+
+
+def _desk_at_10db(seed=3):
+    """One desk round at 10 dB receive SNR: ``(cfg, codebook, prior, MC table, Y)``."""
+    cfg0 = desk_preset()
+    topo = build_topology(cfg0)
+    cfg = cfg0.with_updates(sigma_w2=sigma_w2_for_snr_rx(cfg0, topo, 10.0))
+    ctx = harness.prepare_context(cfg, need_prior=False)
+    prior = build_prior(cfg, 0.5, np.full((cfg.U, cfg.M), 1.0 / (cfg.U * cfg.M)))
+    _sc, rnd = harness._sense_and_encode(ctx, seed)
+    cb = airlink.gen_codebook(cfg, seed)
+    _X, Y = airlink.uplink(rnd, cb, topo, cfg, seed)
+    return cfg, cb, prior, build_mc_table(cfg, topo, seed), Y
 
 
 class TestAmpRun:
@@ -508,15 +658,7 @@ class TestAmpRun:
         # desk at 10 dB: most rows' posteriors leave no mass on k >= 1 that
         # reaches 1e-16 of the zone's peak, and those rows skip the Onsager
         # and residual products
-        cfg0 = desk_preset()
-        topo = build_topology(cfg0)
-        cfg = cfg0.with_updates(sigma_w2=sigma_w2_for_snr_rx(cfg0, topo, 10.0))
-        ctx = harness.prepare_context(cfg, need_prior=False)
-        prior = build_prior(cfg, 0.5, np.full((cfg.U, cfg.M), 1.0 / (cfg.U * cfg.M)))
-        _sc, rnd = harness._sense_and_encode(ctx, 3)
-        cb = airlink.gen_codebook(cfg, 3)
-        _X, Y = airlink.uplink(rnd, cb, topo, cfg, 3)
-        mc = build_mc_table(cfg, topo, 3)
+        cfg, cb, prior, mc, Y = _desk_at_10db()
         posts, _ll, _Xh, _Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)
         want = amp_iterate_reference(Y, cb, prior.log_pmf, mc, cfg)[0]
         assert len(diag["live_rows"]) == len(diag["weighed_rows"]) == cfg.T_AMP

@@ -179,6 +179,20 @@ class TestStackedRecursion:
         assert np.any(live.min(axis=0) != live.max(axis=0)), "the APs' live sets differ"
         assert diag["live_rows"] == list(live.sum(axis=0))
 
+    def test_row_counts_sum_over_one_ap_runs(self):
+        cfg, prior, cb, mc, Y = _dead_row_system()
+        A = cfg.A
+        res = distributed_decode(Y, cb, prior, mc, cfg)
+        per_ap = [
+            amp_iterate(Y[:, b * A : (b + 1) * A], cb, prior.log_pmf, mc[..., b : b + 1], cfg)[4]
+            for b in range(cfg.B)
+        ]
+        for key in ("live_rows", "weighed_rows"):
+            assert res.diagnostics[key] == [sum(rows) for rows in zip(*(d[key] for d in per_ap))]
+        assert len(res.diagnostics["live_rows"]) == cfg.T_AMP
+        assert res.diagnostics["live_rows"] != res.diagnostics["weighed_rows"]
+        assert res.diagnostics["degenerate_rows"] == sum(d["degenerate_rows"] for d in per_ap)
+
     def test_group_size_does_not_change_results(self, monkeypatch):
         cfg, prior, cb, mc, Y = _dead_row_system()
         per_ap = cfg.M * cfg.K_max * cfg.N_MC

@@ -445,6 +445,18 @@ class TestCli:
         assert out == ""
         assert err == f"error: runs must be >= 1, got {runs}\n"
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_sweep_without_workers_exit_code(self, tmp_path, capsys, workers):
+        # refused before the output directory is made
+        out = tmp_path / "out"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"preset": "desk", "decoders": ["perfect"], "out_dir": str(out)}))
+        assert cli_main(["sweep", "--spec", str(spec_path), "--workers", workers]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err == f"error: workers must be >= 1, got {workers}\n"
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"nonsense": True}))
