@@ -154,7 +154,7 @@ __all__ = [
 TAU_FLOOR = 1e-15
 _TINY = np.finfo(float).tiny
 _REL_FLOOR = 1e-16     # Onsager and residual drop sample columns and rows below this share of the peak
-_Q2_CHUNK_REALS = 1 << 20     # bound on the Onsager Q2 product's temporary, in float64 values
+_Q2_CHUNK_REALS = 1 << 18     # bound on the Onsager Q2 product's temporary, in float64 values (2 MB)
 
 
 class DecodeError(RuntimeError):
@@ -413,9 +413,10 @@ def denoise_rows(
 def onsager(R: np.ndarray, den: ZoneDenoiseResult, tau: np.ndarray, Ec: float, A: int) -> np.ndarray:
     """Average Wirtinger Jacobian of the denoiser over each block's rows, (G, F', F').
 
-    Reuses the denoiser's cached per-sample weights, so the result is the
-    exact Jacobian of the implemented (sample-fixed) estimator up to the
-    weight and row floors stated in the module docstring: the diagonal
+    Reuses the denoiser's cached per-sample weights, or on one-AP blocks
+    its second moment ``m2``, so the result is the exact Jacobian of the
+    implemented (sample-fixed) estimator up to the weight and row floors
+    and the rounding stated in the module docstring: the diagonal
     mean shrinkage covers all M rows of a block, the second-moment term
     only the denoiser's live rows.  Row sums stay within their block.
     """
