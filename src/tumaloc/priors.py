@@ -25,7 +25,7 @@ import numpy as np
 
 from .airlink import STREAM_PRIORS, substream
 from .config import SystemConfig, Topology
-from .scene import Quantizer, detection_prob_array, quantize_array
+from .scene import _PD_BLOCK, Quantizer, _detection_prob_d2, _pair_d2, quantize_array
 from .specfun import binom_logpmf
 
 __all__ = [
@@ -68,6 +68,14 @@ def compute_p_active(cfg: SystemConfig, topology: Topology, n_int: int = DEFAULT
     probability at sensor position s; both integrals by MC over uniform
     samples.  The i.i.d.-target factorization replaces the T-dimensional
     integral exactly.
+
+    The chunking fixes the random stream: ``n_inner`` targets per sensor
+    and chunks of ``chunk`` sensor samples, each chunk drawing its sensors
+    and then one target cloud.  Within a chunk the (sensor, target) pairs
+    are evaluated in blocks of whole sensor rows, about ``_PD_BLOCK``
+    pairs each; that batching does not touch the stream, and each row's
+    mean is summed as over the whole chunk, so the result does not depend
+    on it.
     """
     if n_int < 1:
         raise ValueError("n_int must be positive")
@@ -77,14 +85,18 @@ def compute_p_active(cfg: SystemConfig, topology: Topology, n_int: int = DEFAULT
     # I(s) uses a fresh target cloud per chunk of sensor samples.
     n_inner = min(2000, max(200, n_int // 10))
     chunk = max(1, int(4e6) // n_inner)
+    rows = max(1, _PD_BLOCK // n_inner)
     acc = 0.0
     done = 0
     while done < n_int:
         n_s = min(chunk, n_int - done)
         sensors = rng.uniform(0, side, size=(n_s, 2))
         targets = rng.uniform(0, side, size=(n_inner, 2))
-        pd = detection_prob_array(sensors, targets, cfg)
-        miss = 1.0 - pd.mean(axis=1)        # I(s) per sensor sample
+        mean_pd = np.empty(n_s)
+        for lo in range(0, n_s, rows):
+            d2 = _pair_d2(sensors[lo : lo + rows, None], targets[None])
+            mean_pd[lo : lo + rows] = _detection_prob_d2(d2, cfg, out=d2).mean(axis=1)
+        miss = 1.0 - mean_pd                # I(s) per sensor sample
         acc += float(np.sum(1.0 - miss**cfg.T_targets))
         done += n_s
     return acc / n_int
@@ -107,7 +119,16 @@ def compute_msg_probs(
     and, radially sorted, as the closest-competitor integral, so every cell
     receives ``n_int`` effective samples at far lower cost than independent
     per-cell integration.
+
+    The stream is fixed by the sample counts alone: per zone, the sensor
+    positions, then one target cloud per sensor in sensor order.  Sensors
+    are handled in batches of about ``_PD_BLOCK`` pairs, whose clouds
+    come from one draw of the same stream; the sort, the prefix sums and
+    the cell sums run along each sensor's row and the rows are added into
+    the zone in sensor order, so the batching does not change the result.
     """
+    if n_int < 1:
+        raise ValueError("n_int must be positive")
     rng = substream(cfg.master_seed, STREAM_PRIORS, 2)
     U, M = topology.U, quantizer.M
     # the outer sensor average dominates the variance: spend ~n_int/8 draws
@@ -115,6 +136,7 @@ def compute_msg_probs(
     # least n_int effective samples in total
     n_sensors = max(64, n_int // 8)
     n_targets = max(4096, 4 * M, int(np.ceil(n_int * M / n_sensors)))
+    batch = max(1, _PD_BLOCK // n_targets)
     raw = np.zeros((U, M))
     Tm1 = cfg.T_targets - 1
     for u in range(U):
@@ -122,18 +144,26 @@ def compute_msg_probs(
         svals = np.stack(
             [rng.uniform(x0, x1, n_sensors), rng.uniform(y0, y1, n_sensors)], axis=1
         )
-        for s in svals:
-            cloud = rng.uniform(0, cfg.area_side, size=(n_targets, 2))
-            pd = detection_prob_array(s[None, :], cloud, cfg)[0]
-            d2 = ((cloud - s) ** 2).sum(axis=1)
-            order = np.argsort(d2)
+        for lo in range(0, n_sensors, batch):
+            s = svals[lo : lo + batch]
+            nb = s.shape[0]
+            # one target cloud per sensor, drawn as one sensor at a time would
+            clouds = rng.uniform(0, cfg.area_side, size=(nb, n_targets, 2))
+            d2 = _pair_d2(s[:, None], clouds)
+            order = np.argsort(d2, axis=1)
+            pd = np.take_along_axis(_detection_prob_d2(d2, cfg, out=d2), order, axis=1)
             # J at the radius of each sample: competitors strictly closer
-            csum = np.concatenate([[0.0], np.cumsum(pd[order])])
-            J = 1.0 - csum[:-1] / n_targets
-            p_closest = J**Tm1 if Tm1 > 0 else np.ones(n_targets)
-            weights = pd[order] * p_closest
-            cells = quantize_array(quantizer, cloud[order])
-            raw[u] += np.bincount(cells, weights=weights, minlength=M) / n_targets
+            J = np.ones_like(pd)
+            J[:, 1:] -= np.cumsum(pd, axis=1)[:, :-1] / n_targets
+            weights = pd * J**Tm1 if Tm1 > 0 else pd
+            cells = quantize_array(quantizer, clouds.reshape(-1, 2)).reshape(nb, n_targets)
+            cells = np.take_along_axis(cells, order, axis=1)
+            cells += M * np.arange(nb)[:, None]
+            counts = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=nb * M)
+            counts /= n_targets
+            # sensor by sensor, so the sums round as one sensor at a time would
+            for row in counts.reshape(nb, M):
+                raw[u] += row
         raw[u] /= n_sensors
     totals = raw.sum(axis=1, keepdims=True)
     if np.any(totals <= 0):

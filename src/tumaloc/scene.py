@@ -16,6 +16,15 @@ exact slopes and curvatures) for every pair; one table is built per link
 budget and kept in a small cache.  The grid spans the series branch of
 ``marcum_q1`` up to the area's squared diagonal; ``d^2`` outside it goes
 through ``marcum_q1`` directly, and ``d^2 = 0`` gives 1.
+
+The lookup runs over an array of squared distances in blocks of
+``_PD_BLOCK`` entries, each block making its passes (log, one clip for the
+out-of-table mask, cell index, Horner) through the same few buffers, so
+the working set beyond the input and output is 33 bytes an entry of one
+block (1.1 MB), whatever the array size.  The entries outside the
+table are gathered over all blocks and go through one ``marcum_q1`` call.
+Every entry is computed as by one pass over the whole array, so the
+values do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -118,6 +127,10 @@ def _noncentrality_scale(cfg: SystemConfig) -> float:
 # paper and desk link budgets.
 _PD_TABLE_STEP = 2.0**-9
 
+# Entries per block of the table lookup.  A block's working arrays take 33
+# bytes an entry, so they stay in a core's L2 cache between passes.
+_PD_BLOCK = 2**15
+
 
 @functools.lru_cache(maxsize=8)
 def _pd_table(c0: float, b: float, d2_max: float):
@@ -158,40 +171,80 @@ def _pd_table(c0: float, b: float, d2_max: float):
     return float(u_lo), 1.0 / h, coef
 
 
-def detection_prob_array(sensors: np.ndarray, targets: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Detection probabilities for all (sensor, target) pairs, shape (K, T)."""
-    # dx^2 + dy^2 without a (K, T, 2) temporary; the same sum as over the last axis
-    d2 = sensors[:, 0, None] - targets[None, :, 0]
-    dy = sensors[:, 1, None] - targets[None, :, 1]
+def _pair_d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances ``|a - b|^2`` of broadcast point arrays (last axis x, y)."""
+    # dx^2 + dy^2 without a (..., 2) temporary; the same sum as over the last axis
+    d2 = a[..., 0] - b[..., 0]
+    dy = a[..., 1] - b[..., 1]
     d2 *= d2
     dy *= dy
     d2 += dy
+    return d2
+
+
+def _detection_prob_d2(d2: np.ndarray, cfg: SystemConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """Detection probabilities at the squared distances ``d2`` (any shape).
+
+    Evaluates the table in blocks of ``_PD_BLOCK`` entries through reused
+    buffers, and the entries outside it in one ``marcum_q1`` call at the
+    end.  ``out`` must be C-contiguous and may be ``d2`` itself.
+    """
     b = float(np.sqrt(cfg.gamma_threshold))
     table = _pd_table(_noncentrality_scale(cfg), b, 2.0 * cfg.area_side**2)
+    if out is None:
+        out = np.empty(d2.shape)
+    flat_d2, flat = d2.reshape(-1), out.reshape(-1)
+    # positions and squared distances of the entries that go through the series
+    far_at, far_d2 = [], []
     if table is None:
-        pd = np.ones_like(d2)
-        direct = np.ones(d2.shape, dtype=bool)
+        far_at.append(np.flatnonzero(flat_d2 != 0))
+        far_d2.append(flat_d2[far_at[0]])
+        flat.fill(1.0)
     else:
         u_lo, inv_h, coef = table
         n_cells = coef.shape[1]
-        with np.errstate(divide="ignore"):
-            t = np.log(d2)
-        t -= u_lo
-        t *= inv_h
-        direct = ~((t >= 0.0) & (t <= n_cells))
-        # evaluate every entry, the direct ones on cell 0, then overwrite those
-        t[direct] = 0.0
-        cell = np.minimum(t.astype(np.intp), n_cells - 1)
-        t -= cell
-        pd = np.take(coef[-1], cell)
-        for c in coef[-2::-1]:
-            pd *= t
-            pd += np.take(c, cell)
-        pd[direct] = 1.0
-    far = direct & (d2 != 0)
-    if far.any():
-        pd[far] = marcum_q1(_detection_noncentrality(d2[far], cfg), b)
-    return pd
+        step = max(1, min(flat.size, _PD_BLOCK))
+        t, tc, gathered = np.empty((3, step))
+        cell = np.empty(step, dtype=np.intp)
+        direct = np.empty(step, dtype=bool)
+        # NaN distances cast to garbage cells here and fail in marcum_q1 below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, flat.size, step):
+                d, pd = flat_d2[lo : lo + step], flat[lo : lo + step]
+                n = d.size
+                tb, tcb, cb, db, gb = t[:n], tc[:n], cell[:n], direct[:n], gathered[:n]
+                np.log(d, out=tb)
+                tb -= u_lo
+                tb *= inv_h
+                # the entries in the table are those the clip leaves alone
+                np.clip(tb, 0.0, n_cells, out=tcb)
+                np.not_equal(tcb, tb, out=db)
+                any_direct = db.any()
+                if any_direct:
+                    at = np.flatnonzero(db & (d != 0))
+                    far_at.append(at + lo)
+                    far_d2.append(d[at])
+                np.copyto(cb, tcb, casting="unsafe")
+                np.minimum(cb, n_cells - 1, out=cb)
+                tcb -= cb
+                # writes over d when out is d2
+                np.take(coef[-1], cb, out=pd, mode="clip")
+                for c in coef[-2::-1]:
+                    pd *= tcb
+                    pd += np.take(c, cb, out=gb, mode="clip")
+                if any_direct:
+                    np.copyto(pd, 1.0, where=db)
+    if far_at:
+        at = np.concatenate(far_at)
+        if at.size:
+            flat[at] = marcum_q1(_detection_noncentrality(np.concatenate(far_d2), cfg), b)
+    return out
+
+
+def detection_prob_array(sensors: np.ndarray, targets: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Detection probabilities for all (sensor, target) pairs, shape (K, T)."""
+    d2 = _pair_d2(sensors[:, None], targets[None])
+    return _detection_prob_d2(d2, cfg, out=d2)
 
 
 def sense_all(scene: Scene, cfg: SystemConfig, rng: np.random.Generator) -> Scene:

@@ -11,7 +11,10 @@ vectorized maps.  ``gen_codebook_reference``, ``denoise_rows_reference``,
 whole-array codebook, the all-rows denoiser, the per-output-AP Onsager
 loop and the all-rows AMP recursion that the package's in-place
 codebook, ruled-dead rows, batched ``Q2`` product and live-row recursion
-must reproduce.
+must reproduce.  ``detection_prob_array_reference``,
+``compute_p_active_reference`` and ``compute_msg_probs_reference`` are the
+whole-array detection kernel and the one-sensor-at-a-time prior integrals
+that the block evaluation must reproduce bit for bit.
 
 The helpers read quantities off the package that only tests need:
 ``decoder_loglik`` the decoder's own diagonal log-Gaussian likelihood,
@@ -35,8 +38,15 @@ from tumaloc.amp_central import (
     residual_covariance,
 )
 from tumaloc.config import SystemConfig, _gamma_of_distance
-from tumaloc.priors import DEFAULT_N_CELL
-from tumaloc.scene import detection_prob_array
+from tumaloc.priors import DEFAULT_N_ACTIVE, DEFAULT_N_CELL
+from tumaloc.scene import (
+    _detection_noncentrality,
+    _noncentrality_scale,
+    _pd_table,
+    detection_prob_array,
+    quantize_array,
+)
+from tumaloc.specfun import marcum_q1
 
 
 def gamma_of(points, aps, d0, beta):
@@ -358,6 +368,91 @@ def compute_p_closest(s, p, cfg, n_int=DEFAULT_N_CELL, seed=None):
     closer = ((others - s) ** 2).sum(axis=1) < ((p - s) ** 2).sum()
     J = float(np.mean(1.0 - pd * closer))
     return J ** (cfg.T_targets - 1)
+
+
+def detection_prob_array_reference(sensors, targets, cfg):
+    """``detection_prob_array`` as one pass of each step over the whole (K, T) array."""
+    d2 = sensors[:, 0, None] - targets[None, :, 0]
+    dy = sensors[:, 1, None] - targets[None, :, 1]
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    b = float(np.sqrt(cfg.gamma_threshold))
+    table = _pd_table(_noncentrality_scale(cfg), b, 2.0 * cfg.area_side**2)
+    if table is None:
+        pd = np.ones_like(d2)
+        direct = np.ones(d2.shape, dtype=bool)
+    else:
+        u_lo, inv_h, coef = table
+        n_cells = coef.shape[1]
+        with np.errstate(divide="ignore"):
+            t = np.log(d2)
+        t -= u_lo
+        t *= inv_h
+        direct = ~((t >= 0.0) & (t <= n_cells))
+        # evaluate every entry, the direct ones on cell 0, then overwrite those
+        t[direct] = 0.0
+        cell = np.minimum(t.astype(np.intp), n_cells - 1)
+        t -= cell
+        pd = np.take(coef[-1], cell)
+        for c in coef[-2::-1]:
+            pd *= t
+            pd += np.take(c, cell)
+        pd[direct] = 1.0
+    far = direct & (d2 != 0)
+    if far.any():
+        pd[far] = marcum_q1(_detection_noncentrality(d2[far], cfg), b)
+    return pd
+
+
+def compute_p_active_reference(cfg, n_int=DEFAULT_N_ACTIVE):
+    """``compute_p_active`` with each chunk's (sensors, targets) array evaluated whole."""
+    rng = substream(cfg.master_seed, STREAM_PRIORS, 0)
+    side = cfg.area_side
+    n_inner = min(2000, max(200, n_int // 10))
+    chunk = max(1, int(4e6) // n_inner)
+    acc = 0.0
+    done = 0
+    while done < n_int:
+        n_s = min(chunk, n_int - done)
+        sensors = rng.uniform(0, side, size=(n_s, 2))
+        targets = rng.uniform(0, side, size=(n_inner, 2))
+        pd = detection_prob_array_reference(sensors, targets, cfg)
+        miss = 1.0 - pd.mean(axis=1)
+        acc += float(np.sum(1.0 - miss**cfg.T_targets))
+        done += n_s
+    return acc / n_int
+
+
+def compute_msg_probs_reference(cfg, topology, quantizer, n_int=DEFAULT_N_CELL):
+    """``compute_msg_probs`` one sensor at a time, each with its own target cloud."""
+    rng = substream(cfg.master_seed, STREAM_PRIORS, 2)
+    U, M = topology.U, quantizer.M
+    n_sensors = max(64, n_int // 8)
+    n_targets = max(4096, 4 * M, int(np.ceil(n_int * M / n_sensors)))
+    raw = np.zeros((U, M))
+    Tm1 = cfg.T_targets - 1
+    for u in range(U):
+        x0, y0, x1, y1 = topology.zone_rects[u]
+        svals = np.stack(
+            [rng.uniform(x0, x1, n_sensors), rng.uniform(y0, y1, n_sensors)], axis=1
+        )
+        for s in svals:
+            cloud = rng.uniform(0, cfg.area_side, size=(n_targets, 2))
+            pd = detection_prob_array_reference(s[None, :], cloud, cfg)[0]
+            d2 = ((cloud - s) ** 2).sum(axis=1)
+            order = np.argsort(d2)
+            csum = np.concatenate([[0.0], np.cumsum(pd[order])])
+            J = 1.0 - csum[:-1] / n_targets
+            p_closest = J**Tm1 if Tm1 > 0 else np.ones(n_targets)
+            weights = pd[order] * p_closest
+            cells = quantize_array(quantizer, cloud[order])
+            raw[u] += np.bincount(cells, weights=weights, minlength=M) / n_targets
+        raw[u] /= n_sensors
+    totals = raw.sum(axis=1, keepdims=True)
+    if np.any(totals <= 0):
+        raise ValueError("message-probability integration produced an all-zero zone")
+    return raw / totals
 
 
 def lsfc(rho, ap_position, cfg):

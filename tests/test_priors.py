@@ -2,10 +2,14 @@ from math import comb
 
 import numpy as np
 import pytest
-from oracle_utils import compute_p_closest
+from oracle_utils import (
+    compute_msg_probs_reference,
+    compute_p_active_reference,
+    compute_p_closest,
+)
 
 from tumaloc.airlink import substream
-from tumaloc.config import SystemConfig, build_topology, desk_preset
+from tumaloc.config import SystemConfig, build_topology, desk_preset, paper_preset
 from tumaloc.priors import (
     build_prior,
     compute_msg_probs,
@@ -14,7 +18,7 @@ from tumaloc.priors import (
     multiplicity_pmf_full,
     prior_cache_key,
 )
-from tumaloc.scene import build_quantizer, detection_prob_array
+from tumaloc.scene import _PD_BLOCK, build_quantizer, detection_prob_array
 
 
 def _one_zone_cfg(**kw):
@@ -170,6 +174,52 @@ class TestMsgProbs:
             raw[m] = acc / n_pairs
         want = raw / raw.sum()
         np.testing.assert_allclose(got, want, atol=0.05)
+
+
+class TestBlockedIntegrals:
+    """The blocked integrals against their one-pass references, bit for bit."""
+
+    @staticmethod
+    def _setup(preset, **kw):
+        cfg = preset(**kw)
+        return cfg, build_topology(cfg), build_quantizer(cfg.M.bit_length() - 1, cfg.area_side)
+
+    @pytest.mark.parametrize(
+        "preset, n_int",
+        # row blocks that do not divide a chunk; the paper preset's 200 inner samples
+        [(desk_preset, 3333), (paper_preset, 2000)],
+    )
+    def test_p_active_matches_reference(self, preset, n_int):
+        cfg, topo, _ = self._setup(preset)
+        n_inner = min(2000, max(200, n_int // 10))
+        assert min(n_int, int(4e6) // n_inner) % max(1, _PD_BLOCK // n_inner)
+        got = compute_p_active(cfg, topo, n_int)
+        assert got.hex() == compute_p_active_reference(cfg, n_int).hex()
+
+    @pytest.mark.parametrize(
+        "preset, n_int, kw, partial",
+        [
+            (desk_preset, 1000, {}, True),                 # 125 sensors a zone
+            (desk_preset, 600, {"T_targets": 1}, True),    # no closer competitor: J^0
+            (paper_preset, 200, {}, False),                # 64 sensors in each of 9 zones, M = 1024
+        ],
+    )
+    def test_msg_probs_match_reference(self, preset, n_int, kw, partial):
+        cfg, topo, quant = self._setup(preset, **kw)
+        n_sensors = max(64, n_int // 8)
+        n_targets = max(4096, 4 * cfg.M, int(np.ceil(n_int * cfg.M / n_sensors)))
+        # whether each zone ends on a batch smaller than the others
+        assert (n_sensors % max(1, _PD_BLOCK // n_targets) != 0) == partial
+        got = compute_msg_probs(cfg, topo, quant, n_int=n_int)
+        np.testing.assert_array_equal(got, compute_msg_probs_reference(cfg, topo, quant, n_int=n_int))
+
+    @pytest.mark.parametrize("n_int", [0, -5])
+    def test_nonpositive_sample_count_rejected(self, n_int):
+        cfg, topo, quant = self._setup(_one_zone_cfg)
+        with pytest.raises(ValueError, match="n_int"):
+            compute_msg_probs(cfg, topo, quant, n_int=n_int)
+        with pytest.raises(ValueError, match="n_int"):
+            compute_p_active(cfg, topo, n_int=n_int)
 
 
 class TestBuildPrior:

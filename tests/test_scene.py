@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from oracle_utils import quantize
+from oracle_utils import detection_prob_array_reference, quantize
 from tumaloc.airlink import substream
 from tumaloc.config import ConfigError, build_topology, desk_preset, paper_preset
 from tumaloc.scene import (
+    _PD_BLOCK,
     Scene,
     _detection_noncentrality,
     _noncentrality_scale,
@@ -139,6 +140,68 @@ class TestDetectionTable:
         s = rng.uniform(0, 300, size=(20, 2))
         p = np.vstack([s[:3], rng.uniform(0, 300, size=(30, 2))])
         np.testing.assert_array_equal(detection_prob_array(s, p, cfg), 1.0)
+
+
+class TestBlockEvaluation:
+    """The blocked kernel against the whole-array reference, bit for bit."""
+
+    @staticmethod
+    def _points(cfg, K, T, seed):
+        rng = np.random.default_rng(seed)
+        side = cfg.area_side
+        return rng.uniform(0, side, size=(K, 2)), rng.uniform(0, side, size=(T, 2))
+
+    @pytest.mark.parametrize("preset", [desk_preset, paper_preset])
+    @pytest.mark.parametrize(
+        "K, T",
+        # the last three do not divide the block size
+        [(1, 4096), (200, 50), (2000, 2000), (37, 1111), (1, _PD_BLOCK + 1), (3, _PD_BLOCK // 3 + 5)],
+    )
+    def test_matches_whole_array_reference(self, preset, K, T):
+        cfg = preset()
+        s, p = self._points(cfg, K, T, seed=K * 7919 + T)
+        got = detection_prob_array(s, p, cfg)
+        assert got.shape == (K, T)
+        np.testing.assert_array_equal(got, detection_prob_array_reference(s, p, cfg))
+
+    @pytest.mark.parametrize("preset", [desk_preset, paper_preset])
+    def test_coincident_and_below_table_pairs(self, preset):
+        # targets on sensor 0 (d^2 = 0) and around the table's lower end
+        # (d^2 below it goes through marcum_q1), spread over several blocks,
+        # and sensor 1 and a target at opposite corners: d^2 = d2_max, the
+        # table's top node, where the cell index must stay on the last cell
+        cfg = preset()
+        side = cfg.area_side
+        u_lo, _, _ = _pd_table(_noncentrality_scale(cfg), np.sqrt(cfg.gamma_threshold), 2.0 * side**2)
+        r_lo = np.exp(0.5 * u_lo)
+        s, p = self._points(cfg, 2, 3 * _PD_BLOCK // 2 + 7, seed=3)
+        radii = r_lo * np.array([0.0, 1e-6, 0.01, 0.5, 0.999, 1.0, 1.001, 2.0])
+        for at in (0, _PD_BLOCK // 2 - 4, _PD_BLOCK - 3, p.shape[0] - radii.size):
+            p[at : at + radii.size] = s[0] + np.stack([radii, np.zeros_like(radii)], axis=1)
+        s[1] = 0.0
+        p[radii.size + 1] = side
+        d2 = ((s[:, None] - p[None]) ** 2).sum(-1)
+        assert (d2 == 0).sum() >= 4
+        assert ((d2 > 0) & (d2 < np.exp(u_lo))).sum() >= 4 * 5
+        got = detection_prob_array(s, p, cfg)
+        np.testing.assert_array_equal(got, detection_prob_array_reference(s, p, cfg))
+        assert np.all(got[d2 == 0] == 1.0)
+
+    def test_table_less_link_budget(self, paper_cfg):
+        cfg = paper_cfg.with_updates(P_n=1e-300)
+        assert _pd_table(_noncentrality_scale(cfg), np.sqrt(cfg.gamma_threshold), 2.0 * cfg.area_side**2) is None
+        s, p = self._points(cfg, 30, 1200, seed=4)
+        p[:5] = s[:5]
+        np.testing.assert_array_equal(
+            detection_prob_array(s, p, cfg), detection_prob_array_reference(s, p, cfg)
+        )
+
+    @pytest.mark.parametrize("K, T", [(0, 50), (200, 0), (0, 0)])
+    def test_no_pairs(self, paper_cfg, K, T):
+        s, p = self._points(paper_cfg, K, T, seed=5)
+        got = detection_prob_array(s, p, paper_cfg)
+        assert got.shape == (K, T)
+        np.testing.assert_array_equal(got, detection_prob_array_reference(s, p, paper_cfg))
 
 
 class TestSenseAll:
