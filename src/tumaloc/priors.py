@@ -4,7 +4,9 @@ The chain: a sensor is active iff it detects at least one target; actives
 split uniformly across zones; an active sensor in zone u picks message m
 with a probability obtained by integrating detection-and-closest events
 over the quantizer cell of m.  Marginalizing the binomial chain gives
-``p(k_{u,m} = k)`` in closed form, by binomial thinning.
+``p(k_{u,m} = k)`` in closed form, by binomial thinning.  The prior keeps
+k = 0..K_max and is evaluated only there; the mass beyond K_max enters its
+normalization check as the closed-form binomial tail.
 
 The two spatial integrals (activation, message selection) have no closed
 form and are estimated once per configuration by Monte Carlo, then cached
@@ -22,6 +24,7 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import bdtrc
 
 from .airlink import STREAM_PRIORS, substream
 from .config import SystemConfig, Topology
@@ -33,7 +36,6 @@ __all__ = [
     "compute_p_active",
     "compute_msg_probs",
     "build_prior",
-    "multiplicity_pmf_full",
     "prior_cache_key",
     "load_or_build_prior",
 ]
@@ -171,31 +173,24 @@ def compute_msg_probs(
     return raw / totals
 
 
-def multiplicity_pmf_full(K: int, U: int, p_active: float, msg_prob: np.ndarray) -> np.ndarray:
-    """Exact binomial-chain pmf over k = 0..K for each entry of ``msg_prob``.
+def build_prior(cfg: SystemConfig, p_active: float, msg_probs: np.ndarray) -> MultiplicityPrior:
+    """Assemble the truncated multiplicity prior from the integral tables.
 
     The chain ``p(k) = sum_{Ka} sum_{Kau} Bin(k; Kau, pm) Bin(Kau; Ka, 1/U)
     Bin(Ka; K, p_active)`` is three successive binomial thinnings of the K
-    sensors, so it equals ``Bin(k; K, p_active pm / U)``, evaluated with
-    log-domain binomials.  Returns an array of shape
-    ``msg_prob.shape + (K + 1,)``.
+    sensors, so it equals ``Bin(k; K, q)`` with ``q = p_active pm / U``.  Only
+    the kept columns k = 0..K_max are evaluated, with log-domain binomials;
+    the check that each row sums to 1 adds the closed-form tail
+    ``P(k > K_max) = bdtrc(K_max, K, q)``.
     """
-    q = p_active * np.asarray(msg_prob, dtype=float)[..., None] / U
-    return np.exp(binom_logpmf(np.arange(K + 1), K, q))
-
-
-def build_prior(cfg: SystemConfig, p_active: float, msg_probs: np.ndarray) -> MultiplicityPrior:
-    """Assemble the truncated multiplicity prior from the integral tables."""
-    full = multiplicity_pmf_full(cfg.K, cfg.U, p_active, msg_probs)
-    sums = full.sum(axis=-1)
+    msg_probs = np.asarray(msg_probs, dtype=float)
+    q = p_active * msg_probs[..., None] / cfg.U
+    pmf = np.exp(binom_logpmf(np.arange(cfg.K_max + 1), cfg.K, q))
+    sums = pmf.sum(axis=-1) + bdtrc(cfg.K_max, cfg.K, q[..., 0])
     if np.any(np.abs(sums - 1.0) > 1e-10):
         raise AssertionError("untruncated prior does not sum to 1")
-    return MultiplicityPrior(
-        pmf=full[..., : cfg.K_max + 1].copy(),
-        p_active=float(p_active),
-        msg_probs=np.asarray(msg_probs, dtype=float),
-        K_max=cfg.K_max,
-    )
+    return MultiplicityPrior(pmf=pmf, p_active=float(p_active), msg_probs=msg_probs,
+                             K_max=cfg.K_max)
 
 
 _SENSING_FIELDS = (
@@ -226,6 +221,31 @@ def prior_cache_key(cfg: SystemConfig, n_active: int, n_cell: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _cached_prior(doc, key: str, cfg: SystemConfig) -> MultiplicityPrior | None:
+    """The prior held by a parsed cache document, or None unless it is well formed.
+
+    Well formed: an object with this ``key``, ``K_max`` equal to the
+    configuration's, ``p_active`` a number in [0, 1], and finite ``msg_probs``
+    and ``pmf`` tables of shapes (U, M) and (U, M, K_max + 1).
+    """
+    if not isinstance(doc, dict) or doc.get("key") != key or doc.get("K_max") != cfg.K_max:
+        return None
+    p_active = doc.get("p_active")
+    if type(p_active) not in (int, float) or not 0.0 <= p_active <= 1.0:
+        return None
+    try:
+        pmf = np.array(doc.get("pmf"), dtype=float)
+        msg_probs = np.array(doc.get("msg_probs"), dtype=float)
+    except (TypeError, ValueError):             # ragged or non-numeric lists
+        return None
+    if pmf.shape != (cfg.U, cfg.M, cfg.K_max + 1) or msg_probs.shape != (cfg.U, cfg.M):
+        return None
+    if not (np.isfinite(pmf).all() and np.isfinite(msg_probs).all()):
+        return None
+    return MultiplicityPrior(pmf=pmf, p_active=float(p_active), msg_probs=msg_probs,
+                             K_max=cfg.K_max)
+
+
 def load_or_build_prior(
     cfg: SystemConfig,
     topology: Topology,
@@ -236,10 +256,11 @@ def load_or_build_prior(
 ) -> MultiplicityPrior:
     """Build the prior, reusing the cache file when the config hash matches.
 
-    A cache file that does not parse or holds another key is rebuilt and
-    overwritten.  The file is written to a temporary name in the cache
-    directory and then moved into place, so an interrupted write never
-    leaves a partial cache file.
+    A cache file that does not parse, holds another key or does not hold a
+    well-formed prior for this configuration is rebuilt and overwritten.
+    The file is written to a temporary name in the cache directory and then
+    moved into place, so an interrupted write never leaves a partial cache
+    file.
     """
     key = prior_cache_key(cfg, n_active, n_cell)
     path = None
@@ -247,17 +268,13 @@ def load_or_build_prior(
         os.makedirs(cache_dir, exist_ok=True)
         path = os.path.join(cache_dir, f"prior_{key}.json")
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
-            doc = {}
-        if doc.get("key") == key:
-            return MultiplicityPrior(
-                pmf=np.array(doc["pmf"]),
-                p_active=doc["p_active"],
-                msg_probs=np.array(doc["msg_probs"]),
-                K_max=doc["K_max"],
-            )
+        except (FileNotFoundError, ValueError):   # JSON and UTF-8 decode errors alike
+            doc = None
+        cached = _cached_prior(doc, key, cfg)
+        if cached is not None:
+            return cached
     p_active = compute_p_active(cfg, topology, n_active)
     msg_probs = compute_msg_probs(cfg, topology, quantizer, n_cell)
     prior = build_prior(cfg, p_active, msg_probs)

@@ -15,6 +15,8 @@ must reproduce.  ``detection_prob_array_reference``,
 ``compute_p_active_reference`` and ``compute_msg_probs_reference`` are the
 whole-array detection kernel and the one-sensor-at-a-time prior integrals
 that the block evaluation must reproduce bit for bit.
+``multiplicity_pmf_full`` is the binomial-thinning prior over every
+k = 0..K, whose first K_max + 1 columns ``build_prior`` must reproduce.
 
 The helpers read quantities off the package that only tests need:
 ``decoder_loglik`` the decoder's own diagonal log-Gaussian likelihood,
@@ -46,7 +48,7 @@ from tumaloc.scene import (
     detection_prob_array,
     quantize_array,
 )
-from tumaloc.specfun import marcum_q1
+from tumaloc.specfun import binom_logpmf, marcum_q1
 
 
 def gamma_of(points, aps, d0, beta):
@@ -453,6 +455,19 @@ def compute_msg_probs_reference(cfg, topology, quantizer, n_int=DEFAULT_N_CELL):
     if np.any(totals <= 0):
         raise ValueError("message-probability integration produced an all-zero zone")
     return raw / totals
+
+
+def multiplicity_pmf_full(K, U, p_active, msg_prob):
+    """Exact binomial-chain pmf over k = 0..K for each entry of ``msg_prob``.
+
+    The chain ``p(k) = sum_{Ka} sum_{Kau} Bin(k; Kau, pm) Bin(Kau; Ka, 1/U)
+    Bin(Ka; K, p_active)`` is three successive binomial thinnings of the K
+    sensors, so it equals ``Bin(k; K, p_active pm / U)``, evaluated with
+    log-domain binomials.  Returns an array of shape
+    ``msg_prob.shape + (K + 1,)``.
+    """
+    q = p_active * np.asarray(msg_prob, dtype=float)[..., None] / U
+    return np.exp(binom_logpmf(np.arange(K + 1), K, q))
 
 
 def lsfc(rho, ap_position, cfg):

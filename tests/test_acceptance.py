@@ -16,6 +16,7 @@ from oracle_utils import (
     fd_wirtinger_jacobian,
     grid_denoiser_oracle,
     mc_table_for,
+    multiplicity_pmf_full,
     random_denoiser_instance,
     raw_gaussian_codebook,
 )
@@ -24,7 +25,7 @@ from tumaloc.amp_central import amp_run, build_mc_table, denoise_rows, onsager
 from tumaloc.amp_dist import aggregate_posteriors, local_amp_run
 from tumaloc.config import SystemConfig, build_topology, desk_preset, paper_preset, sigma_w2_for_snr_rx
 from tumaloc.metrics import WeightedPointSet, transport_plan, tv_distance, wasserstein_p
-from tumaloc.priors import build_prior, multiplicity_pmf_full
+from tumaloc.priors import build_prior
 from tumaloc.specfun import marcum_q1
 
 

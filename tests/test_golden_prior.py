@@ -1,12 +1,15 @@
-"""Bit reproducibility of the desk prior at its default sample counts.
+"""Bit reproducibility of the desk and paper priors.
 
 ``data/golden_desk_prior.json`` pins the prior that ``load_or_build_prior``
 returns for the desk preset with the default activation and cell sample
-counts: ``p_active`` as ``float.hex`` and sha256 digests of the raw bytes of
+counts; ``data/golden_paper_prior.json`` pins the paper preset's at the
+benchmark's ``paper-decode`` sample counts (2000 activation, 200 cell), where
+the prior keeps 12 of its 201 multiplicity columns.  Each holds
+``p_active`` as ``float.hex`` and sha256 digests of the raw bytes of
 ``msg_probs`` and ``pmf`` (C order, float64).  The golden records see the
 prior only through the decodes it feeds, so they can hide a small move in
-it; this file cannot.  A change that moves any bit of the prior is a
-numeric change: raise ``CACHE_VERSION`` and regenerate the file
+it; these files cannot.  A change that moves any bit of a prior is a
+numeric change: raise ``CACHE_VERSION`` and regenerate both files
 deliberately::
 
     PYTHONPATH=src python tests/test_golden_prior.py
@@ -15,14 +18,16 @@ deliberately::
 import hashlib
 import json
 import os
-import sys
 
 import numpy as np
 
-from tumaloc import harness
-from tumaloc.config import desk_preset
+from tumaloc import harness, priors
+from tumaloc.config import desk_preset, paper_preset
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_desk_prior.json")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(DATA, "golden_desk_prior.json")
+GOLDEN_PAPER = os.path.join(DATA, "golden_paper_prior.json")
+PAPER_N_ACTIVE, PAPER_N_CELL = 2000, 200
 
 
 def prior_digest(prior):
@@ -38,15 +43,30 @@ def prior_digest(prior):
     }
 
 
+def paper_prior():
+    cfg = paper_preset()
+    base = harness.prepare_context(cfg, need_prior=False)
+    return priors.load_or_build_prior(cfg, base.topology, base.quantizer,
+                                      n_active=PAPER_N_ACTIVE, n_cell=PAPER_N_CELL)
+
+
+def _golden(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def test_desk_prior_matches_golden(desk_prior_cache):
-    with open(GOLDEN) as fh:
-        want = json.load(fh)
     got = prior_digest(harness.prepare_context(desk_preset(), cache_dir=desk_prior_cache).prior)
-    assert got == want
+    assert got == _golden(GOLDEN)
+
+
+def test_paper_prior_matches_golden():
+    assert prior_digest(paper_prior()) == _golden(GOLDEN_PAPER)
 
 
 if __name__ == "__main__":
-    doc = prior_digest(harness.prepare_context(desk_preset()).prior)
-    with open(sys.argv[1] if len(sys.argv) > 1 else GOLDEN, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    for path, prior in ((GOLDEN, harness.prepare_context(desk_preset()).prior),
+                        (GOLDEN_PAPER, paper_prior())):
+        with open(path, "w") as fh:
+            json.dump(prior_digest(prior), fh, indent=2)
+            fh.write("\n")

@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -6,8 +8,10 @@ from oracle_utils import (
     compute_msg_probs_reference,
     compute_p_active_reference,
     compute_p_closest,
+    multiplicity_pmf_full,
 )
 
+from tumaloc import priors
 from tumaloc.airlink import substream
 from tumaloc.config import SystemConfig, build_topology, desk_preset, paper_preset
 from tumaloc.priors import (
@@ -15,10 +19,10 @@ from tumaloc.priors import (
     compute_msg_probs,
     compute_p_active,
     load_or_build_prior,
-    multiplicity_pmf_full,
     prior_cache_key,
 )
 from tumaloc.scene import _PD_BLOCK, build_quantizer, detection_prob_array
+from tumaloc.specfun import binom_logpmf
 
 
 def _one_zone_cfg(**kw):
@@ -273,6 +277,70 @@ class TestBuildPrior:
         assert prior.pmf[0, 0].sum() < 1.0  # truncation leaves mass out
 
 
+def _kept_oracle(cfg, p_active, pm):
+    """The oracle's first K_max + 1 columns, one zone at a time to bound its memory."""
+    return np.stack([multiplicity_pmf_full(cfg.K, cfg.U, p_active, row)[:, : cfg.K_max + 1]
+                     for row in pm])
+
+
+class TestBuildPriorKeptColumns:
+    """``build_prior`` evaluates only k <= K_max and checks the row sums with the closed-form tail."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [desk_preset(), paper_preset(), paper_preset(M=4096)],
+        ids=["desk", "paper", "M=4096"],
+    )
+    def test_bit_equal_to_full_oracle_on_preset_shapes(self, cfg, rng):
+        pm = rng.dirichlet(np.ones(cfg.M), size=cfg.U)
+        prior = build_prior(cfg, 0.57, pm)
+        assert prior.pmf.shape == (cfg.U, cfg.M, cfg.K_max + 1)
+        np.testing.assert_array_equal(prior.pmf, _kept_oracle(cfg, 0.57, pm))
+
+    @pytest.mark.parametrize("p_active", [0.0, 0.8, 1.0])
+    @pytest.mark.parametrize("K_max", [3, 10], ids=["K_max<K", "K_max=K"])
+    def test_bit_equal_on_edge_cases(self, p_active, K_max):
+        # exact 0 and 1 message probabilities put q on both ends of [0, 1]
+        cfg = _one_zone_cfg(K=10, K_max=K_max, zone_grid=(2, 1))
+        pm = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0]])
+        prior = build_prior(cfg, p_active, pm)
+        np.testing.assert_array_equal(prior.pmf, _kept_oracle(cfg, p_active, pm))
+
+    def test_scaled_kept_entry_fails_the_check(self, monkeypatch):
+        cfg = _one_zone_cfg(K=10, K_max=3)
+        pm = np.full((1, cfg.M), 1.0 / cfg.M)
+        build_prior(cfg, 0.8, pm)                # unscaled: passes
+
+        def scaled(k, n, p):
+            out = binom_logpmf(k, n, p)
+            # the k = 0 entry, 0.8**10 = 0.107, times 1 + 1e-9: its row sum moves by 1.07e-10
+            out[0, 0, 0] += np.log1p(1e-9)
+            return out
+
+        monkeypatch.setattr(priors, "binom_logpmf", scaled)
+        with pytest.raises(AssertionError, match="sum to 1"):
+            build_prior(cfg, 0.8, pm)
+
+    def test_dropped_tail_fails_the_check(self, monkeypatch):
+        cfg = _one_zone_cfg(K=10, K_max=3)
+        pm = np.full((1, cfg.M), 1.0 / cfg.M)
+        monkeypatch.setattr(priors, "bdtrc", lambda k, n, p: np.zeros_like(p))
+        with pytest.raises(AssertionError, match="sum to 1"):
+            build_prior(cfg, 0.8, pm)
+
+    def test_peak_memory_at_4096_messages(self, rng):
+        # evaluating every k = 0..K took about 0.5 GB at this shape
+        cfg = paper_preset(M=4096)
+        pm = rng.dirichlet(np.ones(cfg.M), size=cfg.U)
+        tracemalloc.start()
+        try:
+            build_prior(cfg, 0.57, pm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
 class TestPriorCache:
     def test_roundtrip_and_key_stability(self, tmp_path):
         cfg = _one_zone_cfg(M=4, K=6, K_max=3, N_MC=20)
@@ -289,9 +357,10 @@ class TestPriorCache:
         np.testing.assert_array_equal(first.pmf, again.pmf)
         assert first.p_active == again.p_active
 
-    def test_truncated_file_is_rebuilt(self, tmp_path):
-        # an interrupted write leaves a partial file: the load rebuilds the
-        # prior and replaces the file with a valid one
+    @staticmethod
+    def _assert_rebuilt(tmp_path, corrupt):
+        """Overwrite the cache file with ``corrupt(text)``: the load rebuilds
+        the prior and replaces the file with the one it first wrote."""
         cfg = _one_zone_cfg(M=4, K=6, K_max=3, N_MC=20)
         topo = build_topology(cfg)
         quant = build_quantizer(2, cfg.area_side)
@@ -299,12 +368,30 @@ class TestPriorCache:
         built = load_or_build_prior(cfg, topo, quant, **kw)
         (path,) = tmp_path.glob("prior_*.json")
         text = path.read_text()
-        path.write_text(text[: len(text) // 2])
+        path.write_bytes(corrupt(text))
         again = load_or_build_prior(cfg, topo, quant, **kw)
         np.testing.assert_array_equal(again.pmf, built.pmf)
         assert again.p_active == built.p_active
         assert path.read_text() == text
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_truncated_file_is_rebuilt(self, tmp_path):
+        # an interrupted write leaves a partial file
+        self._assert_rebuilt(tmp_path, lambda text: text[: len(text) // 2].encode())
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: b"\xff\xfe not utf-8",
+            lambda doc: json.dumps([doc]).encode(),
+            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "pmf"}).encode(),
+            lambda doc: json.dumps(doc | {"pmf": [row[:2] for row in doc["pmf"]]}).encode(),
+        ],
+        ids=["invalid-utf8", "json-array", "no-pmf", "pmf-shape"],
+    )
+    def test_malformed_file_is_rebuilt(self, tmp_path, corrupt):
+        # files that parse, or not, but hold no well-formed prior for the key
+        self._assert_rebuilt(tmp_path, lambda text: corrupt(json.loads(text)))
 
     def test_key_changes_with_sensing_fields(self):
         cfg = _one_zone_cfg()
