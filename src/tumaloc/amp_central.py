@@ -109,20 +109,24 @@ filter see them.  One-AP blocks weigh every row: the distributed decoder
 fronthauls their log-likelihoods.
 
 Both decoders run the one recursion in :func:`amp_iterate`: :func:`amp_run`
-on all F antennas as one block, the distributed decoder on G independent
-blocks of one AP each.  The G blocks are stacked along the row axis: the
-matched filter gives R_u of shape (G M, F / G), and :func:`denoise_rows`
-and :func:`onsager` read G = B / (F' / A) off the shapes of R and the MC
-table, keep one row floor per block, and sum rows only within a block.
-Every stacked operation does a one-block call's arithmetic on each block
-(element-wise passes, per-slice BLAS calls on stacks with the one-block
-strides, and per-block row gathers where the live sets differ), so each
-block's output is bit-identical to :func:`amp_iterate` on that block
-alone.  The Onsager ``Q2`` products of all output APs likewise run as one
-batched product per block, each slice the GEMM of one output AP, in
-chunks of output APs that cap the (L, chunk, B / G, 2A) temporary; a
-split over rows would change the order of the sums.  Once stacked, the desk distributed decode is bound by element-wise
-passes over the (G M, K_max, N) weights rather than by per-call overhead.
+on all F antennas as one block, the distributed decoder on G = B blocks of
+one AP each, stacked along the row axis.  The matched filter gives R_u of
+shape (G M, F / G); :func:`denoise_rows`, :func:`onsager` and the residual
+update run on chunks of ``max(1, _MAX_STACKED_WEIGHTS // (M K_max N))``
+blocks, so that a chunk's (rows, K_max, N) weight array fits the bound: all
+12 APs in one chunk at the desk preset, one AP per chunk at the paper preset.
+They read a chunk's block count off the shapes of R and the MC table, keep
+one row floor per block, and sum rows only within a block.  Every stacked
+operation does a one-block call's arithmetic on each block (element-wise
+passes, per-slice BLAS calls on stacks with the one-block strides, and
+per-block row gathers where the live sets differ), so each block's output is
+bit-identical to :func:`amp_iterate` on that block alone, whatever the chunk
+size.  The Onsager ``Q2`` products of all output APs likewise run as one
+batched product per block, each slice the GEMM of one output AP, in chunks
+of output APs that cap the (L, chunk, B / G, 2A) temporary; a split over
+rows would change the order of the sums.  Once stacked, the desk distributed
+decode is bound by element-wise passes over the (G M, K_max, N) weights
+rather than by per-call overhead.
 The recursion returns its final iterate; iteration t of a run is
 reproduced exactly by a run with ``T_AMP = t``.
 """
@@ -155,14 +159,34 @@ TAU_FLOOR = 1e-15
 _TINY = np.finfo(float).tiny
 _REL_FLOOR = 1e-16     # Onsager and residual drop sample columns and rows below this share of the peak
 _Q2_CHUNK_REALS = 1 << 18     # bound on the Onsager Q2 product's temporary, in float64 values (2 MB)
+_MAX_STACKED_WEIGHTS = 1 << 22     # bound on a denoiser call's (rows, K_max, N_MC) weight array
 
 
 class DecodeError(RuntimeError):
-    """AMP produced non-finite iterates; carries the failing iteration."""
+    """AMP produced non-finite iterates; carries the failing iteration.
+
+    On stacked blocks: the earliest iteration at which any block fails; the
+    message names the lowest-index block failing that iteration's first
+    failing check (a zone's matched filter, or the residual update).
+    """
 
     def __init__(self, iteration: int, message: str = ""):
         super().__init__(message or f"non-finite AMP iterate at iteration {iteration}")
         self.iteration = iteration
+
+
+def _chunks(G: int, cfg: SystemConfig) -> list[tuple[int, int]]:
+    """``(j0, j1)`` per denoiser call on G stacked blocks: the blocks whose weights fit the bound."""
+    size = max(1, _MAX_STACKED_WEIGHTS // (cfg.M * cfg.K_max * cfg.N_MC))
+    return [(j0, min(j0 + size, G)) for j0 in range(0, G, size)]
+
+
+def _check_finite(blocks: np.ndarray, t: int) -> None:
+    """Raise :class:`DecodeError` at iteration t if some block of ``blocks`` (G, ...) is not finite."""
+    finite = np.isfinite(blocks.view(float)).reshape(len(blocks), -1).all(axis=1)
+    if not finite.all():
+        where = f" in block {np.argmin(finite)}" if len(blocks) > 1 else ""
+        raise DecodeError(t, f"non-finite AMP iterate{where} at iteration {t}")
 
 
 def build_mc_table(cfg: SystemConfig, topology: Topology, seed: int) -> np.ndarray:
@@ -489,7 +513,9 @@ def amp_iterate(
     columns split into ``blocks`` = G independent recursions of F' / G
     antennas each, run at once with their rows stacked: block j's rows are
     ``j M .. (j+1) M - 1`` of every per-zone array, and its outputs equal
-    those of a one-block call on its columns bit for bit.
+    those of a one-block call on its columns bit for bit, whatever the chunk
+    size (module docstring).  A non-finite iterate raises
+    :class:`DecodeError` by its rule for stacked blocks.
     Returns the final iterate ``(posteriors, log_lik, X, Z, diagnostics)``:
     the per-zone multiplicity posteriors and MC-averaged log-likelihood
     tables, both (U, G M, K_max + 1), the channel estimates (U, G M, F' / G),
@@ -503,6 +529,7 @@ def amp_iterate(
     U, M, A = cfg.U, cfg.M, cfg.A
     G = blocks
     F = F_all // G
+    Bb = F // A
     rows = G * M
     sqrt_ec = np.sqrt(cfg.Ec)
 
@@ -529,28 +556,28 @@ def amp_iterate(
             Cu = codebook.block(u)
             # matched filter Cu^H Z, conjugating the small residual instead of Cu
             R_u = np.matmul(Zh, Cu).conj().transpose(0, 2, 1).reshape(rows, F) + sqrt_ec * X[u]
-            if not np.all(np.isfinite(R_u.view(float))):
-                raise DecodeError(t)
-            den = denoise_rows(R_u, tau, g[u], log_prior[u], cfg.Ec, A)
-            degenerate_rows += int(den.degenerate.sum())
-            live_rows[-1] += len(den.live)
-            weighed_rows[-1] += len(den.weighed)
-            X[u] = den.x_hat
-            posts[u] = den.posterior
-            log_lik[u] = den.log_mc_lik
-            Q += onsager(R_u, den, tau, cfg.Ec, A)
-            X_blocks = X[u].reshape(G, M, F)
-            for j, s, e in _live_blocks(den.live, G, M):
-                if e - s == M:
-                    Gamma_blocks[j] += Cu @ X_blocks[j]
-                else:
-                    live = den.live[s:e] - j * M
-                    Gamma_blocks[j] += Cu[:, live] @ X_blocks[j][live]
+            _check_finite(R_u.reshape(G, M, F), t)
+            for j0, j1 in _chunks(G, cfg):
+                at, aps = slice(j0 * M, j1 * M), slice(j0 * Bb, j1 * Bb)
+                den = denoise_rows(R_u[at], tau[aps], g[u, ..., aps], log_prior[u], cfg.Ec, A)
+                degenerate_rows += int(den.degenerate.sum())
+                live_rows[-1] += len(den.live)
+                weighed_rows[-1] += len(den.weighed)
+                X[u, at] = den.x_hat
+                posts[u, at] = den.posterior
+                log_lik[u, at] = den.log_mc_lik
+                Q[j0:j1] += onsager(R_u[at], den, tau[aps], cfg.Ec, A)
+                X_blocks = X[u, at].reshape(j1 - j0, M, F)
+                for j, s, e in _live_blocks(den.live, j1 - j0, M):
+                    if e - s == M:
+                        Gamma_blocks[j0 + j] += Cu @ X_blocks[j]
+                    else:
+                        live = den.live[s:e] - j * M
+                        Gamma_blocks[j0 + j] += Cu[:, live] @ X_blocks[j][live]
         # the Onsager correction of all zones in one GEMM per block: Z (sum_u Q_u)
         Gamma_blocks -= (M / Nc) * np.matmul(Z_blocks, Q)
         Z = Y - sqrt_ec * Gamma
-        if not np.all(np.isfinite(Z.view(float))):
-            raise DecodeError(t)
+        _check_finite(Z.reshape(Nc, G, F).transpose(1, 0, 2), t)
 
     diagnostics = {
         "tau_trace": np.array(tau_trace),

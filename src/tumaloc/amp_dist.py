@@ -10,16 +10,13 @@ the global likelihood exactly, and the CPU recovers the posterior by adding
 the log tables to the log prior.
 
 The APs' recursions are independent, so :func:`distributed_decode` runs
-them in groups, each group as one :func:`~tumaloc.amp_central.amp_iterate`
-call with one block per AP stacked along the rows.  Every AP's table is
-bit-identical to its own :func:`local_amp_run`.  The group size bounds the
-stacked (rows, K_max, N_MC) weight array by ``_MAX_STACKED_WEIGHTS``: all
-12 APs in one call at the desk preset, one AP per call at the paper preset,
-whose 5.6 M weights per AP already exceed the bound.  On its one-AP block
-the Onsager second moment is one scalar per row, which the denoiser
+them in lockstep as one :func:`~tumaloc.amp_central.amp_iterate` call with
+one block per AP stacked along the rows; that call bounds its denoiser's
+weight arrays and names the first failing AP (block) itself.  Every AP's
+table is bit-identical to its own :func:`local_amp_run`.  On its one-AP
+block the Onsager second moment is one scalar per row, which the denoiser
 computes beside the shrinkage (``ZoneDenoiseResult.m2``), so the Onsager
-term reads no sample weights.  The decode's diagnostics sum the groups'
-row counts.
+term reads no sample weights.
 """
 
 from __future__ import annotations
@@ -36,14 +33,6 @@ __all__ = [
     "aggregate_posteriors",
     "distributed_decode",
 ]
-
-_MAX_STACKED_WEIGHTS = 1 << 22     # bound on a stacked call's (rows, K_max, N_MC) weight array
-
-
-def _group_size(cfg: SystemConfig) -> int:
-    """APs per stacked :func:`~tumaloc.amp_central.amp_iterate` call."""
-    per_ap = cfg.M * cfg.K_max * cfg.N_MC
-    return max(1, min(cfg.B, _MAX_STACKED_WEIGHTS // per_ap))
 
 
 def local_amp_run(
@@ -97,28 +86,15 @@ def distributed_decode(
 ) -> DecodeResult:
     """Run every AP's local AMP on its antenna block and aggregate at the CPU.
 
-    The diagnostics hold ``fronthaul_reals_total`` and the groups'
-    ``amp_iterate`` row counts summed over all APs: ``live_rows`` and
+    One :func:`~tumaloc.amp_central.amp_iterate` call runs the B APs as B
+    stacked blocks, so a :class:`~tumaloc.amp_central.DecodeError` names AP
+    j as block j.  The diagnostics hold ``fronthaul_reals_total`` and that
+    call's row counts, summed over all APs: ``live_rows`` and
     ``weighed_rows`` per iteration, and ``degenerate_rows``.
     """
-    A, M = cfg.A, cfg.M
-    size = _group_size(cfg)
-    log_liks, diags = [], []
-    for b0 in range(0, cfg.B, size):
-        b1 = min(b0 + size, cfg.B)
-        try:
-            _posts, log_lik, _X, _Z, diag = amp_iterate(
-                Y[:, b0 * A : b1 * A], codebook, prior.log_pmf, g[..., b0:b1], cfg, blocks=b1 - b0
-            )
-        except DecodeError:
-            # name the first failing AP and its iteration, as one AP at a time would
-            for b in range(b0, b1):
-                local_amp_run(Y[:, b * A : (b + 1) * A], b, codebook, prior, g, cfg)
-            raise
-        log_liks += [log_lik[:, j * M : (j + 1) * M] for j in range(b1 - b0)]
-        diags.append(diag)
-    result = aggregate_posteriors(log_liks, prior)
-    for key in ("live_rows", "weighed_rows"):
-        result.diagnostics[key] = [sum(rows) for rows in zip(*(d[key] for d in diags))]
-    result.diagnostics["degenerate_rows"] = sum(d["degenerate_rows"] for d in diags)
+    M = cfg.M
+    _posts, log_lik, _X, _Z, diag = amp_iterate(Y, codebook, prior.log_pmf, g, cfg, blocks=cfg.B)
+    result = aggregate_posteriors([log_lik[:, b * M : (b + 1) * M] for b in range(cfg.B)], prior)
+    for key in ("live_rows", "weighed_rows", "degenerate_rows"):
+        result.diagnostics[key] = diag[key]
     return result

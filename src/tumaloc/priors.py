@@ -225,8 +225,9 @@ def _cached_prior(doc, key: str, cfg: SystemConfig) -> MultiplicityPrior | None:
     """The prior held by a parsed cache document, or None unless it is well formed.
 
     Well formed: an object with this ``key``, ``K_max`` equal to the
-    configuration's, ``p_active`` a number in [0, 1], and finite ``msg_probs``
-    and ``pmf`` tables of shapes (U, M) and (U, M, K_max + 1).
+    configuration's, ``p_active`` a number in [0, 1], and a (U, M)
+    ``msg_probs`` table in [0, 1].  The pmf is rebuilt by :func:`build_prior`;
+    a ``pmf`` entry in an older file is ignored.
     """
     if not isinstance(doc, dict) or doc.get("key") != key or doc.get("K_max") != cfg.K_max:
         return None
@@ -234,16 +235,12 @@ def _cached_prior(doc, key: str, cfg: SystemConfig) -> MultiplicityPrior | None:
     if type(p_active) not in (int, float) or not 0.0 <= p_active <= 1.0:
         return None
     try:
-        pmf = np.array(doc.get("pmf"), dtype=float)
         msg_probs = np.array(doc.get("msg_probs"), dtype=float)
     except (TypeError, ValueError):             # ragged or non-numeric lists
         return None
-    if pmf.shape != (cfg.U, cfg.M, cfg.K_max + 1) or msg_probs.shape != (cfg.U, cfg.M):
+    if msg_probs.shape != (cfg.U, cfg.M) or not ((msg_probs >= 0) & (msg_probs <= 1)).all():
         return None
-    if not (np.isfinite(pmf).all() and np.isfinite(msg_probs).all()):
-        return None
-    return MultiplicityPrior(pmf=pmf, p_active=float(p_active), msg_probs=msg_probs,
-                             K_max=cfg.K_max)
+    return build_prior(cfg, p_active, msg_probs)
 
 
 def load_or_build_prior(
@@ -283,7 +280,6 @@ def load_or_build_prior(
             "key": key,
             "p_active": prior.p_active,
             "msg_probs": prior.msg_probs.tolist(),
-            "pmf": prior.pmf.tolist(),
             "K_max": prior.K_max,
         }
         fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".prior_", suffix=".tmp")

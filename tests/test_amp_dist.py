@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracle_utils import amp_traces, decoder_loglik
-from tumaloc import airlink, amp_dist
+from tumaloc import airlink, amp_central, amp_dist
 from tumaloc.amp_central import DecodeError, amp_iterate, amp_run, build_mc_table
 from tumaloc.amp_dist import aggregate_posteriors, distributed_decode, local_amp_run
 from tumaloc.config import SystemConfig, build_topology, desk_preset, paper_preset
@@ -194,32 +194,64 @@ class TestStackedRecursion:
         assert res.diagnostics["degenerate_rows"] == sum(d["degenerate_rows"] for d in per_ap)
 
     def test_group_size_does_not_change_results(self, monkeypatch):
+        # a group: the chunk of stacked blocks that one denoiser call takes
         cfg, prior, cb, mc, Y = _dead_row_system()
+        A, M = cfg.A, cfg.M
         per_ap = cfg.M * cfg.K_max * cfg.N_MC
+        one_ap = [
+            amp_iterate(Y[:, b * A : (b + 1) * A], cb, prior.log_pmf, mc[..., b : b + 1], cfg)[1]
+            for b in range(cfg.B)
+        ]
         results = []
-        for size in (1, 2, cfg.B):                   # 2 leaves a group of one AP
-            monkeypatch.setattr(amp_dist, "_MAX_STACKED_WEIGHTS", size * per_ap)
-            assert amp_dist._group_size(cfg) == size
+        for size in (1, 2, cfg.B):                   # 2 leaves a chunk of one AP
+            monkeypatch.setattr(amp_central, "_MAX_STACKED_WEIGHTS", size * per_ap)
+            assert amp_central._chunks(cfg.B, cfg)[0] == (0, size)
+            log_lik = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, blocks=cfg.B)[1]
+            for b in range(cfg.B):
+                np.testing.assert_array_equal(log_lik[:, b * M : (b + 1) * M], one_ap[b])
             results.append(distributed_decode(Y, cb, prior, mc, cfg))
         for res in results[1:]:
             np.testing.assert_array_equal(res.posteriors, results[0].posteriors)
             assert res.diagnostics == results[0].diagnostics
 
     def test_group_size_rule(self):
-        # all APs in one call at desk scale; one AP per call at the paper
+        # all APs in one chunk at desk scale; one AP per chunk at the paper
         # preset, whose per-AP weight array alone exceeds the bound
         desk, paper = desk_preset(), paper_preset()
-        assert amp_dist._group_size(desk) == desk.B == 12
-        assert paper.M * paper.K_max * paper.N_MC > amp_dist._MAX_STACKED_WEIGHTS
-        assert amp_dist._group_size(paper) == 1
+        assert amp_central._chunks(desk.B, desk) == [(0, 12)]
+        assert paper.M * paper.K_max * paper.N_MC > amp_central._MAX_STACKED_WEIGHTS
+        assert amp_central._chunks(paper.B, paper) == [(b, b + 1) for b in range(40)]
+        assert amp_central._chunks(1, paper) == [(0, 1)]     # the centralized decoder
 
     def test_failing_ap_named_as_in_per_ap_runs(self):
+        # APs 1 and 2 both fail at iteration 1: the lower one is named
         cfg, topo, prior, cb, mc = _system(B=3, A=2)
         Y, _ = _received(cfg, topo, cb, seed=3)
+        Y[5, 2 * cfg.A] = np.nan                     # AP 2's first antenna
         Y[5, 1 * cfg.A] = np.nan                     # AP 1's first antenna
-        with pytest.raises(DecodeError, match="AP 1") as err:
+        with pytest.raises(DecodeError, match="block 1 at iteration 1") as err:
             distributed_decode(Y, cb, prior, mc, cfg)
         assert err.value.iteration == 1
+
+    def test_one_amp_iterate_call(self, monkeypatch):
+        # chunks of one AP, and a failing AP, still take one call and no per-AP re-run
+        cfg, prior, cb, mc, Y = _dead_row_system()
+        monkeypatch.setattr(amp_central, "_MAX_STACKED_WEIGHTS", cfg.M * cfg.K_max * cfg.N_MC)
+        calls = {"amp_iterate": 0, "local_amp_run": 0}
+        for name in calls:
+            fn = getattr(amp_dist, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(amp_dist, name, counted)
+        distributed_decode(Y, cb, prior, mc, cfg)
+        assert calls == {"amp_iterate": 1, "local_amp_run": 0}
+        Y[5, cfg.A] = np.nan                         # AP 1's first antenna
+        with pytest.raises(DecodeError):
+            distributed_decode(Y, cb, prior, mc, cfg)
+        assert calls == {"amp_iterate": 2, "local_amp_run": 0}
 
 
 class TestEndToEnd:

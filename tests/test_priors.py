@@ -384,14 +384,30 @@ class TestPriorCache:
         [
             lambda doc: b"\xff\xfe not utf-8",
             lambda doc: json.dumps([doc]).encode(),
-            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "pmf"}).encode(),
-            lambda doc: json.dumps(doc | {"pmf": [row[:2] for row in doc["pmf"]]}).encode(),
+            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "msg_probs"}).encode(),
+            lambda doc: json.dumps(doc | {"msg_probs": [row[:2] for row in doc["msg_probs"]]}).encode(),
         ],
-        ids=["invalid-utf8", "json-array", "no-pmf", "pmf-shape"],
+        ids=["invalid-utf8", "json-array", "no-msg-probs", "msg-probs-shape"],
     )
     def test_malformed_file_is_rebuilt(self, tmp_path, corrupt):
         # files that parse, or not, but hold no well-formed prior for the key
         self._assert_rebuilt(tmp_path, lambda text: corrupt(json.loads(text)))
+
+    def test_file_keeps_integrals_and_old_pmf_is_ignored(self, tmp_path):
+        # the pmf is rebuilt on a hit; a file written with a pmf table still loads
+        cfg = _one_zone_cfg(M=4, K=6, K_max=3, N_MC=20)
+        topo = build_topology(cfg)
+        quant = build_quantizer(2, cfg.area_side)
+        kw = dict(cache_dir=str(tmp_path), n_active=2000, n_cell=500)
+        built = load_or_build_prior(cfg, topo, quant, **kw)
+        (path,) = tmp_path.glob("prior_*.json")
+        doc = json.loads(path.read_text())
+        assert set(doc) == {"key", "p_active", "msg_probs", "K_max"}
+        path.write_text(json.dumps(doc | {"pmf": np.zeros_like(built.pmf).tolist()}))
+        text = path.read_text()
+        again = load_or_build_prior(cfg, topo, quant, **kw)
+        np.testing.assert_array_equal(again.pmf, built.pmf)
+        assert path.read_text() == text
 
     def test_key_changes_with_sensing_fields(self):
         cfg = _one_zone_cfg()
