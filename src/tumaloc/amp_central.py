@@ -127,6 +127,14 @@ of output APs that cap the (L, chunk, B / G, 2A) temporary; a split over
 rows would change the order of the sums.  Once stacked, the desk distributed
 decode is bound by element-wise passes over the (G M, K_max, N) weights
 rather than by per-call overhead.
+
+Between zone steps the recursion keeps only what the next step reads: the
+residual, and each zone's latest estimates as its weighed rows and their
+values (zero elsewhere; a median of 7 rows of 1024 per zone in a
+paper-scale centralized decode).  The matched filter adds ``sqrt(Ec) x_hat``
+on those rows only, and each chunk's denoiser output is dropped before the
+next chunk is denoised.  The dense (U, G M, F' / G) estimates that
+:func:`amp_iterate` returns are built once, after the loop.
 The recursion returns its final iterate; iteration t of a run is
 reproduced exactly by a run with ``T_AMP = t``.
 """
@@ -533,7 +541,8 @@ def amp_iterate(
     rows = G * M
     sqrt_ec = np.sqrt(cfg.Ec)
 
-    X = np.zeros((U, rows, F), dtype=complex)
+    # each zone's latest estimates on its weighed rows, (rows, values); zero on the other rows
+    est = [(np.zeros(0, dtype=int), np.zeros((0, F), dtype=complex))] * U
     Z = Y.copy()
     posts = np.zeros((U, rows, cfg.K_max + 1))
     log_lik = np.zeros((U, rows, cfg.K_max + 1))
@@ -554,31 +563,41 @@ def amp_iterate(
         weighed_rows.append(0)
         for u in range(U):
             Cu = codebook.block(u)
-            # matched filter Cu^H Z, conjugating the small residual instead of Cu
-            R_u = np.matmul(Zh, Cu).conj().transpose(0, 2, 1).reshape(rows, F) + sqrt_ec * X[u]
+            # matched filter Cu^H Z, conjugating the small residual instead of Cu;
+            # C order, which _check_finite's float view and onsager need
+            R_u = np.ascontiguousarray(np.matmul(Zh, Cu).conj().transpose(0, 2, 1).reshape(rows, F))
+            at_rows, x_rows = est[u]
+            R_u[at_rows] += sqrt_ec * x_rows
             _check_finite(R_u.reshape(G, M, F), t)
+            new_rows, new_x = [], []
             for j0, j1 in _chunks(G, cfg):
                 at, aps = slice(j0 * M, j1 * M), slice(j0 * Bb, j1 * Bb)
                 den = denoise_rows(R_u[at], tau[aps], g[u, ..., aps], log_prior[u], cfg.Ec, A)
                 degenerate_rows += int(den.degenerate.sum())
                 live_rows[-1] += len(den.live)
                 weighed_rows[-1] += len(den.weighed)
-                X[u, at] = den.x_hat
+                new_rows.append(j0 * M + den.weighed)
+                new_x.append(den.x_hat[den.weighed])
                 posts[u, at] = den.posterior
                 log_lik[u, at] = den.log_mc_lik
                 Q[j0:j1] += onsager(R_u[at], den, tau[aps], cfg.Ec, A)
-                X_blocks = X[u, at].reshape(j1 - j0, M, F)
+                x_blocks = den.x_hat.reshape(j1 - j0, M, F)
                 for j, s, e in _live_blocks(den.live, j1 - j0, M):
                     if e - s == M:
-                        Gamma_blocks[j0 + j] += Cu @ X_blocks[j]
+                        Gamma_blocks[j0 + j] += Cu @ x_blocks[j]
                     else:
                         live = den.live[s:e] - j * M
-                        Gamma_blocks[j0 + j] += Cu[:, live] @ X_blocks[j][live]
+                        Gamma_blocks[j0 + j] += Cu[:, live] @ x_blocks[j][live]
+                del den, x_blocks     # one chunk's denoiser output alive at a time
+            est[u] = (np.concatenate(new_rows), np.concatenate(new_x))
         # the Onsager correction of all zones in one GEMM per block: Z (sum_u Q_u)
         Gamma_blocks -= (M / Nc) * np.matmul(Z_blocks, Q)
         Z = Y - sqrt_ec * Gamma
         _check_finite(Z.reshape(Nc, G, F).transpose(1, 0, 2), t)
 
+    X = np.zeros((U, rows, F), dtype=complex)
+    for u, (at_rows, x_rows) in enumerate(est):
+        X[u, at_rows] = x_rows
     diagnostics = {
         "tau_trace": np.array(tau_trace),
         "degenerate_rows": degenerate_rows,

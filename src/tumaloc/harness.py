@@ -147,7 +147,8 @@ def _fill_metrics(ctx: PointContext, decoder: str, seed: int, sc, round_, rec: d
         if ctx.prior is None:
             raise ConfigError("decoder runs need a prepared prior (need_prior=True)")
         codebook = airlink.gen_codebook(cfg, seed)
-        _X, Y = airlink.uplink(round_, codebook, ctx.topology, cfg, seed)
+        # only Y: the (U, M, F) effective channels would stay alive through the decode
+        Y = airlink.uplink(round_, codebook, ctx.topology, cfg, seed)[1]
         mc = amp_central.build_mc_table(cfg, ctx.topology, seed)
         try:
             if decoder == "centralized":
