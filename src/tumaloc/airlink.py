@@ -36,7 +36,6 @@ __all__ = [
     "STREAM_MC",
     "STREAM_PRIORS",
     "substream",
-    "Codebook",
     "TransmissionRound",
     "gen_codebook",
     "sample_fading",
@@ -58,19 +57,6 @@ _CODEBOOK_BLOCK_ROWS = 64      # rows drawn per standard-normal call in gen_code
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic generator for sub-stream ``key`` of ``master_seed``."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=tuple(key)))
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """Unit-norm codeword matrix, partitioned into U blocks of M columns."""
-
-    entries: np.ndarray   # (Nc, U*M) complex
-    U: int
-    M: int
-
-    def block(self, u: int) -> np.ndarray:
-        """Codewords of zone ``u``: an (Nc, M) view."""
-        return self.entries[:, u * self.M : (u + 1) * self.M]
 
 
 @dataclass(frozen=True)
@@ -100,8 +86,12 @@ class TransmissionRound:
         return k / self.K_a if self.K_a else k
 
 
-def gen_codebook(cfg: SystemConfig, seed: int) -> Codebook:
+def gen_codebook(cfg: SystemConfig, seed: int) -> np.ndarray:
     """i.i.d. CN(0, 1/Nc) entries with each column rescaled to unit norm.
+
+    Returns the (Nc, U, M) codebook: zone ``u``'s M codewords are the
+    columns of the (Nc, M) view ``codebook[:, u]``.  It is the reshape of
+    the (Nc, U M) matrix whose columns are codewords u M .. (u+1) M - 1.
 
     Built in place, with transients of a few rows, and bit-identical to
     ``c = (a + 1j b) / sqrt(2 Nc)`` followed by ``c / np.linalg.norm(c,
@@ -123,7 +113,7 @@ def gen_codebook(cfg: SystemConfig, seed: int) -> Codebook:
     for row in c:
         norm2 += (row.conj() * row).real
     parts *= (1.0 / np.sqrt(norm2))[:, None]
-    return Codebook(entries=c, U=cfg.U, M=cfg.M)
+    return c.reshape(Nc, cfg.U, cfg.M)
 
 
 def sample_fading(
@@ -157,23 +147,24 @@ def effective_channels(round_: TransmissionRound, fading: np.ndarray) -> np.ndar
     return X
 
 
-def synthesize_rx(codebook: Codebook, X: np.ndarray, cfg: SystemConfig, seed: int) -> np.ndarray:
+def synthesize_rx(codebook: np.ndarray, X: np.ndarray, cfg: SystemConfig, seed: int) -> np.ndarray:
     """Received signal ``Y = sqrt(Ec) sum_u C_u X_u + W`` with W ~ CN(0, sigma_w^2).
 
-    ``X`` holds the (U, M, F) effective channels.  The product runs over
+    ``codebook`` is the (Nc, U, M) array of :func:`gen_codebook` and ``X``
+    holds the (U, M, F) effective channels.  The product runs over
     the sent codewords only: the rows of ``X`` with a nonzero entry, real
     or imaginary, at most K_a of the U M.  The other rows are exactly zero,
     so leaving them out changes only the summation order of the signal,
     by a few roundings of ``sum_j |C_nj| |X_jf|``; the noise is drawn
     as for the dense product.
     """
-    if codebook.entries.shape[1] != cfg.U * cfg.M or X.shape[:2] != (cfg.U, cfg.M):
+    Nc = cfg.Nc
+    if codebook.shape != (Nc, cfg.U, cfg.M) or X.shape[:2] != (cfg.U, cfg.M):
         raise ValueError("synthesize_rx: codebook/channel shapes inconsistent with cfg")
-    Nc = codebook.entries.shape[0]
     F = X.shape[2]
     Xf = np.ascontiguousarray(X.reshape(cfg.U * cfg.M, F))
     sent = np.flatnonzero(Xf.view(float).any(axis=1))     # real or imaginary part nonzero
-    signal = codebook.entries[:, sent] @ Xf[sent]
+    signal = codebook.reshape(Nc, cfg.U * cfg.M)[:, sent] @ Xf[sent]
     rng = substream(seed, STREAM_NOISE)
     w = (rng.standard_normal((Nc, F)) + 1j * rng.standard_normal((Nc, F))) * np.sqrt(
         cfg.sigma_w2 / 2.0
@@ -183,18 +174,19 @@ def synthesize_rx(codebook: Codebook, X: np.ndarray, cfg: SystemConfig, seed: in
 
 def uplink(
     round_: TransmissionRound,
-    codebook: Codebook,
+    codebook: np.ndarray,
     topology: Topology,
     cfg: SystemConfig,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One transmission round over the air; returns ``(X, Y)``.
+) -> np.ndarray:
+    """One transmission round over the air; returns the (Nc, F) received signal.
 
     Fades every user's position (:func:`sample_fading`, users in round
-    order), sums collisions into the (U, M, F) effective channels ``X``
-    (:func:`effective_channels`) and synthesizes the (Nc, F) received
-    signal ``Y`` (:func:`synthesize_rx`), all from sub-streams of ``seed``.
+    order), sums collisions into the (U, M, F) effective channels
+    (:func:`effective_channels`) and synthesizes the received signal
+    (:func:`synthesize_rx`), all from sub-streams of ``seed``.  The channels
+    are not returned: ``effective_channels(round_,
+    sample_fading(round_.positions, topology, cfg, seed))`` rebuilds them.
     """
-    fading = sample_fading(round_.positions, topology, cfg, seed)
-    X = effective_channels(round_, fading)
-    return X, synthesize_rx(codebook, X, cfg, seed)
+    X = effective_channels(round_, sample_fading(round_.positions, topology, cfg, seed))
+    return synthesize_rx(codebook, X, cfg, seed)

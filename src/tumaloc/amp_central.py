@@ -110,18 +110,21 @@ fronthauls their log-likelihoods.
 
 Both decoders run the one recursion in :func:`amp_iterate`: :func:`amp_run`
 on all F antennas as one block, the distributed decoder on G = B blocks of
-one AP each, stacked along the row axis.  The matched filter gives R_u of
-shape (G M, F / G); :func:`denoise_rows`, :func:`onsager` and the residual
-update run on chunks of ``max(1, _MAX_STACKED_WEIGHTS // (M K_max N))``
-blocks, so that a chunk's (rows, K_max, N) weight array fits the bound: all
-12 APs in one chunk at the desk preset, one AP per chunk at the paper preset.
-They read a chunk's block count off the shapes of R and the MC table, keep
-one row floor per block, and sum rows only within a block.  Every stacked
-operation does a one-block call's arithmetic on each block (element-wise
-passes, per-slice BLAS calls on stacks with the one-block strides, and
-per-block row gathers where the live sets differ), so each block's output is
-bit-identical to :func:`amp_iterate` on that block alone, whatever the chunk
-size.  The Onsager ``Q2`` products of all output APs likewise run as one
+one AP each, stacked along the row axis.  The matched filter is one
+(F, Nc) @ (Nc, M) GEMM, whose rows j F / G .. (j+1) F / G - 1 are block
+j's, reshaped to R_u of shape (G M, F / G); :func:`denoise_rows`,
+:func:`onsager` and the residual update run on chunks of
+``max(1, _MAX_STACKED_WEIGHTS // (M K_max N))`` blocks, so that a chunk's
+(rows, K_max, N) weight array fits the bound: all 12 APs in one chunk at the
+desk preset, one AP per chunk at the paper preset.  They read a chunk's
+block count off the shapes of R and the MC table, keep one row floor per
+block, and sum rows only within a block.  Every stacked operation does a
+one-block call's arithmetic on each block (element-wise passes, the matched
+filter's GEMM, which BLAS splits over output rows and columns but not over
+the Nc summed terms, per-slice BLAS calls on stacks with the one-block
+strides, and per-block row gathers where the live sets differ), so each
+block's output is bit-identical to :func:`amp_iterate` on that block alone,
+whatever the chunk size.  The Onsager ``Q2`` products of all output APs likewise run as one
 batched product per block, each slice the GEMM of one output AP, in chunks
 of output APs that cap the (L, chunk, B / G, 2A) temporary; a split over
 rows would change the order of the sums.  Once stacked, the desk distributed
@@ -145,7 +148,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airlink import STREAM_MC, Codebook, substream
+from .airlink import STREAM_MC, substream
 from .config import SystemConfig, Topology, lsfc_vector
 from .priors import MultiplicityPrior
 
@@ -508,7 +511,7 @@ def onsager(R: np.ndarray, den: ZoneDenoiseResult, tau: np.ndarray, Ec: float, A
 
 def amp_iterate(
     Y: np.ndarray,
-    codebook: Codebook,
+    codebook: np.ndarray,
     log_prior: np.ndarray,
     g: np.ndarray,
     cfg: SystemConfig,
@@ -516,9 +519,10 @@ def amp_iterate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
     """The AMP recursion on the receive columns ``Y``, shared by both decoders.
 
-    ``Y`` (Nc, F') holds the antennas of some APs and ``g`` (U, K_max, N,
-    F' / A) is the MC aggregate-LSFC table restricted to those APs.  The
-    columns split into ``blocks`` = G independent recursions of F' / G
+    ``Y`` (Nc, F') holds the antennas of some APs, ``codebook`` is the
+    (Nc, U, M) array of :func:`~tumaloc.airlink.gen_codebook` and ``g``
+    (U, K_max, N, F' / A) is the MC aggregate-LSFC table restricted to those
+    APs.  The columns split into ``blocks`` = G independent recursions of F' / G
     antennas each, run at once with their rows stacked: block j's rows are
     ``j M .. (j+1) M - 1`` of every per-zone array, and its outputs equal
     those of a one-block call on its columns bit for bit, whatever the chunk
@@ -557,15 +561,18 @@ def amp_iterate(
         Gamma = np.zeros_like(Z)
         Gamma_blocks = Gamma.reshape(Nc, G, F).transpose(1, 0, 2)   # (G, Nc, F) views
         Z_blocks = Z.reshape(Nc, G, F).transpose(1, 0, 2)
-        Zh = Z.conj().T.reshape(G, F, Nc)
+        Zh = Z.conj().T
         Q = np.zeros((G, F, F), dtype=complex)
         live_rows.append(0)
         weighed_rows.append(0)
         for u in range(U):
-            Cu = codebook.block(u)
-            # matched filter Cu^H Z, conjugating the small residual instead of Cu;
-            # C order, which _check_finite's float view and onsager need
-            R_u = np.ascontiguousarray(np.matmul(Zh, Cu).conj().transpose(0, 2, 1).reshape(rows, F))
+            Cu = codebook[:, u]
+            # matched filter Cu^H Z as one (F', Nc) @ (Nc, M) GEMM, conjugating the
+            # small residual instead of Cu; stacked rows in C order, which
+            # _check_finite's float view and onsager need
+            R_u = np.ascontiguousarray(
+                (Zh @ Cu).reshape(G, F, M).conj().transpose(0, 2, 1).reshape(rows, F)
+            )
             at_rows, x_rows = est[u]
             R_u[at_rows] += sqrt_ec * x_rows
             _check_finite(R_u.reshape(G, M, F), t)
@@ -609,7 +616,7 @@ def amp_iterate(
 
 def amp_run(
     Y: np.ndarray,
-    codebook: Codebook,
+    codebook: np.ndarray,
     prior: MultiplicityPrior,
     g: np.ndarray,
     cfg: SystemConfig,

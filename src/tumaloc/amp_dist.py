@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .airlink import Codebook
 from .amp_central import DecodeError, DecodeResult, amp_iterate
 from .config import SystemConfig
 from .priors import MultiplicityPrior
@@ -38,7 +37,7 @@ __all__ = [
 def local_amp_run(
     Y_b: np.ndarray,
     ap_index: int,
-    codebook: Codebook,
+    codebook: np.ndarray,
     prior: MultiplicityPrior,
     g: np.ndarray,
     cfg: SystemConfig,
@@ -79,7 +78,7 @@ def aggregate_posteriors(log_liks: list[np.ndarray], prior: MultiplicityPrior) -
 
 def distributed_decode(
     Y: np.ndarray,
-    codebook: Codebook,
+    codebook: np.ndarray,
     prior: MultiplicityPrior,
     g: np.ndarray,
     cfg: SystemConfig,

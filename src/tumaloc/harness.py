@@ -2,7 +2,8 @@
 
 A single run walks the whole pipeline: sample scene -> probabilistic sensing
 -> quantize reports into messages -> (perfect-communication oracle: hand the
-true type to the receiver; otherwise synthesize the uplink and decode) ->
+true type to the receiver; otherwise draw the (Nc, U, M) codebook, synthesize
+the (Nc, F) received signal with ``airlink.uplink`` and decode it) ->
 metrics.  Sweeps vary received SNR, the split of the base config's ``Ns + Nc``
 between sensing and communication, or quantizer resolution; each record is
 written as a JSON line as soon as its run returns, aggregates as CSV.  A
@@ -147,8 +148,7 @@ def _fill_metrics(ctx: PointContext, decoder: str, seed: int, sc, round_, rec: d
         if ctx.prior is None:
             raise ConfigError("decoder runs need a prepared prior (need_prior=True)")
         codebook = airlink.gen_codebook(cfg, seed)
-        # only Y: the (U, M, F) effective channels would stay alive through the decode
-        Y = airlink.uplink(round_, codebook, ctx.topology, cfg, seed)[1]
+        Y = airlink.uplink(round_, codebook, ctx.topology, cfg, seed)
         mc = amp_central.build_mc_table(cfg, ctx.topology, seed)
         try:
             if decoder == "centralized":

@@ -226,7 +226,8 @@ def _cached_prior(doc, key: str, cfg: SystemConfig) -> MultiplicityPrior | None:
 
     Well formed: an object with this ``key``, ``K_max`` equal to the
     configuration's, ``p_active`` a number in [0, 1], and a (U, M)
-    ``msg_probs`` table in [0, 1].  The pmf is rebuilt by :func:`build_prior`;
+    ``msg_probs`` table in [0, 1] whose zone rows sum to 1 within
+    :func:`build_prior`'s 1e-10.  The pmf is rebuilt by :func:`build_prior`;
     a ``pmf`` entry in an older file is ignored.
     """
     if not isinstance(doc, dict) or doc.get("key") != key or doc.get("K_max") != cfg.K_max:
@@ -239,6 +240,8 @@ def _cached_prior(doc, key: str, cfg: SystemConfig) -> MultiplicityPrior | None:
     except (TypeError, ValueError):             # ragged or non-numeric lists
         return None
     if msg_probs.shape != (cfg.U, cfg.M) or not ((msg_probs >= 0) & (msg_probs <= 1)).all():
+        return None
+    if np.any(np.abs(msg_probs.sum(axis=1) - 1.0) > 1e-10):
         return None
     return build_prior(cfg, p_active, msg_probs)
 

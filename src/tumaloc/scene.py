@@ -73,10 +73,6 @@ class Scene:
             raise ValueError("scene has not been sensed yet")
         return self.reported >= 0
 
-    @property
-    def K_a(self) -> int:
-        return int(self.active_mask.sum())
-
 
 @dataclass(frozen=True)
 class Quantizer:

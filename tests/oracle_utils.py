@@ -30,7 +30,7 @@ import dataclasses
 
 import numpy as np
 
-from tumaloc.airlink import STREAM_CODEBOOK, STREAM_PRIORS, Codebook, substream
+from tumaloc.airlink import STREAM_CODEBOOK, STREAM_PRIORS, substream
 from tumaloc.amp_central import (
     TAU_FLOOR,
     ZoneDenoiseResult,
@@ -341,7 +341,7 @@ def amp_iterate_reference(Y, codebook, log_prior, g, cfg):
         Gamma = np.zeros_like(Z)
         Zh = Z.conj().T
         for u in range(U):
-            Cu = codebook.block(u)
+            Cu = codebook[:, u]
             R_u = (Zh @ Cu).conj().T + np.sqrt(cfg.Ec) * X[u]
             den = denoise_rows_reference(R_u, tau, g[u], log_prior[u], cfg.Ec, A)
             den = dataclasses.replace(den, live=np.arange(M))
@@ -540,17 +540,20 @@ def decoder_loglik(r, tau, g, Ec, A):
 
 
 def raw_gaussian_codebook(cfg, seed):
-    """Unnormalized CN(0, 1/Nc) codebook: ``gen_codebook``'s draws before the column scaling."""
+    """Unnormalized CN(0, 1/Nc) codebook: ``gen_codebook``'s draws before the column scaling.
+
+    An (Nc, U, M) array, as ``gen_codebook`` returns.
+    """
     rng = substream(seed, STREAM_CODEBOOK)
     shape = (cfg.Nc, cfg.U * cfg.M)
     c = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2 * cfg.Nc)
-    return Codebook(entries=c, U=cfg.U, M=cfg.M)
+    return c.reshape(cfg.Nc, cfg.U, cfg.M)
 
 
 def gen_codebook_reference(cfg, seed):
     """The codebook by whole-array arithmetic: ``gen_codebook`` before it was built in place."""
-    c = raw_gaussian_codebook(cfg, seed).entries
-    return Codebook(entries=c / np.linalg.norm(c, axis=0, keepdims=True), U=cfg.U, M=cfg.M)
+    c = raw_gaussian_codebook(cfg, seed).reshape(cfg.Nc, cfg.U * cfg.M)
+    return (c / np.linalg.norm(c, axis=0, keepdims=True)).reshape(cfg.Nc, cfg.U, cfg.M)
 
 
 def channel_estimation_error(X, X_true, cfg):

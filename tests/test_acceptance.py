@@ -292,7 +292,9 @@ def _desk_uplinks(cfg, ctx, master, runs, make_codebook=airlink.gen_codebook):
         if rnd.K_a == 0:
             continue
         cb = make_codebook(cfg, seed)
-        X, Y = airlink.uplink(rnd, cb, ctx.topology, cfg, seed)
+        fading = airlink.sample_fading(rnd.positions, ctx.topology, cfg, seed)
+        X = airlink.effective_channels(rnd, fading)
+        Y = airlink.synthesize_rx(cb, X, cfg, seed)
         yield rnd, cb, X, Y, build_mc_table(cfg, ctx.topology, seed)
 
 

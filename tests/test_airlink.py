@@ -17,22 +17,23 @@ from tumaloc.config import build_topology, desk_preset, lsfc_vector, paper_prese
 class TestCodebook:
     def test_unit_column_norms(self, tiny_cfg):
         cb = gen_codebook(tiny_cfg, seed=5)
-        norms = np.linalg.norm(cb.entries, axis=0)
+        assert cb.shape == (tiny_cfg.Nc, tiny_cfg.U, tiny_cfg.M) and cb.dtype == complex
+        norms = np.linalg.norm(cb, axis=0)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_determinism(self, tiny_cfg):
         a = gen_codebook(tiny_cfg, seed=9)
         b = gen_codebook(tiny_cfg, seed=9)
-        assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(a, b)
         c = gen_codebook(tiny_cfg, seed=10)
-        assert not np.array_equal(a.entries, c.entries)
+        assert not np.array_equal(a, c)
 
     def test_cross_column_coherence(self, desk_cfg):
         # sample-statistics oracle: inner products of distinct unit-norm
         # Gaussian columns have std ~ 1/sqrt(Nc)
         cfg = desk_cfg.with_updates(Nc=1000)
         cb = gen_codebook(cfg, seed=2)
-        sub = cb.entries[:, :128]
+        sub = cb.reshape(cfg.Nc, -1)[:, :128]
         gram = sub.conj().T @ sub
         off = gram[~np.eye(128, dtype=bool)]
         std = np.sqrt(np.mean(np.abs(off) ** 2))
@@ -40,7 +41,7 @@ class TestCodebook:
 
     def test_raw_variant_column_variance(self, desk_cfg):
         cb = raw_gaussian_codebook(desk_cfg, seed=3)
-        norms2 = np.linalg.norm(cb.entries, axis=0) ** 2
+        norms2 = np.linalg.norm(cb, axis=0) ** 2
         assert norms2.mean() == pytest.approx(1.0, rel=0.05)
         assert norms2.std() > 1e-3  # genuinely unnormalized
 
@@ -52,16 +53,17 @@ class TestCodebook:
     )
     def test_bit_identical_to_whole_array_construction(self, make_cfg, seed):
         cfg = make_cfg()
-        got = gen_codebook(cfg, seed).entries
-        want = gen_codebook_reference(cfg, seed).entries
+        got = gen_codebook(cfg, seed)
+        want = gen_codebook_reference(cfg, seed)
+        assert got.shape == want.shape == (cfg.Nc, cfg.U, cfg.M)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_block_partitioning(self, tiny_cfg):
+        # zone u's codewords are columns u M .. (u+1) M - 1 of the flat (Nc, U M) matrix
         cb = gen_codebook(tiny_cfg, seed=1)
-        u = 2
-        np.testing.assert_array_equal(
-            cb.block(u), cb.entries[:, u * tiny_cfg.M : (u + 1) * tiny_cfg.M]
-        )
+        flat = cb.reshape(tiny_cfg.Nc, tiny_cfg.U * tiny_cfg.M)
+        for u in range(tiny_cfg.U):
+            np.testing.assert_array_equal(cb[:, u], flat[:, u * tiny_cfg.M : (u + 1) * tiny_cfg.M])
 
 
 class TestFading:
@@ -167,7 +169,7 @@ class TestSynthesizeRx:
         h = np.arange(1, cfg.F + 1) + 0.5j
         X[0, 3] = h
         Y = synthesize_rx(cb, X, cfg, seed=1)
-        want = 2.0 * np.outer(cb.entries[:, 3], h)
+        want = 2.0 * np.outer(cb[:, 0, 3], h)
         np.testing.assert_allclose(Y, want, atol=1e-10)
         assert np.linalg.matrix_rank(Y, tol=1e-8) == 1
 
@@ -214,17 +216,25 @@ class TestSynthesizeRx:
         )
         np.testing.assert_array_equal(synthesize_rx(cb, np.zeros_like(X), cfg, seed=5), w)
         Xf = X.reshape(cfg.U * cfg.M, F)
-        want = np.sqrt(cfg.Ec) * (cb.entries @ Xf) + w
+        C = cb.reshape(Nc, cfg.U * cfg.M)
+        want = np.sqrt(cfg.Ec) * (C @ Xf) + w
         got = synthesize_rx(cb, X, cfg, seed=5)
         eps = np.finfo(float).eps
-        bound = 2 * (3 + 2) * eps * np.sqrt(cfg.Ec) * (np.abs(cb.entries) @ np.abs(Xf))
+        bound = 2 * (3 + 2) * eps * np.sqrt(cfg.Ec) * (np.abs(C) @ np.abs(Xf))
         assert np.all(np.abs(got - want) <= bound + eps * np.abs(want))
 
     def test_shape_mismatch_rejected(self, tiny_cfg):
-        cb = gen_codebook(tiny_cfg, seed=0)
-        bad = np.zeros((1, 2, 3), dtype=complex)
-        with pytest.raises(ValueError):
-            synthesize_rx(cb, bad, tiny_cfg, seed=0)
+        cfg = tiny_cfg
+        cb = gen_codebook(cfg, seed=0)
+        X = np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex)
+        bad_cases = [
+            (cb, np.zeros((1, 2, 3), dtype=complex)),                    # channels, wrong (U, M)
+            (gen_codebook(cfg.with_updates(Nc=cfg.Nc + 1), seed=0), X),  # codebook, wrong Nc
+            (cb.reshape(cfg.Nc, cfg.M, cfg.U), X),                       # codebook, wrong (U, M)
+        ]
+        for codebook, channels in bad_cases:
+            with pytest.raises(ValueError):
+                synthesize_rx(codebook, channels, cfg, seed=0)
 
 
 class TestUplink:
@@ -235,17 +245,16 @@ class TestUplink:
         pos = np.array([[10.0, 20.0], [15.0, 5.0], [30.0, 40.0]])
         rnd = _round([0, 0, 2], [1, 1, 5], cfg.U, cfg.M, pos)
         cb = gen_codebook(cfg, seed=3)
-        X, Y = uplink(rnd, cb, topo, cfg, seed=3)
+        Y = uplink(rnd, cb, topo, cfg, seed=3)
         want_X = effective_channels(rnd, sample_fading(pos, topo, cfg, seed=3))
-        np.testing.assert_array_equal(X, want_X)
         np.testing.assert_array_equal(Y, synthesize_rx(cb, want_X, cfg, seed=3))
 
     def test_empty_round_gives_noise_only(self, tiny_cfg):
         cfg = tiny_cfg
         rnd = _round([], [], cfg.U, cfg.M)
         cb = gen_codebook(cfg, seed=4)
-        X, Y = uplink(rnd, cb, build_topology(cfg), cfg, seed=4)
-        assert X.shape == (cfg.U, cfg.M, cfg.F) and not X.any()
+        Y = uplink(rnd, cb, build_topology(cfg), cfg, seed=4)
         assert rnd.K_a == 0 and not rnd.multiplicities.any() and not rnd.true_type.any()
-        np.testing.assert_array_equal(Y, synthesize_rx(cb, np.zeros_like(X), cfg, seed=4))
+        X = np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex)
+        np.testing.assert_array_equal(Y, synthesize_rx(cb, X, cfg, seed=4))
         assert Y.shape == (cfg.Nc, cfg.F) and np.all(Y != 0)

@@ -599,7 +599,7 @@ def _desk_at_10db(seed=3):
     prior = build_prior(cfg, 0.5, np.full((cfg.U, cfg.M), 1.0 / (cfg.U * cfg.M)))
     _sc, rnd = harness._sense_and_encode(ctx, seed)
     cb = airlink.gen_codebook(cfg, seed)
-    _X, Y = airlink.uplink(rnd, cb, topo, cfg, seed)
+    Y = airlink.uplink(rnd, cb, topo, cfg, seed)
     return cfg, cb, prior, build_mc_table(cfg, topo, seed), Y
 
 
@@ -644,7 +644,7 @@ class TestAmpRun:
         _p, _l, X_prev, Z_prev, _d = amp_iterate(
             Y, cb, prior.log_pmf, mc, cfg.with_updates(T_AMP=cfg.T_AMP - 1)
         )
-        r_final = (cb.block(0).conj().T @ Z_prev + np.sqrt(cfg.Ec) * X_prev[0])[2]
+        r_final = (cb[:, 0].conj().T @ Z_prev + np.sqrt(cfg.Ec) * X_prev[0])[2]
         tau_final = residual_covariance(Z_prev, cfg.A)
         x0, y0, x1, y1 = topo.zone_rects[0]
         prior_row = prior.pmf[0, 2]

@@ -7,7 +7,7 @@ array, 22.5 MiB at this preset: the uplink's effective channels, or the
 decoder's dense estimates.
 
 - At :func:`~tumaloc.amp_central.amp_run` entry, the traced memory less the
-  (Nc, U M) complex codebook stays below one such array: the run holds no
+  (Nc, U, M) complex codebook stays below one such array: the run holds no
   effective channels.
 - At every :func:`~tumaloc.amp_central.denoise_rows` entry, the traced memory
   above the ``amp_run`` entry level stays below one such array: the

@@ -386,8 +386,10 @@ class TestPriorCache:
             lambda doc: json.dumps([doc]).encode(),
             lambda doc: json.dumps({k: v for k, v in doc.items() if k != "msg_probs"}).encode(),
             lambda doc: json.dumps(doc | {"msg_probs": [row[:2] for row in doc["msg_probs"]]}).encode(),
+            # entries all in [0, 1], but each zone row sums to less than 1
+            lambda doc: json.dumps(doc | {"msg_probs": [[0.0] + row[1:] for row in doc["msg_probs"]]}).encode(),
         ],
-        ids=["invalid-utf8", "json-array", "no-msg-probs", "msg-probs-shape"],
+        ids=["invalid-utf8", "json-array", "no-msg-probs", "msg-probs-shape", "msg-probs-row-sum"],
     )
     def test_malformed_file_is_rebuilt(self, tmp_path, corrupt):
         # files that parse, or not, but hold no well-formed prior for the key

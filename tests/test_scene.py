@@ -215,7 +215,7 @@ class TestSenseAll:
             sensor_zones=sc.sensor_zones,
         )
         sensed = sense_all(sc, cfg, substream(1, 99))
-        assert sensed.K_a == 5
+        assert sensed.active_mask.sum() == 5
         # replay the Bernoulli draws of the same substream
         hits = substream(1, 99).uniform(size=(5, 5)) < detection_prob_array(
             sc.sensors, sc.targets, cfg
@@ -250,13 +250,13 @@ class TestSenseAll:
         pd = detection_prob_array(sc.sensors, sc.targets, cfg)
         assert np.all(np.abs(pd - 1e-8) < 2e-10)
         sensed = sense_all(sc, cfg, substream(3, 99))
-        assert sensed.K_a == 0  # 200 * 50 * 1e-8 ~ 1e-4 chance of any hit
+        assert not sensed.active_mask.any()  # 200 * 50 * 1e-8 ~ 1e-4 chance of any hit
 
     def test_empty_targets(self, paper_cfg, paper_topo):
         cfg = paper_cfg.with_updates(T_targets=0)
         sc = sample_scene(cfg, paper_topo, seed=0)
         sensed = sense_all(sc, cfg, substream(0, 99))
-        assert sensed.K_a == 0
+        assert not sensed.active_mask.any()
 
 
 class TestQuantizer:
