@@ -208,7 +208,7 @@ _SENSING_FIELDS = (
     "gamma_threshold",
 )
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 
 def prior_cache_key(cfg: SystemConfig, n_active: int, n_cell: int) -> str:

@@ -10,19 +10,21 @@ behind them.  Detected targets are localized perfectly; false alarms are
 not generated.
 
 The detection probability depends on a pair only through ``d^2``.  It is
-evaluated by the ``marcum_q1`` series at the nodes of a uniform grid in
-``u = log d^2`` and read off a quintic Hermite interpolant (series values,
-exact slopes and curvatures) for every pair; one table is built per link
-budget and kept in a small cache.  The grid spans the series branch of
-``marcum_q1`` up to the area's squared diagonal; ``d^2`` outside it goes
-through ``marcum_q1`` directly, and ``d^2 = 0`` gives 1.
+evaluated by ``marcum_q1`` at the nodes of a uniform grid in
+``u = log d^2`` and read off a quintic Hermite interpolant (``marcum_q1``
+values, exact slopes and curvatures) for every pair; one table is built per
+link budget and kept in a small cache.  The grid runs from where ``Q1`` is
+1 in double (``a = b + 9``) up to the area's squared diagonal; ``d^2``
+below it, ``d^2 = 0`` included, gives 1, and ``d^2`` beyond it goes through
+``marcum_q1`` directly.
 
 The lookup runs over an array of squared distances in blocks of
 ``_PD_BLOCK`` entries, each block making its passes (log, one clip for the
 out-of-table mask, cell index, Horner) through the same few buffers, so
 the working set beyond the input and output is 33 bytes an entry of one
-block (1.1 MB), whatever the array size.  The entries outside the
-table are gathered over all blocks and go through one ``marcum_q1`` call.
+block (1.1 MB), whatever the array size.  The entries beyond the
+table's top are gathered over all blocks and go through one ``marcum_q1``
+call.
 Every entry is computed as by one pass over the whole array, so the
 values do not depend on the block size.
 """
@@ -37,7 +39,7 @@ from scipy.special import ive
 
 from .airlink import STREAM_SCENE, TransmissionRound, substream
 from .config import ConfigError, SystemConfig, Topology, zone_of_array
-from .specfun import _MARCUM_SERIES_XMAX, marcum_q1
+from .specfun import _MARCUM_ONE_GAP, marcum_q1
 
 __all__ = [
     "Scene",
@@ -118,9 +120,9 @@ def _noncentrality_scale(cfg: SystemConfig) -> float:
 
 # Node spacing of the detection-probability table in u = log d^2.  Changing
 # the link budget only shifts the function of u, so the spacing sets the
-# accuracy: at 2^-9 the interpolant matches the series to the series' own
-# accuracy (about 1e-14), with about 4000 nodes and 0.2 MB per table at the
-# paper and desk link budgets.
+# accuracy: at 2^-9 the interpolant matches ``marcum_q1`` to about 1e-14,
+# with about 3000 nodes and 0.15 MB per table at the paper and desk link
+# budgets.
 _PD_TABLE_STEP = 2.0**-9
 
 # Entries per block of the table lookup.  A block's working arrays take 33
@@ -132,14 +134,14 @@ _PD_BLOCK = 2**15
 def _pd_table(c0: float, b: float, d2_max: float):
     """Quintic Hermite coefficients of ``Q1(c0 / d^2, b)`` on a uniform grid in ``log d^2``.
 
-    The grid runs from where ``marcum_q1`` leaves its Gaussian-tail branch
-    (``a^2 / 2`` at its series limit) up to ``d2_max``.  Node values are the
-    series; node slopes and curvatures are exact.  Returns
+    The grid runs from ``a = b + _MARCUM_ONE_GAP``, where ``Q1`` is 1 in
+    double, up to ``d2_max``.  Node values are ``marcum_q1``'s; node slopes
+    and curvatures are exact.  Returns
     ``(u_lo, 1 / h, coef)``, with ``coef[:, i]`` the power-basis
     coefficients of cell ``i`` in the local coordinate
     ``t = (u - u_lo) / h - i``, or ``None`` when the range is empty.
     """
-    u_lo = np.log(c0 / np.sqrt(2.0 * _MARCUM_SERIES_XMAX))
+    u_lo = np.log(c0 / (b + _MARCUM_ONE_GAP))
     u_hi = np.log(d2_max)
     if not u_lo < u_hi:
         return None
@@ -182,15 +184,16 @@ def _detection_prob_d2(d2: np.ndarray, cfg: SystemConfig, out: np.ndarray | None
     """Detection probabilities at the squared distances ``d2`` (any shape).
 
     Evaluates the table in blocks of ``_PD_BLOCK`` entries through reused
-    buffers, and the entries outside it in one ``marcum_q1`` call at the
-    end.  ``out`` must be C-contiguous and may be ``d2`` itself.
+    buffers, writes 1 below it, and evaluates the entries beyond its top in
+    one ``marcum_q1`` call at the end.  ``out`` must be C-contiguous and may
+    be ``d2`` itself.
     """
     b = float(np.sqrt(cfg.gamma_threshold))
     table = _pd_table(_noncentrality_scale(cfg), b, 2.0 * cfg.area_side**2)
     if out is None:
         out = np.empty(d2.shape)
     flat_d2, flat = d2.reshape(-1), out.reshape(-1)
-    # positions and squared distances of the entries that go through the series
+    # positions and squared distances of the entries that go through marcum_q1
     far_at, far_d2 = [], []
     if table is None:
         far_at.append(np.flatnonzero(flat_d2 != 0))
@@ -203,7 +206,8 @@ def _detection_prob_d2(d2: np.ndarray, cfg: SystemConfig, out: np.ndarray | None
         t, tc, gathered = np.empty((3, step))
         cell = np.empty(step, dtype=np.intp)
         direct = np.empty(step, dtype=bool)
-        # NaN distances cast to garbage cells here and fail in marcum_q1 below
+        # NaN distances cast to garbage cells here, are gathered with the
+        # entries beyond the top and fail in marcum_q1 below
         with np.errstate(divide="ignore", invalid="ignore"):
             for lo in range(0, flat.size, step):
                 d, pd = flat_d2[lo : lo + step], flat[lo : lo + step]
@@ -217,7 +221,7 @@ def _detection_prob_d2(d2: np.ndarray, cfg: SystemConfig, out: np.ndarray | None
                 np.not_equal(tcb, tb, out=db)
                 any_direct = db.any()
                 if any_direct:
-                    at = np.flatnonzero(db & (d != 0))
+                    at = np.flatnonzero(db & ~(tb < 0))
                     far_at.append(at + lo)
                     far_d2.append(d[at])
                 np.copyto(cb, tcb, casting="unsafe")

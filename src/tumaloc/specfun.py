@@ -8,27 +8,27 @@ products over a large number of receive antennas underflow in linear domain.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln, ndtr, xlog1py, xlogy
+from scipy.special import gammaln, xlog1py, xlogy
+from scipy.stats import ncx2
 
 __all__ = [
     "marcum_q1",
     "binom_logpmf",
 ]
 
-# Poisson-mass truncation for the Marcum-Q series.
-_MARCUM_TOL = 1e-14
-# Beyond this noncentrality the series weights underflow; switch to the
-# Gaussian tail approximation (error O(1/a), reachable only for a > 34).
-_MARCUM_SERIES_XMAX = 600.0
+# Q1(a, b) is 1 in double once a - b reaches this gap: with W ~ N(0, I_2),
+# 1 - Q1 <= P(|W| >= a - b) = exp(-(a - b)^2 / 2) < 2^-54.
+_MARCUM_ONE_GAP = 9.0
 
 
 def marcum_q1(a, b):
     """First-order Marcum Q function ``Q1(a, b)``.
 
-    Computed as the upper tail of a noncentral chi-square distribution with
-    2 degrees of freedom and noncentrality ``a**2``: a Poisson-weighted sum
-    of central chi-square tails, truncated once the remaining Poisson mass
-    drops below 1e-14.  Accepts scalars or arrays (broadcast).
+    The upper tail at ``b**2`` of a noncentral chi-square distribution with
+    2 degrees of freedom and noncentrality ``a**2`` (scipy's ``ncx2.sf``).
+    Entries with ``a - b >= _MARCUM_ONE_GAP`` are 1 without the library
+    call, which would also return NaN at noncentralities near 1e296.
+    Accepts scalars or arrays (broadcast).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -38,46 +38,9 @@ def marcum_q1(a, b):
         raise ValueError("marcum_q1: inputs must be nonnegative")
     scalar = a.ndim == 0 and b.ndim == 0
     a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
-
-    # Q1(a,b) = sum_j Pois(j; x) * Q(j+1, y),  x = a^2/2, y = b^2/2,
-    # with Q(s, y) the regularized upper incomplete gamma; for integer s,
-    # Q(s, y) = e^{-y} sum_{i<s} y^i / i!.  Weights and tails update
-    # recursively, so no Bessel evaluation is needed.
-    x = (0.5 * a * a).ravel()
-    y = (0.5 * b * b).ravel()
-    out = np.empty_like(x)
-    big = x > _MARCUM_SERIES_XMAX
-    out[big] = ndtr(np.sqrt(2 * x[big]) - np.sqrt(2 * y[big]))
-
-    # Series on the remaining entries, retiring converged ones as the loop
-    # runs: entries with small noncentrality converge within a few terms.
-    idx = np.nonzero(~big)[0]
-    xs, ys = x[idx], y[idx]
-    pois = np.exp(-xs)
-    pois_cum = pois.copy()
-    gterm = np.exp(-ys)
-    gtail = gterm.copy()
-    acc = pois * gtail
-    j = 0
-    while idx.size and j < 100000:
-        done = pois_cum >= 1.0 - _MARCUM_TOL
-        if np.any(done):
-            out[idx[done]] = acc[done]
-            keep = ~done
-            idx, xs, ys = idx[keep], xs[keep], ys[keep]
-            pois, pois_cum = pois[keep], pois_cum[keep]
-            gterm, gtail, acc = gterm[keep], gtail[keep], acc[keep]
-            if not idx.size:
-                break
-        j += 1
-        pois = pois * xs / j
-        gterm = gterm * ys / j
-        gtail = gtail + gterm
-        acc = acc + pois * gtail
-        pois_cum = pois_cum + pois
-    if idx.size:
-        out[idx] = acc
-    out = np.clip(out, 0.0, 1.0).reshape(a.shape)
+    out = np.ones(a.shape)
+    tail = a - b < _MARCUM_ONE_GAP
+    out[tail] = ncx2.sf(b[tail] ** 2, 2, a[tail] ** 2)
     return float(out.reshape(-1)[0]) if scalar else out
 
 

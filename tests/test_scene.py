@@ -87,7 +87,7 @@ class TestDetectionProb:
         assert 0 < got < 1
 
     def test_monotone_in_distance(self, paper_cfg):
-        # slack matches the series' 1e-14 Poisson-mass truncation
+        # slack for the last bits of ncx2.sf and of the interpolant
         ds = np.linspace(5.0, 60.0, 40)
         vals = [_pd((0.0, 0.0), (0.0, d), paper_cfg) for d in ds]
         assert np.all(np.diff(vals) <= 2e-14)
@@ -104,7 +104,7 @@ class TestDetectionProb:
 
 
 class TestDetectionTable:
-    """The tabulated kernel against the ``marcum_q1`` series it interpolates.
+    """The tabulated kernel against the ``marcum_q1`` values it interpolates.
 
     In the style of criterion 1: at least 10^5 distances log-spaced in d^2
     from 1e-2 m^2 to beyond the area's squared diagonal, plus every
@@ -132,8 +132,8 @@ class TestDetectionTable:
         np.testing.assert_array_equal(got[above], want[above])
 
     def test_empty_range_link_budget(self, paper_cfg, rng):
-        # the noncentrality never leaves the Gaussian-tail branch: no table,
-        # every pair through the series, and pd = 1 in double
+        # a - b >= 9 over the whole area, so Q1 is 1 in double: no table,
+        # every pair through marcum_q1's shortcut, and pd = 1
         cfg = paper_cfg.with_updates(P_n=1e-300)
         b = np.sqrt(cfg.gamma_threshold)
         assert _pd_table(_noncentrality_scale(cfg), b, 2.0 * cfg.area_side**2) is None
@@ -167,7 +167,7 @@ class TestBlockEvaluation:
     @pytest.mark.parametrize("preset", [desk_preset, paper_preset])
     def test_coincident_and_below_table_pairs(self, preset):
         # targets on sensor 0 (d^2 = 0) and around the table's lower end
-        # (d^2 below it goes through marcum_q1), spread over several blocks,
+        # (d^2 below it is 1 without marcum_q1), spread over several blocks,
         # and sensor 1 and a target at opposite corners: d^2 = d2_max, the
         # table's top node, where the cell index must stay on the last cell
         cfg = preset()
@@ -202,6 +202,16 @@ class TestBlockEvaluation:
         got = detection_prob_array(s, p, paper_cfg)
         assert got.shape == (K, T)
         np.testing.assert_array_equal(got, detection_prob_array_reference(s, p, paper_cfg))
+
+    @pytest.mark.parametrize("P_n", [None, 1e-300])
+    def test_nan_coordinate_raises(self, paper_cfg, P_n):
+        # a NaN distance is neither in the table nor below it; with or
+        # without a table it must reach marcum_q1 and fail there
+        cfg = paper_cfg if P_n is None else paper_cfg.with_updates(P_n=P_n)
+        s, p = self._points(cfg, 3, 40, seed=6)
+        p[17, 1] = np.nan
+        with pytest.raises(ValueError):
+            detection_prob_array(s, p, cfg)
 
 
 class TestSenseAll:

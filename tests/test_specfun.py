@@ -4,16 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ive
+from scipy.stats import ncx2
 
 from oracle_utils import decoder_loglik
 from tumaloc.specfun import binom_logpmf, marcum_q1
 
 
-def marcum_quadrature(a: float, b: float) -> float:
+def marcum_quadrature(a: float, b: float, epsabs: float = 1e-13) -> float:
     """Independent oracle: adaptive quadrature of the defining integral.
 
     Q1(a,b) = int_b^inf x exp(-(x^2+a^2)/2) I0(ax) dx, written with the
-    exponentially scaled Bessel function for stability.
+    exponentially scaled Bessel function for stability.  ``epsabs=0``
+    makes the tolerance purely relative, for small tails.
     """
     def integrand(x):
         return x * ive(0, a * x) * np.exp(-0.5 * (x - a) ** 2)
@@ -21,7 +23,7 @@ def marcum_quadrature(a: float, b: float) -> float:
     upper = max(b, a) + 40.0
     points = [a] if b < a < upper else None
     val, err = integrate.quad(
-        integrand, b, upper, limit=400, points=points, epsabs=1e-13, epsrel=1e-13
+        integrand, b, upper, limit=400, points=points, epsabs=epsabs, epsrel=1e-13
     )
     assert err < 1e-10
     return val
@@ -43,6 +45,26 @@ class TestMarcumQ:
         for _ in range(40):
             a, b = rng.uniform(0.0, 10.0, size=2)
             assert marcum_q1(a, b) == pytest.approx(marcum_quadrature(a, b), abs=1e-9)
+
+    def test_relative_accuracy_near_false_alarm_floor(self):
+        # the paper's threshold b^2 = 36.84, where Q1 falls to about 1e-8 at
+        # a = 0; the relative-tolerance oracle agrees with mpmath to 5e-15 here
+        b = np.sqrt(36.84)
+        for a in np.linspace(0.0, 3.0, 31):
+            want = marcum_quadrature(a, b, epsabs=0.0)
+            assert marcum_q1(a, b) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_one_at_gap(self):
+        # 1 - Q1(a, b) <= exp(-(a - b)^2 / 2) < 2^-54 for a - b >= 9: the
+        # library itself gives exactly 1 there, so returning 1 without the
+        # call changes no value
+        b = np.linspace(0.0, 100.0, 101)[:, None]
+        a = b + np.linspace(9.0, 500.0, 200)[None]
+        b = np.broadcast_to(b, a.shape)
+        np.testing.assert_array_equal(ncx2.sf(b**2, 2, a**2), 1.0)
+        np.testing.assert_array_equal(marcum_q1(a, b), 1.0)
+        # noncentralities where ncx2.sf returns NaN
+        assert marcum_q1(1e150, 6.0) == 1.0
 
     def test_bounds_and_monotonicity(self):
         rng = np.random.default_rng(4)
