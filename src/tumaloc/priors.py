@@ -28,7 +28,7 @@ from scipy.special import bdtrc
 
 from .airlink import STREAM_PRIORS, substream
 from .config import SystemConfig, Topology
-from .scene import _PD_BLOCK, Quantizer, _detection_prob_d2, _pair_d2, quantize_array
+from .scene import Quantizer, _detection_prob_d2, _pair_d2, quantize_array
 from .specfun import binom_logpmf
 
 __all__ = [
@@ -42,6 +42,11 @@ __all__ = [
 
 DEFAULT_N_ACTIVE = 20_000
 DEFAULT_N_CELL = 2_000
+
+# (sensor, target) pairs per batch of the two integrals.  The batches bound
+# their working arrays, and the detection kernel's, to a few MB whatever the
+# sample counts; they do not change the results.
+_PD_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -74,10 +79,10 @@ def compute_p_active(cfg: SystemConfig, topology: Topology, n_int: int = DEFAULT
     The chunking fixes the random stream: ``n_inner`` targets per sensor
     and chunks of ``chunk`` sensor samples, each chunk drawing its sensors
     and then one target cloud.  Within a chunk the (sensor, target) pairs
-    are evaluated in blocks of whole sensor rows, about ``_PD_BLOCK``
-    pairs each; that batching does not touch the stream, and each row's
-    mean is summed as over the whole chunk, so the result does not depend
-    on it.
+    go through the one-pass detection kernel in batches of whole sensor
+    rows, about ``_PD_BLOCK`` pairs each, which bound its working arrays;
+    that batching does not touch the stream, and each row's mean is summed
+    as over the whole chunk, so the result does not depend on it.
     """
     if n_int < 1:
         raise ValueError("n_int must be positive")
@@ -97,7 +102,7 @@ def compute_p_active(cfg: SystemConfig, topology: Topology, n_int: int = DEFAULT
         mean_pd = np.empty(n_s)
         for lo in range(0, n_s, rows):
             d2 = _pair_d2(sensors[lo : lo + rows, None], targets[None])
-            mean_pd[lo : lo + rows] = _detection_prob_d2(d2, cfg, out=d2).mean(axis=1)
+            mean_pd[lo : lo + rows] = _detection_prob_d2(d2, cfg).mean(axis=1)
         miss = 1.0 - mean_pd                # I(s) per sensor sample
         acc += float(np.sum(1.0 - miss**cfg.T_targets))
         done += n_s
@@ -124,10 +129,12 @@ def compute_msg_probs(
 
     The stream is fixed by the sample counts alone: per zone, the sensor
     positions, then one target cloud per sensor in sensor order.  Sensors
-    are handled in batches of about ``_PD_BLOCK`` pairs, whose clouds
-    come from one draw of the same stream; the sort, the prefix sums and
-    the cell sums run along each sensor's row and the rows are added into
-    the zone in sensor order, so the batching does not change the result.
+    are handled in batches of about ``_PD_BLOCK`` pairs, which bound the
+    working arrays of the one-pass detection kernel and of the sums.  A
+    batch's clouds come from one draw of the same stream; the sort, the
+    prefix sums and the cell sums run along each sensor's row and the rows
+    are added into the zone in sensor order, so the batching does not
+    change the result.
     """
     if n_int < 1:
         raise ValueError("n_int must be positive")
@@ -153,7 +160,7 @@ def compute_msg_probs(
             clouds = rng.uniform(0, cfg.area_side, size=(nb, n_targets, 2))
             d2 = _pair_d2(s[:, None], clouds)
             order = np.argsort(d2, axis=1)
-            pd = np.take_along_axis(_detection_prob_d2(d2, cfg, out=d2), order, axis=1)
+            pd = np.take_along_axis(_detection_prob_d2(d2, cfg), order, axis=1)
             # J at the radius of each sample: competitors strictly closer
             J = np.ones_like(pd)
             J[:, 1:] -= np.cumsum(pd, axis=1)[:, :-1] / n_targets

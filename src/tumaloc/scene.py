@@ -18,15 +18,12 @@ link budget and kept in a small cache.  The grid runs from where ``Q1`` is
 below it, ``d^2 = 0`` included, gives 1, and ``d^2`` beyond it goes through
 ``marcum_q1`` directly.
 
-The lookup runs over an array of squared distances in blocks of
-``_PD_BLOCK`` entries, each block making its passes (log, one clip for the
-out-of-table mask, cell index, Horner) through the same few buffers, so
-the working set beyond the input and output is 33 bytes an entry of one
-block (1.1 MB), whatever the array size.  The entries beyond the
-table's top are gathered over all blocks and go through one ``marcum_q1``
-call.
-Every entry is computed as by one pass over the whole array, so the
-values do not depend on the block size.
+The lookup makes one pass of each step (log, one clip for the
+out-of-table mask, cell index, Horner) over the array of squared distances
+it is given and writes the probabilities over it; the entries beyond the
+table's top go through one ``marcum_q1`` call.  Every entry is computed on
+its own, so the values do not depend on the array's size; the prior
+integrals bound that size by batching their pairs.
 """
 
 from __future__ import annotations
@@ -125,10 +122,6 @@ def _noncentrality_scale(cfg: SystemConfig) -> float:
 # budgets.
 _PD_TABLE_STEP = 2.0**-9
 
-# Entries per block of the table lookup.  A block's working arrays take 33
-# bytes an entry, so they stay in a core's L2 cache between passes.
-_PD_BLOCK = 2**15
-
 
 @functools.lru_cache(maxsize=8)
 def _pd_table(c0: float, b: float, d2_max: float):
@@ -180,71 +173,52 @@ def _pair_d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _detection_prob_d2(d2: np.ndarray, cfg: SystemConfig, out: np.ndarray | None = None) -> np.ndarray:
-    """Detection probabilities at the squared distances ``d2`` (any shape).
+def _detection_prob_d2(d2: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Detection probabilities at the squared distances ``d2`` (any shape), written over ``d2``.
 
-    Evaluates the table in blocks of ``_PD_BLOCK`` entries through reused
-    buffers, writes 1 below it, and evaluates the entries beyond its top in
-    one ``marcum_q1`` call at the end.  ``out`` must be C-contiguous and may
-    be ``d2`` itself.
+    One pass of each step over the array: the table's quintic for the
+    entries in it, 1 below it, and one ``marcum_q1`` call on the entries
+    beyond its top.
     """
     b = float(np.sqrt(cfg.gamma_threshold))
     table = _pd_table(_noncentrality_scale(cfg), b, 2.0 * cfg.area_side**2)
-    if out is None:
-        out = np.empty(d2.shape)
-    flat_d2, flat = d2.reshape(-1), out.reshape(-1)
-    # positions and squared distances of the entries that go through marcum_q1
-    far_at, far_d2 = [], []
     if table is None:
-        far_at.append(np.flatnonzero(flat_d2 != 0))
-        far_d2.append(flat_d2[far_at[0]])
-        flat.fill(1.0)
+        far = d2 != 0
+        far_d2 = d2[far]
+        d2.fill(1.0)
     else:
         u_lo, inv_h, coef = table
         n_cells = coef.shape[1]
-        step = max(1, min(flat.size, _PD_BLOCK))
-        t, tc, gathered = np.empty((3, step))
-        cell = np.empty(step, dtype=np.intp)
-        direct = np.empty(step, dtype=bool)
-        # NaN distances cast to garbage cells here, are gathered with the
-        # entries beyond the top and fail in marcum_q1 below
+        # log(0) is -inf; NaN distances cast to garbage cells here, are
+        # gathered with the entries beyond the top and fail in marcum_q1 below
         with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in range(0, flat.size, step):
-                d, pd = flat_d2[lo : lo + step], flat[lo : lo + step]
-                n = d.size
-                tb, tcb, cb, db, gb = t[:n], tc[:n], cell[:n], direct[:n], gathered[:n]
-                np.log(d, out=tb)
-                tb -= u_lo
-                tb *= inv_h
-                # the entries in the table are those the clip leaves alone
-                np.clip(tb, 0.0, n_cells, out=tcb)
-                np.not_equal(tcb, tb, out=db)
-                any_direct = db.any()
-                if any_direct:
-                    at = np.flatnonzero(db & ~(tb < 0))
-                    far_at.append(at + lo)
-                    far_d2.append(d[at])
-                np.copyto(cb, tcb, casting="unsafe")
-                np.minimum(cb, n_cells - 1, out=cb)
-                tcb -= cb
-                # writes over d when out is d2
-                np.take(coef[-1], cb, out=pd, mode="clip")
-                for c in coef[-2::-1]:
-                    pd *= tcb
-                    pd += np.take(c, cb, out=gb, mode="clip")
-                if any_direct:
-                    np.copyto(pd, 1.0, where=db)
-    if far_at:
-        at = np.concatenate(far_at)
-        if at.size:
-            flat[at] = marcum_q1(_detection_noncentrality(np.concatenate(far_d2), cfg), b)
-    return out
+            t = np.log(d2)
+            t -= u_lo
+            t *= inv_h
+            tc = np.clip(t, 0.0, n_cells)
+            cell = tc.astype(np.intp)
+        # the entries in the table are those the clip leaves alone
+        direct = tc != t
+        far = direct & ~(t < 0)
+        far_d2 = d2[far]
+        np.minimum(cell, n_cells - 1, out=cell)
+        tc -= cell
+        pd = d2                 # the probabilities go over the squared distances
+        np.take(coef[-1], cell, out=pd, mode="clip")
+        for c in coef[-2::-1]:
+            pd *= tc
+            pd += np.take(c, cell, out=t, mode="clip")
+        pd[direct] = 1.0
+    if far_d2.size:
+        d2[far] = marcum_q1(_detection_noncentrality(far_d2, cfg), b)
+    return d2
 
 
 def detection_prob_array(sensors: np.ndarray, targets: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Detection probabilities for all (sensor, target) pairs, shape (K, T)."""
-    d2 = _pair_d2(sensors[:, None], targets[None])
-    return _detection_prob_d2(d2, cfg, out=d2)
+    sensors = np.asarray(sensors, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    return _detection_prob_d2(_pair_d2(sensors[:, None], targets[None]), cfg)
 
 
 def sense_all(scene: Scene, cfg: SystemConfig, rng: np.random.Generator) -> Scene:
@@ -254,7 +228,7 @@ def sense_all(scene: Scene, cfg: SystemConfig, rng: np.random.Generator) -> Scen
     if K and T:
         pd = detection_prob_array(scene.sensors, scene.targets, cfg)
         hits = rng.uniform(size=(K, T)) < pd
-        d2 = ((scene.sensors[:, None, :] - scene.targets[None, :, :]) ** 2).sum(-1)
+        d2 = _pair_d2(scene.sensors[:, None], scene.targets[None])
         active = hits.any(axis=1)
         reported[active] = np.where(hits, d2, np.inf).argmin(axis=1)[active]
     return replace(scene, reported=reported)

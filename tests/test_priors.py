@@ -15,13 +15,14 @@ from tumaloc import priors
 from tumaloc.airlink import substream
 from tumaloc.config import SystemConfig, build_topology, desk_preset, paper_preset
 from tumaloc.priors import (
+    _PD_BLOCK,
     build_prior,
     compute_msg_probs,
     compute_p_active,
     load_or_build_prior,
     prior_cache_key,
 )
-from tumaloc.scene import _PD_BLOCK, build_quantizer, detection_prob_array
+from tumaloc.scene import build_quantizer, detection_prob_array
 from tumaloc.specfun import binom_logpmf
 
 

@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from oracle_utils import detection_prob_array_reference, quantize
 from tumaloc.airlink import substream
 from tumaloc.config import ConfigError, build_topology, desk_preset, paper_preset
+from tumaloc.priors import _PD_BLOCK
 from tumaloc.scene import (
-    _PD_BLOCK,
     Scene,
     _detection_noncentrality,
     _noncentrality_scale,
@@ -143,7 +145,7 @@ class TestDetectionTable:
 
 
 class TestBlockEvaluation:
-    """The blocked kernel against the whole-array reference, bit for bit."""
+    """The one-pass kernel against the whole-array reference, bit for bit."""
 
     @staticmethod
     def _points(cfg, K, T, seed):
@@ -154,7 +156,8 @@ class TestBlockEvaluation:
     @pytest.mark.parametrize("preset", [desk_preset, paper_preset])
     @pytest.mark.parametrize(
         "K, T",
-        # the last three do not divide the block size
+        # (2000, 2000) and the last three exceed the prior integrals' batch
+        # of _PD_BLOCK pairs; the kernel takes each in one pass
         [(1, 4096), (200, 50), (2000, 2000), (37, 1111), (1, _PD_BLOCK + 1), (3, _PD_BLOCK // 3 + 5)],
     )
     def test_matches_whole_array_reference(self, preset, K, T):
@@ -167,7 +170,7 @@ class TestBlockEvaluation:
     @pytest.mark.parametrize("preset", [desk_preset, paper_preset])
     def test_coincident_and_below_table_pairs(self, preset):
         # targets on sensor 0 (d^2 = 0) and around the table's lower end
-        # (d^2 below it is 1 without marcum_q1), spread over several blocks,
+        # (d^2 below it is 1 without marcum_q1), spread over the array,
         # and sensor 1 and a target at opposite corners: d^2 = d2_max, the
         # table's top node, where the cell index must stay on the last cell
         cfg = preset()
@@ -212,6 +215,36 @@ class TestBlockEvaluation:
         p[17, 1] = np.nan
         with pytest.raises(ValueError):
             detection_prob_array(s, p, cfg)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_coordinate_dtype(self, paper_cfg, dtype):
+        # integer and float32 coordinates give the float64 result of the
+        # values they hold
+        s, p = self._points(paper_cfg, 20, 300, seed=7)
+        s, p = s.astype(dtype), p.astype(dtype)
+        got = detection_prob_array(s, p, paper_cfg)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(
+            got, detection_prob_array(s.astype(float), p.astype(float), paper_cfg)
+        )
+
+    @pytest.mark.parametrize("preset", [desk_preset, paper_preset])
+    def test_no_floating_point_warnings(self, preset):
+        # log(0) and the NaN-to-int cast stay inside the kernel's errstate
+        cfg = preset()
+        d2_max = 2.0 * cfg.area_side**2
+        u_lo, inv_h, coef = _pd_table(_noncentrality_scale(cfg), np.sqrt(cfg.gamma_threshold), d2_max)
+        u_top = u_lo + coef.shape[1] / inv_h
+        d2 = np.array([0.0, np.exp(u_lo - 1.0), np.exp(0.5 * (u_lo + u_top)), np.exp(u_top + 1.0)])
+        targets = np.stack([np.zeros_like(d2), np.sqrt(d2)], axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = detection_prob_array(np.zeros((1, 2)), targets, cfg)[0]
+            targets[2, 0] = np.nan
+            with pytest.raises(ValueError):
+                detection_prob_array(np.zeros((1, 2)), targets, cfg)
+        assert got[0] == got[1] == 1.0
+        assert 0.0 < got[3] < got[2] < 1.0
 
 
 class TestSenseAll:
