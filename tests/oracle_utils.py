@@ -11,10 +11,13 @@ vectorized maps.  ``gen_codebook_reference``, ``denoise_rows_reference``,
 whole-array codebook, the all-rows denoiser, the per-output-AP Onsager
 loop and the all-rows AMP recursion that the package's in-place
 codebook, ruled-dead rows, batched ``Q2`` product and live-row recursion
-must reproduce.  ``detection_prob_array_reference``,
-``compute_p_active_reference`` and ``compute_msg_probs_reference`` are the
-whole-array detection kernel and the one-sensor-at-a-time prior integrals
-that the block evaluation must reproduce bit for bit.
+must reproduce.  ``detection_prob_array_reference`` and
+``compute_msg_probs_reference`` are the whole-array detection kernel and
+the one-sensor-at-a-time message-probability integral that the block
+evaluation must reproduce bit for bit.  ``detection_integral_quad`` is the
+single-target detection integral by adaptive quadrature, with the inside
+angle of ``inside_angle_reference`` built arc by arc, against which the
+activation integral's fixed radial rule is checked.
 ``multiplicity_pmf_full`` is the binomial-thinning prior over every
 k = 0..K, whose first K_max + 1 columns ``build_prior`` must reproduce.
 
@@ -27,8 +30,11 @@ a configuration and ``config_to_dict`` the JSON form of a configuration.
 """
 
 import dataclasses
+import math
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.special import chndtr
 
 from tumaloc.airlink import STREAM_CODEBOOK, STREAM_PRIORS, substream
 from tumaloc.amp_central import (
@@ -40,7 +46,7 @@ from tumaloc.amp_central import (
     residual_covariance,
 )
 from tumaloc.config import SystemConfig, _gamma_of_distance
-from tumaloc.priors import DEFAULT_N_ACTIVE, DEFAULT_N_CELL
+from tumaloc.priors import DEFAULT_N_CELL, _falloff_radii
 from tumaloc.scene import (
     _detection_noncentrality,
     _noncentrality_scale,
@@ -48,7 +54,7 @@ from tumaloc.scene import (
     detection_prob_array,
     quantize_array,
 )
-from tumaloc.specfun import binom_logpmf, marcum_q1
+from tumaloc.specfun import _MARCUM_ONE_GAP, binom_logpmf, marcum_q1
 
 
 def gamma_of(points, aps, d0, beta):
@@ -407,23 +413,61 @@ def detection_prob_array_reference(sensors, targets, cfg):
     return pd
 
 
-def compute_p_active_reference(cfg, n_int=DEFAULT_N_ACTIVE):
-    """``compute_p_active`` with each chunk's (sensors, targets) array evaluated whole."""
-    rng = substream(cfg.master_seed, STREAM_PRIORS, 0)
+def inside_angle_reference(s, r, side):
+    """Angle of the radius-``r`` circle about ``s`` that lies inside the square, arc by arc.
+
+    The circle's crossings with the four edge lines cut it into arcs; an arc
+    counts when its midpoint lies in the closed square.
+    """
+    x, y = s
+    cuts = [0.0, 2.0 * math.pi]
+    for c, on_cos in ((-x / r, True), ((side - x) / r, True), (-y / r, False), ((side - y) / r, False)):
+        if abs(c) <= 1.0:
+            if on_cos:
+                a = math.acos(c)
+                cuts += [a, 2.0 * math.pi - a]
+            else:
+                a = math.asin(c)
+                cuts += [a % (2.0 * math.pi), math.pi - a]
+    cuts.sort()
+    tol = 1e-12 * side
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        px, py = x + r * math.cos(mid), y + r * math.sin(mid)
+        if -tol <= px <= side + tol and -tol <= py <= side + tol:
+            total += hi - lo
+    return total
+
+
+def detection_integral_quad(s, cfg, epsrel=1e-13):
+    """Single-target detection probability at sensor ``s`` by ``scipy.integrate.quad``.
+
+    ``(1/S^2) int pd(r^2) r theta_s(r) dr`` with the inside angle from
+    :func:`inside_angle_reference` and ``pd`` from scipy's noncentral
+    chi-square cdf, one adaptive quadrature per piece between the
+    package's breakpoints (edge and corner distances and
+    ``priors._falloff_radii``).
+    """
+    x, y = float(s[0]), float(s[1])
     side = cfg.area_side
-    n_inner = min(2000, max(200, n_int // 10))
-    chunk = max(1, int(4e6) // n_inner)
-    acc = 0.0
-    done = 0
-    while done < n_int:
-        n_s = min(chunk, n_int - done)
-        sensors = rng.uniform(0, side, size=(n_s, 2))
-        targets = rng.uniform(0, side, size=(n_inner, 2))
-        pd = detection_prob_array_reference(sensors, targets, cfg)
-        miss = 1.0 - pd.mean(axis=1)
-        acc += float(np.sum(1.0 - miss**cfg.T_targets))
-        done += n_s
-    return acc / n_int
+    c0 = _noncentrality_scale(cfg)
+    b2 = cfg.gamma_threshold
+    one = (math.sqrt(b2) + _MARCUM_ONE_GAP) ** 2
+
+    def f(r):
+        a2 = (c0 / (r * r)) ** 2 if r > 0.0 else math.inf
+        pd = 1.0 if a2 > one else 1.0 - chndtr(b2, 2.0, a2)
+        return pd * r * inside_angle_reference((x, y), r, side)
+
+    d = [x, y, side - x, side - y]
+    corners = [math.hypot(d[i], d[(i + 1) % 4]) for i in range(4)]
+    R = max(corners)
+    ends = sorted({min(e, R) for e in [0.0, *d, *corners, *_falloff_radii(cfg)]})
+    total = 0.0
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        total += quad(f, lo, hi, epsabs=1e-14 * side**2, epsrel=epsrel, limit=200)[0]
+    return total / side**2
 
 
 def compute_msg_probs_reference(cfg, topology, quantizer, n_int=DEFAULT_N_CELL):

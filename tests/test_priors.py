@@ -6,23 +6,24 @@ import numpy as np
 import pytest
 from oracle_utils import (
     compute_msg_probs_reference,
-    compute_p_active_reference,
     compute_p_closest,
+    detection_integral_quad,
     multiplicity_pmf_full,
 )
 
 from tumaloc import priors
-from tumaloc.airlink import substream
+from tumaloc.airlink import STREAM_PRIORS, substream
 from tumaloc.config import SystemConfig, build_topology, desk_preset, paper_preset
 from tumaloc.priors import (
     _PD_BLOCK,
+    _detection_integral,
     build_prior,
     compute_msg_probs,
     compute_p_active,
     load_or_build_prior,
     prior_cache_key,
 )
-from tumaloc.scene import build_quantizer, detection_prob_array
+from tumaloc.scene import _noncentrality_scale, build_quantizer, detection_prob_array
 from tumaloc.specfun import binom_logpmf
 
 
@@ -45,10 +46,20 @@ def _one_zone_cfg(**kw):
 
 class TestPActive:
     def test_pd_zero_gives_zero(self):
-        # gamma so large the false-alarm floor underflows to exactly 0
+        # gamma so large the false-alarm floor underflows to exactly 0: pd is
+        # 1 on a disc of radius 4e-5 m and falls to 0 by about 1.15 times that.
+        # For so short a range I = (pi / S^2) int_0^inf Q1(c0 / u, b) du over
+        # u = d^2; with Q1 = P(|t + W| > b), t = c0 / u and W standard normal
+        # in 2-D, that is (pi c0 / S^2) E[1 / (sqrt(b^2 - w2^2) - w1)]
+        # = (pi c0 / (b S^2)) (1 + 3 / (2 b^2) + O(b^-4)).  The disc alone,
+        # pi c0 / ((b + 9) S^2), would be about 12 % short.
         cfg = _one_zone_cfg(gamma_threshold=4000.0, P_n=1e6)
         topo = build_topology(cfg)
-        assert compute_p_active(cfg, topo, n_int=500) == 0.0
+        b = np.sqrt(cfg.gamma_threshold)
+        inner = np.pi * _noncentrality_scale(cfg) / (b * cfg.area_side**2) * (1 + 1.5 / b**2)
+        want = 1.0 - (1.0 - inner) ** cfg.T_targets
+        # 1 - I rounds to a multiple of 2^-53, 5e-5 of I here
+        assert compute_p_active(cfg, topo, n_int=500) == pytest.approx(want, rel=2e-4)
 
     def test_pd_one_gives_one(self):
         cfg = _one_zone_cfg(P_n=1e-300)
@@ -181,25 +192,64 @@ class TestMsgProbs:
         np.testing.assert_allclose(got, want, atol=0.05)
 
 
+class TestDetectionIntegral:
+    """The single-target detection integral ``I(s)`` behind ``p_active``, by its radial rule."""
+
+    @staticmethod
+    def _sensors(side, seed):
+        # uniform positions, then corners, points on each edge, points a few
+        # mm to cm inside an edge or a corner, and the centre
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0, side, size=(40, 2))
+        f = np.array([
+            [0, 0], [1, 0], [0, 1], [1, 1],
+            [0, 0.3], [1, 0.7], [0.4, 0], [0.55, 1],
+            [1e-5, 2e-5], [1 - 3e-5, 0.2], [0.01, 0.6], [0.6, 1 - 1e-4],
+            [0.5, 0.5], [0.25, 0.25], [0.1, 0.9], [0.05, 0.999],
+        ])
+        return np.concatenate([u, side * f])
+
+    @pytest.mark.parametrize("preset", [desk_preset, paper_preset], ids=["desk", "paper"])
+    def test_matches_quad_oracle(self, preset):
+        cfg = preset()
+        s = self._sensors(cfg.area_side, seed=11)
+        want = [detection_integral_quad(p, cfg) for p in s]
+        np.testing.assert_allclose(_detection_integral(s, cfg), want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("preset", [desk_preset, paper_preset], ids=["desk", "paper"])
+    def test_eight_symmetric_images_agree(self, preset):
+        cfg = preset()
+        S = cfg.area_side
+        s = self._sensors(S, seed=12)
+        x, y = s.T
+        images = [(x, y), (S - x, y), (x, S - y), (S - x, S - y),
+                  (y, x), (S - y, x), (y, S - x), (S - y, S - x)]
+        got = np.stack([_detection_integral(np.stack(p, axis=1), cfg) for p in images])
+        np.testing.assert_allclose(got, np.broadcast_to(got[0], got.shape), rtol=1e-14, atol=0)
+
+    def test_batching_does_not_change_the_result(self, monkeypatch):
+        cfg = desk_preset()
+        s = self._sensors(cfg.area_side, seed=13)
+        want = _detection_integral(s, cfg)
+        # one sensor per batch, and batches that do not divide the sensors
+        for block in (1, 5 * 260):
+            monkeypatch.setattr(priors, "_PD_BLOCK", block)
+            np.testing.assert_array_equal(_detection_integral(s, cfg), want)
+
+    def test_p_active_is_the_mean_over_the_stream_sensors(self):
+        cfg = desk_preset()
+        sensors = substream(cfg.master_seed, STREAM_PRIORS, 0).uniform(0, cfg.area_side, size=(3333, 2))
+        want = np.mean(1.0 - (1.0 - _detection_integral(sensors, cfg)) ** cfg.T_targets)
+        assert compute_p_active(cfg, build_topology(cfg), 3333) == want
+
+
 class TestBlockedIntegrals:
-    """The blocked integrals against their one-pass references, bit for bit."""
+    """The blocked message-probability integral against its one-pass reference, bit for bit."""
 
     @staticmethod
     def _setup(preset, **kw):
         cfg = preset(**kw)
         return cfg, build_topology(cfg), build_quantizer(cfg.M.bit_length() - 1, cfg.area_side)
-
-    @pytest.mark.parametrize(
-        "preset, n_int",
-        # row blocks that do not divide a chunk; the paper preset's 200 inner samples
-        [(desk_preset, 3333), (paper_preset, 2000)],
-    )
-    def test_p_active_matches_reference(self, preset, n_int):
-        cfg, topo, _ = self._setup(preset)
-        n_inner = min(2000, max(200, n_int // 10))
-        assert min(n_int, int(4e6) // n_inner) % max(1, _PD_BLOCK // n_inner)
-        got = compute_p_active(cfg, topo, n_int)
-        assert got.hex() == compute_p_active_reference(cfg, n_int).hex()
 
     @pytest.mark.parametrize(
         "preset, n_int, kw, partial",
