@@ -177,8 +177,8 @@ def _detection_prob_d2(d2: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Detection probabilities at the squared distances ``d2`` (any shape), written over ``d2``.
 
     One pass of each step over the array: the table's quintic for the
-    entries in it, 1 below it, and one ``marcum_q1`` call on the entries
-    beyond its top.
+    entries in it, clipped to [0, 1], 1 below it, and one ``marcum_q1``
+    call on the entries beyond its top.
     """
     b = float(np.sqrt(cfg.gamma_threshold))
     table = _pd_table(_noncentrality_scale(cfg), b, 2.0 * cfg.area_side**2)
@@ -208,6 +208,9 @@ def _detection_prob_d2(d2: np.ndarray, cfg: SystemConfig) -> np.ndarray:
         for c in coef[-2::-1]:
             pd *= tc
             pd += np.take(c, cell, out=t, mode="clip")
+        # the quintic rounds an ulp above 1 near the table's start, and
+        # undershoots 0 where Q1 underflows to 0 (no false-alarm floor in double)
+        np.clip(pd, 0.0, 1.0, out=pd)
         pd[direct] = 1.0
     if far_d2.size:
         d2[far] = marcum_q1(_detection_noncentrality(far_d2, cfg), b)

@@ -2,10 +2,10 @@
 
 ``data/golden_paper_records.jsonl`` holds four runs of the paper preset at
 its 10 dB point, on the prior of the ``paper-decode`` benchmark workload
-(2000 activation and 200 cell samples): three centralized runs at
-``T_AMP=3, N_MC=100``, run seeds ``derive_run_seed(1, 0, r)`` for r = 0, 1, 2,
-and one distributed run at ``T_AMP=2, N_MC=25``, run seed
-``derive_run_seed(1, 0, 0)``.  Each line holds the run's record without
+(200 cell samples; its 2000 activation samples have no effect): three
+centralized runs at ``T_AMP=3, N_MC=100``, run seeds
+``derive_run_seed(1, 0, r)`` for r = 0, 1, 2, and one distributed run at
+``T_AMP=2, N_MC=25``, run seed ``derive_run_seed(1, 0, 0)``.  Each line holds the run's record without
 ``wall_time_s``, the sha256 of the decode's MAP multiplicities
 ``k_per_zone`` (int64, C order), and the posteriors of the rows whose mass on
 k >= 1 reaches ``MASS_FLOOR``, keyed by the flat row index ``u M + m``;

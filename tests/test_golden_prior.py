@@ -1,19 +1,19 @@
 """Bit reproducibility of the desk and paper priors.
 
 ``data/golden_desk_prior.json`` pins the prior that ``load_or_build_prior``
-returns for the desk preset with the default activation and cell sample
-counts; ``data/golden_paper_prior.json`` pins the paper preset's at the
-benchmark's ``paper-decode`` sample counts (2000 activation, 200 cell), where
-the prior keeps 12 of its 201 multiplicity columns.  Each holds
-``p_active`` as ``float.hex`` and sha256 digests of the raw bytes of
+returns for the desk preset with the default cell sample count;
+``data/golden_paper_prior.json`` pins the paper preset's at the benchmark's
+``paper-decode`` sample counts (2000 activation, which has no effect, and
+200 cell), where the prior keeps 12 of its 201 multiplicity columns.  Each
+holds ``p_active`` as ``float.hex`` and sha256 digests of the raw bytes of
 ``msg_probs`` and ``pmf`` (C order, float64), and of the per-sensor
-single-target detection integrals ``I(s)`` at the first 256 sensor positions
-of the activation stream: ``p_active`` is a mean over sensors, which can
-absorb a last-bit move in one ``I(s)``.  The golden records see the prior
-only through the decodes it feeds, so they can hide a small move in it;
-these files cannot.  A change that moves any bit of a prior is a
-numeric change: raise ``CACHE_VERSION`` and regenerate both files
-deliberately::
+single-target detection integrals ``I(s)`` at 256 uniform sensor positions,
+the first draws of ``STREAM_PRIORS`` substream 0: ``p_active`` is a weighted
+sum over the sensor rule's nodes, which can absorb a last-bit move in one
+``I(s)``.  The golden records see the prior only through the decodes it
+feeds, so they can hide a small move in it; these files cannot.  A change
+that moves any bit of a prior is a numeric change: raise ``CACHE_VERSION``
+and regenerate both files deliberately::
 
     PYTHONPATH=src python tests/test_golden_prior.py
 """

@@ -12,11 +12,12 @@ from oracle_utils import (
 )
 
 from tumaloc import priors
-from tumaloc.airlink import STREAM_PRIORS, substream
 from tumaloc.config import SystemConfig, build_topology, desk_preset, paper_preset
 from tumaloc.priors import (
     _PD_BLOCK,
     _detection_integral,
+    _falloff_radii,
+    _sensor_rule,
     build_prior,
     compute_msg_probs,
     compute_p_active,
@@ -236,11 +237,54 @@ class TestDetectionIntegral:
             monkeypatch.setattr(priors, "_PD_BLOCK", block)
             np.testing.assert_array_equal(_detection_integral(s, cfg), want)
 
-    def test_p_active_is_the_mean_over_the_stream_sensors(self):
-        cfg = desk_preset()
-        sensors = substream(cfg.master_seed, STREAM_PRIORS, 0).uniform(0, cfg.area_side, size=(3333, 2))
-        want = np.mean(1.0 - (1.0 - _detection_integral(sensors, cfg)) ** cfg.T_targets)
-        assert compute_p_active(cfg, build_topology(cfg), 3333) == want
+
+class TestSensorRule:
+    """``p_active``'s outer mean over sensor positions, by the Gauss-Legendre rule on the square's eighth."""
+
+    @staticmethod
+    def _equal_pieces(cfg, n_pieces=40, n_nodes=8):
+        # the same mean by a composite rule on the quarter [0, S/2]^2 with
+        # n_pieces equal pieces a side, which shares no breakpoint with the
+        # rule; I(s) is taken on x >= y and mirrored to x < y
+        half = cfg.area_side / 2
+        t, w = np.polynomial.legendre.leggauss(n_nodes)
+        edges = np.linspace(0.0, half, n_pieces + 1)
+        x = (edges[:-1, None] + np.diff(edges)[:, None] * (t + 1) / 2).ravel()
+        wx = (np.diff(edges)[:, None] * w / 2).ravel() / half
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        lower = X >= Y
+        mirrored = _detection_integral(np.stack([X[lower], Y[lower]], axis=1), cfg)
+        inner = np.empty_like(X)
+        inner[lower] = mirrored
+        inner.T[lower] = mirrored
+        return float(np.sum(np.outer(wx, wx) * (1.0 - (1.0 - inner) ** cfg.T_targets)))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [desk_preset(), paper_preset(), _one_zone_cfg(), _one_zone_cfg(Ns=300)],
+        ids=["desk", "paper", "one-zone", "one-zone-Ns300"],
+    )
+    def test_matches_equal_piece_rule(self, cfg):
+        got = compute_p_active(cfg, build_topology(cfg))
+        assert got == pytest.approx(self._equal_pieces(cfg), rel=0, abs=1e-10)
+
+    def test_splits_at_far_side_of_falloff(self):
+        # a fall-off radius in (S/2, S) puts a breakpoint at S - r on each axis
+        cfg = _one_zone_cfg(Ns=300)
+        r = _falloff_radii(cfg)
+        far = cfg.area_side - r[(r > cfg.area_side / 2) & (r < cfg.area_side)]
+        assert far.size == 2
+        pieces = np.unique(_sensor_rule(cfg)[0]).reshape(-1, priors._SENSOR_NODES)
+        # no piece has nodes on both sides of either
+        for cut in far:
+            assert np.all((pieces < cut).all(axis=1) | (pieces > cut).all(axis=1))
+
+    @pytest.mark.parametrize("preset", [desk_preset, _one_zone_cfg], ids=["desk", "one-zone"])
+    def test_does_not_depend_on_the_seed(self, preset):
+        cfg = preset()
+        topo = build_topology(cfg)
+        got = compute_p_active(cfg.with_updates(master_seed=0), topo)
+        assert compute_p_active(cfg.with_updates(master_seed=7), topo) == got
 
 
 class TestBlockedIntegrals:
@@ -464,8 +508,8 @@ class TestPriorCache:
 
     def test_key_changes_with_sensing_fields(self):
         cfg = _one_zone_cfg()
-        k1 = prior_cache_key(cfg, 100, 100)
-        k2 = prior_cache_key(cfg.with_updates(Ns=999), 100, 100)
-        k3 = prior_cache_key(cfg.with_updates(Ec=2.0), 100, 100)
+        k1 = prior_cache_key(cfg, 100)
+        k2 = prior_cache_key(cfg.with_updates(Ns=999), 100)
+        k3 = prior_cache_key(cfg.with_updates(Ec=2.0), 100)
         assert k1 != k2
         assert k1 == k3  # Ec is not sensing-relevant

@@ -5,7 +5,7 @@ import pytest
 
 from oracle_utils import detection_prob_array_reference, quantize
 from tumaloc.airlink import substream
-from tumaloc.config import ConfigError, build_topology, desk_preset, paper_preset
+from tumaloc.config import ConfigError, SystemConfig, build_topology, desk_preset, paper_preset
 from tumaloc.priors import _PD_BLOCK
 from tumaloc.scene import (
     Scene,
@@ -142,6 +142,18 @@ class TestDetectionTable:
         s = rng.uniform(0, 300, size=(20, 2))
         p = np.vstack([s[:3], rng.uniform(0, 300, size=(30, 2))])
         np.testing.assert_array_equal(detection_prob_array(s, p, cfg), 1.0)
+
+    def test_stays_in_unit_interval_below_the_floor(self):
+        # gamma so large that Q1 underflows to 0 within 0.1 mm: the quintic
+        # undershot 0 just past there (down to -6e-199) and overshot 1 by
+        # up to 9e-16 near the table's start
+        cfg = SystemConfig(area_side=50.0, zone_grid=(1, 1), ap_positions=((25.0, 25.0),),
+                           A=1, M=4, K=10, T_targets=2, K_max=4, Ns=10, N_MC=50,
+                           gamma_threshold=4000.0, P_n=1e6)
+        r = np.geomspace(3e-5, 70.0, 200_000)
+        got = detection_prob_array(np.zeros((1, 2)), np.stack([r, np.zeros_like(r)], axis=1), cfg)[0]
+        assert got.min() == 0.0
+        assert got.max() == 1.0
 
 
 class TestBlockEvaluation:
