@@ -20,9 +20,11 @@ prior-integration     5
 ====================  ==========
 
 Of the prior-integration stream the package draws only substream 2, the
-sensors and targets of ``priors.compute_msg_probs``; the activation
-integral is a quadrature and draws nothing.  Substream 0 now only places
-the golden prior test's pinned ``I(s)`` sensors.
+sensors and targets of ``priors.compute_msg_probs``, for one zone per
+orbit of the zone grid's axis mirrors, in increasing zone index; the
+mirrored zones draw nothing.  The activation integral is a quadrature and
+draws nothing.  Substream 0 now only places the golden prior test's pinned
+``I(s)`` sensors.
 """
 
 from __future__ import annotations

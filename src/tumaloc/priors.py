@@ -18,7 +18,8 @@ symmetric eighth, and its inner single-target detection integral a radial
 quadrature, exact to about 1e-10, so that raising it to the T-th power adds
 no bias; it does not depend on the master seed.  The message-selection
 integral is Monte Carlo in both the sensor and the target position, seeded
-by ``master_seed``.
+by ``master_seed``, for one zone per orbit of the square's axis mirrors;
+the other zones are exact mirror images of their representative's table.
 """
 
 from __future__ import annotations
@@ -240,28 +241,48 @@ def compute_msg_probs(
     receives ``n_int`` effective samples at far lower cost than independent
     per-cell integration.
 
-    The stream is fixed by the sample counts alone: per zone, the sensor
-    positions, then one target cloud per sensor in sensor order.  Sensors
-    are handled in batches of about ``_PD_BLOCK`` pairs, which bound the
-    working arrays of the one-pass detection kernel and of the sums.  A
-    batch's clouds come from one draw of the same stream; the sort, the
-    prefix sums and the cell sums run along each sensor's row and the rows
-    are added into the zone in sensor order, so the batching does not
-    change the result.
+    Only one zone per orbit of the square's axis mirrors {identity, x-flip,
+    y-flip, both} is integrated: the representatives are the zones
+    ``(iy, ix)`` with ``iy <= (rows - 1) / 2`` and ``ix <= (cols - 1) / 2``.
+    Zone ``(iy, ix)`` takes the table of ``(min(iy, rows - 1 - iy),
+    min(ix, cols - 1 - ix))`` with the cell grid reversed along each axis
+    on which the two differ.  This is exact for the integral, not an
+    approximation: targets are uniform on the square, pd depends on
+    distance alone and zones and cells are uniform grids, so the reflection
+    ``x -> S - x`` maps the target law onto itself, zone column ix onto
+    ``cols - 1 - ix`` and cell column cx onto ``gx - 1 - cx``, and keeps
+    every distance; likewise in y.  The x <-> y swap is not used: it holds
+    only when ``gx == gy`` and ``rows == cols``, and odd bit counts have
+    ``gx = 2 gy``.  A mirrored zone copies its representative's normalized
+    row, so the mirror identity holds to the bit, whatever order a row sum
+    takes.
+
+    The stream is fixed by the sample counts alone: per representative, in
+    increasing zone index, the sensor positions, then one target cloud per
+    sensor in sensor order.  Sensors are handled in batches of about
+    ``_PD_BLOCK`` pairs, which bound the working arrays of the one-pass
+    detection kernel and of the sums.  A batch's clouds come from one draw
+    of the same stream; the sort, the prefix sums and the cell sums run
+    along each sensor's row and the rows are added into the zone in sensor
+    order, so the batching does not change the result.
     """
     if n_int < 1:
         raise ValueError("n_int must be positive")
     rng = substream(cfg.master_seed, STREAM_PRIORS, 2)
-    U, M = topology.U, quantizer.M
+    M = quantizer.M
+    rows, cols = topology.zone_grid
+    iy, ix = np.divmod(np.arange(topology.U), cols)
+    ry, rx = np.minimum(iy, rows - 1 - iy), np.minimum(ix, cols - 1 - ix)
+    reps, rep_of = np.unique(ry * cols + rx, return_inverse=True)
     # the outer sensor average dominates the variance: spend ~n_int/8 draws
     # on it, and size each draw's target cloud so every cell still sees at
     # least n_int effective samples in total
     n_sensors = max(64, n_int // 8)
     n_targets = max(4096, 4 * M, int(np.ceil(n_int * M / n_sensors)))
     batch = max(1, _PD_BLOCK // n_targets)
-    raw = np.zeros((U, M))
+    raw = np.zeros((reps.size, M))
     Tm1 = cfg.T_targets - 1
-    for u in range(U):
+    for r, u in enumerate(reps):
         x0, y0, x1, y1 = topology.zone_rects[u]
         svals = np.stack(
             [rng.uniform(x0, x1, n_sensors), rng.uniform(y0, y1, n_sensors)], axis=1
@@ -285,12 +306,17 @@ def compute_msg_probs(
             counts /= n_targets
             # sensor by sensor, so the sums round as one sensor at a time would
             for row in counts.reshape(nb, M):
-                raw[u] += row
-        raw[u] /= n_sensors
+                raw[r] += row
+        raw[r] /= n_sensors
     totals = raw.sum(axis=1, keepdims=True)
     if np.any(totals <= 0):
         raise ValueError("message-probability integration produced an all-zero zone")
-    return raw / totals
+    # cell (cy, cx) of a zone is cell (cy, cx) of its representative, each
+    # index reversed along the axes the zone is flipped in
+    cy, cx = np.divmod(np.arange(M), quantizer.gx)
+    src = (np.where((iy != ry)[:, None], quantizer.gy - 1 - cy, cy) * quantizer.gx
+           + np.where((ix != rx)[:, None], quantizer.gx - 1 - cx, cx))
+    return (raw / totals)[rep_of[:, None], src]
 
 
 def build_prior(cfg: SystemConfig, p_active: float, msg_probs: np.ndarray) -> MultiplicityPrior:
@@ -328,7 +354,7 @@ _SENSING_FIELDS = (
     "gamma_threshold",
 )
 
-CACHE_VERSION = 6
+CACHE_VERSION = 7
 
 
 def prior_cache_key(cfg: SystemConfig, n_cell: int) -> str:

@@ -13,11 +13,12 @@ loop and the all-rows AMP recursion that the package's in-place
 codebook, ruled-dead rows, batched ``Q2`` product and live-row recursion
 must reproduce.  ``detection_prob_array_reference`` and
 ``compute_msg_probs_reference`` are the whole-array detection kernel and
-the one-sensor-at-a-time message-probability integral that the block
-evaluation must reproduce bit for bit.  ``detection_integral_quad`` is the
-single-target detection integral by adaptive quadrature, with the inside
-angle of ``inside_angle_reference`` built arc by arc, against which the
-activation integral's fixed radial rule is checked.
+the one-sensor-at-a-time message-probability integral, its mirrored zones
+read off reflected cell centres, that the block evaluation must reproduce
+bit for bit.  ``detection_integral_quad`` is the single-target detection
+integral by adaptive quadrature, with the inside angle of
+``inside_angle_reference`` built arc by arc, against which the activation
+integral's fixed radial rule is checked.
 ``multiplicity_pmf_full`` is the binomial-thinning prior over every
 k = 0..K, whose first K_max + 1 columns ``build_prior`` must reproduce.
 
@@ -406,6 +407,7 @@ def detection_prob_array_reference(sensors, targets, cfg):
         for c in coef[-2::-1]:
             pd *= t
             pd += np.take(c, cell)
+        np.clip(pd, 0.0, 1.0, out=pd)
         pd[direct] = 1.0
     far = direct & (d2 != 0)
     if far.any():
@@ -471,20 +473,33 @@ def detection_integral_quad(s, cfg, epsrel=1e-13):
 
 
 def compute_msg_probs_reference(cfg, topology, quantizer, n_int=DEFAULT_N_CELL):
-    """``compute_msg_probs`` one sensor at a time, each with its own target cloud."""
+    """``compute_msg_probs`` one sensor at a time, each with its own target cloud.
+
+    Only the zones in the lower-left quarter of the zone grid (middle row
+    and column included) are drawn, in zone order.  Every other zone reads
+    its representative's normalized table at the cells that hold its own
+    cell centres reflected in the area's centre lines, ``x -> S - x`` when
+    the zone lies right of the middle and ``y -> S - y`` when above it.
+    """
     rng = substream(cfg.master_seed, STREAM_PRIORS, 2)
     U, M = topology.U, quantizer.M
+    rows, cols = topology.zone_grid
+    side = cfg.area_side
     n_sensors = max(64, n_int // 8)
     n_targets = max(4096, 4 * M, int(np.ceil(n_int * M / n_sensors)))
-    raw = np.zeros((U, M))
     Tm1 = cfg.T_targets - 1
+    drawn = {}
     for u in range(U):
+        iy, ix = divmod(u, cols)
+        if 2 * iy > rows - 1 or 2 * ix > cols - 1:
+            continue
         x0, y0, x1, y1 = topology.zone_rects[u]
         svals = np.stack(
             [rng.uniform(x0, x1, n_sensors), rng.uniform(y0, y1, n_sensors)], axis=1
         )
+        raw = np.zeros(M)
         for s in svals:
-            cloud = rng.uniform(0, cfg.area_side, size=(n_targets, 2))
+            cloud = rng.uniform(0, side, size=(n_targets, 2))
             pd = detection_prob_array_reference(s[None, :], cloud, cfg)[0]
             d2 = ((cloud - s) ** 2).sum(axis=1)
             order = np.argsort(d2)
@@ -493,12 +508,23 @@ def compute_msg_probs_reference(cfg, topology, quantizer, n_int=DEFAULT_N_CELL):
             p_closest = J**Tm1 if Tm1 > 0 else np.ones(n_targets)
             weights = pd[order] * p_closest
             cells = quantize_array(quantizer, cloud[order])
-            raw[u] += np.bincount(cells, weights=weights, minlength=M) / n_targets
-        raw[u] /= n_sensors
-    totals = raw.sum(axis=1, keepdims=True)
-    if np.any(totals <= 0):
-        raise ValueError("message-probability integration produced an all-zero zone")
-    return raw / totals
+            raw += np.bincount(cells, weights=weights, minlength=M) / n_targets
+        raw /= n_sensors
+        if raw.sum() <= 0:
+            raise ValueError("message-probability integration produced an all-zero zone")
+        drawn[u] = raw / raw.sum()
+    out = np.empty((U, M))
+    for u in range(U):
+        iy, ix = divmod(u, cols)
+        centres = quantizer.grid_points.copy()
+        if 2 * ix > cols - 1:
+            centres[:, 0] = side - centres[:, 0]
+            ix = cols - 1 - ix
+        if 2 * iy > rows - 1:
+            centres[:, 1] = side - centres[:, 1]
+            iy = rows - 1 - iy
+        out[u] = drawn[iy * cols + ix][quantize_array(quantizer, centres)]
+    return out
 
 
 def multiplicity_pmf_full(K, U, p_active, msg_prob):

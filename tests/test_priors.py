@@ -12,7 +12,7 @@ from oracle_utils import (
 )
 
 from tumaloc import priors
-from tumaloc.config import SystemConfig, build_topology, desk_preset, paper_preset
+from tumaloc.config import SystemConfig, build_topology, desk_preset, paper_preset, zone_of_array
 from tumaloc.priors import (
     _PD_BLOCK,
     _detection_integral,
@@ -24,7 +24,7 @@ from tumaloc.priors import (
     load_or_build_prior,
     prior_cache_key,
 )
-from tumaloc.scene import _noncentrality_scale, build_quantizer, detection_prob_array
+from tumaloc.scene import _noncentrality_scale, build_quantizer, detection_prob_array, quantize_array
 from tumaloc.specfun import binom_logpmf
 
 
@@ -191,6 +191,72 @@ class TestMsgProbs:
             raw[m] = acc / n_pairs
         want = raw / raw.sum()
         np.testing.assert_allclose(got, want, atol=0.05)
+
+    @pytest.mark.parametrize(
+        "preset, zone, n_int",
+        [(desk_preset, 1, 8000),      # the x-flip of zone 0
+         (paper_preset, 7, 2000)],    # the y-flip of zone 1
+    )
+    def test_direct_mc_oracle_mirrored_zone(self, preset, zone, n_int):
+        # a zone that compute_msg_probs fills from its representative, against
+        # independent pairs with per-pair closest integrals, compared as the
+        # table's mass on the cells whose centres lie in each zone.  A sensor
+        # on each cell of a 20 x 20 split of the zone takes 16 targets uniform
+        # on the disc of radius 60 m about it: pd is below 4e-7 past 60 m
+        cfg = preset()
+        topo = build_topology(cfg)
+        quant = build_quantizer(cfg.M.bit_length() - 1, cfg.area_side)
+        region = zone_of_array(quant.grid_points, topo)
+        got = np.bincount(region, weights=compute_msg_probs(cfg, topo, quant, n_int=n_int)[zone],
+                          minlength=cfg.U)
+        rng = np.random.default_rng(7)
+        x0, y0, x1, y1 = topo.zone_rects[zone]
+        iy, ix = np.divmod(np.arange(400), 20)
+        s = (np.stack([ix, iy], axis=1) + rng.uniform(size=(400, 2))) / 20
+        s = np.repeat(np.array([x0, y0]) + s * np.array([x1 - x0, y1 - y0]), 16, axis=0)
+        r = 60.0 * np.sqrt(rng.uniform(size=len(s)))
+        angle = 2 * np.pi * rng.uniform(size=len(s))
+        p = s + r[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        raw = np.zeros(cfg.U)
+        for i in np.flatnonzero(np.all((p >= 0) & (p <= cfg.area_side), axis=1)):
+            pd = detection_prob_array(s[i : i + 1], p[i : i + 1], cfg)[0, 0]
+            pc = compute_p_closest(s[i], p[i], cfg, n_int=2000, seed=1000 + i)
+            raw[region[quantize_array(quant, p[i : i + 1])[0]]] += pd * pc
+        np.testing.assert_allclose(got, raw / raw.sum(), atol=0.05)
+
+
+class TestMirrorOrbits:
+    """Every zone's table is its orbit representative's with the cells mirrored, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make, n_int",
+        [
+            (desk_preset, 600),
+            (paper_preset, 200),
+            (lambda: paper_preset(M=2**9), 200),             # gx = 32, gy = 16
+            (lambda: desk_preset(zone_grid=(2, 3)), 600),    # zones 0 and 1 drawn
+            (_one_zone_cfg, 600),
+        ],
+    )
+    def test_zone_is_mirrored_representative(self, make, n_int):
+        cfg = make()
+        topo = build_topology(cfg)
+        quant = build_quantizer(cfg.M.bit_length() - 1, cfg.area_side)
+        grid = compute_msg_probs(cfg, topo, quant, n_int=n_int).reshape(cfg.U, quant.gy, quant.gx)
+        rows, cols = cfg.zone_grid
+        for u in range(cfg.U):
+            iy, ix = divmod(u, cols)
+            ry, rx = min(iy, rows - 1 - iy), min(ix, cols - 1 - ix)
+            want = grid[ry * cols + rx]
+            if iy != ry:
+                want = want[::-1]
+            if ix != rx:
+                want = want[:, ::-1]
+            np.testing.assert_array_equal(grid[u], want)
+        # the representatives are estimated, not copied from one another
+        reps = {min(iy, rows - 1 - iy) * cols + min(ix, cols - 1 - ix)
+                for iy in range(rows) for ix in range(cols)}
+        assert len({grid[r].tobytes() for r in reps}) == len(reps)
 
 
 class TestDetectionIntegral:

@@ -22,6 +22,19 @@ from tumaloc.scene import (
 from tumaloc.specfun import marcum_q1
 
 
+def _steep_cfg():
+    """A link budget whose pd falls from 1 to 0 within 0.1 mm, where the quintic leaves [0, 1]."""
+    return SystemConfig(area_side=50.0, zone_grid=(1, 1), ap_positions=((25.0, 25.0),),
+                        A=1, M=4, K=10, T_targets=2, K_max=4, Ns=10, N_MC=50,
+                        gamma_threshold=4000.0, P_n=1e6)
+
+
+def _steep_radii():
+    """One sensor at the origin and targets on 200 000 log-spaced radii along x."""
+    r = np.geomspace(3e-5, 70.0, 200_000)
+    return np.zeros((1, 2)), np.stack([r, np.zeros_like(r)], axis=1)
+
+
 @pytest.fixture(scope="module")
 def paper_cfg():
     return paper_preset()
@@ -147,11 +160,8 @@ class TestDetectionTable:
         # gamma so large that Q1 underflows to 0 within 0.1 mm: the quintic
         # undershot 0 just past there (down to -6e-199) and overshot 1 by
         # up to 9e-16 near the table's start
-        cfg = SystemConfig(area_side=50.0, zone_grid=(1, 1), ap_positions=((25.0, 25.0),),
-                           A=1, M=4, K=10, T_targets=2, K_max=4, Ns=10, N_MC=50,
-                           gamma_threshold=4000.0, P_n=1e6)
-        r = np.geomspace(3e-5, 70.0, 200_000)
-        got = detection_prob_array(np.zeros((1, 2)), np.stack([r, np.zeros_like(r)], axis=1), cfg)[0]
+        cfg = _steep_cfg()
+        got = detection_prob_array(*_steep_radii(), cfg)[0]
         assert got.min() == 0.0
         assert got.max() == 1.0
 
@@ -201,6 +211,16 @@ class TestBlockEvaluation:
         got = detection_prob_array(s, p, cfg)
         np.testing.assert_array_equal(got, detection_prob_array_reference(s, p, cfg))
         assert np.all(got[d2 == 0] == 1.0)
+
+    def test_clipped_link_budget(self):
+        # the quintic undershoots 0 and overshoots 1 on this budget; kernel
+        # and reference clip it alike, on the radial sweep and on pairs
+        # spread over the area
+        cfg = _steep_cfg()
+        for s, p in (_steep_radii(), self._points(cfg, 40, 900, seed=8)):
+            np.testing.assert_array_equal(
+                detection_prob_array(s, p, cfg), detection_prob_array_reference(s, p, cfg)
+            )
 
     def test_table_less_link_budget(self, paper_cfg):
         cfg = paper_cfg.with_updates(P_n=1e-300)
