@@ -114,12 +114,12 @@ def gen_codebook(cfg: SystemConfig, seed: int) -> np.ndarray:
         for r0 in range(0, Nc, _CODEBOOK_BLOCK_ROWS):
             block = part[r0 : r0 + _CODEBOOK_BLOCK_ROWS]
             block[...] = rng.standard_normal(block.shape)
-    parts = c.view(float).reshape(Nc, cols, 2)
+    parts = c.view(float)      # (Nc, 2 U M): each codeword's real and imaginary parts side by side
     parts *= 1.0 / np.sqrt(2 * Nc)
     norm2 = np.zeros(cols)
     for row in c:
         norm2 += (row.conj() * row).real
-    parts *= (1.0 / np.sqrt(norm2))[:, None]
+    parts *= np.repeat(1.0 / np.sqrt(norm2), 2)
     return c.reshape(Nc, cfg.U, cfg.M)
 
 

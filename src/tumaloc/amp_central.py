@@ -48,18 +48,29 @@ plus K N 2.3e-308 / Ec for the subnormal flush: at most K N roundings
 relative to the row's largest possible term max_j omega[m, j] / Ec.
 
 On a one-AP block M is one scalar per row,
-``m2 = sum_k post(k | r) sum_i w_i(k) c_{i,k}^2``, and :func:`denoise_rows`
-computes it beside H, by a second product of the same weights with the
-squared shrinkage table, into ``ZoneDenoiseResult.m2``; :func:`onsager`
-reads it on the live rows and builds no ``omega``.  It sums the GEMM's
-terms in another order, and ``psi = H H - M`` cancels, so the change in
-Q against the GEMM is measured, not bounded by an ulp.  On 600 calls of
-desk distributed decodes (seeds 1-5 at -20, 0 and 10 dB), |dQ| stayed
-within 1.3e-10 of max |Q| and within
+``m2 = sum_k post(k | r) sum_i w_i(k) c_{i,k}^2``.  There
+:func:`denoise_rows` leaves the weights ``w_i = exp(log p_i - mx_k)``
+unnormalized and takes ``S_j = sum_i w_i c_i^j``, j = 0, 1, 2, per
+(row, k) from one (M, N) @ (N, 3) product per (block, k) with the table
+``[1, c, c^2]``; then ``log_mc_k = mx_k + log(S_0 / N)``,
+``H = sum_k post_k S_1 / S_0`` and ``m2 = sum_k post_k S_2 / S_0``, the
+last into ``ZoneDenoiseResult.m2``.  :func:`onsager` reads m2 on the live
+rows and builds no ``omega``, and the sample weights are normalized only
+if something reads ``ZoneDenoiseResult.sample_weights``.  Against the
+GEMM over normalized weights, m2 sums the terms in another order, and
+``psi = H H - M`` cancels, so the change in Q is measured, not bounded
+by an ulp.  On 600 calls of desk distributed decodes (seeds 1-5 at -20,
+0 and 10 dB), |dQ| stayed within 1.3e-10 of max |Q| and within
 31 eps sqrt(Ec) sum_m |r_ma| |r_mf| m2_m / (M tau) per entry.  On three
 paper-scale APs at T_AMP = 2 (APs 0, 17 and 39, run seed
 ``derive_run_seed(1, 0, 0)``) the log-likelihood tables, entries up to
-1.1e5 in magnitude, moved by at most 7.3e-11.
+1.1e5 in magnitude, moved by at most 7.3e-11.  Taking S_0, S_1 and S_2
+from the product rather than by a sum, a normalization and two products
+changes only the order of sums of N non-negative terms, each within
+N eps relative: on 120 calls of desk distributed decodes (seeds
+8000-8002 at -20, 0 and 10 dB) log_mc moved by at most 3.6e-15, H and
+m2 by at most 6.9e-15 relative, Q by 3.5e-12 of max |Q|, and the live
+rows not at all.
 
 :func:`denoise_rows` likewise sets the real and imaginary parts of its
 channel estimates below tiny to zero, so that the residual GEMM
@@ -70,9 +81,12 @@ Rows whose posterior sits almost wholly on k = 0 are dropped the same way.
 ``s_m = sum_{k>=1} post(k | r_m)``, satisfies
 ``s_m >= max(1e-16 * max_m' s_m', tiny)``, m' over the rows of m's block.
 The Onsager second-moment and
-``Q2`` products and the residual GEMM ``C_u @ X_u`` run on the live rows
-only; the denoiser, every posterior and log-likelihood, the
-``diag(mean_m H)`` term and the 1/M normalization still cover all M rows.
+``Q2`` products run on the live rows only, and the residual GEMM
+``C_u @ X_u`` sees the estimates of the live rows only: on blocks of more
+than one AP it runs on the gathered live rows, on one-AP blocks once per
+zone over all M rows with every block's other rows zero.  The denoiser,
+every posterior and log-likelihood, the ``diag(mean_m H)`` term and the
+1/M normalization still cover all M rows.
 A dead row has |H_b| <= s_m / sqrt(Ec) and M_{b,b'} <= s_m / Ec, so
 dropping it moves each entry by at most
 
@@ -112,17 +126,21 @@ Both decoders run the one recursion in :func:`amp_iterate`: :func:`amp_run`
 on all F antennas as one block, the distributed decoder on G = B blocks of
 one AP each, stacked along the row axis.  The matched filter is one
 (F, Nc) @ (Nc, M) GEMM, whose rows j F / G .. (j+1) F / G - 1 are block
-j's, reshaped to R_u of shape (G M, F / G); :func:`denoise_rows`,
-:func:`onsager` and the residual update run on chunks of
+j's, reshaped to R_u of shape (G M, F / G); :func:`denoise_rows` and
+:func:`onsager` run on chunks of
 ``max(1, _MAX_STACKED_WEIGHTS // (M K_max N))`` blocks, so that a chunk's
 (rows, K_max, N) weight array fits the bound: all 12 APs in one chunk at the
 desk preset, one AP per chunk at the paper preset.  They read a chunk's
 block count off the shapes of R and the MC table, keep one row floor per
-block, and sum rows only within a block.  Every stacked operation does a
-one-block call's arithmetic on each block (element-wise passes, the matched
-filter's GEMM, which BLAS splits over output rows and columns but not over
-the Nc summed terms, per-slice BLAS calls on stacks with the one-block
-strides, and per-block row gathers where the live sets differ), so each
+block, and sum rows only within a block.  The residual update of blocks
+of more than one AP runs per chunk, one GEMM per block on its live rows;
+on one-AP blocks each chunk writes its live estimates into the zone's
+(M, F') array, zero elsewhere, and ``C_u`` multiplies it once per zone.
+Every stacked operation does a one-block call's arithmetic on each block
+(element-wise passes; per-slice BLAS calls on stacks with the one-block
+strides; and GEMMs whose output columns are the blocks' and whose summed
+terms, Nc in the matched filter, M in the one-AP residual product, BLAS
+splits by their own count only, never by the output width), so each
 block's output is bit-identical to :func:`amp_iterate` on that block alone,
 whatever the chunk size.  The Onsager ``Q2`` products of all output APs likewise run as one
 batched product per block, each slice the GEMM of one output AP, in chunks
@@ -257,24 +275,38 @@ class ZoneDenoiseResult:
     """Cached per-zone denoiser output shared with the Onsager computation.
 
     The G stacked blocks' rows follow one another: rows ``j M .. (j+1) M - 1``
-    belong to block j.  Sample weights are self-normalized on weighed rows
-    and zero on ruled-dead rows, whose ``log_mc_lik`` on k >= 1 holds the
-    largest sample log-likelihood and whose ``H`` and ``x_hat`` are zero
-    (module docstring).  On blocks of one AP, ``m2`` holds each row's
-    Onsager second moment and :func:`onsager` reads no sample weights; on
-    blocks of more APs it is None.
+    belong to block j.  :attr:`sample_weights` are self-normalized on
+    weighed rows and zero on ruled-dead rows, whose ``log_mc_lik`` on k >= 1
+    holds the largest sample log-likelihood and whose ``H`` and ``x_hat``
+    are zero (module docstring).
+
+    On blocks of more than one AP, ``weights`` holds the normalized weights
+    and ``weight_sums`` is None.  On blocks of one AP, ``weights`` holds
+    the raw weights ``exp(log p - mx_k)`` and ``weight_sums`` their sums
+    over the N samples, which :attr:`sample_weights` divides out on first
+    read; ``m2`` holds each row's Onsager second moment, and neither the
+    recursion nor :func:`onsager` reads the sample weights there.
     """
 
     x_hat: np.ndarray              # (G M, F')
     posterior: np.ndarray          # (G M, K_max + 1)
     log_mc_lik: np.ndarray         # (G M, K_max + 1): log (1/N) sum_i p(r | rho^i_{1:k}) on weighed rows
-    sample_weights: np.ndarray     # (G M, K_max, N) self-normalized on weighed rows, else zero
+    weights: np.ndarray            # (G M, K_max, N) sample weights, raw while weight_sums is set
     shrink: np.ndarray             # (K_max, N, B) per-sample shrinkage factors
     H: np.ndarray                  # (G M, B / G) total shrinkage per AP of the row's block
     degenerate: np.ndarray         # (G M,) bool: prior-only fallback rows
     live: np.ndarray               # (L,) rows whose mass on k >= 1 reaches their block's row floor
     weighed: np.ndarray            # (L',) rows that went through the weight passes; L <= L'
     m2: np.ndarray | None = None   # (G M,) sum_k post_k E_w[c^2]_k on one-AP blocks, else None
+    weight_sums: np.ndarray | None = None   # (G M, K_max) sums of the raw weights, else None
+
+    @property
+    def sample_weights(self) -> np.ndarray:
+        """(G M, K_max, N) self-normalized on weighed rows, else zero; normalized once, on first read."""
+        if self.weight_sums is not None:
+            self.weights = self.weights / self.weight_sums[..., None]
+            self.weight_sums = None
+        return self.weights
 
 
 def _block_shape(R: np.ndarray, B: int, A: int) -> tuple[int, int, int]:
@@ -369,12 +401,13 @@ def denoise_rows(
     logdet = A * np.log(np.pi * v).reshape(K, N, G, Bb).sum(axis=3)  # (K, N, G)
     logdet = np.ascontiguousarray(logdet.transpose(2, 0, 1))         # (G, K, N), unit-stride slices
     log_tau = A * np.log(np.pi * tau).reshape(G, Bb).sum(axis=1)     # (G,)
-    # one (G, M, K, N) buffer: log-likelihoods, then weights, then normalized
-    # weights; the weight passes run on a copy of the weighed rows where rows are ruled dead
+    # one (G, M, K, N) buffer: log-likelihoods, then weights, then (more than
+    # one AP) normalized weights; the weight passes run on a copy of the
+    # weighed rows where rows are ruled dead
     if Bb == 1:
-        # a rank-1 product: multiplying is exact, where a GEMM only adds call cost
+        # an outer product with no sum: exact, where a GEMM only adds call cost
         neg_inv_v_blocks = np.ascontiguousarray(neg_inv_v.transpose(2, 0, 1))   # (G, K, N)
-        W = energy.reshape(G, M, 1, 1) * neg_inv_v_blocks[:, None]
+        W = np.einsum("gm,gkn->gmkn", energy.reshape(G, M), neg_inv_v_blocks)
         ll0 = -(energy.reshape(G, M) * (1.0 / tau)[:, None])
     else:
         e = energy.reshape(G, M, Bb)
@@ -395,39 +428,53 @@ def denoise_rows(
         W = W[weighed]
     W -= mx[weighed][..., None]
     np.exp(W, out=W)
-    w_sum = W.sum(axis=2)
-    log_mc[weighed, 1:] = mx[weighed] + np.log(w_sum / N)
-    W /= w_sum[..., None]
-
-    post, degenerate = _posterior(log_mc, log_prior, M)
-    if degenerate.any():
-        # all hypotheses at -inf: the posterior falls back to the prior, the estimate to zero
-        W[degenerate[weighed]] = 1.0 / N
 
     shrink = np.sqrt(Ec) * g * inv_v                                 # (K, N, B)
     # contiguous per block, so that each BLAS call sees a one-block call's strides
     shrink_blocks = np.ascontiguousarray(shrink.reshape(K, N, G, Bb).transpose(2, 0, 1, 3))
     L = W.shape[0] // G
     W_k = W.reshape(G, L, K, N).transpose(0, 2, 1, 3)
-    post_k = post[weighed].reshape(G, L, K + 1)[..., 1:]
+    if Bb == 1:
+        # sum_i w_i, sum_i w_i c_i and sum_i w_i c_i^2 per (row, k): one
+        # (M, N) @ (N, 3) product per (block, k) with the table [1, c, c^2]
+        c = shrink_blocks[..., 0]
+        table = np.stack([np.ones_like(c), c, c * c], axis=-1)     # (G, K, N, 3)
+        sums = np.matmul(W_k, table).transpose(0, 2, 1, 3).reshape(rows, K, 3)
+        w_sum = sums[..., 0]
+    else:
+        w_sum = W.sum(axis=2)
+    log_mc[weighed, 1:] = mx[weighed] + np.log(w_sum / N)
+    post, degenerate = _posterior(log_mc, log_prior, M)
 
-    def posterior_mean(table):
-        # sum_k post_k sum_i w_i(k) table[k, i, b] per weighed row, (G L, Bb)
-        mean = np.matmul(W_k, table).transpose(0, 2, 1, 3)         # (G, L, K, Bb)
-        return np.einsum("gmk,gmkb->gmb", post_k, mean).reshape(G * L, Bb)
-
-    H = np.zeros((rows, Bb))
-    H[weighed] = posterior_mean(shrink_blocks)
-    # one-AP blocks: the Onsager second moment is one scalar per row
-    m2 = posterior_mean(shrink_blocks**2)[:, 0] if Bb == 1 else None
+    if Bb == 1:
+        # the weights stay unnormalized: ZoneDenoiseResult.sample_weights divides on first read
+        if degenerate.any():
+            # all hypotheses at -inf: uniform weights, the posterior falls back to the prior
+            W[degenerate] = 1.0
+            sums[degenerate] = table.sum(axis=2)[np.flatnonzero(degenerate) // M]
+        post_k = post[:, 1:]
+        H = np.einsum("mk,mk->m", post_k, sums[..., 1] / w_sum)[:, None]
+        # the Onsager second moment is one scalar per row
+        m2 = np.einsum("mk,mk->m", post_k, sums[..., 2] / w_sum)
+    else:
+        W /= w_sum[..., None]
+        if degenerate.any():
+            W[degenerate[weighed]] = 1.0 / N
+        # sum_k post_k sum_i w_i(k) shrink[k, i, b] per weighed row
+        mean = np.matmul(W_k, shrink_blocks).transpose(0, 2, 1, 3)  # (G, L, K, Bb)
+        post_k = post[weighed].reshape(G, L, K + 1)[..., 1:]
+        H = np.zeros((rows, Bb))
+        H[weighed] = np.einsum("gmk,gmkb->gmb", post_k, mean).reshape(G * L, Bb)
+        m2 = None
+    # degenerate rows: the estimate falls back to zero
     H[degenerate] = 0.0
     x_hat = R[weighed] * np.repeat(H[weighed], A, axis=1)
     for part in (x_hat.real, x_hat.imag):
         part[np.abs(part) < _TINY] = 0.0     # subnormal operands slow the residual GEMM
-    sample_weights = W
+    weights = W
     if L < M:
         # zero weights and estimates on the ruled-dead rows
-        sample_weights, x_hat = _scatter_rows(W, weighed, rows), _scatter_rows(x_hat, weighed, rows)
+        weights, x_hat = _scatter_rows(weights, weighed, rows), _scatter_rows(x_hat, weighed, rows)
     active = post[:, 1:].sum(axis=1)
     floor = np.maximum(_REL_FLOOR * active.reshape(G, M).max(axis=1), _TINY)
     live = np.flatnonzero(active >= np.repeat(floor, M))
@@ -435,13 +482,14 @@ def denoise_rows(
         x_hat=x_hat,
         posterior=post,
         log_mc_lik=log_mc,
-        sample_weights=sample_weights,
+        weights=weights,
         shrink=shrink,
         H=H,
         degenerate=degenerate,
         live=live,
         weighed=np.arange(rows)[weighed],
         m2=m2,
+        weight_sums=w_sum if Bb == 1 else None,
     )
 
 
@@ -577,6 +625,9 @@ def amp_iterate(
             R_u[at_rows] += sqrt_ec * x_rows
             _check_finite(R_u.reshape(G, M, F), t)
             new_rows, new_x = [], []
+            if Bb == 1:
+                # the zone's estimates on each block's live rows, zero elsewhere, for one residual GEMM
+                X_live = np.zeros((M, G, F), dtype=complex)
             for j0, j1 in _chunks(G, cfg):
                 at, aps = slice(j0 * M, j1 * M), slice(j0 * Bb, j1 * Bb)
                 den = denoise_rows(R_u[at], tau[aps], g[u, ..., aps], log_prior[u], cfg.Ec, A)
@@ -588,14 +639,18 @@ def amp_iterate(
                 posts[u, at] = den.posterior
                 log_lik[u, at] = den.log_mc_lik
                 Q[j0:j1] += onsager(R_u[at], den, tau[aps], cfg.Ec, A)
-                x_blocks = den.x_hat.reshape(j1 - j0, M, F)
-                for j, s, e in _live_blocks(den.live, j1 - j0, M):
-                    if e - s == M:
-                        Gamma_blocks[j0 + j] += Cu @ x_blocks[j]
-                    else:
-                        live = den.live[s:e] - j * M
-                        Gamma_blocks[j0 + j] += Cu[:, live] @ x_blocks[j][live]
-                del den, x_blocks     # one chunk's denoiser output alive at a time
+                if Bb == 1:
+                    X_live[den.live % M, j0 + den.live // M] = den.x_hat[den.live]
+                else:
+                    for j, s, e in _live_blocks(den.live, j1 - j0, M):
+                        if e - s == M:
+                            Gamma_blocks[j0 + j] += Cu @ den.x_hat[j * M : (j + 1) * M]
+                        else:
+                            live = den.live[s:e]
+                            Gamma_blocks[j0 + j] += Cu[:, live - j * M] @ den.x_hat[live]
+                del den     # one chunk's denoiser output alive at a time
+            if Bb == 1:
+                Gamma += Cu @ X_live.reshape(M, G * F)
             est[u] = (np.concatenate(new_rows), np.concatenate(new_x))
         # the Onsager correction of all zones in one GEMM per block: Z (sum_u Q_u)
         Gamma_blocks -= (M / Nc) * np.matmul(Z_blocks, Q)

@@ -13,10 +13,12 @@ The APs' recursions are independent, so :func:`distributed_decode` runs
 them in lockstep as one :func:`~tumaloc.amp_central.amp_iterate` call with
 one block per AP stacked along the rows; that call bounds its denoiser's
 weight arrays and names the first failing AP (block) itself.  Every AP's
-table is bit-identical to its own :func:`local_amp_run`.  On its one-AP
-block the Onsager second moment is one scalar per row, which the denoiser
-computes beside the shrinkage (``ZoneDenoiseResult.m2``), so the Onsager
-term reads no sample weights.
+table is bit-identical to its own :func:`local_amp_run`.  On a one-AP
+block the denoiser takes the sums of its unnormalized sample weights,
+the shrinkage mean and the Onsager second moment, one scalar per row
+(``ZoneDenoiseResult.m2``), from one product per multiplicity, so neither
+it nor the Onsager term normalizes the weights; and the residual update
+is one GEMM per zone over every AP's live estimates.
 """
 
 from __future__ import annotations

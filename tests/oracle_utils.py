@@ -237,7 +237,7 @@ def denoise_rows_reference(R, tau, g, log_prior, Ec, A):
     floor = np.maximum(1e-16 * active.reshape(G, M).max(axis=1), tiny)
     live = np.flatnonzero(active >= np.repeat(floor, M))
     return ZoneDenoiseResult(
-        x_hat=x_hat, posterior=post, log_mc_lik=log_mc, sample_weights=W, shrink=shrink,
+        x_hat=x_hat, posterior=post, log_mc_lik=log_mc, weights=W, shrink=shrink,
         H=H, degenerate=degenerate, live=live, weighed=np.arange(rows),
     )
 

@@ -319,9 +319,9 @@ class TestOnsager:
         W[dead] = np.nan
         H[dead] = np.nan
         clean = onsager(R, den, tau, Ec, A)[0]
-        Q = onsager(R, dataclasses.replace(den, sample_weights=W), tau, Ec, A)[0]
+        Q = onsager(R, dataclasses.replace(den, weights=W), tau, Ec, A)[0]
         np.testing.assert_array_equal(Q, clean)
-        Q = onsager(R, dataclasses.replace(den, sample_weights=W, H=H), tau, Ec, A)[0]
+        Q = onsager(R, dataclasses.replace(den, weights=W, H=H), tau, Ec, A)[0]
         off = ~np.eye(Q.shape[0], dtype=bool)
         np.testing.assert_array_equal(Q[off], clean[off])
         assert np.all(np.isnan(np.diag(Q)))
@@ -401,8 +401,33 @@ class TestRuledDeadRows:
         s = ref.posterior[:, 1:].sum(axis=1)
         assert np.any(s < 1e-16 * s.max() / (2 * N * N))
         np.testing.assert_array_equal(den.weighed, np.arange(R.shape[0]))
-        for name in ("x_hat", "posterior", "log_mc_lik", "sample_weights", "H", "degenerate", "live"):
+        for name in ("degenerate", "live"):
             np.testing.assert_array_equal(getattr(den, name), getattr(ref, name))
+        # the one-AP branch takes sum_i w_i, sum_i w_i c_i and sum_i w_i c_i^2
+        # from one product with the table [1, c, c^2], where the reference
+        # sums and normalizes the same raw weights.  A sum of N non-negative
+        # terms lies within N eps relative of the exact sum, so the two
+        # sum_i w_i differ by at most 2 N eps relative: log_mc_lik by 2 N eps
+        # absolute plus its own roundings, the normalized weights by 2 N eps
+        # relative plus a division, and the posterior, a softmax over K + 1
+        # hypotheses, by twice the log_mc_lik gap plus K + 3 roundings.
+        # H and m2 take the ratios sum_i w_i c_i / sum_i w_i, within 4 N eps
+        # of the reference's normalized sums, weigh them by the posterior and
+        # add K non-negative terms
+        K = g.shape[0]
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        d_log = 2 * N * eps
+        rtol_post = 2 * d_log + (K + 3) * eps
+        rtol_h = 4 * N * eps + rtol_post + (K + 2) * eps
+        np.testing.assert_allclose(den.log_mc_lik, ref.log_mc_lik, rtol=2 * eps, atol=d_log)
+        np.testing.assert_allclose(den.posterior, ref.posterior, rtol=rtol_post, atol=tiny)
+        np.testing.assert_allclose(
+            den.sample_weights, ref.sample_weights, rtol=d_log + 2 * eps, atol=tiny
+        )
+        np.testing.assert_allclose(den.H, ref.H, rtol=rtol_h, atol=0)
+        np.testing.assert_allclose(den.x_hat, ref.x_hat, rtol=rtol_h + eps, atol=tiny)
+        m2 = np.einsum("mk,mki,ki->m", ref.posterior[:, 1:], ref.sample_weights, ref.shrink[..., 0] ** 2)
+        np.testing.assert_allclose(den.m2, m2, rtol=rtol_h, atol=0)
 
 
 class TestStackedBlocks:
@@ -463,7 +488,7 @@ class TestOneApSecondMoment:
         for j in range(G):
             rows = slice(j * M, (j + 1) * M)
             den_j = dataclasses.replace(
-                den, posterior=den.posterior[rows], sample_weights=den.sample_weights[rows],
+                den, posterior=den.posterior[rows], weights=den.sample_weights[rows], weight_sums=None,
                 H=den.H[rows], shrink=den.shrink[..., j : j + 1],
             )
             want = onsager_reference(R[rows], den_j, tau[j : j + 1], Ec, A)
@@ -481,15 +506,36 @@ class TestOneApSecondMoment:
             assert np.all(np.abs(Q[j] - want) <= bound)
 
     @pytest.mark.parametrize("G", [1, 3])
-    def test_sample_weights_unread(self, rng, G):
-        # one-AP blocks take the second moment from the denoiser's m2
+    def test_sample_weights_unread(self, rng, G, monkeypatch):
+        # one-AP blocks take the second moment from the denoiser's m2: onsager
+        # never normalizes the weights, and NaN raw weights leave Q as it was
         R, tau, g, lp, Ec, A = self._blocks(rng, G)
         den = denoise_rows(R, tau, g, lp, Ec, A)
-        nan_weights = np.full_like(den.sample_weights, np.nan)
-        np.testing.assert_array_equal(
-            onsager(R, dataclasses.replace(den, sample_weights=nan_weights), tau, Ec, A),
-            onsager(R, den, tau, Ec, A),
-        )
+        nan_den = dataclasses.replace(den, weights=np.full_like(den.weights, np.nan))
+
+        def unread(_self):
+            raise AssertionError("sample_weights read")
+
+        monkeypatch.setattr(amp_central.ZoneDenoiseResult, "sample_weights", property(unread))
+        Q = onsager(R, den, tau, Ec, A)
+        np.testing.assert_array_equal(onsager(R, nan_den, tau, Ec, A), Q)
+        assert den.weight_sums is not None and nan_den.weight_sums is not None
+
+    @pytest.mark.parametrize("G", [1, 3])
+    def test_sample_weights_normalized_on_first_read(self, rng, G):
+        # one-AP blocks keep the raw weights exp(log p - mx_k), each (row, k)
+        # peaking at 1, and their sums; sample_weights divides them once
+        R, tau, g, lp, Ec, A = self._blocks(rng, G)
+        K, N = g.shape[:2]
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        raw, sums = den.weights, den.weight_sums
+        assert raw.shape == (len(R), K, N) and sums.shape == (len(R), K)
+        np.testing.assert_array_equal(raw.max(axis=2), 1.0)
+        np.testing.assert_allclose(sums, raw.sum(axis=2), rtol=2 * N * np.finfo(float).eps)
+        W = den.sample_weights
+        assert W.shape == (len(R), K, N)
+        np.testing.assert_array_equal(W, raw / sums[..., None])
+        assert den.weight_sums is None and den.sample_weights is W
 
     def test_multi_ap_blocks_have_no_m2(self, rng):
         R, tau, g, Ec, A = TestOnsager._instance(rng)

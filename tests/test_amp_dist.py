@@ -214,6 +214,34 @@ class TestStackedRecursion:
             np.testing.assert_array_equal(res.posteriors, results[0].posteriors)
             assert res.diagnostics == results[0].diagnostics
 
+    def test_paper_shaped_blocks_equal_per_ap_runs(self, monkeypatch):
+        # M = 512 rows: the residual product (Nc, M) @ (M, B A) sums its
+        # terms in more than one BLAS panel; the 4 APs' live sets differ at
+        # iteration 2, so each block's zero rows sit elsewhere in that
+        # product.  All APs in one chunk, then one AP per chunk
+        cfg, topo, prior, cb, mc = _system(
+            B=4, A=4, M=512, Nc=200, N_MC=16, sigma_w2=1e-6, Ec=6.0, T_AMP=2
+        )
+        Y, _ = _received(cfg, topo, cb, seed=20)
+        A, M = cfg.A, cfg.M
+        per_ap = [
+            amp_iterate(Y[:, b * A : (b + 1) * A], cb, prior.log_pmf, mc[..., b : b + 1], cfg)
+            for b in range(cfg.B)
+        ]
+        live = np.array([d[4]["live_rows"][1] for d in per_ap])
+        assert live.min() < cfg.U * M and len(set(live)) > 1, "dead rows that differ per AP"
+        per_ap_weights = M * cfg.K_max * cfg.N_MC
+        for size in (cfg.B, 1):
+            monkeypatch.setattr(amp_central, "_MAX_STACKED_WEIGHTS", size * per_ap_weights)
+            assert len(amp_central._chunks(cfg.B, cfg)) == cfg.B // size
+            posts, log_lik, X, Z, _diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, blocks=cfg.B)
+            for b, (p_b, l_b, X_b, Z_b, _d) in enumerate(per_ap):
+                rows = slice(b * M, (b + 1) * M)
+                np.testing.assert_array_equal(log_lik[:, rows], l_b)
+                np.testing.assert_array_equal(posts[:, rows], p_b)
+                np.testing.assert_array_equal(X[:, rows], X_b)
+                np.testing.assert_array_equal(Z[:, b * A : (b + 1) * A], Z_b)
+
     def test_group_size_rule(self):
         # all APs in one chunk at desk scale; one AP per chunk at the paper
         # preset, whose per-AP weight array alone exceeds the bound
