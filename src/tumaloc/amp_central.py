@@ -72,6 +72,52 @@ N eps relative: on 120 calls of desk distributed decodes (seeds
 m2 by at most 6.9e-15 relative, Q by 3.5e-12 of max |Q|, and the live
 rows not at all.
 
+A one-AP block's weights take three passes: one product, one exp and the
+moment product.  Sample i's log-likelihood
+``log p_i = e (-1/v_i) - logdet_i``, with ``v_i = tau + Ec g_i`` and
+``logdet_i = A log(pi v_i)``, depends on the sample only through v_i,
+and as a function of v it has one peak: its derivative
+``(e - A v) / v^2`` is positive below ``v* = e / A`` and negative above.
+So the largest sample of a row is one of the two on either side of v* in
+sorted order.  :func:`denoise_rows` sorts each (block, k)'s N variances
+once per call, finds every row's two samples by one branch-free binary
+search over all (block, k, row) at once, ceil(log2 N) steps of a gather,
+and takes mx_k as the larger ``log p`` of the two, in the table's own
+expression.  (One ``np.searchsorted`` over all groups needs complex keys,
+group then v, and measured a third slower at the desk shape.)  Then one
+(M, 3) @ (3, N) product per (block, k), rows ``[e_m, -1, -mx_{m,k}]``
+against columns ``[-1/v_i; logdet_i; 1]``, writes ``log p - mx`` for
+every sample.  A GEMM kernel that sums each entry's three terms in order
+rounds it in the steps of a multiply, a subtraction of logdet and a
+subtraction of mx, the last two products being exact, so the peak weight
+is exactly 1; no max pass, no subtraction passes and no outer product
+remain.  The exp runs in
+place and the moment product reads the result.  The raw weights stay
+k-major, (G, K, M, N), the layout that product reads: a copy to the row
+layout would add a full-size pass and a second full-size array.
+``ZoneDenoiseResult.sample_weights`` builds the normalized (G M, K, N)
+array on first read.  Two rounding effects remain.
+
+- Near-ties: the computed ``log p`` is unimodal in v only up to its
+  rounding, each entry within ``2 eps s_i`` of the exact log-likelihood
+  of its v_i, ``s_i = e / v_i + |logdet_i| + A``.  The exact one is
+  largest at a searched sample, so mx_k falls short of the table's max by
+  at most ``2 eps (s_a + s_b)``, a the table's argmax and b the searched
+  sample: a few ulps of |mx| unless e / v and logdet cancel in mx.  The
+  raw weights then peak at exp of that gap, and
+  ``log_mc_k = mx_k + log(S_0 / N)`` absorbs it.  A near-tie needs two
+  samples on one side of v* within about 1e-8 relative of it, or two
+  variances a few ulps apart.  On 30 desk distributed decodes (-40 to
+  20 dB) the posteriors, tables, estimates and residuals, and on three
+  paper APs at N_MC = 500 the tables, were bit-identical to the max
+  pass's.  A test packs 64 samples within 256 ulps of v* and checks the
+  bound.
+- With one row or one sample per block numpy calls GEMV or a dot in
+  place of a GEMM, and their kernels may fuse ``e (-1/v_i)`` into the
+  sum: each entry of ``log p - mx`` then moves by at most
+  ``3 eps (e / v_i + |logdet_i| + |mx_k|)``.  Decodes have M >= 4 rows;
+  ``N_MC = 1`` takes this path.
+
 :func:`denoise_rows` likewise sets the real and imaginary parts of its
 channel estimates below tiny to zero, so that the residual GEMM
 ``C_u @ X_u`` never sees subnormal operands.
@@ -146,7 +192,7 @@ whatever the chunk size.  The Onsager ``Q2`` products of all output APs likewise
 batched product per block, each slice the GEMM of one output AP, in chunks
 of output APs that cap the (L, chunk, B / G, 2A) temporary; a split over
 rows would change the order of the sums.  Once stacked, the desk distributed
-decode is bound by element-wise passes over the (G M, K_max, N) weights
+decode is bound by the three passes over the (G, K_max, M, N) weights
 rather than by per-call overhead.
 
 Between zone steps the recursion keeps only what the next step reads: the
@@ -282,16 +328,19 @@ class ZoneDenoiseResult:
 
     On blocks of more than one AP, ``weights`` holds the normalized weights
     and ``weight_sums`` is None.  On blocks of one AP, ``weights`` holds
-    the raw weights ``exp(log p - mx_k)`` and ``weight_sums`` their sums
-    over the N samples, which :attr:`sample_weights` divides out on first
-    read; ``m2`` holds each row's Onsager second moment, and neither the
+    the raw weights ``exp(log p - mx_k)`` k-major, shape (G, K_max, M, N),
+    and ``weight_sums`` their (G M, K_max) sums over the N samples;
+    :attr:`sample_weights` divides them out on first read into the
+    (G M, K_max, N) row layout and clears ``weight_sums``, so
+    ``weight_sums is None`` always means normalized row-layout weights.
+    ``m2`` holds each row's Onsager second moment, and neither the
     recursion nor :func:`onsager` reads the sample weights there.
     """
 
     x_hat: np.ndarray              # (G M, F')
     posterior: np.ndarray          # (G M, K_max + 1)
     log_mc_lik: np.ndarray         # (G M, K_max + 1): log (1/N) sum_i p(r | rho^i_{1:k}) on weighed rows
-    weights: np.ndarray            # (G M, K_max, N) sample weights, raw while weight_sums is set
+    weights: np.ndarray            # (G M, K_max, N) sample weights; raw and (G, K_max, M, N) while weight_sums is set
     shrink: np.ndarray             # (K_max, N, B) per-sample shrinkage factors
     H: np.ndarray                  # (G M, B / G) total shrinkage per AP of the row's block
     degenerate: np.ndarray         # (G M,) bool: prior-only fallback rows
@@ -304,8 +353,10 @@ class ZoneDenoiseResult:
     def sample_weights(self) -> np.ndarray:
         """(G M, K_max, N) self-normalized on weighed rows, else zero; normalized once, on first read."""
         if self.weight_sums is not None:
-            self.weights = self.weights / self.weight_sums[..., None]
-            self.weight_sums = None
+            G, K, M, N = self.weights.shape
+            W = np.empty((G, M, K, N))
+            np.divide(self.weights.transpose(0, 2, 1, 3), self.weight_sums.reshape(G, M, K, 1), out=W)
+            self.weights, self.weight_sums = W.reshape(G * M, K, N), None
         return self.weights
 
 
@@ -331,7 +382,11 @@ def _posterior(log_mc: np.ndarray, log_prior: np.ndarray, M: int) -> tuple[np.nd
     """
     rows, K1 = log_mc.shape
     log_post_un = (log_mc.reshape(rows // M, M, K1) + log_prior).reshape(rows, K1)
-    post_mx = log_post_un.max(axis=1)
+    # the row maxima column by column: exact, and several times faster than
+    # numpy's max over a short last axis
+    post_mx = log_post_un[:, 0].copy()
+    for col in log_post_un.T[1:]:
+        np.maximum(post_mx, col, out=post_mx)
     degenerate = ~np.isfinite(post_mx)
     safe_mx = np.where(degenerate, 0.0, post_mx)
     post_un = np.exp(log_post_un - safe_mx[:, None])
@@ -363,6 +418,83 @@ def _weighed_rows(log_mc: np.ndarray, log_prior: np.ndarray, N: int) -> np.ndarr
     s_lo = _posterior(lower, log_prior, M)[0][:, 1:].sum(axis=1)
     floor_lo = max(_REL_FLOOR * s_lo.max(), _TINY)
     return np.flatnonzero(s_hi >= floor_lo / 2)
+
+
+def _one_ap_peaks(e: np.ndarray, v: np.ndarray, neg_inv_v: np.ndarray, logdet: np.ndarray, A: int) -> np.ndarray:
+    """Largest sample log-likelihood ``mx[g, k, m]`` of G one-AP blocks, by a search.
+
+    ``e`` (G, M) row energies; ``v``, ``neg_inv_v`` = -1 / v and ``logdet``
+    (G, K, N) per block, contiguous.  Row m's log-likelihood of sample i,
+    ``e_m (-1/v_i) - logdet_i``, rises in v_i up to e_m / A and falls after
+    it, so its largest value sits at one of the two samples on either side of
+    e_m / A in sorted order (module docstring).
+    """
+    G, K, N = v.shape
+    M = e.shape[1]
+    first = N * np.arange(G * K).reshape(G, K, 1)                  # each (block, k) group's first sample
+    sample = (np.argsort(v, axis=2) + first).ravel()               # flat samples, by v within each group
+    v_sorted = v.ravel()[sample]
+    peak = np.broadcast_to((e / A)[:, None], (G, K, M))
+    # a branch-free binary search of all (block, k, row) at once: ``at`` ends
+    # at the first position of its group with v >= e / A, or just past the group
+    at = np.repeat(first, M, axis=2)
+    n = N
+    while n > 1:
+        half = n // 2
+        np.add(at, half, out=at, where=v_sorted[at + half] < peak)
+        n -= half
+    at += v_sorted[at] < peak
+    below = sample[np.maximum(at - 1, first)]
+    above = sample[np.minimum(at, first + N - 1)]
+    # the table's own expression, so that W - mx is exactly 0 at the peak
+    e_k, nv, ld = e[:, None], neg_inv_v.ravel(), logdet.ravel()
+    return np.maximum(e_k * nv[below] - ld[below], e_k * nv[above] - ld[above])
+
+
+def _weigh_one_ap(e, tau, v, neg_inv_v, logdet, log_tau, shrink_blocks, log_prior, A):
+    """Log-likelihoods, posteriors and shrinkage moments of G one-AP blocks.
+
+    Three passes over the (G, K, M, N) weights: ``W - mx`` from one
+    (M, 3) @ (3, N) product per (block, k), its exp in place, and the moment
+    product with the table ``[1, c, c^2]`` (module docstring).  Returns
+    ``(log_mc, post, degenerate, H, m2, W, w_sum)``, the raw weights
+    ``W`` k-major.
+    """
+    G, K, N = v.shape
+    M = e.shape[1]
+    rows = G * M
+    mx = _one_ap_peaks(e, v, neg_inv_v, logdet, A)                  # (G, K, M)
+    # rows [e_m, -1, -mx_{m,k}] against columns [-1/v_i; logdet_i; 1]
+    lhs = np.empty((G, K, M, 3))
+    lhs[..., 0] = e[:, None]
+    lhs[..., 1] = -1.0
+    lhs[..., 2] = -mx
+    W = np.matmul(lhs, np.stack([neg_inv_v, logdet, np.ones_like(logdet)], axis=2))
+    np.exp(W, out=W)
+    # sum_i w_i, sum_i w_i c_i and sum_i w_i c_i^2 per (row, k): one
+    # (M, N) @ (N, 3) product per (block, k) with the table [1, c, c^2]
+    c = shrink_blocks[..., 0]
+    table = np.empty((G, K, N, 3))
+    table[..., 0] = 1.0
+    table[..., 1] = c
+    np.multiply(c, c, out=table[..., 2])
+    sums = np.matmul(W, table).transpose(0, 2, 1, 3).reshape(rows, K, 3)
+    w_sum = sums[..., 0]
+    log_mc = np.empty((rows, K + 1))
+    log_mc[:, 0] = (-(e * (1.0 / tau)[:, None]) - log_tau[:, None]).reshape(rows)
+    log_mc[:, 1:] = mx.transpose(0, 2, 1).reshape(rows, K) + np.log(w_sum / N)
+    post, degenerate = _posterior(log_mc, log_prior, M)
+    # the weights stay unnormalized: ZoneDenoiseResult.sample_weights divides on first read
+    if degenerate.any():
+        # all hypotheses at -inf: uniform weights, the posterior falls back to the prior
+        d = np.flatnonzero(degenerate)
+        W[d // M, :, d % M] = 1.0
+        sums[degenerate] = table.sum(axis=2)[d // M]
+    post_k = post[:, 1:]
+    H = np.einsum("mk,mk->m", post_k, sums[..., 1] / w_sum)[:, None]
+    # the Onsager second moment is one scalar per row
+    m2 = np.einsum("mk,mk->m", post_k, sums[..., 2] / w_sum)
+    return log_mc, post, degenerate, H, m2, W, w_sum
 
 
 def denoise_rows(
@@ -401,78 +533,58 @@ def denoise_rows(
     logdet = A * np.log(np.pi * v).reshape(K, N, G, Bb).sum(axis=3)  # (K, N, G)
     logdet = np.ascontiguousarray(logdet.transpose(2, 0, 1))         # (G, K, N), unit-stride slices
     log_tau = A * np.log(np.pi * tau).reshape(G, Bb).sum(axis=1)     # (G,)
-    # one (G, M, K, N) buffer: log-likelihoods, then weights, then (more than
-    # one AP) normalized weights; the weight passes run on a copy of the
-    # weighed rows where rows are ruled dead
-    if Bb == 1:
-        # an outer product with no sum: exact, where a GEMM only adds call cost
-        neg_inv_v_blocks = np.ascontiguousarray(neg_inv_v.transpose(2, 0, 1))   # (G, K, N)
-        W = np.einsum("gm,gkn->gmkn", energy.reshape(G, M), neg_inv_v_blocks)
-        ll0 = -(energy.reshape(G, M) * (1.0 / tau)[:, None])
-    else:
-        e = energy.reshape(G, M, Bb)
-        W = np.matmul(e, neg_inv_v.reshape(K * N, G, Bb).transpose(1, 2, 0))
-        ll0 = -np.matmul(e, (1.0 / tau).reshape(G, Bb, 1))[..., 0]
-    W = W.reshape(G, M, K, N)
-    W -= logdet[:, None]
-    W = W.reshape(rows, K, N)
-    ll0 -= log_tau[:, None]
-
-    mx = W.max(axis=2)                                               # (G M, K)
-    log_mc = np.empty((rows, K + 1))
-    log_mc[:, 0] = ll0.reshape(rows)
-    log_mc[:, 1:] = mx       # log_mc_k <= mx_k: kept on ruled-dead rows
-    weighed = slice(None)    # every row, or the indices of the rows not ruled dead
-    if G == 1 and Bb > 1:
-        weighed = _weighed_rows(log_mc, log_prior, N)
-        W = W[weighed]
-    W -= mx[weighed][..., None]
-    np.exp(W, out=W)
-
     shrink = np.sqrt(Ec) * g * inv_v                                 # (K, N, B)
     # contiguous per block, so that each BLAS call sees a one-block call's strides
     shrink_blocks = np.ascontiguousarray(shrink.reshape(K, N, G, Bb).transpose(2, 0, 1, 3))
-    L = W.shape[0] // G
-    W_k = W.reshape(G, L, K, N).transpose(0, 2, 1, 3)
+    weighed = slice(None)    # every row, or the indices of the rows not ruled dead
     if Bb == 1:
-        # sum_i w_i, sum_i w_i c_i and sum_i w_i c_i^2 per (row, k): one
-        # (M, N) @ (N, 3) product per (block, k) with the table [1, c, c^2]
-        c = shrink_blocks[..., 0]
-        table = np.stack([np.ones_like(c), c, c * c], axis=-1)     # (G, K, N, 3)
-        sums = np.matmul(W_k, table).transpose(0, 2, 1, 3).reshape(rows, K, 3)
-        w_sum = sums[..., 0]
+        log_mc, post, degenerate, H, m2, weights, w_sum = _weigh_one_ap(
+            energy.reshape(G, M), tau, np.ascontiguousarray(v.transpose(2, 0, 1)),
+            np.ascontiguousarray(neg_inv_v.transpose(2, 0, 1)), logdet, log_tau,
+            shrink_blocks, log_prior, A,
+        )
     else:
-        w_sum = W.sum(axis=2)
-    log_mc[weighed, 1:] = mx[weighed] + np.log(w_sum / N)
-    post, degenerate = _posterior(log_mc, log_prior, M)
+        # one (G, M, K, N) buffer: log-likelihoods, then weights, then
+        # normalized weights; the weight passes run on a copy of the weighed
+        # rows where rows are ruled dead
+        e = energy.reshape(G, M, Bb)
+        W = np.matmul(e, neg_inv_v.reshape(K * N, G, Bb).transpose(1, 2, 0))
+        ll0 = -np.matmul(e, (1.0 / tau).reshape(G, Bb, 1))[..., 0]
+        W = W.reshape(G, M, K, N)
+        W -= logdet[:, None]
+        W = W.reshape(rows, K, N)
+        ll0 -= log_tau[:, None]
 
-    if Bb == 1:
-        # the weights stay unnormalized: ZoneDenoiseResult.sample_weights divides on first read
-        if degenerate.any():
-            # all hypotheses at -inf: uniform weights, the posterior falls back to the prior
-            W[degenerate] = 1.0
-            sums[degenerate] = table.sum(axis=2)[np.flatnonzero(degenerate) // M]
-        post_k = post[:, 1:]
-        H = np.einsum("mk,mk->m", post_k, sums[..., 1] / w_sum)[:, None]
-        # the Onsager second moment is one scalar per row
-        m2 = np.einsum("mk,mk->m", post_k, sums[..., 2] / w_sum)
-    else:
+        mx = W.max(axis=2)                                           # (G M, K)
+        log_mc = np.empty((rows, K + 1))
+        log_mc[:, 0] = ll0.reshape(rows)
+        log_mc[:, 1:] = mx       # log_mc_k <= mx_k: kept on ruled-dead rows
+        if G == 1:
+            weighed = _weighed_rows(log_mc, log_prior, N)
+            W = W[weighed]
+        W -= mx[weighed][..., None]
+        np.exp(W, out=W)
+        w_sum = W.sum(axis=2)
+        log_mc[weighed, 1:] = mx[weighed] + np.log(w_sum / N)
+        post, degenerate = _posterior(log_mc, log_prior, M)
+
         W /= w_sum[..., None]
         if degenerate.any():
             W[degenerate[weighed]] = 1.0 / N
         # sum_k post_k sum_i w_i(k) shrink[k, i, b] per weighed row
+        L = W.shape[0] // G
+        W_k = W.reshape(G, L, K, N).transpose(0, 2, 1, 3)
         mean = np.matmul(W_k, shrink_blocks).transpose(0, 2, 1, 3)  # (G, L, K, Bb)
         post_k = post[weighed].reshape(G, L, K + 1)[..., 1:]
         H = np.zeros((rows, Bb))
         H[weighed] = np.einsum("gmk,gmkb->gmb", post_k, mean).reshape(G * L, Bb)
-        m2 = None
+        m2, weights, w_sum = None, W, None
     # degenerate rows: the estimate falls back to zero
     H[degenerate] = 0.0
     x_hat = R[weighed] * np.repeat(H[weighed], A, axis=1)
     for part in (x_hat.real, x_hat.imag):
         part[np.abs(part) < _TINY] = 0.0     # subnormal operands slow the residual GEMM
-    weights = W
-    if L < M:
+    if len(x_hat) < rows:
         # zero weights and estimates on the ruled-dead rows
         weights, x_hat = _scatter_rows(weights, weighed, rows), _scatter_rows(x_hat, weighed, rows)
     active = post[:, 1:].sum(axis=1)
@@ -489,7 +601,7 @@ def denoise_rows(
         live=live,
         weighed=np.arange(rows)[weighed],
         m2=m2,
-        weight_sums=w_sum if Bb == 1 else None,
+        weight_sums=w_sum,
     )
 
 

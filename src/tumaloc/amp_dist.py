@@ -14,11 +14,14 @@ them in lockstep as one :func:`~tumaloc.amp_central.amp_iterate` call with
 one block per AP stacked along the rows; that call bounds its denoiser's
 weight arrays and names the first failing AP (block) itself.  Every AP's
 table is bit-identical to its own :func:`local_amp_run`.  On a one-AP
-block the denoiser takes the sums of its unnormalized sample weights,
+block the denoiser finds each row's largest sample log-likelihood by a
+search over the sorted sample variances, not by a max over the samples,
+and writes the log-likelihoods less that peak in one product per
+multiplicity; it takes the sums of the resulting unnormalized weights,
 the shrinkage mean and the Onsager second moment, one scalar per row
-(``ZoneDenoiseResult.m2``), from one product per multiplicity, so neither
-it nor the Onsager term normalizes the weights; and the residual update
-is one GEMM per zone over every AP's live estimates.
+(``ZoneDenoiseResult.m2``), from a second product per multiplicity, so
+neither it nor the Onsager term normalizes the weights; and the residual
+update is one GEMM per zone over every AP's live estimates.
 """
 
 from __future__ import annotations

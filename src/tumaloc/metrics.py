@@ -59,7 +59,8 @@ def tv_distance(t: np.ndarray, t_hat: np.ndarray) -> float:
     for name, vec in (("t", t), ("t_hat", t_hat)):
         if np.any(vec < 0) or abs(vec.sum() - 1.0) > 1e-6:
             raise ValueError(f"tv_distance: {name} is not a probability vector")
-    return float(0.5 * np.abs(t - t_hat).sum())
+    # two probability vectors are at most 1 apart; disjoint supports can sum to 2 + 2 ulp
+    return float(min(1.0, 0.5 * np.abs(t - t_hat).sum()))
 
 
 def target_type(scene: Scene) -> tuple[np.ndarray, int]:

@@ -11,7 +11,9 @@ vectorized maps.  ``gen_codebook_reference``, ``denoise_rows_reference``,
 whole-array codebook, the all-rows denoiser, the per-output-AP Onsager
 loop and the all-rows AMP recursion that the package's in-place
 codebook, ruled-dead rows, batched ``Q2`` product and live-row recursion
-must reproduce.  ``detection_prob_array_reference`` and
+must reproduce; ``log_lik_table_reference`` is the all-rows denoiser's
+full table of sample log-likelihoods, whose row maxima the one-AP peak
+search must find.  ``detection_prob_array_reference`` and
 ``compute_msg_probs_reference`` are the whole-array detection kernel and
 the one-sensor-at-a-time message-probability integral, its mirrored zones
 read off reflected cell centres, that the block evaluation must reproduce
@@ -165,6 +167,37 @@ def mc_table_for(aps, zone, d0, beta, n_mc, k_max, seed):
     return np.cumsum(gam, axis=1).transpose(1, 0, 2).copy()
 
 
+def log_lik_table_reference(R, tau, g, Ec, A):
+    """Every row's sample log-likelihoods, as ``denoise_rows`` built them before the peak search.
+
+    Returns the (G M, K_max, N) table ``log p(r_m | rho^i_{1:k})``, each
+    entry ``e (-1/v) - logdet`` in one multiply and one subtraction on a
+    one-AP block, and the (G, M) empty-hypothesis log-likelihoods ``ll0``
+    of the G blocks.  ``tau`` as ``denoise_rows`` floors it.
+    """
+    K, N, B = g.shape
+    Bb = R.shape[1] // A
+    G = B // Bb
+    M = R.shape[0] // G
+    rows = G * M
+    energy = (np.abs(R) ** 2).reshape(rows, Bb, A).sum(axis=2)
+    v = tau[None, None, :] + Ec * g
+    neg_inv_v = -(1.0 / v)
+    logdet = A * np.log(np.pi * v).reshape(K, N, G, Bb).sum(axis=3)
+    log_tau = A * np.log(np.pi * tau).reshape(G, Bb).sum(axis=1)
+    if Bb == 1:
+        W = energy.reshape(G, M, 1, 1) * neg_inv_v.transpose(2, 0, 1)[:, None]
+        ll0 = -(energy.reshape(G, M) * (1.0 / tau)[:, None])
+    else:
+        e = energy.reshape(G, M, Bb)
+        W = np.matmul(e, neg_inv_v.reshape(K * N, G, Bb).transpose(1, 2, 0))
+        ll0 = -np.matmul(e, (1.0 / tau).reshape(G, Bb, 1))[..., 0]
+    W = W.reshape(G, M, K, N)
+    W -= logdet.transpose(2, 0, 1)[:, None]
+    ll0 -= log_tau[:, None]
+    return W.reshape(rows, K, N), ll0
+
+
 def denoise_rows_reference(R, tau, g, log_prior, Ec, A):
     """``denoise_rows`` with every row through the weight passes.
 
@@ -181,24 +214,8 @@ def denoise_rows_reference(R, tau, g, log_prior, Ec, A):
     rows = G * M
     tiny = np.finfo(float).tiny
     tau = np.maximum(np.asarray(tau, dtype=float), TAU_FLOOR)
-
-    energy = (np.abs(R) ** 2).reshape(rows, Bb, A).sum(axis=2)
-    v = tau[None, None, :] + Ec * g
-    inv_v = 1.0 / v
-    neg_inv_v = -inv_v
-    logdet = A * np.log(np.pi * v).reshape(K, N, G, Bb).sum(axis=3)
-    log_tau = A * np.log(np.pi * tau).reshape(G, Bb).sum(axis=1)
-    if Bb == 1:
-        W = energy.reshape(G, M, 1, 1) * neg_inv_v.transpose(2, 0, 1)[:, None]
-        ll0 = -(energy.reshape(G, M) * (1.0 / tau)[:, None])
-    else:
-        e = energy.reshape(G, M, Bb)
-        W = np.matmul(e, neg_inv_v.reshape(K * N, G, Bb).transpose(1, 2, 0))
-        ll0 = -np.matmul(e, (1.0 / tau).reshape(G, Bb, 1))[..., 0]
-    W = W.reshape(G, M, K, N)
-    W -= logdet.transpose(2, 0, 1)[:, None]
-    W = W.reshape(rows, K, N)
-    ll0 -= log_tau[:, None]
+    W, ll0 = log_lik_table_reference(R, tau, g, Ec, A)
+    inv_v = 1.0 / (tau[None, None, :] + Ec * g)
 
     mx = W.max(axis=2)
     W -= mx[..., None]

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_utils import (
     amp_iterate_reference,
@@ -10,6 +12,7 @@ from oracle_utils import (
     denoise_rows_reference,
     fd_wirtinger_jacobian,
     grid_denoiser_oracle,
+    log_lik_table_reference,
     mc_table_for,
     onsager_loop_reference,
     onsager_reference,
@@ -401,33 +404,48 @@ class TestRuledDeadRows:
         s = ref.posterior[:, 1:].sum(axis=1)
         assert np.any(s < 1e-16 * s.max() / (2 * N * N))
         np.testing.assert_array_equal(den.weighed, np.arange(R.shape[0]))
-        for name in ("degenerate", "live"):
-            np.testing.assert_array_equal(getattr(den, name), getattr(ref, name))
-        # the one-AP branch takes sum_i w_i, sum_i w_i c_i and sum_i w_i c_i^2
-        # from one product with the table [1, c, c^2], where the reference
-        # sums and normalizes the same raw weights.  A sum of N non-negative
-        # terms lies within N eps relative of the exact sum, so the two
-        # sum_i w_i differ by at most 2 N eps relative: log_mc_lik by 2 N eps
-        # absolute plus its own roundings, the normalized weights by 2 N eps
-        # relative plus a division, and the posterior, a softmax over K + 1
-        # hypotheses, by twice the log_mc_lik gap plus K + 3 roundings.
-        # H and m2 take the ratios sum_i w_i c_i / sum_i w_i, within 4 N eps
-        # of the reference's normalized sums, weigh them by the posterior and
-        # add K non-negative terms
-        K = g.shape[0]
-        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-        d_log = 2 * N * eps
-        rtol_post = 2 * d_log + (K + 3) * eps
-        rtol_h = 4 * N * eps + rtol_post + (K + 2) * eps
-        np.testing.assert_allclose(den.log_mc_lik, ref.log_mc_lik, rtol=2 * eps, atol=d_log)
-        np.testing.assert_allclose(den.posterior, ref.posterior, rtol=rtol_post, atol=tiny)
-        np.testing.assert_allclose(
-            den.sample_weights, ref.sample_weights, rtol=d_log + 2 * eps, atol=tiny
-        )
-        np.testing.assert_allclose(den.H, ref.H, rtol=rtol_h, atol=0)
-        np.testing.assert_allclose(den.x_hat, ref.x_hat, rtol=rtol_h + eps, atol=tiny)
-        m2 = np.einsum("mk,mki,ki->m", ref.posterior[:, 1:], ref.sample_weights, ref.shrink[..., 0] ** 2)
-        np.testing.assert_allclose(den.m2, m2, rtol=rtol_h, atol=0)
+        _assert_one_ap_matches_reference(den, ref)
+
+
+def _assert_one_ap_matches_reference(den, ref, atol=0.0, d_log_lik=0.0):
+    """A one-AP denoiser output against ``denoise_rows_reference``, within its rounding.
+
+    ``atol`` is added to the absolute bounds of H and m2, for posteriors
+    that reach the subnormal range.  ``d_log_lik`` bounds the absolute
+    rounding that log-likelihoods far from 0 add: in each entry of the
+    table ``W - mx``, in ``log_mc_lik`` and in the posterior's exponents.
+    """
+    K, N = ref.weights.shape[1:]
+    for name in ("degenerate", "live"):
+        np.testing.assert_array_equal(getattr(den, name), getattr(ref, name))
+    # the one-AP branch takes sum_i w_i, sum_i w_i c_i and sum_i w_i c_i^2
+    # from one product with the table [1, c, c^2], where the reference
+    # sums and normalizes the same raw weights.  A sum of N non-negative
+    # terms lies within N eps relative of the exact sum, so the two
+    # sum_i w_i differ by at most 2 N eps relative: log_mc_lik by 2 N eps
+    # absolute plus its own roundings, the normalized weights by 2 N eps
+    # relative plus a division, and the posterior, a softmax over K + 1
+    # hypotheses, by twice the log_mc_lik gap plus K + 3 roundings.
+    # H and m2 take the ratios sum_i w_i c_i / sum_i w_i, within 4 N eps
+    # of the reference's normalized sums, weigh them by the posterior and
+    # add K non-negative terms.  A table entry off by d_log_lik moves its
+    # weight by d_log_lik relative, every sum and log_mc_lik by d_log_lik
+    # and the normalized weights and ratios by 2 d_log_lik
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    d_log = 2 * N * eps + 2 * d_log_lik
+    rtol_post = 2 * d_log + (K + 3) * eps
+    rtol_h = 4 * N * eps + rtol_post + (K + 2) * eps
+    np.testing.assert_allclose(den.log_mc_lik, ref.log_mc_lik, rtol=2 * eps, atol=d_log)
+    np.testing.assert_allclose(den.posterior, ref.posterior, rtol=rtol_post, atol=tiny)
+    np.testing.assert_allclose(
+        den.sample_weights, ref.sample_weights, rtol=d_log + 2 * eps, atol=tiny
+    )
+    np.testing.assert_allclose(den.H, ref.H, rtol=rtol_h, atol=atol)
+    np.testing.assert_allclose(den.x_hat, ref.x_hat, rtol=rtol_h + eps, atol=tiny)
+    rows, G = len(ref.H), ref.shrink.shape[2]
+    c = ref.shrink[..., np.arange(rows) // (rows // G)]     # (K, N, rows): each row's block
+    m2 = np.einsum("mk,mki,kim->m", ref.posterior[:, 1:], ref.sample_weights, c**2)
+    np.testing.assert_allclose(den.m2, m2, rtol=rtol_h, atol=atol)
 
 
 class TestStackedBlocks:
@@ -523,24 +541,134 @@ class TestOneApSecondMoment:
 
     @pytest.mark.parametrize("G", [1, 3])
     def test_sample_weights_normalized_on_first_read(self, rng, G):
-        # one-AP blocks keep the raw weights exp(log p - mx_k), each (row, k)
-        # peaking at 1, and their sums; sample_weights divides them once
+        # one-AP blocks keep the raw weights exp(log p - mx_k) k-major,
+        # (G, K, M, N), each (row, k) peaking at exactly 1, and their sums;
+        # sample_weights divides them once, into the (G M, K, N) row layout
         R, tau, g, lp, Ec, A = self._blocks(rng, G)
         K, N = g.shape[:2]
+        M = len(R) // G
+        eps = np.finfo(float).eps
         den = denoise_rows(R, tau, g, lp, Ec, A)
         raw, sums = den.weights, den.weight_sums
-        assert raw.shape == (len(R), K, N) and sums.shape == (len(R), K)
-        np.testing.assert_array_equal(raw.max(axis=2), 1.0)
-        np.testing.assert_allclose(sums, raw.sum(axis=2), rtol=2 * N * np.finfo(float).eps)
+        assert raw.shape == (G, K, M, N) and sums.shape == (len(R), K)
+        np.testing.assert_array_equal(raw.max(axis=3), 1.0)
+        by_row = raw.transpose(0, 2, 1, 3).reshape(len(R), K, N)
+        np.testing.assert_allclose(sums, by_row.sum(axis=2), rtol=2 * N * eps)
         W = den.sample_weights
         assert W.shape == (len(R), K, N)
-        np.testing.assert_array_equal(W, raw / sums[..., None])
+        np.testing.assert_array_equal(W, by_row / sums[..., None])
         assert den.weight_sums is None and den.sample_weights is W
+        ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
+        np.testing.assert_allclose(W, ref.sample_weights, rtol=2 * N * eps + 2 * eps, atol=np.finfo(float).tiny)
 
     def test_multi_ap_blocks_have_no_m2(self, rng):
         R, tau, g, Ec, A = TestOnsager._instance(rng)
         lp = np.log(rng.dirichlet(np.ones(g.shape[0] + 1), size=R.shape[0]))
         assert denoise_rows(R, tau, g, lp, Ec, A).m2 is None
+
+
+@st.composite
+def _one_ap_blocks(draw):
+    """Random one-AP blocks: G in {1, 3}, A in {1, 2, 4}, K and N up to 64.
+
+    Each row's energy puts e / A at 0, below its block's smallest variance
+    v, above its largest or between them; the LSFC table may repeat its
+    samples exactly.  The values are continuous draws otherwise, so no two
+    distinct samples tie within rounding.
+    """
+    G = draw(st.sampled_from([1, 3]))
+    A = draw(st.sampled_from([1, 2, 4]))
+    K, N, M = draw(st.integers(1, 64)), draw(st.integers(1, 64)), draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from(["zero", "below", "above", "between"]), min_size=G * M, max_size=G * M))
+    distinct = draw(st.integers(1, N))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = np.cumsum(rng.uniform(0.05, 1.5, size=(K, N, G)), axis=0)
+    g = g[:, rng.integers(0, distinct, size=N)]
+    tau = rng.uniform(0.2, 2.0, size=G)
+    Ec = float(rng.uniform(0.5, 3.0))
+    v = tau + Ec * g
+    lo, hi = v.min(axis=(0, 1)), v.max(axis=(0, 1))
+    peak = {
+        "zero": lambda j: 0.0,
+        "below": lambda j: lo[j] * rng.uniform(0.0, 0.9),
+        "above": lambda j: hi[j] * rng.uniform(1.1, 10.0),
+        "between": lambda j: rng.uniform(lo[j], hi[j]),
+    }
+    e = A * np.array([peak[kind](row // M) for row, kind in enumerate(kinds)])
+    z = rng.normal(size=(G * M, A)) + 1j * rng.normal(size=(G * M, A))
+    R = z * np.sqrt(e / (np.abs(z) ** 2).sum(axis=1))[:, None]
+    lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
+    return R, tau, g, lp, Ec, A
+
+
+class TestOneApPeakSearch:
+    @staticmethod
+    def _peaks(R, tau, g, Ec, A):
+        """The searched mx, the full log-likelihood table and its terms' sizes ``e / v + |logdet|``.
+
+        The search's inputs are built as ``denoise_rows`` builds them; mx
+        is (G M, K), the others (G M, K, N).
+        """
+        K, N, G = g.shape
+        M = len(R) // G
+        v = tau + Ec * g
+        logdet = A * np.log(np.pi * v)
+        e = (np.abs(R) ** 2).reshape(G * M, 1, A).sum(axis=2).reshape(G, M)
+        blocks = [np.ascontiguousarray(x.transpose(2, 0, 1)) for x in (v, -(1.0 / v), logdet)]
+        mx = amp_central._one_ap_peaks(e, *blocks, A)
+        W, _ll0 = log_lik_table_reference(R, tau, g, Ec, A)
+        terms = e[:, :, None, None] / blocks[0][:, None] + np.abs(blocks[2])[:, None]
+        return mx.transpose(0, 2, 1).reshape(G * M, K), W, terms.reshape(G * M, K, N)
+
+    @given(_one_ap_blocks())
+    @settings(max_examples=60, deadline=None)
+    def test_search_finds_the_table_max(self, block):
+        R, tau, g, lp, Ec, A = block
+        mx, W, terms = self._peaks(R, tau, g, Ec, A)
+        np.testing.assert_array_equal(mx, W.max(axis=2))
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
+        G, K, M, N = den.weights.shape
+        eps = np.finfo(float).eps
+        # log_mc_lik and the log-posterior, up to |log p| ~ 1e3 on rows far
+        # above the variances, round to eps of their size
+        d_log_lik = 2 * eps * (np.abs(ref.log_mc_lik).reshape(G, M, K + 1) + np.abs(lp)).max()
+        if M > 1 and N > 1:
+            # numpy runs W - mx as a GEMM, whose kernel sums each entry's
+            # three terms in order, so the peak is exp(0)
+            np.testing.assert_array_equal(den.weights.max(axis=3), 1.0)
+        else:
+            # with one row or one sample it calls GEMV or a dot, which may
+            # fuse the product e (-1/v) into the sum: each entry within
+            # 3 eps of its terms' sizes (module docstring)
+            d_log_lik += 3 * eps * (terms + np.abs(mx)[..., None]).max()
+        # posteriors far out in the tails reach the subnormal range
+        _assert_one_ap_matches_reference(den, ref, atol=np.finfo(float).tiny, d_log_lik=d_log_lik)
+
+    def test_near_tie_within_bound(self, rng):
+        # 64 samples within 256 ulps of the peak v* = e / A, where the
+        # log-likelihood is flat to well below its rounding: the search may
+        # miss the table max, by at most 2 eps (s_a + s_b), s_i = e / v_i +
+        # |logdet_i| + A at the table's argmax a and the searched sample b
+        A, tau, Ec, M, N = 2, 0.5, 1.0, 16, 64
+        peak = 1.7
+        g = ((peak - tau) + 8 * np.spacing(peak) * np.arange(-N // 2, N // 2)).reshape(1, N, 1)
+        e = A * (peak + np.spacing(peak) * rng.integers(-200, 200, size=M))
+        R = np.repeat(np.sqrt(e / A)[:, None], A, axis=1).astype(complex)
+        lp = np.log(rng.dirichlet(np.ones(2), size=M))
+        mx, W, terms = self._peaks(R, np.array([tau]), g, Ec, A)
+        full = W.max(axis=2)
+        assert np.all(mx <= full) and np.any(mx < full)
+        a = W.argmax(axis=2)[..., None]
+        b = (W == mx[..., None]).argmax(axis=2)[..., None]
+        s = terms + A
+        bound = 2 * np.finfo(float).eps * (np.take_along_axis(s, a, 2) + np.take_along_axis(s, b, 2))[..., 0]
+        assert np.all(full - mx <= bound)
+        # the raw weights peak at exp(full - mx) >= 1, and the outputs keep
+        # the reference's rounding bounds
+        den = denoise_rows(R, np.array([tau]), g, lp, Ec, A)
+        np.testing.assert_array_equal(den.weights[0].max(axis=2).T, np.exp(full - mx))
+        _assert_one_ap_matches_reference(den, denoise_rows_reference(R, np.array([tau]), g, lp, Ec, A))
 
 
 def _paper_shaped(rng):

@@ -13,9 +13,18 @@ decoder's dense estimates.
   above the ``amp_run`` entry level stays below one such array: the
   recursion holds its estimates on weighed rows only and no earlier chunk's
   denoiser output.
+
+A one-AP :func:`~tumaloc.amp_central.denoise_rows` call, desk-shaped (12
+stacked APs, M = 64, K_max = 5, N = 100) and paper-shaped (one AP,
+M = 1024, K_max = 11, N = 100), allocates at most its one (G M, K_max, N)
+float64 weight array plus 16 G K_max (M + N) float64 values: no row-layout
+copy of the weights and no second full-size temporary.
 """
 
 import tracemalloc
+
+import numpy as np
+import pytest
 
 from tumaloc import amp_central, harness
 from tumaloc.config import paper_preset
@@ -51,3 +60,23 @@ def test_paper_decode_holds_no_dense_channel_array(monkeypatch):
     assert len(at_run) == 1 and len(at_denoise) == cfg.T_AMP * cfg.U
     assert at_run[0] - codebook < dense, (at_run[0] - codebook) / 2**20
     assert max(at_denoise) - at_run[0] < dense, (max(at_denoise) - at_run[0]) / 2**20
+
+
+@pytest.mark.parametrize("G, M, K, N, A", [(12, 64, 5, 100, 2), (1, 1024, 11, 100, 4)])
+def test_one_ap_denoiser_holds_one_weight_array(G, M, K, N, A):
+    rng = np.random.default_rng(7)
+    g = np.cumsum(rng.uniform(0.0, 0.02, size=(K, N, G)), axis=0)
+    tau = rng.uniform(0.5e-3, 2e-3, size=G)
+    R = (rng.normal(size=(G * M, A)) + 1j * rng.normal(size=(G * M, A))) * np.sqrt(np.repeat(tau, M) / 2)[:, None]
+    R[: M // 8] *= 4.0
+    lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        den = amp_central.denoise_rows(R, tau, g, lp, 1.0, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    weights = G * M * K * N * 8
+    assert den.weights.nbytes == weights
+    assert peak - base <= weights + 16 * G * K * (M + N) * 8, (peak - base - weights) / (G * K * (M + N) * 8)

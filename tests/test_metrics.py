@@ -57,6 +57,13 @@ class TestTvDistance:
     def test_disjoint_supports(self):
         assert tv_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
 
+    def test_disjoint_count_types_stay_at_one(self):
+        # |t - t_hat| sums to 2 + 2 ulp on these disjoint count types
+        t = np.array([2, 1, 2, 2, 1, 0, 0, 4, 3, 0, 0, 1, 4, 1, 0, 4]) / 25
+        t_hat = np.array([0, 0, 0, 0, 0, 1, 2, 0, 0, 1, 0, 0, 0, 0, 1, 0]) / 5
+        assert 0.5 * np.abs(t - t_hat).sum() > 1.0
+        assert tv_distance(t, t_hat) == 1.0
+
     def test_rejects_mismatch_and_nondistribution(self):
         with pytest.raises(ValueError):
             tv_distance([1.0], [0.5, 0.5])
