@@ -22,7 +22,11 @@ map reduces algebraically (using 1/v = (1 - sqrt(Ec) c) / tau) to
         - r_f conj(r_a) sqrt(Ec) (H_{b(f)} H_{b(a)} - M_{b(f),b(a)}) / tau_{b(a)},
 
 where M is the posterior second moment of the shrinkage factors across AP
-pairs.  The finite-difference oracle in the test suite pins this identity.
+pairs,
+
+    M_{b,b'}(r) = sum_k post(k | r) sum_i w_i(k) c_{b,i,k} c_{b',i,k}.
+
+The finite-difference oracle in the test suite pins this identity.
 
 Monte-Carlo position samples are drawn once per (zone, multiplicity) and
 shared across all messages, iterations and the Onsager computation, so the
@@ -30,120 +34,57 @@ analytic Jacobian is the exact Jacobian of the implemented denoiser up to
 the weight and row floors below.  All of them rest on the shrinkage bound
 c = sqrt(Ec) g / (tau + Ec g) <= 1/sqrt(Ec).
 
-Once the importance weights collapse, the posterior sits on one
-multiplicity per row and a few samples carry all its weight.  The posterior
-× sample-weight products ``omega[m, j]`` (j a (k, i) sample) that enter the
-second moment M are then mostly negligible, some of them subnormal, and a
-GEMM with subnormal operands runs about twenty times slower on x86 BLAS.
-On blocks of more than one AP, :func:`onsager` therefore sets the
-subnormal products to zero and runs the GEMM only on the sample columns j in
-which some row m of the block has
-``omega[m, j] >= max(1e-16 * max_j' omega[m, j'], tiny)`` (tiny the
-smallest normal double).  The products are non-negative, so the dropped
-terms move each entry of M by at most
+Block shapes and the second moment.  :func:`amp_iterate` runs the
+recursion on one block of all its APs (the centralized decoder) or, with
+``per_ap``, on one block per AP, stacked along the row axis (the
+distributed decoder): block j's rows are ``j M .. (j+1) M - 1`` of every
+per-zone array.  A block of more than one AP always runs alone in its
+call.  On either shape :func:`denoise_rows` computes M on the live rows
+(below) and returns it as ``ZoneDenoiseResult.m2``, shape (L, Bb, Bb) with
+Bb the APs of a block; :func:`onsager` reads only H, the live rows and
+m2.  Its ``Q2`` products of all output APs run as one batched product
+per block, each slice the GEMM of one output AP, in chunks of output APs
+that cap the (L, chunk, Bb, 2A) temporary; a split over rows would change
+the order of the sums.
+
+Live rows.  Rows whose posterior sits almost wholly on k = 0 are dropped.
+Row m is live when its mass on k >= 1,
+``s_m = sum_{k>=1} post(k | r_m)``, satisfies
+``s_m >= max(1e-16 * max_m' s_m', tiny)``, m' over the rows of m's block
+and tiny the smallest normal double.  M and the Onsager ``Q2`` products
+cover the live rows only, and the residual GEMM ``C_u @ X_u`` sees the
+estimates of the live rows only: on a block of more than one AP it runs
+on the gathered live rows, on one-AP blocks once per zone over all M rows
+with every block's other rows zero.  The denoiser, every posterior and
+log-likelihood, the ``diag(mean_m H)`` term and the 1/M normalization
+still cover all M rows.  A dead row has |H_b| <= s_m / sqrt(Ec) and
+M_{b,b'} <= s_m / Ec, so dropping it moves each entry by at most
+
+    |dQ[a, f]|     <= 2 s_m |r_ma| |r_mf| / (M sqrt(Ec) tau_{b(a)}),
+    |dGamma[n, f]| <= |C[n, m]| s_m |r_mf| / sqrt(Ec)
+
+(Gamma = sum_u C_u X_u - (M / Nc) Z sum_u Q_u the residual's update,
+its Onsager part one GEMM per iteration).  :func:`denoise_rows` also sets
+the real and imaginary parts of its channel estimates below tiny to zero,
+so that the residual GEMM never sees subnormal operands.
+
+Blocks of more than one AP.  Once the importance weights collapse, the
+posterior sits on one multiplicity per row and a few samples carry all its
+weight.  The posterior x sample-weight products ``omega[m, j]`` (j a
+(k, i) sample) that enter M are then mostly negligible, some of them
+subnormal, and a GEMM with subnormal operands runs about twenty times
+slower on x86 BLAS.  :func:`denoise_rows` therefore sets the subnormal
+products of its live rows to zero and runs the ``omega @ (c c)`` GEMM only
+on the sample columns j in which some live row m has
+``omega[m, j] >= max(1e-16 * max_j' omega[m, j'], tiny)``.  The products
+are non-negative, so the dropped terms move each entry of M by at most
 
     |dM[m, b, b']| <= K N 1e-16 max_j omega[m, j] / Ec,
 
 plus K N 2.3e-308 / Ec for the subnormal flush: at most K N roundings
 relative to the row's largest possible term max_j omega[m, j] / Ec.
 
-On a one-AP block M is one scalar per row,
-``m2 = sum_k post(k | r) sum_i w_i(k) c_{i,k}^2``.  There
-:func:`denoise_rows` leaves the weights ``w_i = exp(log p_i - mx_k)``
-unnormalized and takes ``S_j = sum_i w_i c_i^j``, j = 0, 1, 2, per
-(row, k) from one (M, N) @ (N, 3) product per (block, k) with the table
-``[1, c, c^2]``; then ``log_mc_k = mx_k + log(S_0 / N)``,
-``H = sum_k post_k S_1 / S_0`` and ``m2 = sum_k post_k S_2 / S_0``, the
-last into ``ZoneDenoiseResult.m2``.  :func:`onsager` reads m2 on the live
-rows and builds no ``omega``, and the sample weights are normalized only
-if something reads ``ZoneDenoiseResult.sample_weights``.  Against the
-GEMM over normalized weights, m2 sums the terms in another order, and
-``psi = H H - M`` cancels, so the change in Q is measured, not bounded
-by an ulp.  On 600 calls of desk distributed decodes (seeds 1-5 at -20,
-0 and 10 dB), |dQ| stayed within 1.3e-10 of max |Q| and within
-31 eps sqrt(Ec) sum_m |r_ma| |r_mf| m2_m / (M tau) per entry.  On three
-paper-scale APs at T_AMP = 2 (APs 0, 17 and 39, run seed
-``derive_run_seed(1, 0, 0)``) the log-likelihood tables, entries up to
-1.1e5 in magnitude, moved by at most 7.3e-11.  Taking S_0, S_1 and S_2
-from the product rather than by a sum, a normalization and two products
-changes only the order of sums of N non-negative terms, each within
-N eps relative: on 120 calls of desk distributed decodes (seeds
-8000-8002 at -20, 0 and 10 dB) log_mc moved by at most 3.6e-15, H and
-m2 by at most 6.9e-15 relative, Q by 3.5e-12 of max |Q|, and the live
-rows not at all.
-
-A one-AP block's weights take three passes: one product, one exp and the
-moment product.  Sample i's log-likelihood
-``log p_i = e (-1/v_i) - logdet_i``, with ``v_i = tau + Ec g_i`` and
-``logdet_i = A log(pi v_i)``, depends on the sample only through v_i,
-and as a function of v it has one peak: its derivative
-``(e - A v) / v^2`` is positive below ``v* = e / A`` and negative above.
-So the largest sample of a row is one of the two on either side of v* in
-sorted order.  :func:`denoise_rows` sorts each (block, k)'s N variances
-once per call, finds every row's two samples by one branch-free binary
-search over all (block, k, row) at once, ceil(log2 N) steps of a gather,
-and takes mx_k as the larger ``log p`` of the two, in the table's own
-expression.  (One ``np.searchsorted`` over all groups needs complex keys,
-group then v, and measured a third slower at the desk shape.)  Then one
-(M, 3) @ (3, N) product per (block, k), rows ``[e_m, -1, -mx_{m,k}]``
-against columns ``[-1/v_i; logdet_i; 1]``, writes ``log p - mx`` for
-every sample.  A GEMM kernel that sums each entry's three terms in order
-rounds it in the steps of a multiply, a subtraction of logdet and a
-subtraction of mx, the last two products being exact, so the peak weight
-is exactly 1; no max pass, no subtraction passes and no outer product
-remain.  The exp runs in
-place and the moment product reads the result.  The raw weights stay
-k-major, (G, K, M, N), the layout that product reads: a copy to the row
-layout would add a full-size pass and a second full-size array.
-``ZoneDenoiseResult.sample_weights`` builds the normalized (G M, K, N)
-array on first read.  Two rounding effects remain.
-
-- Near-ties: the computed ``log p`` is unimodal in v only up to its
-  rounding, each entry within ``2 eps s_i`` of the exact log-likelihood
-  of its v_i, ``s_i = e / v_i + |logdet_i| + A``.  The exact one is
-  largest at a searched sample, so mx_k falls short of the table's max by
-  at most ``2 eps (s_a + s_b)``, a the table's argmax and b the searched
-  sample: a few ulps of |mx| unless e / v and logdet cancel in mx.  The
-  raw weights then peak at exp of that gap, and
-  ``log_mc_k = mx_k + log(S_0 / N)`` absorbs it.  A near-tie needs two
-  samples on one side of v* within about 1e-8 relative of it, or two
-  variances a few ulps apart.  On 30 desk distributed decodes (-40 to
-  20 dB) the posteriors, tables, estimates and residuals, and on three
-  paper APs at N_MC = 500 the tables, were bit-identical to the max
-  pass's.  A test packs 64 samples within 256 ulps of v* and checks the
-  bound.
-- With one row or one sample per block numpy calls GEMV or a dot in
-  place of a GEMM, and their kernels may fuse ``e (-1/v_i)`` into the
-  sum: each entry of ``log p - mx`` then moves by at most
-  ``3 eps (e / v_i + |logdet_i| + |mx_k|)``.  Decodes have M >= 4 rows;
-  ``N_MC = 1`` takes this path.
-
-:func:`denoise_rows` likewise sets the real and imaginary parts of its
-channel estimates below tiny to zero, so that the residual GEMM
-``C_u @ X_u`` never sees subnormal operands.
-
-Rows whose posterior sits almost wholly on k = 0 are dropped the same way.
-:func:`denoise_rows` marks row m live when its mass on k >= 1,
-``s_m = sum_{k>=1} post(k | r_m)``, satisfies
-``s_m >= max(1e-16 * max_m' s_m', tiny)``, m' over the rows of m's block.
-The Onsager second-moment and
-``Q2`` products run on the live rows only, and the residual GEMM
-``C_u @ X_u`` sees the estimates of the live rows only: on blocks of more
-than one AP it runs on the gathered live rows, on one-AP blocks once per
-zone over all M rows with every block's other rows zero.  The denoiser,
-every posterior and log-likelihood, the ``diag(mean_m H)`` term and the
-1/M normalization still cover all M rows.
-A dead row has |H_b| <= s_m / sqrt(Ec) and M_{b,b'} <= s_m / Ec, so
-dropping it moves each entry by at most
-
-    |dQ[a, f]|     <= 2 s_m |r_ma| |r_mf| / (M sqrt(Ec) tau_{b(a)}),
-    |dGamma[n, f]| <= |C[n, m]| s_m |r_mf| / sqrt(Ec)
-
-(Gamma = sum_u C_u X_u - (M / Nc) Z sum_u Q_u the residual's update,
-its Onsager part one GEMM per iteration).
-
-On a block of more than one AP alone in its call (the centralized
-decoder), most rows are ruled dead before the weight passes.  With
+On such a block most rows are ruled dead before the weight passes.  With
 ``mx_k = max_i log p(r | rho^i_{1:k})`` the MC average of N samples obeys
 ``mx_k - log N <= log_mc_k <= mx_k``, and s_m grows with each log_mc_k,
 k >= 1.  So s_m evaluated at ``log_mc_k = mx_k``, s_m^hi, bounds s_m from
@@ -160,50 +101,89 @@ ruled-dead row is not live, since its s_m^hi is below half the floor,
 and it does not set the floor: if it held the block's largest s_m, then
 ``s_m'^lo <= s_m^hi < floor^lo / 2`` for every row m', so
 ``floor^lo = tiny``, every s_m is below tiny / 2 and the floor is tiny
-either way.  Hence ``live`` is the set the all-rows denoiser gives.  A
-ruled-dead row's posterior mass on k >= 1 moves by at most a factor N
-on a mass already below 1e-16 of the block's peak, and its H, x_hat and
-weights, at most s_m / sqrt(Ec), s_m |r| / sqrt(Ec) and 1, become zero;
-only the posterior, the ``diag(mean_m H)`` term and the next matched
-filter see them.  One-AP blocks weigh every row: the distributed decoder
-fronthauls their log-likelihoods.
+either way.  Hence ``live`` is the set the all-rows denoiser gives, and
+M is taken from the weighed rows' weights.  A ruled-dead row's posterior
+mass on k >= 1 moves by at most a factor N on a mass already below 1e-16
+of the block's peak, and its H, x_hat and weights, at most
+s_m / sqrt(Ec), s_m |r| / sqrt(Ec) and 1, become zero; only the
+posterior, the ``diag(mean_m H)`` term and the next matched filter see
+them.
 
-Both decoders run the one recursion in :func:`amp_iterate`: :func:`amp_run`
-on all F antennas as one block, the distributed decoder on G = B blocks of
-one AP each, stacked along the row axis.  The matched filter is one
-(F, Nc) @ (Nc, M) GEMM, whose rows j F / G .. (j+1) F / G - 1 are block
-j's, reshaped to R_u of shape (G M, F / G); :func:`denoise_rows` and
-:func:`onsager` run on chunks of
+One-AP blocks.  There M is one scalar per row,
+``sum_k post(k | r) sum_i w_i(k) c_{i,k}^2``.  :func:`denoise_rows` weighs
+every row, since the distributed decoder fronthauls their
+log-likelihoods, and leaves the weights ``w_i = exp(log p_i - mx_k)``
+unnormalized: it takes ``S_j = sum_i w_i c_i^j``, j = 0, 1, 2, per
+(row, k) from one (M, N) @ (N, 3) product per (block, k) with the table
+``[1, c, c^2]``, then ``log_mc_k = mx_k + log(S_0 / N)``,
+``H = sum_k post_k S_1 / S_0`` and ``M = sum_k post_k S_2 / S_0``.
+Against a sum, a normalization and two products over normalized weights
+this changes only the order of sums of N non-negative terms, each within
+N eps relative; ``psi = H H - M`` cancels, so the change in Q is not
+bounded by an ulp.
+
+The weights take three passes: one product, one exp and the moment
+product.  Sample i's log-likelihood ``log p_i = e (-1/v_i) - logdet_i``,
+with ``v_i = tau + Ec g_i`` and ``logdet_i = A log(pi v_i)``, depends on
+the sample only through v_i, and as a function of v it has one peak: its
+derivative ``(e - A v) / v^2`` is positive below ``v* = e / A`` and
+negative above.  So the largest sample of a row is one of the two on
+either side of v* in sorted order.  :func:`denoise_rows` sorts each
+(block, k)'s N variances once per call, finds every row's two samples by
+one branch-free binary search over all (block, k, row) at once,
+ceil(log2 N) steps of a gather, and takes mx_k as the larger ``log p`` of
+the two, in the table's own expression.  Then one (M, 3) @ (3, N)
+product per (block, k), rows ``[e_m, -1, -mx_{m,k}]`` against columns
+``[-1/v_i; logdet_i; 1]``, writes ``log p - mx`` for every sample.  A
+GEMM kernel that sums each entry's three terms in order rounds it in the
+steps of a multiply, a subtraction of logdet and a subtraction of mx, the
+last two products being exact, so the peak weight is exactly 1.  The exp
+runs in place and the moment product reads the result.  The raw weights
+stay k-major, (G, K, M, N), the layout that product reads;
+``ZoneDenoiseResult.sample_weights`` builds the normalized (G M, K, N)
+array on first read.  Two rounding effects remain.
+
+- Near-ties: the computed ``log p`` is unimodal in v only up to its
+  rounding, each entry within ``2 eps s_i`` of the exact log-likelihood
+  of its v_i, ``s_i = e / v_i + |logdet_i| + A``.  The exact one is
+  largest at a searched sample, so mx_k falls short of the table's max by
+  at most ``2 eps (s_a + s_b)``, a the table's argmax and b the searched
+  sample: a few ulps of |mx| unless e / v and logdet cancel in mx.  The
+  raw weights then peak at exp of that gap, and
+  ``log_mc_k = mx_k + log(S_0 / N)`` absorbs it.  A near-tie needs two
+  samples on one side of v* within about 1e-8 relative of it, or two
+  variances a few ulps apart.
+- With one row or one sample per block numpy calls GEMV or a dot in
+  place of a GEMM, and their kernels may fuse ``e (-1/v_i)`` into the
+  sum: each entry of ``log p - mx`` then moves by at most
+  ``3 eps (e / v_i + |logdet_i| + |mx_k|)``.  Decodes have M >= 4 rows;
+  ``N_MC = 1`` takes this path.
+
+Stacked one-AP blocks.  The matched filter is one (F, Nc) @ (Nc, M) GEMM,
+whose rows j A .. (j+1) A - 1 are block j's, reshaped to R_u of shape
+(G M, A); :func:`denoise_rows` and :func:`onsager` run on chunks of
 ``max(1, _MAX_STACKED_WEIGHTS // (M K_max N))`` blocks, so that a chunk's
-(rows, K_max, N) weight array fits the bound: all 12 APs in one chunk at the
-desk preset, one AP per chunk at the paper preset.  They read a chunk's
-block count off the shapes of R and the MC table, keep one row floor per
-block, and sum rows only within a block.  The residual update of blocks
-of more than one AP runs per chunk, one GEMM per block on its live rows;
-on one-AP blocks each chunk writes its live estimates into the zone's
-(M, F') array, zero elsewhere, and ``C_u`` multiplies it once per zone.
-Every stacked operation does a one-block call's arithmetic on each block
-(element-wise passes; per-slice BLAS calls on stacks with the one-block
-strides; and GEMMs whose output columns are the blocks' and whose summed
-terms, Nc in the matched filter, M in the one-AP residual product, BLAS
-splits by their own count only, never by the output width), so each
-block's output is bit-identical to :func:`amp_iterate` on that block alone,
-whatever the chunk size.  The Onsager ``Q2`` products of all output APs likewise run as one
-batched product per block, each slice the GEMM of one output AP, in chunks
-of output APs that cap the (L, chunk, B / G, 2A) temporary; a split over
-rows would change the order of the sums.  Once stacked, the desk distributed
-decode is bound by the three passes over the (G, K_max, M, N) weights
-rather than by per-call overhead.
+(rows, K_max, N) weight array fits the bound: all 12 APs in one chunk at
+the desk preset, one AP per chunk at the paper preset.  They read a
+chunk's block count off the shapes of R and the MC table, keep one row
+floor per block, and sum rows only within a block.  Each chunk writes its
+live estimates into the zone's (M, F') array, zero elsewhere, and ``C_u``
+multiplies it once per zone.  Every stacked operation does a one-block
+call's arithmetic on each block (element-wise passes; per-slice BLAS
+calls on stacks with the one-block strides; and GEMMs whose output
+columns are the blocks' and whose summed terms, Nc in the matched filter,
+M in the residual product, BLAS splits by their own count only, never by
+the output width), so each block's output is bit-identical to
+:func:`amp_iterate` on that block alone, whatever the chunk size.
 
 Between zone steps the recursion keeps only what the next step reads: the
 residual, and each zone's latest estimates as its weighed rows and their
-values (zero elsewhere; a median of 7 rows of 1024 per zone in a
-paper-scale centralized decode).  The matched filter adds ``sqrt(Ec) x_hat``
-on those rows only, and each chunk's denoiser output is dropped before the
+values, zero elsewhere.  The matched filter adds ``sqrt(Ec) x_hat`` on
+those rows only, and each chunk's denoiser output is dropped before the
 next chunk is denoised.  The dense (U, G M, F' / G) estimates that
-:func:`amp_iterate` returns are built once, after the loop.
-The recursion returns its final iterate; iteration t of a run is
-reproduced exactly by a run with ``T_AMP = t``.
+:func:`amp_iterate` returns are built once, after the loop.  The
+recursion returns its final iterate; iteration t of a run is reproduced
+exactly by a run with ``T_AMP = t``.
 """
 
 from __future__ import annotations
@@ -318,23 +298,24 @@ def residual_covariance(Z: np.ndarray, antennas_per_ap: int) -> np.ndarray:
 
 @dataclass
 class ZoneDenoiseResult:
-    """Cached per-zone denoiser output shared with the Onsager computation.
+    """Per-zone denoiser output, read by the recursion and :func:`onsager`.
 
     The G stacked blocks' rows follow one another: rows ``j M .. (j+1) M - 1``
-    belong to block j.  :attr:`sample_weights` are self-normalized on
-    weighed rows and zero on ruled-dead rows, whose ``log_mc_lik`` on k >= 1
-    holds the largest sample log-likelihood and whose ``H`` and ``x_hat``
-    are zero (module docstring).
+    belong to block j, and G > 1 only for one-AP blocks.  ``m2`` holds the
+    Onsager second moment M on the live rows, (L, Bb, Bb) with Bb the APs
+    of a block, on either block shape; the recursion and :func:`onsager`
+    read no sample weights.  :attr:`sample_weights` are self-normalized on
+    weighed rows and zero on ruled-dead rows, whose ``log_mc_lik`` on
+    k >= 1 holds the largest sample log-likelihood and whose ``H`` and
+    ``x_hat`` are zero (module docstring).
 
-    On blocks of more than one AP, ``weights`` holds the normalized weights
-    and ``weight_sums`` is None.  On blocks of one AP, ``weights`` holds
-    the raw weights ``exp(log p - mx_k)`` k-major, shape (G, K_max, M, N),
-    and ``weight_sums`` their (G M, K_max) sums over the N samples;
-    :attr:`sample_weights` divides them out on first read into the
-    (G M, K_max, N) row layout and clears ``weight_sums``, so
+    On a block of more than one AP, ``weights`` holds the normalized
+    weights and ``weight_sums`` is None.  On one-AP blocks, ``weights``
+    holds the raw weights ``exp(log p - mx_k)`` k-major, shape
+    (G, K_max, M, N), and ``weight_sums`` their (G M, K_max) sums over the
+    N samples; :attr:`sample_weights` divides them out on first read into
+    the (G M, K_max, N) row layout and clears ``weight_sums``, so
     ``weight_sums is None`` always means normalized row-layout weights.
-    ``m2`` holds each row's Onsager second moment, and neither the
-    recursion nor :func:`onsager` reads the sample weights there.
     """
 
     x_hat: np.ndarray              # (G M, F')
@@ -342,11 +323,11 @@ class ZoneDenoiseResult:
     log_mc_lik: np.ndarray         # (G M, K_max + 1): log (1/N) sum_i p(r | rho^i_{1:k}) on weighed rows
     weights: np.ndarray            # (G M, K_max, N) sample weights; raw and (G, K_max, M, N) while weight_sums is set
     shrink: np.ndarray             # (K_max, N, B) per-sample shrinkage factors
-    H: np.ndarray                  # (G M, B / G) total shrinkage per AP of the row's block
+    H: np.ndarray                  # (G M, Bb) total shrinkage per AP of the row's block
     degenerate: np.ndarray         # (G M,) bool: prior-only fallback rows
     live: np.ndarray               # (L,) rows whose mass on k >= 1 reaches their block's row floor
     weighed: np.ndarray            # (L',) rows that went through the weight passes; L <= L'
-    m2: np.ndarray | None = None   # (G M,) sum_k post_k E_w[c^2]_k on one-AP blocks, else None
+    m2: np.ndarray                 # (L, Bb, Bb) second moment M on the live rows
     weight_sums: np.ndarray | None = None   # (G M, K_max) sums of the raw weights, else None
 
     @property
@@ -361,9 +342,15 @@ class ZoneDenoiseResult:
 
 
 def _block_shape(R: np.ndarray, B: int, A: int) -> tuple[int, int, int]:
-    """``(G, M, B / G)`` of G stacked blocks: R is (G M, F'), each block F' / A of the B APs."""
+    """``(G, M, B / G)`` of G stacked blocks: R is (G M, F'), each block F' / A of the B APs.
+
+    Raises ``ValueError`` when blocks of more than one AP are stacked: such a
+    block runs alone in its call.
+    """
     per_block = R.shape[1] // A
     G = B // per_block
+    if G > 1 and per_block > 1:
+        raise ValueError(f"{G} stacked blocks of {per_block} APs: a block of several APs runs alone")
     return G, R.shape[0] // G, per_block
 
 
@@ -395,6 +382,31 @@ def _posterior(log_mc: np.ndarray, log_prior: np.ndarray, M: int) -> tuple[np.nd
         prior_lin = np.exp(log_prior[np.flatnonzero(degenerate) % M])
         post[degenerate] = prior_lin / prior_lin.sum(axis=1, keepdims=True)
     return post, degenerate
+
+
+def _live_rows(post: np.ndarray, M: int) -> np.ndarray:
+    """Rows whose mass on k >= 1 reaches their block's row floor (module docstring)."""
+    active = post[:, 1:].sum(axis=1)
+    floor = np.maximum(_REL_FLOOR * active.reshape(-1, M).max(axis=1), _TINY)
+    return np.flatnonzero(active >= np.repeat(floor, M))
+
+
+def _second_moment(omega: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``M[m, b, b'] = sum_j omega[m, j] c[j, b] c[j, b']`` on the sample columns that carry weight.
+
+    ``omega`` (L, K N) holds the posterior x sample-weight products of L
+    rows, flushed in place; ``c`` (K N, B) the shrinkage factors.  Returns
+    (L, B, B); the floors and their bound are in the module docstring.
+    """
+    omega[omega < _TINY] = 0.0     # subnormal operands slow the GEMM ~20x
+    # drop the sample columns that are negligible in every row
+    floor = np.maximum(_REL_FLOOR * omega.max(axis=1), _TINY)
+    keep = (omega >= floor[:, None]).any(axis=0)
+    if not keep.all():
+        omega, c = omega[:, keep], c[keep]
+    B = c.shape[1]
+    cpair = (c[:, :, None] * c[:, None, :]).reshape(-1, B * B)
+    return (omega @ cpair).reshape(-1, B, B)
 
 
 def _scatter_rows(values: np.ndarray, at: np.ndarray, rows: int) -> np.ndarray:
@@ -451,7 +463,7 @@ def _one_ap_peaks(e: np.ndarray, v: np.ndarray, neg_inv_v: np.ndarray, logdet: n
     return np.maximum(e_k * nv[below] - ld[below], e_k * nv[above] - ld[above])
 
 
-def _weigh_one_ap(e, tau, v, neg_inv_v, logdet, log_tau, shrink_blocks, log_prior, A):
+def _weigh_one_ap(e, tau, v, neg_inv_v, logdet, log_tau, c, log_prior, A):
     """Log-likelihoods, posteriors and shrinkage moments of G one-AP blocks.
 
     Three passes over the (G, K, M, N) weights: ``W - mx`` from one
@@ -473,7 +485,6 @@ def _weigh_one_ap(e, tau, v, neg_inv_v, logdet, log_tau, shrink_blocks, log_prio
     np.exp(W, out=W)
     # sum_i w_i, sum_i w_i c_i and sum_i w_i c_i^2 per (row, k): one
     # (M, N) @ (N, 3) product per (block, k) with the table [1, c, c^2]
-    c = shrink_blocks[..., 0]
     table = np.empty((G, K, N, 3))
     table[..., 0] = 1.0
     table[..., 1] = c
@@ -505,21 +516,23 @@ def denoise_rows(
     Ec: float,
     A: int,
 ) -> ZoneDenoiseResult:
-    """Vectorized PME denoiser for all rows of one zone, for G stacked AP blocks.
+    """Vectorized PME denoiser for all rows of one zone: one block, or G stacked one-AP blocks.
 
     ``R``: (G M, F') effective observations, block j's M rows after block
     j - 1's, each block on F' / A APs; ``tau``: (B,) per-AP variances, block
     by block; ``g``: (K_max, N, B) MC aggregate-LSFC table;
     ``log_prior``: (M, K_max+1), shared by the blocks.  G = B / (F' / A) is
-    read off the shapes; the centralized decoder is G = 1.
+    read off the shapes; blocks of more than one AP are not stacked
+    (``ValueError``).
 
     The multiplicity posterior uses the MC average of the position
     likelihood per hypothesis (the empty hypothesis has a single
     deterministic term); the conditional means are self-normalized
     importance averages of per-AP linear shrinkages of ``r``.  Each row
     sees only its own block's APs, with the arithmetic of a one-block call.
-    On a one-block call with more than one AP, rows that provably miss the
-    row floor skip the weight passes (module docstring).
+    The result holds the Onsager second moment of the live rows, ``m2``.
+    On a block of more than one AP, rows that provably miss the row floor
+    skip the weight passes (module docstring).
     """
     K, N, B = g.shape
     G, M, Bb = _block_shape(R, B, A)
@@ -534,34 +547,26 @@ def denoise_rows(
     logdet = np.ascontiguousarray(logdet.transpose(2, 0, 1))         # (G, K, N), unit-stride slices
     log_tau = A * np.log(np.pi * tau).reshape(G, Bb).sum(axis=1)     # (G,)
     shrink = np.sqrt(Ec) * g * inv_v                                 # (K, N, B)
-    # contiguous per block, so that each BLAS call sees a one-block call's strides
-    shrink_blocks = np.ascontiguousarray(shrink.reshape(K, N, G, Bb).transpose(2, 0, 1, 3))
     weighed = slice(None)    # every row, or the indices of the rows not ruled dead
     if Bb == 1:
+        # (G, K, N) tables, contiguous per block, so that each BLAS call sees a one-block call's strides
+        v_g, neg_inv_v_g, c_g = (np.ascontiguousarray(x.transpose(2, 0, 1)) for x in (v, neg_inv_v, shrink))
         log_mc, post, degenerate, H, m2, weights, w_sum = _weigh_one_ap(
-            energy.reshape(G, M), tau, np.ascontiguousarray(v.transpose(2, 0, 1)),
-            np.ascontiguousarray(neg_inv_v.transpose(2, 0, 1)), logdet, log_tau,
-            shrink_blocks, log_prior, A,
+            energy.reshape(G, M), tau, v_g, neg_inv_v_g, logdet, log_tau, c_g, log_prior, A,
         )
+        live = _live_rows(post, M)
+        m2 = m2[live].reshape(-1, 1, 1)
     else:
-        # one (G, M, K, N) buffer: log-likelihoods, then weights, then
-        # normalized weights; the weight passes run on a copy of the weighed
-        # rows where rows are ruled dead
-        e = energy.reshape(G, M, Bb)
-        W = np.matmul(e, neg_inv_v.reshape(K * N, G, Bb).transpose(1, 2, 0))
-        ll0 = -np.matmul(e, (1.0 / tau).reshape(G, Bb, 1))[..., 0]
-        W = W.reshape(G, M, K, N)
-        W -= logdet[:, None]
-        W = W.reshape(rows, K, N)
-        ll0 -= log_tau[:, None]
-
-        mx = W.max(axis=2)                                           # (G M, K)
-        log_mc = np.empty((rows, K + 1))
-        log_mc[:, 0] = ll0.reshape(rows)
+        # one block (G = 1) and one (M, K, N) buffer: log-likelihoods, then
+        # weights, then normalized weights, on a copy of the weighed rows
+        W = (energy @ neg_inv_v.reshape(K * N, Bb).T).reshape(M, K, N)
+        W -= logdet[0]
+        mx = W.max(axis=2)                                           # (M, K)
+        log_mc = np.empty((M, K + 1))
+        log_mc[:, 0] = -(energy @ (1.0 / tau).reshape(Bb, 1))[:, 0] - log_tau[0]
         log_mc[:, 1:] = mx       # log_mc_k <= mx_k: kept on ruled-dead rows
-        if G == 1:
-            weighed = _weighed_rows(log_mc, log_prior, N)
-            W = W[weighed]
+        weighed = _weighed_rows(log_mc, log_prior, N)
+        W = W[weighed]
         W -= mx[weighed][..., None]
         np.exp(W, out=W)
         w_sum = W.sum(axis=2)
@@ -572,13 +577,14 @@ def denoise_rows(
         if degenerate.any():
             W[degenerate[weighed]] = 1.0 / N
         # sum_k post_k sum_i w_i(k) shrink[k, i, b] per weighed row
-        L = W.shape[0] // G
-        W_k = W.reshape(G, L, K, N).transpose(0, 2, 1, 3)
-        mean = np.matmul(W_k, shrink_blocks).transpose(0, 2, 1, 3)  # (G, L, K, Bb)
-        post_k = post[weighed].reshape(G, L, K + 1)[..., 1:]
-        H = np.zeros((rows, Bb))
-        H[weighed] = np.einsum("gmk,gmkb->gmb", post_k, mean).reshape(G * L, Bb)
-        m2, weights, w_sum = None, W, None
+        mean = np.matmul(W.transpose(1, 0, 2), shrink).transpose(1, 0, 2)   # (L', K, Bb)
+        H = np.zeros((M, Bb))
+        H[weighed] = np.einsum("mk,mkb->mb", post[weighed, 1:], mean)
+        # M on the live rows, all of them weighed
+        live = _live_rows(post, M)
+        omega = post[live, 1:, None] * W[np.searchsorted(weighed, live)]
+        m2 = _second_moment(omega.reshape(len(live), K * N), shrink.reshape(K * N, Bb))
+        weights, w_sum = W, None
     # degenerate rows: the estimate falls back to zero
     H[degenerate] = 0.0
     x_hat = R[weighed] * np.repeat(H[weighed], A, axis=1)
@@ -587,9 +593,6 @@ def denoise_rows(
     if len(x_hat) < rows:
         # zero weights and estimates on the ruled-dead rows
         weights, x_hat = _scatter_rows(weights, weighed, rows), _scatter_rows(x_hat, weighed, rows)
-    active = post[:, 1:].sum(axis=1)
-    floor = np.maximum(_REL_FLOOR * active.reshape(G, M).max(axis=1), _TINY)
-    live = np.flatnonzero(active >= np.repeat(floor, M))
     return ZoneDenoiseResult(
         x_hat=x_hat,
         posterior=post,
@@ -608,17 +611,16 @@ def denoise_rows(
 def onsager(R: np.ndarray, den: ZoneDenoiseResult, tau: np.ndarray, Ec: float, A: int) -> np.ndarray:
     """Average Wirtinger Jacobian of the denoiser over each block's rows, (G, F', F').
 
-    Reuses the denoiser's cached per-sample weights, or on one-AP blocks
-    its second moment ``m2``, so the result is the exact Jacobian of the
-    implemented (sample-fixed) estimator up to the weight and row floors
-    and the rounding stated in the module docstring: the diagonal
-    mean shrinkage covers all M rows of a block, the second-moment term
-    only the denoiser's live rows.  Row sums stay within their block.
+    Reads the denoiser's ``H``, ``live`` and second moment ``m2``, so the
+    result is the exact Jacobian of the implemented (sample-fixed)
+    estimator up to the weight and row floors and the rounding stated in
+    the module docstring: the diagonal mean shrinkage covers all M rows of
+    a block, the second-moment term only the denoiser's live rows.  Row
+    sums stay within their block.  B is ``len(tau)``.
     """
     F = R.shape[1]
-    K, N, B = den.shrink.shape
-    G, M, Bb = _block_shape(R, B, A)
     tau = np.maximum(np.asarray(tau, dtype=float), TAU_FLOOR)
+    G, M, Bb = _block_shape(R, len(tau), A)
     Q = np.zeros((G, F, F), dtype=complex)
     diag = np.arange(F)
     Q[:, diag, diag] = np.repeat(den.H.reshape(G, M, Bb).mean(axis=1), A, axis=1)
@@ -629,29 +631,8 @@ def onsager(R: np.ndarray, den: ZoneDenoiseResult, tau: np.ndarray, Ec: float, A
         H, R = H[live], R[live]
     blocks = _live_blocks(live, G, M)
 
-    # posterior second moment of shrinkage over AP pairs: (L, Bb, Bb)
-    if den.m2 is not None:
-        M2 = den.m2[live].reshape(L, 1, 1)
-    else:
-        post, W = den.posterior, den.sample_weights
-        if L < G * M:
-            post, W = post[live], W[live]
-        omega = (post[:, 1:, None] * W).reshape(L, K * N)
-        omega[omega < _TINY] = 0.0     # subnormal operands slow the GEMM ~20x
-        cfl_blocks = den.shrink.reshape(K * N, G, Bb)
-        M2 = np.empty((L, Bb, Bb))
-        for j, s, e in blocks:
-            om, cfl = omega[s:e], cfl_blocks[:, j]
-            # drop the sample columns that are negligible in every row
-            floor = np.maximum(_REL_FLOOR * om.max(axis=1), _TINY)
-            keep = (om >= floor[:, None]).any(axis=0)
-            if not keep.all():
-                om, cfl = om[:, keep], cfl[keep]
-            cpair = (cfl[:, :, None] * cfl[:, None, :]).reshape(-1, Bb * Bb)
-            M2[s:e] = (om @ cpair).reshape(e - s, Bb, Bb)
-
     psi = H[:, :, None] * H[:, None, :]
-    psi -= M2
+    psi -= den.m2
     psi *= np.sqrt(Ec)
     psi /= tau.reshape(G, Bb)[live // M, None, :]
     # psi[m, b_out, b_in]; J[a, f] = delta H - r_f conj(r_a) psi[b(f), b(a)]
@@ -675,19 +656,19 @@ def amp_iterate(
     log_prior: np.ndarray,
     g: np.ndarray,
     cfg: SystemConfig,
-    blocks: int = 1,
+    per_ap: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
     """The AMP recursion on the receive columns ``Y``, shared by both decoders.
 
     ``Y`` (Nc, F') holds the antennas of some APs, ``codebook`` is the
     (Nc, U, M) array of :func:`~tumaloc.airlink.gen_codebook` and ``g``
     (U, K_max, N, F' / A) is the MC aggregate-LSFC table restricted to those
-    APs.  The columns split into ``blocks`` = G independent recursions of F' / G
-    antennas each, run at once with their rows stacked: block j's rows are
-    ``j M .. (j+1) M - 1`` of every per-zone array, and its outputs equal
-    those of a one-block call on its columns bit for bit, whatever the chunk
-    size (module docstring).  A non-finite iterate raises
-    :class:`DecodeError` by its rule for stacked blocks.
+    APs.  The columns form one block, or with ``per_ap`` one independent
+    recursion per AP, G = F' / A of them, run at once with their rows
+    stacked: block j's rows are ``j M .. (j+1) M - 1`` of every per-zone
+    array, and its outputs equal those of a one-block call on its columns
+    bit for bit, whatever the chunk size (module docstring).  A non-finite
+    iterate raises :class:`DecodeError` by its rule for stacked blocks.
     Returns the final iterate ``(posteriors, log_lik, X, Z, diagnostics)``:
     the per-zone multiplicity posteriors and MC-averaged log-likelihood
     tables, both (U, G M, K_max + 1), the channel estimates (U, G M, F' / G),
@@ -699,7 +680,7 @@ def amp_iterate(
     """
     Nc, F_all = Y.shape
     U, M, A = cfg.U, cfg.M, cfg.A
-    G = blocks
+    G = F_all // A if per_ap else 1
     F = F_all // G
     Bb = F // A
     rows = G * M
@@ -754,12 +735,9 @@ def amp_iterate(
                 if Bb == 1:
                     X_live[den.live % M, j0 + den.live // M] = den.x_hat[den.live]
                 else:
-                    for j, s, e in _live_blocks(den.live, j1 - j0, M):
-                        if e - s == M:
-                            Gamma_blocks[j0 + j] += Cu @ den.x_hat[j * M : (j + 1) * M]
-                        else:
-                            live = den.live[s:e]
-                            Gamma_blocks[j0 + j] += Cu[:, live - j * M] @ den.x_hat[live]
+                    # one block: one GEMM on its live rows
+                    live = den.live if len(den.live) < M else slice(None)
+                    Gamma += Cu[:, live] @ den.x_hat[live]
                 del den     # one chunk's denoiser output alive at a time
             if Bb == 1:
                 Gamma += Cu @ X_live.reshape(M, G * F)

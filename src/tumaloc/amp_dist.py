@@ -7,21 +7,9 @@ the end; it then ships, per (zone, message, multiplicity), the final-iteration
 MC-averaged log-likelihood to the CPU.  Because every covariance in the
 model is block diagonal across APs, the product of local likelihoods equals
 the global likelihood exactly, and the CPU recovers the posterior by adding
-the log tables to the log prior.
-
-The APs' recursions are independent, so :func:`distributed_decode` runs
-them in lockstep as one :func:`~tumaloc.amp_central.amp_iterate` call with
-one block per AP stacked along the rows; that call bounds its denoiser's
-weight arrays and names the first failing AP (block) itself.  Every AP's
-table is bit-identical to its own :func:`local_amp_run`.  On a one-AP
-block the denoiser finds each row's largest sample log-likelihood by a
-search over the sorted sample variances, not by a max over the samples,
-and writes the log-likelihoods less that peak in one product per
-multiplicity; it takes the sums of the resulting unnormalized weights,
-the shrinkage mean and the Onsager second moment, one scalar per row
-(``ZoneDenoiseResult.m2``), from a second product per multiplicity, so
-neither it nor the Onsager term normalizes the weights; and the residual
-update is one GEMM per zone over every AP's live estimates.
+the log tables to the log prior.  :func:`distributed_decode` runs all APs
+in lockstep as one ``amp_iterate(..., per_ap=True)`` call, and every AP's
+table is bit-identical to its own :func:`local_amp_run`.
 """
 
 from __future__ import annotations
@@ -97,7 +85,7 @@ def distributed_decode(
     ``weighed_rows`` per iteration, and ``degenerate_rows``.
     """
     M = cfg.M
-    _posts, log_lik, _X, _Z, diag = amp_iterate(Y, codebook, prior.log_pmf, g, cfg, blocks=cfg.B)
+    _posts, log_lik, _X, _Z, diag = amp_iterate(Y, codebook, prior.log_pmf, g, cfg, per_ap=True)
     result = aggregate_posteriors([log_lik[:, b * M : (b + 1) * M] for b in range(cfg.B)], prior)
     for key in ("live_rows", "weighed_rows", "degenerate_rows"):
         result.diagnostics[key] = diag[key]

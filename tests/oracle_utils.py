@@ -11,7 +11,10 @@ vectorized maps.  ``gen_codebook_reference``, ``denoise_rows_reference``,
 whole-array codebook, the all-rows denoiser, the per-output-AP Onsager
 loop and the all-rows AMP recursion that the package's in-place
 codebook, ruled-dead rows, batched ``Q2`` product and live-row recursion
-must reproduce; ``log_lik_table_reference`` is the all-rows denoiser's
+must reproduce; ``second_moment_reference`` is the Onsager second moment
+by one einsum over every sample column, with no flush, that the
+denoiser's column floor must stay within its bound of;
+``log_lik_table_reference`` is the all-rows denoiser's
 full table of sample log-likelihoods, whose row maxima the one-AP peak
 search must find.  ``detection_prob_array_reference`` and
 ``compute_msg_probs_reference`` are the whole-array detection kernel and
@@ -253,26 +256,43 @@ def denoise_rows_reference(R, tau, g, log_prior, Ec, A):
     active = post[:, 1:].sum(axis=1)
     floor = np.maximum(1e-16 * active.reshape(G, M).max(axis=1), tiny)
     live = np.flatnonzero(active >= np.repeat(floor, M))
-    return ZoneDenoiseResult(
+    den = ZoneDenoiseResult(
         x_hat=x_hat, posterior=post, log_mc_lik=log_mc, weights=W, shrink=shrink,
-        H=H, degenerate=degenerate, live=live, weighed=np.arange(rows),
+        H=H, degenerate=degenerate, live=live, weighed=np.arange(rows), m2=None,
+    )
+    den.m2 = second_moment_reference(den, live)
+    return den
+
+
+def second_moment_reference(den, rows):
+    """The Onsager second moment M of ``rows`` by one plain einsum: every sample column, no flush.
+
+    ``M[m, b, b'] = sum_k post_k sum_i w_i(k) c_{b,i,k} c_{b',i,k}`` over the
+    APs of row m's block, from ``den.posterior``, ``den.sample_weights`` and
+    ``den.shrink``; (len(rows), Bb, Bb), as ``ZoneDenoiseResult.m2``.
+    """
+    K, N, B = den.shrink.shape
+    Bb = den.H.shape[1]
+    M = len(den.H) * Bb // B
+    c = den.shrink.reshape(K, N, B // Bb, Bb)[:, :, rows // M]       # (K, N, L, Bb)
+    return np.einsum(
+        "mk,mki,kimb,kimc->mbc", den.posterior[rows, 1:], den.sample_weights[rows], c, c
     )
 
 
 def onsager_reference(R, den, tau, Ec, A):
-    """Onsager matrix by the plain einsum algebra, with no subnormal flush.
+    """Onsager matrix by the plain einsum algebra on every row, with no subnormal flush.
 
-    ``den`` is a denoiser output for the rows ``R`` (``denoise_rows`` or
-    ``denoise_rows_reference``); the result is the row-averaged Wirtinger Jacobian
+    ``den`` is a one-block denoiser output for the rows ``R`` (``denoise_rows``
+    or ``denoise_rows_reference``), whose ``m2`` it does not read; the
+    second moment is ``second_moment_reference`` on all rows, and the
+    result is the row-averaged Wirtinger Jacobian
     ``Q[a, f] = delta(a, f) mean_m H - mean_m conj(r_a) r_f psi[b(f), b(a)]``.
     """
     M, F = R.shape
-    K, N, B = den.shrink.shape
+    B = F // A
     tau = np.maximum(np.asarray(tau, dtype=float), 1e-15)
-    omega = (den.posterior[:, 1:, None] * den.sample_weights).reshape(M, K * N)
-    cfl = den.shrink.reshape(K * N, B)
-    cpair = (cfl[:, :, None] * cfl[:, None, :]).reshape(K * N, B * B)
-    M2 = (omega @ cpair).reshape(M, B, B)
+    M2 = second_moment_reference(den, np.arange(M))
     H = den.H
     psi = np.sqrt(Ec) * (H[:, :, None] * H[:, None, :] - M2) / tau[None, None, :]
     Rr = R.reshape(M, B, A)
@@ -287,50 +307,28 @@ def onsager_loop_reference(R, den, tau, Ec, A):
 
     The package's Onsager matrix as it was before the ``Q2`` products of
     all output APs ran as one batched product: a Python loop over the
-    output APs, each a (F, L) @ (L, A) GEMM per block.  The second moment
-    comes from ``den.m2`` where it is set, as in ``onsager``; with
-    ``den.m2`` None it is the pruned ``omega`` GEMM on blocks of more than
-    one AP and a matrix-vector product on one-AP blocks, as before one-AP
-    blocks took it from the denoiser.  Same arguments and result as
+    output APs, each a (F, L) @ (L, A) GEMM per block, with the second
+    moment from ``den.m2``.  Same arguments and result as
     ``tumaloc.amp_central.onsager``.
     """
     F = R.shape[1]
-    K, N, B = den.shrink.shape
     Bb = F // A
-    G = B // Bb
+    G = len(tau) // Bb
     M = R.shape[0] // G
-    tiny = np.finfo(float).tiny
     tau = np.maximum(np.asarray(tau, dtype=float), TAU_FLOOR)
     Q = np.zeros((G, F, F), dtype=complex)
     diag = np.arange(F)
     Q[:, diag, diag] = np.repeat(den.H.reshape(G, M, Bb).mean(axis=1), A, axis=1)
 
-    post, W, H, live = den.posterior, den.sample_weights, den.H, den.live
+    H, live = den.H, den.live
     L = len(live)
     if L < G * M:
-        post, W, H, R = post[live], W[live], H[live], R[live]
+        H, R = H[live], R[live]
     ends = np.searchsorted(live, M * np.arange(1, G + 1))
     blocks = list(enumerate(zip([0, *ends[:-1]], ends)))
 
-    if den.m2 is not None:
-        M2 = den.m2[live].reshape(L, 1, 1)
-    else:
-        omega = (post[:, 1:, None] * W).reshape(L, K * N)
-        omega[omega < tiny] = 0.0
-        cfl_blocks = den.shrink.reshape(K * N, G, Bb)
-        M2 = np.empty((L, Bb, Bb))
-        for j, (s, e) in blocks:
-            om, cfl = omega[s:e], cfl_blocks[:, j]
-            if Bb > 1:
-                floor = np.maximum(1e-16 * om.max(axis=1), tiny)
-                keep = (om >= floor[:, None]).any(axis=0)
-                if not keep.all():
-                    om, cfl = om[:, keep], cfl[keep]
-            cpair = (cfl[:, :, None] * cfl[:, None, :]).reshape(-1, Bb * Bb)
-            M2[s:e] = (om @ cpair).reshape(e - s, Bb, Bb)
-
     psi = H[:, :, None] * H[:, None, :]
-    psi -= M2
+    psi -= den.m2
     psi *= np.sqrt(Ec)
     psi /= tau.reshape(G, Bb)[live // M, None, :]
     Rr = R.reshape(L, Bb, A)
@@ -350,9 +348,9 @@ def amp_iterate_reference(Y, codebook, log_prior, g, cfg):
 
     ``amp_iterate`` as it was before the live-row floor and the ruled-dead
     rows: ``denoise_rows_reference`` weighs every row, and its ``live``
-    mask is overridden to all rows, so the Onsager term and the residual
-    GEMM ``C_u @ X_u`` cover all M rows of every zone.  Returns
-    ``(posteriors, log_lik, X, Z)``.
+    mask is overridden to all rows, with ``m2`` on all of them, so the
+    Onsager term and the residual GEMM ``C_u @ X_u`` cover all M rows of
+    every zone.  Returns ``(posteriors, log_lik, X, Z)``.
     """
     Nc, F = Y.shape
     U, M, A = cfg.U, cfg.M, cfg.A
@@ -368,7 +366,7 @@ def amp_iterate_reference(Y, codebook, log_prior, g, cfg):
             Cu = codebook[:, u]
             R_u = (Zh @ Cu).conj().T + np.sqrt(cfg.Ec) * X[u]
             den = denoise_rows_reference(R_u, tau, g[u], log_prior[u], cfg.Ec, A)
-            den = dataclasses.replace(den, live=np.arange(M))
+            den = dataclasses.replace(den, live=np.arange(M), m2=second_moment_reference(den, np.arange(M)))
             X[u] = den.x_hat
             posts[u] = den.posterior
             log_lik[u] = den.log_mc_lik

@@ -17,6 +17,7 @@ from oracle_utils import (
     onsager_loop_reference,
     onsager_reference,
     random_denoiser_instance,
+    second_moment_reference,
 )
 from tumaloc import airlink, amp_central, harness
 from tumaloc.amp_central import (
@@ -235,38 +236,31 @@ class TestOnsager:
             onsager(R, den, tau, Ec, A)[0], onsager_reference(R, den, tau, Ec, A), rtol=1e-12
         )
 
-    @staticmethod
-    def _poisoned(den, dropped):
-        # NaN shrink factors in the sample columns the weight floor drops:
-        # the result stays finite only if none of them reaches the GEMM
-        K, N, B = den.shrink.shape
-        shrink = den.shrink.reshape(K * N, B).copy()
-        shrink[dropped] = np.nan
-        return dataclasses.replace(den, shrink=shrink.reshape(K, N, B))
-
     def test_pruned_columns_vs_einsum_reference(self, rng):
         # k = 2 sits 80 nats below the other multiplicities in every row, so
         # its sample columns fall below the 1e-16 relative floor everywhere;
-        # every fourth row is dead (all weight products zero)
+        # every fourth row is dead
         R, tau, g, Ec, A = self._instance(rng)
         M, K, N = R.shape[0], g.shape[0], g.shape[1]
         lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
         lp[:, 2] -= 80.0
         lp[::4, 1:] = -1000.0
         den = denoise_rows(R, tau, g, lp, Ec, A)
-        omega = (den.posterior[:, 1:, None] * den.sample_weights).reshape(M, K * N)
+        live = den.live
+        assert not np.isin(np.arange(0, M, 4), live).any()
+        omega = (den.posterior[live, 1:, None] * den.sample_weights[live]).reshape(len(live), K * N)
         floor = np.maximum(1e-16 * omega.max(axis=1), np.finfo(float).tiny)
         dropped = (omega < floor[:, None]).all(axis=0)
         assert 0 < dropped.sum() < K * N
-        assert np.all(omega[::4] == 0)
-        got = onsager(R, self._poisoned(den, dropped), tau, Ec, A)[0]
-        want = onsager_reference(R, den, tau, Ec, A)
-        # |dM2[m]| <= K N 1e-16 max_j omega[m, j] / Ec, carried through psi
+        # NaN shrink factors in the dropped sample columns: m2 comes out the
+        # same only if none of them reaches the GEMM
+        c = den.shrink.reshape(K * N, -1).copy()
+        c[dropped] = np.nan
+        np.testing.assert_array_equal(amp_central._second_moment(omega.copy(), c), den.m2)
+        # |dM2[m]| <= K N 1e-16 max_j omega[m, j] / Ec
+        want = second_moment_reference(den, live)
         dM2 = K * N * 1e-16 * omega.max(axis=1) / Ec
-        absR = np.abs(R)
-        tau_in = np.repeat(tau, A)
-        bound = np.sqrt(Ec) * (absR.T * dM2) @ absR / tau_in[:, None] / M
-        assert np.all(np.abs(got - want) <= bound + 1e-12 * np.abs(want))
+        assert np.all(np.abs(den.m2 - want) <= dM2[:, None, None] + 1e-12 * want)
 
     def test_live_rows_follow_the_row_floor(self, rng):
         # the rows' log-prior on k >= 1 falls by 2 nats per row, so the
@@ -283,40 +277,44 @@ class TestOnsager:
         assert np.any((share < 1e-16) & (share > 1e-18))
 
     @staticmethod
-    def _half_dead(rng, denoise=denoise_rows):
+    def _half_dead(rng):
         # half the rows put log-prior ~ -700 on every k >= 1: their mass on
         # k >= 1 is far below 1e-16 of the live rows'
         R, tau, g, Ec, A = TestOnsager._instance(rng)
         M, K = R.shape[0], g.shape[0]
         lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
         lp[::2, 1:] = -700.0 - np.arange(K)
-        den = denoise(R, tau, g, lp, Ec, A)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
         np.testing.assert_array_equal(den.live, np.arange(1, M, 2))
-        return R, tau, Ec, A, den
+        return R, tau, g, lp, Ec, A, den
 
     def test_subnormal_weight_products_vs_einsum_reference(self, rng):
         # the dead rows' posterior x sample-weight products reach the
-        # subnormal range in the all-rows denoiser's output; dropping those
-        # rows moves Q by at most
-        # sum over dead m of 2 s_m |r_ma| |r_mf| / (M sqrt(Ec) tau_b(a))
-        R, tau, Ec, A, den = self._half_dead(rng, denoise_rows_reference)
-        M = R.shape[0]
-        omega = den.posterior[:, 1:, None] * den.sample_weights
+        # subnormal range in the all-rows denoiser's output; leaving those
+        # rows out of m2 moves Q by at most
+        # sum over dead m of 2 s_m |r_ma| |r_mf| / (M sqrt(Ec) tau_b(a)),
+        # and the column floor on the live rows by the bound above
+        R, tau, g, lp, Ec, A, den = self._half_dead(rng)
+        ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
+        M, K, N = R.shape[0], g.shape[0], g.shape[1]
+        omega = ref.posterior[:, 1:, None] * ref.sample_weights
         assert np.any((omega > 0) & (omega < np.finfo(float).tiny))
         got = onsager(R, den, tau, Ec, A)[0]
-        want = onsager_reference(R, den, tau, Ec, A)
-        dead = np.arange(0, M, 2)
-        s = den.posterior[dead, 1:].sum(axis=1)
+        want = onsager_reference(R, ref, tau, Ec, A)
+        dead, live = np.arange(0, M, 2), den.live
+        s = ref.posterior[dead, 1:].sum(axis=1)
         absR = np.abs(R[dead])
         tau_in = np.repeat(tau, A)
         bound = 2.0 * (absR.T * s) @ absR / (M * np.sqrt(Ec) * tau_in[:, None])
+        dM2 = K * N * 1e-16 * omega[live].reshape(len(live), K * N).max(axis=1) / Ec
+        bound += np.sqrt(Ec) * (np.abs(R[live]).T * dM2) @ np.abs(R[live]) / (M * tau_in[:, None])
         assert np.all(np.abs(got - want) <= bound + 1e-12 * np.abs(want))
 
     def test_dead_rows_never_reach_the_products(self, rng):
         # NaN weights and shrinkage on the dead rows: the second-moment term
         # stays finite and unchanged, only the all-row mean shrinkage on
         # the diagonal sees the NaN
-        R, tau, Ec, A, den = self._half_dead(rng)
+        R, tau, _g, _lp, Ec, A, den = self._half_dead(rng)
         dead = np.arange(0, R.shape[0], 2)
         W, H = den.sample_weights.copy(), den.H.copy()
         W[dead] = np.nan
@@ -330,18 +328,24 @@ class TestOnsager:
         assert np.all(np.isnan(np.diag(Q)))
 
     def test_dead_zone_gives_mean_shrinkage_diagonal(self, rng):
-        # every row's posterior on k >= 1 underflows: no sample column of
-        # the all-rows denoiser's output carries weight, and Q is the
-        # diagonal of the mean shrinkage
+        # every row's posterior on k >= 1 underflows: no row is live, no
+        # sample column of the all-rows denoiser's output carries weight,
+        # and Q is the diagonal of the mean shrinkage
         R, tau, g, Ec, A = self._instance(rng)
         M, K, N = R.shape[0], g.shape[0], g.shape[1]
         lp = np.zeros((M, K + 1))
         lp[:, 1:] = -720.0
-        den = denoise_rows_reference(R, tau, g, lp, Ec, A)
-        assert (den.posterior[:, 1:, None] * den.sample_weights).max() < np.finfo(float).tiny
-        assert np.all(den.H > 0)
-        Q = onsager(R, self._poisoned(den, np.ones(K * N, dtype=bool)), tau, Ec, A)[0]
-        np.testing.assert_array_equal(Q, np.diag(np.repeat(den.H.mean(axis=0), A)))
+        ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
+        omega = (ref.posterior[:, 1:, None] * ref.sample_weights).reshape(M, K * N)
+        assert omega.max() < np.finfo(float).tiny
+        # the column floor keeps no column: NaN shrink factors never reach the GEMM
+        nan_c = np.full((K * N, len(tau)), np.nan)
+        np.testing.assert_array_equal(amp_central._second_moment(omega, nan_c), 0.0)
+        assert np.all(ref.H > 0)
+        for den in (denoise_rows(R, tau, g, lp, Ec, A), ref):
+            assert den.m2.shape == (0, len(tau), len(tau))
+            Q = onsager(R, den, tau, Ec, A)[0]
+            np.testing.assert_array_equal(Q, np.diag(np.repeat(den.H.mean(axis=0), A)))
 
 
 class TestRuledDeadRows:
@@ -442,10 +446,7 @@ def _assert_one_ap_matches_reference(den, ref, atol=0.0, d_log_lik=0.0):
     )
     np.testing.assert_allclose(den.H, ref.H, rtol=rtol_h, atol=atol)
     np.testing.assert_allclose(den.x_hat, ref.x_hat, rtol=rtol_h + eps, atol=tiny)
-    rows, G = len(ref.H), ref.shrink.shape[2]
-    c = ref.shrink[..., np.arange(rows) // (rows // G)]     # (K, N, rows): each row's block
-    m2 = np.einsum("mk,mki,kim->m", ref.posterior[:, 1:], ref.sample_weights, c**2)
-    np.testing.assert_allclose(den.m2, m2, rtol=rtol_h, atol=atol)
+    np.testing.assert_allclose(den.m2, ref.m2, rtol=rtol_h, atol=atol)
 
 
 class TestStackedBlocks:
@@ -499,7 +500,7 @@ class TestOneApSecondMoment:
         K, N = g.shape[:2]
         M = R.shape[0] // G
         den = denoise_rows(R, tau, g, lp, Ec, A)
-        assert den.m2.shape == (G * M,)
+        assert den.m2.shape == (G * M, 1, 1)
         assert len(den.live) == G * M
         Q = onsager(R, den, tau, Ec, A)
         eps = np.finfo(float).eps
@@ -523,13 +524,20 @@ class TestOneApSecondMoment:
             bound = (K * N + K + N + 2 * M) * eps * unit + M * eps * np.abs(want)
             assert np.all(np.abs(Q[j] - want) <= bound)
 
-    @pytest.mark.parametrize("G", [1, 3])
+    @pytest.mark.parametrize("G", [1, 3, "multi-ap"])
     def test_sample_weights_unread(self, rng, G, monkeypatch):
-        # one-AP blocks take the second moment from the denoiser's m2: onsager
-        # never normalizes the weights, and NaN raw weights leave Q as it was
-        R, tau, g, lp, Ec, A = self._blocks(rng, G)
+        # both block shapes take the second moment from the denoiser's m2:
+        # onsager reads no weights and no shrinkage table, and NaN ones leave
+        # Q as it was; G one-AP blocks, or one block of three APs
+        if G == "multi-ap":
+            R, tau, g, Ec, A = TestOnsager._instance(rng)
+            lp = np.log(rng.dirichlet(np.ones(g.shape[0] + 1), size=R.shape[0]))
+        else:
+            R, tau, g, lp, Ec, A = self._blocks(rng, G)
         den = denoise_rows(R, tau, g, lp, Ec, A)
-        nan_den = dataclasses.replace(den, weights=np.full_like(den.weights, np.nan))
+        nan_den = dataclasses.replace(
+            den, weights=np.full_like(den.weights, np.nan), shrink=np.full_like(den.shrink, np.nan)
+        )
 
         def unread(_self):
             raise AssertionError("sample_weights read")
@@ -537,7 +545,7 @@ class TestOneApSecondMoment:
         monkeypatch.setattr(amp_central.ZoneDenoiseResult, "sample_weights", property(unread))
         Q = onsager(R, den, tau, Ec, A)
         np.testing.assert_array_equal(onsager(R, nan_den, tau, Ec, A), Q)
-        assert den.weight_sums is not None and nan_den.weight_sums is not None
+        assert np.isfinite(Q).all()
 
     @pytest.mark.parametrize("G", [1, 3])
     def test_sample_weights_normalized_on_first_read(self, rng, G):
@@ -561,10 +569,17 @@ class TestOneApSecondMoment:
         ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
         np.testing.assert_allclose(W, ref.sample_weights, rtol=2 * N * eps + 2 * eps, atol=np.finfo(float).tiny)
 
-    def test_multi_ap_blocks_have_no_m2(self, rng):
+    def test_m2_on_the_live_rows_of_either_block_shape(self, rng):
+        # one block of three APs, a third of its rows dead, and three stacked
+        # one-AP blocks: m2 is (L, Bb, Bb) on the live rows
         R, tau, g, Ec, A = TestOnsager._instance(rng)
         lp = np.log(rng.dirichlet(np.ones(g.shape[0] + 1), size=R.shape[0]))
-        assert denoise_rows(R, tau, g, lp, Ec, A).m2 is None
+        lp[::3, 1:] = -800.0
+        multi = denoise_rows(R, tau, g, lp, Ec, A)
+        assert 0 < len(multi.live) < len(R)
+        one = denoise_rows(*self._blocks(rng, 3))
+        for den, Bb in ((multi, 3), (one, 1)):
+            assert den.m2.shape == (len(den.live), Bb, Bb)
 
 
 @st.composite
@@ -701,13 +716,13 @@ class TestBatchedQ2:
         monkeypatch.setattr(amp_central, "onsager", checked)
         return live
 
-    @pytest.mark.parametrize("blocks", [1, 12], ids=["centralized", "stacked"])
-    def test_desk_recursion_vs_per_output_ap_loop(self, monkeypatch, blocks):
+    @pytest.mark.parametrize("per_ap", [False, True], ids=["centralized", "stacked"])
+    def test_desk_recursion_vs_per_output_ap_loop(self, monkeypatch, per_ap):
         cfg, cb, prior, mc, Y = _desk_at_10db()
         live = self._checked(monkeypatch)
-        amp_iterate(Y, cb, prior.log_pmf, mc, cfg, blocks=blocks)
+        amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=per_ap)
         assert len(live) == cfg.T_AMP * cfg.U
-        assert 0 < min(live) and max(live) <= blocks * cfg.M
+        assert 0 < min(live) and max(live) <= (cfg.B if per_ap else 1) * cfg.M
 
     def test_paper_shaped_vs_per_output_ap_loop(self, rng):
         R, tau, g, lp, Ec, A = _paper_shaped(rng)
@@ -720,19 +735,19 @@ class TestBatchedQ2:
             onsager(R, den, tau, Ec, A), onsager_loop_reference(R, den, tau, Ec, A)
         )
 
-    def test_stacked_multi_ap_blocks_vs_per_output_ap_loop(self, rng):
-        # two blocks of three APs with their own rows and live sets
+    def test_stacked_multi_ap_blocks_rejected(self, rng):
+        # two blocks of three APs stacked along the rows: a block of several
+        # APs runs alone in its call
         R, tau, g, Ec, A = TestOnsager._instance(rng)
         M, K = R.shape[0], g.shape[0]
         R2 = np.concatenate([R, 0.5 * R[::-1]])
         tau2, g2 = np.concatenate([tau, tau[::-1]]), np.concatenate([g, g[..., ::-1]], axis=2)
         lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
-        lp[::3, 1:] = -800.0
-        den = denoise_rows(R2, tau2, g2, lp, Ec, A)
-        assert den.m2 is None and 0 < len(den.live) < 2 * M
-        np.testing.assert_array_equal(
-            onsager(R2, den, tau2, Ec, A), onsager_loop_reference(R2, den, tau2, Ec, A)
-        )
+        with pytest.raises(ValueError, match="runs alone"):
+            denoise_rows(R2, tau2, g2, lp, Ec, A)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        with pytest.raises(ValueError, match="runs alone"):
+            onsager(R2, den, tau2, Ec, A)
 
     def test_chunks_equal_one_chunk(self, rng, monkeypatch):
         R, tau, g, lp, Ec, A = _paper_shaped(rng)
@@ -843,6 +858,23 @@ class TestAmpRun:
         np.testing.assert_array_equal(
             estimate_multiplicities(posts), estimate_multiplicities(want)
         )
+
+    @pytest.mark.parametrize("per_ap", [False, True], ids=["centralized", "stacked"])
+    def test_recursion_never_reads_the_weights(self, monkeypatch, per_ap):
+        # the recursion takes M from m2 on either block shape: a sample_weights
+        # that raises leaves every output as an unpatched run gives it
+        cfg, cb, prior, mc, Y = _desk_at_10db()
+        want = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=per_ap)
+
+        def unread(_self):
+            raise AssertionError("sample_weights read")
+
+        monkeypatch.setattr(amp_central.ZoneDenoiseResult, "sample_weights", property(unread))
+        got = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=per_ap)
+        for a, b in zip(got[:4], want[:4]):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(got[4].pop("tau_trace"), want[4].pop("tau_trace"))
+        assert got[4] == want[4]
 
     def test_decode_error_raised_on_nonfinite(self):
         cfg, topo = _tiny_system()

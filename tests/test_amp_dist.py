@@ -159,7 +159,7 @@ class TestStackedRecursion:
     def test_stacked_blocks_equal_per_ap_runs(self):
         cfg, prior, cb, mc, Y = _dead_row_system()
         A, M = cfg.A, cfg.M
-        posts, log_lik, X, Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, blocks=cfg.B)
+        posts, log_lik, X, Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
         per_ap_live = []
         for b in range(cfg.B):
             rows, cols = slice(b * M, (b + 1) * M), slice(b * A, (b + 1) * A)
@@ -206,7 +206,7 @@ class TestStackedRecursion:
         for size in (1, 2, cfg.B):                   # 2 leaves a chunk of one AP
             monkeypatch.setattr(amp_central, "_MAX_STACKED_WEIGHTS", size * per_ap)
             assert amp_central._chunks(cfg.B, cfg)[0] == (0, size)
-            log_lik = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, blocks=cfg.B)[1]
+            log_lik = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)[1]
             for b in range(cfg.B):
                 np.testing.assert_array_equal(log_lik[:, b * M : (b + 1) * M], one_ap[b])
             results.append(distributed_decode(Y, cb, prior, mc, cfg))
@@ -234,7 +234,7 @@ class TestStackedRecursion:
         for size in (cfg.B, 1):
             monkeypatch.setattr(amp_central, "_MAX_STACKED_WEIGHTS", size * per_ap_weights)
             assert len(amp_central._chunks(cfg.B, cfg)) == cfg.B // size
-            posts, log_lik, X, Z, _diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, blocks=cfg.B)
+            posts, log_lik, X, Z, _diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
             for b, (p_b, l_b, X_b, Z_b, _d) in enumerate(per_ap):
                 rows = slice(b * M, (b + 1) * M)
                 np.testing.assert_array_equal(log_lik[:, rows], l_b)
