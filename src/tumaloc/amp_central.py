@@ -39,34 +39,24 @@ recursion on one block of all its APs (the centralized decoder) or, with
 ``per_ap``, on one block per AP, stacked along the row axis (the
 distributed decoder): block j's rows are ``j M .. (j+1) M - 1`` of every
 per-zone array.  A block of more than one AP always runs alone in its
-call.  On either shape :func:`denoise_rows` computes M on the live rows
+call.  On either shape :func:`denoise_rows` computes M on its weighed rows
 (below) and returns it as ``ZoneDenoiseResult.m2``, shape (L, Bb, Bb) with
-Bb the APs of a block; :func:`onsager` reads only H, the live rows and
+Bb the APs of a block; :func:`onsager` reads only H, the weighed rows and
 m2.  Its ``Q2`` products of all output APs run as one batched product
 per block, each slice the GEMM of one output AP, in chunks of output APs
 that cap the (L, chunk, Bb, 2A) temporary; a split over rows would change
 the order of the sums.
 
-Live rows.  Rows whose posterior sits almost wholly on k = 0 are dropped.
-Row m is live when its mass on k >= 1,
-``s_m = sum_{k>=1} post(k | r_m)``, satisfies
-``s_m >= max(1e-16 * max_m' s_m', tiny)``, m' over the rows of m's block
-and tiny the smallest normal double.  M and the Onsager ``Q2`` products
-cover the live rows only, and the residual GEMM ``C_u @ X_u`` sees the
-estimates of the live rows only: on a block of more than one AP it runs
-on the gathered live rows, on one-AP blocks once per zone over all M rows
-with every block's other rows zero.  The denoiser, every posterior and
-log-likelihood, the ``diag(mean_m H)`` term and the 1/M normalization
-still cover all M rows.  A dead row has |H_b| <= s_m / sqrt(Ec) and
-M_{b,b'} <= s_m / Ec, so dropping it moves each entry by at most
-
-    |dQ[a, f]|     <= 2 s_m |r_ma| |r_mf| / (M sqrt(Ec) tau_{b(a)}),
-    |dGamma[n, f]| <= |C[n, m]| s_m |r_mf| / sqrt(Ec)
-
-(Gamma = sum_u C_u X_u - (M / Nc) Z sum_u Q_u the residual's update,
-its Onsager part one GEMM per iteration).  :func:`denoise_rows` also sets
-the real and imaginary parts of its channel estimates below tiny to zero,
-so that the residual GEMM never sees subnormal operands.
+Weighed rows.  The rows that go through the denoiser's weight passes,
+``ZoneDenoiseResult.weighed``, are the rows that M, the Onsager ``Q2``
+products and the residual GEMM ``C_u @ X_u`` cover.  The denoiser's
+posteriors and log-likelihoods, the ``diag(mean_m H)`` term and the 1/M
+normalization cover all M rows.  One-AP blocks weigh every row (below); a
+block of more than one AP leaves out its ruled-dead rows, and since it runs
+alone, every block of a call keeps the same number of rows.
+:func:`denoise_rows` also sets the real and imaginary parts of its channel
+estimates below tiny, the smallest normal double, to zero, so that the
+residual GEMM never sees subnormal operands.
 
 Blocks of more than one AP.  Once the importance weights collapse, the
 posterior sits on one multiplicity per row and a few samples carry all its
@@ -74,8 +64,8 @@ weight.  The posterior x sample-weight products ``omega[m, j]`` (j a
 (k, i) sample) that enter M are then mostly negligible, some of them
 subnormal, and a GEMM with subnormal operands runs about twenty times
 slower on x86 BLAS.  :func:`denoise_rows` therefore sets the subnormal
-products of its live rows to zero and runs the ``omega @ (c c)`` GEMM only
-on the sample columns j in which some live row m has
+products of its weighed rows to zero and runs the ``omega @ (c c)`` GEMM
+only on the sample columns j in which some weighed row m has
 ``omega[m, j] >= max(1e-16 * max_j' omega[m, j'], tiny)``.  The products
 are non-negative, so the dropped terms move each entry of M by at most
 
@@ -84,7 +74,10 @@ are non-negative, so the dropped terms move each entry of M by at most
 plus K N 2.3e-308 / Ec for the subnormal flush: at most K N roundings
 relative to the row's largest possible term max_j omega[m, j] / Ec.
 
-On such a block most rows are ruled dead before the weight passes.  With
+On such a block most rows are ruled dead before the weight passes.  Let
+``s_m = sum_{k>=1} post(k | r_m)`` be row m's posterior mass on k >= 1
+and ``floor = max(1e-16 * max_m' s_m', tiny)`` the row floor, m' over the
+block's rows, both as the all-rows denoiser gives them.  With
 ``mx_k = max_i log p(r | rho^i_{1:k})`` the MC average of N samples obeys
 ``mx_k - log N <= log_mc_k <= mx_k``, and s_m grows with each log_mc_k,
 k >= 1.  So s_m evaluated at ``log_mc_k = mx_k``, s_m^hi, bounds s_m from
@@ -96,18 +89,21 @@ normalization and shrinkage product over its (K_max, N) weights and
 keeps ``log_mc_k = mx_k``, ``H = 0``, ``x_hat = 0`` and zero sample
 weights.  The other rows keep the all-rows arithmetic, so their
 posteriors and s_m are unchanged bit for bit; only their shrinkage
-product, a GEMM on the gathered rows, may round in another order.  A
-ruled-dead row is not live, since its s_m^hi is below half the floor,
-and it does not set the floor: if it held the block's largest s_m, then
-``s_m'^lo <= s_m^hi < floor^lo / 2`` for every row m', so
-``floor^lo = tiny``, every s_m is below tiny / 2 and the floor is tiny
-either way.  Hence ``live`` is the set the all-rows denoiser gives, and
-M is taken from the weighed rows' weights.  A ruled-dead row's posterior
-mass on k >= 1 moves by at most a factor N on a mass already below 1e-16
-of the block's peak, and its H, x_hat and weights, at most
-s_m / sqrt(Ec), s_m |r| / sqrt(Ec) and 1, become zero; only the
-posterior, the ``diag(mean_m H)`` term and the next matched filter see
-them.
+product, a GEMM on the gathered rows, may round in another order.
+
+A ruled-dead row's mass lies below the row floor,
+``s_m <= s_m^hi < floor^lo / 2 <= floor``.  That mass moves by at most a
+factor N, and the row's H, x_hat and weights, at most s_m / sqrt(Ec),
+s_m |r| / sqrt(Ec) and 1, become zero; only the posterior, the
+``diag(mean_m H)`` term and the next matched filter see them.  Its
+|H_b| <= s_m / sqrt(Ec) and M_{b,b'} <= s_m / Ec, so leaving it out of
+the products moves each entry by at most
+
+    |dQ[a, f]|     <= 2 s_m |r_ma| |r_mf| / (M sqrt(Ec) tau_{b(a)}),
+    |dGamma[n, f]| <= |C[n, m]| s_m |r_mf| / sqrt(Ec)
+
+(Gamma = sum_u C_u X_u - (M / Nc) Z sum_u Q_u the residual's update,
+its Onsager part one GEMM per iteration).  One-AP blocks drop no row.
 
 One-AP blocks.  There M is one scalar per row,
 ``sum_k post(k | r) sum_i w_i(k) c_{i,k}^2``.  :func:`denoise_rows` weighs
@@ -165,16 +161,16 @@ whose rows j A .. (j+1) A - 1 are block j's, reshaped to R_u of shape
 ``max(1, _MAX_STACKED_WEIGHTS // (M K_max N))`` blocks, so that a chunk's
 (rows, K_max, N) weight array fits the bound: all 12 APs in one chunk at
 the desk preset, one AP per chunk at the paper preset.  They read a
-chunk's block count off the shapes of R and the MC table, keep one row
-floor per block, and sum rows only within a block.  Each chunk writes its
-live estimates into the zone's (M, F') array, zero elsewhere, and ``C_u``
-multiplies it once per zone.  Every stacked operation does a one-block
-call's arithmetic on each block (element-wise passes; per-slice BLAS
-calls on stacks with the one-block strides; and GEMMs whose output
-columns are the blocks' and whose summed terms, Nc in the matched filter,
-M in the residual product, BLAS splits by their own count only, never by
-the output width), so each block's output is bit-identical to
-:func:`amp_iterate` on that block alone, whatever the chunk size.
+chunk's block count off the shapes of R and the MC table and sum rows
+only within a block.  The zone's estimates, block j's in columns
+j A .. (j+1) A - 1 of one (M, F') array, enter one residual GEMM per
+zone.  Every stacked operation does a one-block call's arithmetic on
+each block (element-wise passes; per-slice BLAS calls on stacks with the
+one-block strides; and GEMMs whose output columns are the blocks' and
+whose summed terms, Nc in the matched filter, M in the residual product,
+BLAS splits by their own count only, never by the output width), so each
+block's output is bit-identical to :func:`amp_iterate` on that block
+alone, whatever the chunk size.
 
 Between zone steps the recursion keeps only what the next step reads: the
 residual, and each zone's latest estimates as its weighed rows and their
@@ -212,7 +208,7 @@ __all__ = [
 
 TAU_FLOOR = 1e-15
 _TINY = np.finfo(float).tiny
-_REL_FLOOR = 1e-16     # Onsager and residual drop sample columns and rows below this share of the peak
+_REL_FLOOR = 1e-16     # M drops sample columns, a multi-AP block rules rows dead, below this share of the peak
 _Q2_CHUNK_REALS = 1 << 18     # bound on the Onsager Q2 product's temporary, in float64 values (2 MB)
 _MAX_STACKED_WEIGHTS = 1 << 22     # bound on a denoiser call's (rows, K_max, N_MC) weight array
 
@@ -302,12 +298,12 @@ class ZoneDenoiseResult:
 
     The G stacked blocks' rows follow one another: rows ``j M .. (j+1) M - 1``
     belong to block j, and G > 1 only for one-AP blocks.  ``m2`` holds the
-    Onsager second moment M on the live rows, (L, Bb, Bb) with Bb the APs
-    of a block, on either block shape; the recursion and :func:`onsager`
-    read no sample weights.  :attr:`sample_weights` are self-normalized on
-    weighed rows and zero on ruled-dead rows, whose ``log_mc_lik`` on
-    k >= 1 holds the largest sample log-likelihood and whose ``H`` and
-    ``x_hat`` are zero (module docstring).
+    Onsager second moment M on the weighed rows, (L, Bb, Bb) with Bb the
+    APs of a block, on either block shape; the recursion and
+    :func:`onsager` read no sample weights.  :attr:`sample_weights` are
+    self-normalized on weighed rows and zero on ruled-dead rows, whose
+    ``log_mc_lik`` on k >= 1 holds the largest sample log-likelihood and
+    whose ``H`` and ``x_hat`` are zero (module docstring).
 
     On a block of more than one AP, ``weights`` holds the normalized
     weights and ``weight_sums`` is None.  On one-AP blocks, ``weights``
@@ -325,9 +321,8 @@ class ZoneDenoiseResult:
     shrink: np.ndarray             # (K_max, N, B) per-sample shrinkage factors
     H: np.ndarray                  # (G M, Bb) total shrinkage per AP of the row's block
     degenerate: np.ndarray         # (G M,) bool: prior-only fallback rows
-    live: np.ndarray               # (L,) rows whose mass on k >= 1 reaches their block's row floor
-    weighed: np.ndarray            # (L',) rows that went through the weight passes; L <= L'
-    m2: np.ndarray                 # (L, Bb, Bb) second moment M on the live rows
+    weighed: np.ndarray            # (L,) rows that went through the weight passes: all G M on one-AP blocks
+    m2: np.ndarray                 # (L, Bb, Bb) second moment M on the weighed rows
     weight_sums: np.ndarray | None = None   # (G M, K_max) sums of the raw weights, else None
 
     @property
@@ -354,12 +349,6 @@ def _block_shape(R: np.ndarray, B: int, A: int) -> tuple[int, int, int]:
     return G, R.shape[0] // G, per_block
 
 
-def _live_blocks(live: np.ndarray, G: int, M: int) -> list[tuple[int, int, int]]:
-    """``(j, s, e)`` per block: block j's live rows are ``live[s:e]``."""
-    ends = np.searchsorted(live, M * np.arange(1, G + 1))
-    return [(j, s, e) for j, (s, e) in enumerate(zip([0, *ends[:-1]], ends))]
-
-
 def _posterior(log_mc: np.ndarray, log_prior: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Multiplicity posteriors of stacked rows and their degenerate-row mask.
 
@@ -382,13 +371,6 @@ def _posterior(log_mc: np.ndarray, log_prior: np.ndarray, M: int) -> tuple[np.nd
         prior_lin = np.exp(log_prior[np.flatnonzero(degenerate) % M])
         post[degenerate] = prior_lin / prior_lin.sum(axis=1, keepdims=True)
     return post, degenerate
-
-
-def _live_rows(post: np.ndarray, M: int) -> np.ndarray:
-    """Rows whose mass on k >= 1 reaches their block's row floor (module docstring)."""
-    active = post[:, 1:].sum(axis=1)
-    floor = np.maximum(_REL_FLOOR * active.reshape(-1, M).max(axis=1), _TINY)
-    return np.flatnonzero(active >= np.repeat(floor, M))
 
 
 def _second_moment(omega: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -504,7 +486,7 @@ def _weigh_one_ap(e, tau, v, neg_inv_v, logdet, log_tau, c, log_prior, A):
     post_k = post[:, 1:]
     H = np.einsum("mk,mk->m", post_k, sums[..., 1] / w_sum)[:, None]
     # the Onsager second moment is one scalar per row
-    m2 = np.einsum("mk,mk->m", post_k, sums[..., 2] / w_sum)
+    m2 = np.einsum("mk,mk->m", post_k, sums[..., 2] / w_sum).reshape(rows, 1, 1)
     return log_mc, post, degenerate, H, m2, W, w_sum
 
 
@@ -530,7 +512,7 @@ def denoise_rows(
     deterministic term); the conditional means are self-normalized
     importance averages of per-AP linear shrinkages of ``r``.  Each row
     sees only its own block's APs, with the arithmetic of a one-block call.
-    The result holds the Onsager second moment of the live rows, ``m2``.
+    The result holds the Onsager second moment of the weighed rows, ``m2``.
     On a block of more than one AP, rows that provably miss the row floor
     skip the weight passes (module docstring).
     """
@@ -554,8 +536,6 @@ def denoise_rows(
         log_mc, post, degenerate, H, m2, weights, w_sum = _weigh_one_ap(
             energy.reshape(G, M), tau, v_g, neg_inv_v_g, logdet, log_tau, c_g, log_prior, A,
         )
-        live = _live_rows(post, M)
-        m2 = m2[live].reshape(-1, 1, 1)
     else:
         # one block (G = 1) and one (M, K, N) buffer: log-likelihoods, then
         # weights, then normalized weights, on a copy of the weighed rows
@@ -580,10 +560,9 @@ def denoise_rows(
         mean = np.matmul(W.transpose(1, 0, 2), shrink).transpose(1, 0, 2)   # (L', K, Bb)
         H = np.zeros((M, Bb))
         H[weighed] = np.einsum("mk,mkb->mb", post[weighed, 1:], mean)
-        # M on the live rows, all of them weighed
-        live = _live_rows(post, M)
-        omega = post[live, 1:, None] * W[np.searchsorted(weighed, live)]
-        m2 = _second_moment(omega.reshape(len(live), K * N), shrink.reshape(K * N, Bb))
+        # M on the weighed rows
+        omega = post[weighed, 1:, None] * W
+        m2 = _second_moment(omega.reshape(len(weighed), K * N), shrink.reshape(K * N, Bb))
         weights, w_sum = W, None
     # degenerate rows: the estimate falls back to zero
     H[degenerate] = 0.0
@@ -601,7 +580,6 @@ def denoise_rows(
         shrink=shrink,
         H=H,
         degenerate=degenerate,
-        live=live,
         weighed=np.arange(rows)[weighed],
         m2=m2,
         weight_sums=w_sum,
@@ -611,12 +589,13 @@ def denoise_rows(
 def onsager(R: np.ndarray, den: ZoneDenoiseResult, tau: np.ndarray, Ec: float, A: int) -> np.ndarray:
     """Average Wirtinger Jacobian of the denoiser over each block's rows, (G, F', F').
 
-    Reads the denoiser's ``H``, ``live`` and second moment ``m2``, so the
-    result is the exact Jacobian of the implemented (sample-fixed)
+    Reads the denoiser's ``H``, ``weighed`` and second moment ``m2``, so
+    the result is the exact Jacobian of the implemented (sample-fixed)
     estimator up to the weight and row floors and the rounding stated in
     the module docstring: the diagonal mean shrinkage covers all M rows of
-    a block, the second-moment term only the denoiser's live rows.  Row
-    sums stay within their block.  B is ``len(tau)``.
+    a block, the second-moment term only the denoiser's weighed rows, every
+    row on one-AP blocks.  Row sums stay within their block.  B is
+    ``len(tau)``.
     """
     F = R.shape[1]
     tau = np.maximum(np.asarray(tau, dtype=float), TAU_FLOOR)
@@ -625,16 +604,16 @@ def onsager(R: np.ndarray, den: ZoneDenoiseResult, tau: np.ndarray, Ec: float, A
     diag = np.arange(F)
     Q[:, diag, diag] = np.repeat(den.H.reshape(G, M, Bb).mean(axis=1), A, axis=1)
 
-    H, live = den.H, den.live
-    L = len(live)
+    H, weighed = den.H, den.weighed
+    L = len(weighed)
     if L < G * M:
-        H, R = H[live], R[live]
-    blocks = _live_blocks(live, G, M)
+        H, R = H[weighed], R[weighed]
+    n = L // G     # rows per block: only a block that runs alone leaves rows out
 
     psi = H[:, :, None] * H[:, None, :]
     psi -= den.m2
     psi *= np.sqrt(Ec)
-    psi /= tau.reshape(G, Bb)[live // M, None, :]
+    psi /= tau.reshape(G, Bb)[weighed // M, None, :]
     # psi[m, b_out, b_in]; J[a, f] = delta H - r_f conj(r_a) psi[b(f), b(a)]
     Rr = R.reshape(L, Bb, A)
     Rc = np.conj(Rr).view(float)                                     # (L, Bb, 2A)
@@ -644,7 +623,8 @@ def onsager(R: np.ndarray, den: ZoneDenoiseResult, tau: np.ndarray, Ec: float, A
         b1 = min(b0 + chunk, Bb)
         # columns of output APs b0..b1-1: sum_m conj(r_a) psi[m, b, b(a)] r_f
         P = (psi[:, b0:b1, :, None] * Rc[:, None]).view(complex).reshape(L, b1 - b0, F)
-        for j, s, e in blocks:
+        for j in range(G):
+            s, e = j * n, (j + 1) * n
             Q2 = np.matmul(P[s:e].transpose(1, 2, 0), Rr[s:e, b0:b1].transpose(1, 0, 2))
             Q[j, :, b0 * A:b1 * A] -= (Q2.transpose(1, 0, 2) / M).reshape(F, (b1 - b0) * A)
     return Q
@@ -673,10 +653,9 @@ def amp_iterate(
     the per-zone multiplicity posteriors and MC-averaged log-likelihood
     tables, both (U, G M, K_max + 1), the channel estimates (U, G M, F' / G),
     the residual (Nc, F') and the diagnostics: ``tau_trace`` (T_AMP, F' / A),
-    ``degenerate_rows``, ``live_rows``, the rows that reached the
-    residual and Onsager products in each iteration, and ``weighed_rows``,
-    the rows that went through the denoiser's weight passes, both summed
-    over zones.
+    ``degenerate_rows`` and ``weighed_rows``, the rows that went through
+    the denoiser's weight passes and reached the residual and Onsager
+    products in each iteration, summed over zones.
     """
     Nc, F_all = Y.shape
     U, M, A = cfg.U, cfg.M, cfg.A
@@ -692,7 +671,6 @@ def amp_iterate(
     posts = np.zeros((U, rows, cfg.K_max + 1))
     log_lik = np.zeros((U, rows, cfg.K_max + 1))
     tau_trace = []
-    live_rows = []
     weighed_rows = []
     degenerate_rows = 0
 
@@ -704,7 +682,6 @@ def amp_iterate(
         Z_blocks = Z.reshape(Nc, G, F).transpose(1, 0, 2)
         Zh = Z.conj().T
         Q = np.zeros((G, F, F), dtype=complex)
-        live_rows.append(0)
         weighed_rows.append(0)
         for u in range(U):
             Cu = codebook[:, u]
@@ -718,30 +695,23 @@ def amp_iterate(
             R_u[at_rows] += sqrt_ec * x_rows
             _check_finite(R_u.reshape(G, M, F), t)
             new_rows, new_x = [], []
-            if Bb == 1:
-                # the zone's estimates on each block's live rows, zero elsewhere, for one residual GEMM
-                X_live = np.zeros((M, G, F), dtype=complex)
             for j0, j1 in _chunks(G, cfg):
                 at, aps = slice(j0 * M, j1 * M), slice(j0 * Bb, j1 * Bb)
                 den = denoise_rows(R_u[at], tau[aps], g[u, ..., aps], log_prior[u], cfg.Ec, A)
                 degenerate_rows += int(den.degenerate.sum())
-                live_rows[-1] += len(den.live)
                 weighed_rows[-1] += len(den.weighed)
                 new_rows.append(j0 * M + den.weighed)
                 new_x.append(den.x_hat[den.weighed])
                 posts[u, at] = den.posterior
                 log_lik[u, at] = den.log_mc_lik
                 Q[j0:j1] += onsager(R_u[at], den, tau[aps], cfg.Ec, A)
-                if Bb == 1:
-                    X_live[den.live % M, j0 + den.live // M] = den.x_hat[den.live]
-                else:
-                    # one block: one GEMM on its live rows
-                    live = den.live if len(den.live) < M else slice(None)
-                    Gamma += Cu[:, live] @ den.x_hat[live]
                 del den     # one chunk's denoiser output alive at a time
-            if Bb == 1:
-                Gamma += Cu @ X_live.reshape(M, G * F)
-            est[u] = (np.concatenate(new_rows), np.concatenate(new_x))
+            at_rows, x_rows = est[u] = (np.concatenate(new_rows), np.concatenate(new_x))
+            # one residual GEMM per zone on the weighed rows, block j's estimates in
+            # columns j F .. (j+1) F - 1; only a block that runs alone leaves rows out
+            n = len(at_rows) // G
+            X_u = x_rows.reshape(G, n, F).transpose(1, 0, 2).reshape(n, G * F)
+            Gamma += (Cu if n == M else Cu[:, at_rows]) @ X_u
         # the Onsager correction of all zones in one GEMM per block: Z (sum_u Q_u)
         Gamma_blocks -= (M / Nc) * np.matmul(Z_blocks, Q)
         Z = Y - sqrt_ec * Gamma
@@ -753,7 +723,6 @@ def amp_iterate(
     diagnostics = {
         "tau_trace": np.array(tau_trace),
         "degenerate_rows": degenerate_rows,
-        "live_rows": live_rows,
         "weighed_rows": weighed_rows,
     }
     return posts, log_lik, X, Z, diagnostics

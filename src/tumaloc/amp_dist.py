@@ -81,12 +81,13 @@ def distributed_decode(
     One :func:`~tumaloc.amp_central.amp_iterate` call runs the B APs as B
     stacked blocks, so a :class:`~tumaloc.amp_central.DecodeError` names AP
     j as block j.  The diagnostics hold ``fronthaul_reals_total`` and that
-    call's row counts, summed over all APs: ``live_rows`` and
-    ``weighed_rows`` per iteration, and ``degenerate_rows``.
+    call's row counts, summed over all APs: ``weighed_rows`` per iteration,
+    every AP's U M rows since a one-AP block weighs every row, and
+    ``degenerate_rows``.
     """
     M = cfg.M
     _posts, log_lik, _X, _Z, diag = amp_iterate(Y, codebook, prior.log_pmf, g, cfg, per_ap=True)
     result = aggregate_posteriors([log_lik[:, b * M : (b + 1) * M] for b in range(cfg.B)], prior)
-    for key in ("live_rows", "weighed_rows", "degenerate_rows"):
+    for key in ("weighed_rows", "degenerate_rows"):
         result.diagnostics[key] = diag[key]
     return result

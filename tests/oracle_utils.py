@@ -10,8 +10,8 @@ vectorized maps.  ``gen_codebook_reference``, ``denoise_rows_reference``,
 ``onsager_loop_reference`` and ``amp_iterate_reference`` are the
 whole-array codebook, the all-rows denoiser, the per-output-AP Onsager
 loop and the all-rows AMP recursion that the package's in-place
-codebook, ruled-dead rows, batched ``Q2`` product and live-row recursion
-must reproduce; ``second_moment_reference`` is the Onsager second moment
+codebook, ruled-dead rows, batched ``Q2`` product and weighed-row
+recursion must reproduce; ``second_moment_reference`` is the Onsager second moment
 by one einsum over every sample column, with no flush, that the
 denoiser's column floor must stay within its bound of;
 ``log_lik_table_reference`` is the all-rows denoiser's
@@ -35,7 +35,6 @@ of the state-evolution analysis, ``snr_conversions`` the SNRs implied by
 a configuration and ``config_to_dict`` the JSON form of a configuration.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -207,8 +206,8 @@ def denoise_rows_reference(R, tau, g, log_prior, Ec, A):
     The package's denoiser as it was before it ruled rows dead: the
     exp, sum, normalization and shrinkage product run over the full
     (G M, K_max, N) weight array, so every row's ``log_mc_lik`` is the
-    exact MC average and ``weighed`` is every row.  Same arguments and
-    result type as ``tumaloc.amp_central.denoise_rows``.
+    exact MC average, ``weighed`` is every row and ``m2`` covers every row.
+    Same arguments and result type as ``tumaloc.amp_central.denoise_rows``.
     """
     K, N, B = g.shape
     Bb = R.shape[1] // A
@@ -253,14 +252,11 @@ def denoise_rows_reference(R, tau, g, log_prior, Ec, A):
     x_hat = R * np.repeat(H, A, axis=1)
     for part in (x_hat.real, x_hat.imag):
         part[np.abs(part) < tiny] = 0.0
-    active = post[:, 1:].sum(axis=1)
-    floor = np.maximum(1e-16 * active.reshape(G, M).max(axis=1), tiny)
-    live = np.flatnonzero(active >= np.repeat(floor, M))
     den = ZoneDenoiseResult(
         x_hat=x_hat, posterior=post, log_mc_lik=log_mc, weights=W, shrink=shrink,
-        H=H, degenerate=degenerate, live=live, weighed=np.arange(rows), m2=None,
+        H=H, degenerate=degenerate, weighed=np.arange(rows), m2=None,
     )
-    den.m2 = second_moment_reference(den, live)
+    den.m2 = second_moment_reference(den, den.weighed)
     return den
 
 
@@ -320,17 +316,17 @@ def onsager_loop_reference(R, den, tau, Ec, A):
     diag = np.arange(F)
     Q[:, diag, diag] = np.repeat(den.H.reshape(G, M, Bb).mean(axis=1), A, axis=1)
 
-    H, live = den.H, den.live
-    L = len(live)
+    H, weighed = den.H, den.weighed
+    L = len(weighed)
     if L < G * M:
-        H, R = H[live], R[live]
-    ends = np.searchsorted(live, M * np.arange(1, G + 1))
+        H, R = H[weighed], R[weighed]
+    ends = np.searchsorted(weighed, M * np.arange(1, G + 1))
     blocks = list(enumerate(zip([0, *ends[:-1]], ends)))
 
     psi = H[:, :, None] * H[:, None, :]
     psi -= den.m2
     psi *= np.sqrt(Ec)
-    psi /= tau.reshape(G, Bb)[live // M, None, :]
+    psi /= tau.reshape(G, Bb)[weighed // M, None, :]
     Rr = R.reshape(L, Bb, A)
     Rc = np.conj(Rr).view(float)
     prod = np.empty_like(Rc)
@@ -346,11 +342,10 @@ def onsager_loop_reference(R, den, tau, Ec, A):
 def amp_iterate_reference(Y, codebook, log_prior, g, cfg):
     """The AMP recursion with every row in every product.
 
-    ``amp_iterate`` as it was before the live-row floor and the ruled-dead
-    rows: ``denoise_rows_reference`` weighs every row, and its ``live``
-    mask is overridden to all rows, with ``m2`` on all of them, so the
-    Onsager term and the residual GEMM ``C_u @ X_u`` cover all M rows of
-    every zone.  Returns ``(posteriors, log_lik, X, Z)``.
+    ``amp_iterate`` as it was before the ruled-dead rows:
+    ``denoise_rows_reference`` weighs every row and gives ``m2`` on all of
+    them, so the Onsager term and the residual GEMM ``C_u @ X_u`` cover all
+    M rows of every zone.  Returns ``(posteriors, log_lik, X, Z)``.
     """
     Nc, F = Y.shape
     U, M, A = cfg.U, cfg.M, cfg.A
@@ -366,7 +361,6 @@ def amp_iterate_reference(Y, codebook, log_prior, g, cfg):
             Cu = codebook[:, u]
             R_u = (Zh @ Cu).conj().T + np.sqrt(cfg.Ec) * X[u]
             den = denoise_rows_reference(R_u, tau, g[u], log_prior[u], cfg.Ec, A)
-            den = dataclasses.replace(den, live=np.arange(M), m2=second_moment_reference(den, np.arange(M)))
             X[u] = den.x_hat
             posts[u] = den.posterior
             log_lik[u] = den.log_mc_lik

@@ -99,7 +99,7 @@ class TestDenoiser:
     def test_subnormal_estimates_flushed_to_zero(self, rng):
         # the log-prior puts each row's posterior odds of every k >= 1
         # against k = 0 at 2 tiny: every row's mass on k >= 1 is a few tiny,
-        # so all rows are live, and many of their shrunk observations H r
+        # so no row is ruled dead, and many of their shrunk observations H r
         # fall below the smallest normal double
         R, tau, g, Ec, A = TestOnsager._instance(rng)
         M, K = R.shape[0], g.shape[0]
@@ -108,7 +108,7 @@ class TestDenoiser:
         lp = np.zeros((M, K + 1))
         lp[:, 1:] = log_mc[:, :1] - log_mc[:, 1:] + np.log(2 * tiny)
         den = denoise_rows(R, tau, g, lp, Ec, A)
-        np.testing.assert_array_equal(den.live, np.arange(M))
+        np.testing.assert_array_equal(den.weighed, np.arange(M))
         raw = (R * np.repeat(den.H, A, axis=1)).view(float)
         sub = (raw != 0) & (np.abs(raw) < tiny)
         assert sub.any()
@@ -239,16 +239,16 @@ class TestOnsager:
     def test_pruned_columns_vs_einsum_reference(self, rng):
         # k = 2 sits 80 nats below the other multiplicities in every row, so
         # its sample columns fall below the 1e-16 relative floor everywhere;
-        # every fourth row is dead
+        # every fourth row is ruled dead
         R, tau, g, Ec, A = self._instance(rng)
         M, K, N = R.shape[0], g.shape[0], g.shape[1]
         lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
         lp[:, 2] -= 80.0
         lp[::4, 1:] = -1000.0
         den = denoise_rows(R, tau, g, lp, Ec, A)
-        live = den.live
-        assert not np.isin(np.arange(0, M, 4), live).any()
-        omega = (den.posterior[live, 1:, None] * den.sample_weights[live]).reshape(len(live), K * N)
+        weighed = den.weighed
+        assert not np.isin(np.arange(0, M, 4), weighed).any()
+        omega = (den.posterior[weighed, 1:, None] * den.sample_weights[weighed]).reshape(len(weighed), K * N)
         floor = np.maximum(1e-16 * omega.max(axis=1), np.finfo(float).tiny)
         dropped = (omega < floor[:, None]).all(axis=0)
         assert 0 < dropped.sum() < K * N
@@ -258,34 +258,41 @@ class TestOnsager:
         c[dropped] = np.nan
         np.testing.assert_array_equal(amp_central._second_moment(omega.copy(), c), den.m2)
         # |dM2[m]| <= K N 1e-16 max_j omega[m, j] / Ec
-        want = second_moment_reference(den, live)
+        want = second_moment_reference(den, weighed)
         dM2 = K * N * 1e-16 * omega.max(axis=1) / Ec
         assert np.all(np.abs(den.m2 - want) <= dM2[:, None, None] + 1e-12 * want)
 
-    def test_live_rows_follow_the_row_floor(self, rng):
-        # the rows' log-prior on k >= 1 falls by 2 nats per row, so the
-        # mass s_m on k >= 1 spans 1e-20 of the peak, across the 1e-16 floor
-        R, tau, g, Ec, A = self._instance(rng)
-        R = np.concatenate([R, R])
-        M, K = R.shape[0], g.shape[0]
-        lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
-        lp[:, 1:] -= 2.0 * np.arange(M)[:, None]
-        den = denoise_rows(R, tau, g, lp, Ec, A)
-        share = den.posterior[:, 1:].sum(axis=1) / den.posterior[:, 1:].sum(axis=1).max()
-        np.testing.assert_array_equal(den.live, np.flatnonzero(share >= 1e-16))
-        assert np.any((share >= 1e-16) & (share < 1e-14))
-        assert np.any((share < 1e-16) & (share > 1e-18))
+    def test_rows_left_out_of_the_products_sit_below_the_floor(self, monkeypatch):
+        # the centralized desk decode at 10 dB: every zone call takes m2 on
+        # its weighed rows, and each row it leaves out of the products has
+        # mass on k >= 1 below 1e-16 of the zone's peak in the all-rows
+        # denoiser, the premise of the dropped-row bounds
+        cfg, cb, prior, mc, Y = _desk_at_10db()
+        denoise, left_out = amp_central.denoise_rows, []
+
+        def checked(R, tau, g, log_prior, Ec, A):
+            den = denoise(R, tau, g, log_prior, Ec, A)
+            assert den.m2.shape == (len(den.weighed), cfg.B, cfg.B)
+            s = denoise_rows_reference(R, tau, g, log_prior, Ec, A).posterior[:, 1:].sum(axis=1)
+            out = np.setdiff1d(np.arange(len(R)), den.weighed)
+            assert np.all(s[out] < 1e-16 * s.max())
+            left_out.append(len(out))
+            return den
+
+        monkeypatch.setattr(amp_central, "denoise_rows", checked)
+        amp_iterate(Y, cb, prior.log_pmf, mc, cfg)
+        assert len(left_out) == cfg.T_AMP * cfg.U and sum(left_out) > 0
 
     @staticmethod
     def _half_dead(rng):
         # half the rows put log-prior ~ -700 on every k >= 1: their mass on
-        # k >= 1 is far below 1e-16 of the live rows'
+        # k >= 1 is far below 1e-16 of the other rows', and they are ruled dead
         R, tau, g, Ec, A = TestOnsager._instance(rng)
         M, K = R.shape[0], g.shape[0]
         lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
         lp[::2, 1:] = -700.0 - np.arange(K)
         den = denoise_rows(R, tau, g, lp, Ec, A)
-        np.testing.assert_array_equal(den.live, np.arange(1, M, 2))
+        np.testing.assert_array_equal(den.weighed, np.arange(1, M, 2))
         return R, tau, g, lp, Ec, A, den
 
     def test_subnormal_weight_products_vs_einsum_reference(self, rng):
@@ -293,7 +300,7 @@ class TestOnsager:
         # subnormal range in the all-rows denoiser's output; leaving those
         # rows out of m2 moves Q by at most
         # sum over dead m of 2 s_m |r_ma| |r_mf| / (M sqrt(Ec) tau_b(a)),
-        # and the column floor on the live rows by the bound above
+        # and the column floor on the weighed rows by the bound above
         R, tau, g, lp, Ec, A, den = self._half_dead(rng)
         ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
         M, K, N = R.shape[0], g.shape[0], g.shape[1]
@@ -301,13 +308,13 @@ class TestOnsager:
         assert np.any((omega > 0) & (omega < np.finfo(float).tiny))
         got = onsager(R, den, tau, Ec, A)[0]
         want = onsager_reference(R, ref, tau, Ec, A)
-        dead, live = np.arange(0, M, 2), den.live
+        dead, weighed = np.arange(0, M, 2), den.weighed
         s = ref.posterior[dead, 1:].sum(axis=1)
         absR = np.abs(R[dead])
         tau_in = np.repeat(tau, A)
         bound = 2.0 * (absR.T * s) @ absR / (M * np.sqrt(Ec) * tau_in[:, None])
-        dM2 = K * N * 1e-16 * omega[live].reshape(len(live), K * N).max(axis=1) / Ec
-        bound += np.sqrt(Ec) * (np.abs(R[live]).T * dM2) @ np.abs(R[live]) / (M * tau_in[:, None])
+        dM2 = K * N * 1e-16 * omega[weighed].reshape(len(weighed), K * N).max(axis=1) / Ec
+        bound += np.sqrt(Ec) * (np.abs(R[weighed]).T * dM2) @ np.abs(R[weighed]) / (M * tau_in[:, None])
         assert np.all(np.abs(got - want) <= bound + 1e-12 * np.abs(want))
 
     def test_dead_rows_never_reach_the_products(self, rng):
@@ -328,24 +335,31 @@ class TestOnsager:
         assert np.all(np.isnan(np.diag(Q)))
 
     def test_dead_zone_gives_mean_shrinkage_diagonal(self, rng):
-        # every row's posterior on k >= 1 underflows: no row is live, no
-        # sample column of the all-rows denoiser's output carries weight,
-        # and Q is the diagonal of the mean shrinkage
+        # every row's posterior on k >= 1 underflows: no sample column of the
+        # all-rows denoiser's output carries weight, so M is zero on every
+        # weighed row, H H underflows, and Q is the diagonal of the mean
+        # shrinkage.  At -720 nats the masses are subnormal and H is not
+        # zero; at -800 they are zero, every row is ruled dead and m2 has no row
         R, tau, g, Ec, A = self._instance(rng)
         M, K, N = R.shape[0], g.shape[0], g.shape[1]
-        lp = np.zeros((M, K + 1))
-        lp[:, 1:] = -720.0
-        ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
-        omega = (ref.posterior[:, 1:, None] * ref.sample_weights).reshape(M, K * N)
-        assert omega.max() < np.finfo(float).tiny
-        # the column floor keeps no column: NaN shrink factors never reach the GEMM
-        nan_c = np.full((K * N, len(tau)), np.nan)
-        np.testing.assert_array_equal(amp_central._second_moment(omega, nan_c), 0.0)
-        assert np.all(ref.H > 0)
-        for den in (denoise_rows(R, tau, g, lp, Ec, A), ref):
-            assert den.m2.shape == (0, len(tau), len(tau))
+        B = len(tau)
+        for depth in (-720.0, -800.0):
+            lp = np.zeros((M, K + 1))
+            lp[:, 1:] = depth
+            ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
+            omega = (ref.posterior[:, 1:, None] * ref.sample_weights).reshape(M, K * N)
+            assert omega.max() < np.finfo(float).tiny
+            # the column floor keeps no column: NaN shrink factors never reach the GEMM
+            nan_c = np.full((K * N, B), np.nan)
+            np.testing.assert_array_equal(amp_central._second_moment(omega, nan_c), 0.0)
+            den = denoise_rows(R, tau, g, lp, Ec, A)
+            assert den.m2.shape == (len(den.weighed), B, B)
+            np.testing.assert_array_equal(den.m2, 0.0)
             Q = onsager(R, den, tau, Ec, A)[0]
             np.testing.assert_array_equal(Q, np.diag(np.repeat(den.H.mean(axis=0), A)))
+            if depth == -720.0:
+                assert np.all(ref.H > 0)
+        assert len(den.weighed) == 0
 
 
 class TestRuledDeadRows:
@@ -372,12 +386,11 @@ class TestRuledDeadRows:
         floor = max(1e-16 * s.max(), np.finfo(float).tiny)
         weighed = den.weighed
         dead = np.setdiff1d(np.arange(M), weighed)
-        # live rows just above the floor, rows within the factor-2 margin
-        # below it, and ruled-dead rows
+        # rows just above the floor, rows within the factor-2 margin below
+        # it, and ruled-dead rows
         assert np.any((s >= floor) & (s < 2 * floor))
         assert np.any((s >= floor / 2) & (s < floor))
         assert len(dead) > 0
-        np.testing.assert_array_equal(den.live, ref.live)
         # no row that reaches half the floor is ruled dead
         assert np.isin(np.flatnonzero(s >= floor / 2), weighed).all()
         for name in ("posterior", "log_mc_lik", "sample_weights", "degenerate"):
@@ -410,6 +423,26 @@ class TestRuledDeadRows:
         np.testing.assert_array_equal(den.weighed, np.arange(R.shape[0]))
         _assert_one_ap_matches_reference(den, ref)
 
+    def test_stacked_one_ap_blocks_weigh_every_row(self, rng):
+        # three stacked one-AP blocks whose rows span far below 1e-16 of
+        # their block's peak: every row enters m2, and the stacked desk
+        # recursion puts every row of every AP in its residual and Onsager
+        # products
+        N, G = 50, 3
+        R, tau, g, lp, Ec, A = self._spanning(rng, N, B=G)
+        M = R.shape[0]
+        R = R.reshape(M, G, A).transpose(1, 0, 2).reshape(G * M, A)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        s = den.posterior[:, 1:].sum(axis=1).reshape(G, M)
+        assert np.all((s < 1e-16 * s.max(axis=1, keepdims=True)).any(axis=1))
+        np.testing.assert_array_equal(den.weighed, np.arange(G * M))
+        assert den.m2.shape == (G * M, 1, 1)
+        _assert_one_ap_matches_reference(den, denoise_rows_reference(R, tau, g, lp, Ec, A))
+        cfg, cb, prior, mc, Y = _desk_at_10db()
+        diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)[4]
+        assert diag["weighed_rows"] == [cfg.B * cfg.U * cfg.M] * cfg.T_AMP
+        assert "live_rows" not in diag
+
 
 def _assert_one_ap_matches_reference(den, ref, atol=0.0, d_log_lik=0.0):
     """A one-AP denoiser output against ``denoise_rows_reference``, within its rounding.
@@ -420,7 +453,7 @@ def _assert_one_ap_matches_reference(den, ref, atol=0.0, d_log_lik=0.0):
     table ``W - mx``, in ``log_mc_lik`` and in the posterior's exponents.
     """
     K, N = ref.weights.shape[1:]
-    for name in ("degenerate", "live"):
+    for name in ("degenerate", "weighed"):
         np.testing.assert_array_equal(getattr(den, name), getattr(ref, name))
     # the one-AP branch takes sum_i w_i, sum_i w_i c_i and sum_i w_i c_i^2
     # from one product with the table [1, c, c^2], where the reference
@@ -454,7 +487,7 @@ class TestStackedBlocks:
         # two one-AP blocks stacked along the rows: block 0 has strong rows
         # (mass on k >= 1 near 1), block 1 a variance so small that all its
         # rows' mass on k >= 1 lies far below 1e-16 of block 0's largest;
-        # only a per-block row floor keeps them live
+        # a one-AP block weighs every row, so each block's products are its own run's
         K, N, M, A, Ec = 2, 30, 6, 4, 2.0
         g = rng.uniform(0.3, 1.0, size=(K, N, 2))
         tau = np.array([1.0, 1e-8])
@@ -473,19 +506,17 @@ class TestStackedBlocks:
             for name in ("x_hat", "posterior", "log_mc_lik", "sample_weights", "H", "degenerate"):
                 np.testing.assert_array_equal(getattr(den, name)[rows], getattr(one, name))
             np.testing.assert_array_equal(den.shrink[..., j : j + 1], one.shrink)
-            live_j = den.live[(den.live >= j * M) & (den.live < (j + 1) * M)] - j * M
-            np.testing.assert_array_equal(live_j, one.live)
+            np.testing.assert_array_equal(den.m2[rows], one.m2)
             np.testing.assert_array_equal(Q[j], onsager(R_j, one, tau[j : j + 1], Ec, A)[0])
         active = den.posterior[:, 1:].sum(axis=1)
         assert active[M:].max() < 1e-16 * active[:M].max()
-        assert np.any(den.live >= M)
 
 
 class TestOneApSecondMoment:
     @staticmethod
     def _blocks(rng, G):
         # G one-AP blocks of M = 12 rows, each with its own variance, LSFC
-        # table and observation scale; every row is live
+        # table and observation scale
         K, N, M, A, Ec = 3, 50, 12, 2, 2.3
         g = np.cumsum(rng.uniform(0.05, 1.5, size=(K, N, G)), axis=0)
         tau = rng.uniform(0.4, 1.3, size=G)
@@ -501,7 +532,7 @@ class TestOneApSecondMoment:
         M = R.shape[0] // G
         den = denoise_rows(R, tau, g, lp, Ec, A)
         assert den.m2.shape == (G * M, 1, 1)
-        assert len(den.live) == G * M
+        assert len(den.weighed) == G * M
         Q = onsager(R, den, tau, Ec, A)
         eps = np.finfo(float).eps
         for j in range(G):
@@ -569,17 +600,17 @@ class TestOneApSecondMoment:
         ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
         np.testing.assert_allclose(W, ref.sample_weights, rtol=2 * N * eps + 2 * eps, atol=np.finfo(float).tiny)
 
-    def test_m2_on_the_live_rows_of_either_block_shape(self, rng):
-        # one block of three APs, a third of its rows dead, and three stacked
-        # one-AP blocks: m2 is (L, Bb, Bb) on the live rows
+    def test_m2_on_the_weighed_rows_of_either_block_shape(self, rng):
+        # one block of three APs, a third of its rows ruled dead, and three
+        # stacked one-AP blocks: m2 is (L, Bb, Bb) on the weighed rows
         R, tau, g, Ec, A = TestOnsager._instance(rng)
         lp = np.log(rng.dirichlet(np.ones(g.shape[0] + 1), size=R.shape[0]))
         lp[::3, 1:] = -800.0
         multi = denoise_rows(R, tau, g, lp, Ec, A)
-        assert 0 < len(multi.live) < len(R)
+        assert 0 < len(multi.weighed) < len(R)
         one = denoise_rows(*self._blocks(rng, 3))
         for den, Bb in ((multi, 3), (one, 1)):
-            assert den.m2.shape == (len(den.live), Bb, Bb)
+            assert den.m2.shape == (len(den.weighed), Bb, Bb)
 
 
 @st.composite
@@ -705,29 +736,29 @@ class TestBatchedQ2:
     @staticmethod
     def _checked(monkeypatch):
         # every onsager call, checked against the per-output-AP loop
-        live = []
+        weighed = []
 
         def checked(R, den, tau, Ec, A):
             Q = onsager(R, den, tau, Ec, A)
             np.testing.assert_array_equal(Q, onsager_loop_reference(R, den, tau, Ec, A))
-            live.append(len(den.live))
+            weighed.append(len(den.weighed))
             return Q
 
         monkeypatch.setattr(amp_central, "onsager", checked)
-        return live
+        return weighed
 
     @pytest.mark.parametrize("per_ap", [False, True], ids=["centralized", "stacked"])
     def test_desk_recursion_vs_per_output_ap_loop(self, monkeypatch, per_ap):
         cfg, cb, prior, mc, Y = _desk_at_10db()
-        live = self._checked(monkeypatch)
+        weighed = self._checked(monkeypatch)
         amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=per_ap)
-        assert len(live) == cfg.T_AMP * cfg.U
-        assert 0 < min(live) and max(live) <= (cfg.B if per_ap else 1) * cfg.M
+        assert len(weighed) == cfg.T_AMP * cfg.U
+        assert 0 < min(weighed) and max(weighed) <= (cfg.B if per_ap else 1) * cfg.M
 
     def test_paper_shaped_vs_per_output_ap_loop(self, rng):
         R, tau, g, lp, Ec, A = _paper_shaped(rng)
         den = denoise_rows(R, tau, g, lp, Ec, A)
-        L, Bb = len(den.live), R.shape[1] // A
+        L, Bb = len(den.weighed), R.shape[1] // A
         assert L > 100
         # the product runs in more than one chunk of output APs
         assert amp_central._Q2_CHUNK_REALS < L * Bb * Bb * 2 * A
@@ -752,7 +783,7 @@ class TestBatchedQ2:
     def test_chunks_equal_one_chunk(self, rng, monkeypatch):
         R, tau, g, lp, Ec, A = _paper_shaped(rng)
         den = denoise_rows(R, tau, g, lp, Ec, A)
-        L, Bb = len(den.live), R.shape[1] // A
+        L, Bb = len(den.weighed), R.shape[1] // A
         per_ap = L * Bb * 2 * A
         results = []
         for chunk in (Bb, 1, 7):                     # 7 leaves a last chunk of 5
@@ -843,17 +874,15 @@ class TestAmpRun:
         )
         np.testing.assert_allclose(res.posteriors[0, 2], post_o, atol=0.02)
 
-    def test_live_rows_vs_all_rows_reference(self):
-        # desk at 10 dB: most rows' posteriors leave no mass on k >= 1 that
-        # reaches 1e-16 of the zone's peak, and those rows skip the Onsager
-        # and residual products
+    def test_weighed_rows_vs_all_rows_reference(self):
+        # desk at 10 dB: most rows are ruled dead, their mass on k >= 1 far
+        # below 1e-16 of the zone's peak, and skip the Onsager and residual
+        # products
         cfg, cb, prior, mc, Y = _desk_at_10db()
         posts, _ll, _Xh, _Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)
         want = amp_iterate_reference(Y, cb, prior.log_pmf, mc, cfg)[0]
-        assert len(diag["live_rows"]) == len(diag["weighed_rows"]) == cfg.T_AMP
-        assert 0 < min(diag["live_rows"]) and max(diag["live_rows"]) < cfg.U * cfg.M
-        for live, weighed in zip(diag["live_rows"], diag["weighed_rows"]):
-            assert live <= weighed < cfg.U * cfg.M
+        assert len(diag["weighed_rows"]) == cfg.T_AMP
+        assert 0 < min(diag["weighed_rows"]) and max(diag["weighed_rows"]) < cfg.U * cfg.M
         np.testing.assert_allclose(posts, want, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(
             estimate_multiplicities(posts), estimate_multiplicities(want)

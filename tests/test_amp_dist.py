@@ -148,8 +148,7 @@ class TestLocalRun:
 
 
 def _dead_row_system():
-    # high SNR and A = 4: noise-only rows fall below the row floor, and the
-    # APs' live sets differ from iteration 2 on
+    # high SNR and A = 4, two users: most rows of every AP are noise only
     cfg, topo, prior, cb, mc = _system(B=3, A=4, M=8, Nc=128, sigma_w2=1e-6, Ec=6.0, T_AMP=6)
     Y, _ = _received(cfg, topo, cb, seed=20, n_users=2)
     return cfg, prior, cb, mc, Y
@@ -160,7 +159,7 @@ class TestStackedRecursion:
         cfg, prior, cb, mc, Y = _dead_row_system()
         A, M = cfg.A, cfg.M
         posts, log_lik, X, Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
-        per_ap_live = []
+        per_ap_diag = []
         for b in range(cfg.B):
             rows, cols = slice(b * M, (b + 1) * M), slice(b * A, (b + 1) * A)
             p_b, l_b, X_b, Z_b, d_b = amp_iterate(
@@ -173,11 +172,10 @@ class TestStackedRecursion:
             np.testing.assert_array_equal(X[:, rows], X_b)
             np.testing.assert_array_equal(Z[:, cols], Z_b)
             np.testing.assert_array_equal(diag["tau_trace"][:, b], d_b["tau_trace"][:, 0])
-            per_ap_live.append(d_b["live_rows"])
-        live = np.array(per_ap_live)                 # (B, T_AMP)
-        assert np.all(live.min(axis=0)[1:] < cfg.U * M), "some rows of every AP are dead"
-        assert np.any(live.min(axis=0) != live.max(axis=0)), "the APs' live sets differ"
-        assert diag["live_rows"] == list(live.sum(axis=0))
+            per_ap_diag.append(d_b)
+        per_ap_rows = [d["weighed_rows"] for d in per_ap_diag]
+        assert diag["weighed_rows"] == [sum(rows) for rows in zip(*per_ap_rows)]
+        assert diag["degenerate_rows"] == sum(d["degenerate_rows"] for d in per_ap_diag)
 
     def test_row_counts_sum_over_one_ap_runs(self):
         cfg, prior, cb, mc, Y = _dead_row_system()
@@ -187,10 +185,9 @@ class TestStackedRecursion:
             amp_iterate(Y[:, b * A : (b + 1) * A], cb, prior.log_pmf, mc[..., b : b + 1], cfg)[4]
             for b in range(cfg.B)
         ]
-        for key in ("live_rows", "weighed_rows"):
-            assert res.diagnostics[key] == [sum(rows) for rows in zip(*(d[key] for d in per_ap))]
-        assert len(res.diagnostics["live_rows"]) == cfg.T_AMP
-        assert res.diagnostics["live_rows"] != res.diagnostics["weighed_rows"]
+        per_ap_rows = [d["weighed_rows"] for d in per_ap]
+        assert res.diagnostics["weighed_rows"] == [sum(rows) for rows in zip(*per_ap_rows)]
+        assert len(res.diagnostics["weighed_rows"]) == cfg.T_AMP
         assert res.diagnostics["degenerate_rows"] == sum(d["degenerate_rows"] for d in per_ap)
 
     def test_group_size_does_not_change_results(self, monkeypatch):
@@ -216,9 +213,8 @@ class TestStackedRecursion:
 
     def test_paper_shaped_blocks_equal_per_ap_runs(self, monkeypatch):
         # M = 512 rows: the residual product (Nc, M) @ (M, B A) sums its
-        # terms in more than one BLAS panel; the 4 APs' live sets differ at
-        # iteration 2, so each block's zero rows sit elsewhere in that
-        # product.  All APs in one chunk, then one AP per chunk
+        # terms in more than one BLAS panel.  All APs in one chunk, then one
+        # AP per chunk
         cfg, topo, prior, cb, mc = _system(
             B=4, A=4, M=512, Nc=200, N_MC=16, sigma_w2=1e-6, Ec=6.0, T_AMP=2
         )
@@ -228,8 +224,6 @@ class TestStackedRecursion:
             amp_iterate(Y[:, b * A : (b + 1) * A], cb, prior.log_pmf, mc[..., b : b + 1], cfg)
             for b in range(cfg.B)
         ]
-        live = np.array([d[4]["live_rows"][1] for d in per_ap])
-        assert live.min() < cfg.U * M and len(set(live)) > 1, "dead rows that differ per AP"
         per_ap_weights = M * cfg.K_max * cfg.N_MC
         for size in (cfg.B, 1):
             monkeypatch.setattr(amp_central, "_MAX_STACKED_WEIGHTS", size * per_ap_weights)
