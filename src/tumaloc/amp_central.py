@@ -170,16 +170,24 @@ one-block strides; and GEMMs whose output columns are the blocks' and
 whose summed terms, Nc in the matched filter, M in the residual product,
 BLAS splits by their own count only, never by the output width), so each
 block's output is bit-identical to :func:`amp_iterate` on that block
-alone, whatever the chunk size.
+alone, capped at the iterations the stacked call ran (Stopping, below),
+whatever the chunk size.
 
 Between zone steps the recursion keeps only what the next step reads: the
 residual, and each zone's latest estimates as its weighed rows and their
 values, zero elsewhere.  The matched filter adds ``sqrt(Ec) x_hat`` on
 those rows only, and each chunk's denoiser output is dropped before the
 next chunk is denoised.  The dense (U, G M, F' / G) estimates that
-:func:`amp_iterate` returns are built once, after the loop.  The
-recursion returns its final iterate; iteration t of a run is reproduced
-exactly by a run with ``T_AMP = t``.
+:func:`amp_iterate` returns are built once, after the loop.
+
+Stopping.  The recursion runs at most ``T_AMP`` iterations and stops after
+iteration t >= 2 once ``max_b |tau_b(t) - tau_b(t-1)| / tau_b(t-1)`` is
+below ``cfg.tau_tol``, tau_b(t) the residual variance that iteration t
+starts from; the max runs over every AP of every block, so stacked blocks
+stop together.  ``tau_tol = 0`` runs all ``T_AMP`` iterations.  The rule
+reads only the tau values the iterations compute anyway.  The recursion
+returns its final iterate; iteration t of a run, the last one of a stopped
+run included, is reproduced exactly by a run with ``T_AMP = t``.
 """
 
 from __future__ import annotations
@@ -646,16 +654,22 @@ def amp_iterate(
     APs.  The columns form one block, or with ``per_ap`` one independent
     recursion per AP, G = F' / A of them, run at once with their rows
     stacked: block j's rows are ``j M .. (j+1) M - 1`` of every per-zone
-    array, and its outputs equal those of a one-block call on its columns
-    bit for bit, whatever the chunk size (module docstring).  A non-finite
-    iterate raises :class:`DecodeError` by its rule for stacked blocks.
-    Returns the final iterate ``(posteriors, log_lik, X, Z, diagnostics)``:
-    the per-zone multiplicity posteriors and MC-averaged log-likelihood
-    tables, both (U, G M, K_max + 1), the channel estimates (U, G M, F' / G),
-    the residual (Nc, F') and the diagnostics: ``tau_trace`` (T_AMP, F' / A),
-    ``degenerate_rows`` and ``weighed_rows``, the rows that went through
-    the denoiser's weight passes and reached the residual and Onsager
-    products in each iteration, summed over zones.
+    array, and its outputs equal those of a one-block call on its columns,
+    capped at the same iteration count, bit for bit, whatever the chunk
+    size (module docstring).  A non-finite iterate raises
+    :class:`DecodeError` by its rule for stacked blocks.  The recursion
+    stops after iteration t >= 2 once every AP's tau moved by less than
+    ``cfg.tau_tol`` relative to iteration t - 1, else after ``T_AMP``
+    (module docstring); its output is then that of a run with
+    ``T_AMP = t``, bit for bit.  Returns the final iterate
+    ``(posteriors, log_lik, X, Z, diagnostics)``: the per-zone multiplicity
+    posteriors and MC-averaged log-likelihood tables, both
+    (U, G M, K_max + 1), the channel estimates (U, G M, F' / G), the
+    residual (Nc, F') and the diagnostics: ``tau_trace`` (t, F' / A), the
+    tau each of the t iterations run started from, ``degenerate_rows`` and
+    ``weighed_rows``, the rows that went through the denoiser's weight
+    passes and reached the residual and Onsager products in each
+    iteration, summed over zones.
     """
     Nc, F_all = Y.shape
     U, M, A = cfg.U, cfg.M, cfg.A
@@ -716,6 +730,9 @@ def amp_iterate(
         Gamma_blocks -= (M / Nc) * np.matmul(Z_blocks, Q)
         Z = Y - sqrt_ec * Gamma
         _check_finite(Z.reshape(Nc, G, F).transpose(1, 0, 2), t)
+        # converged: every AP's tau moved by less than tau_tol of its last value
+        if t >= 2 and (np.abs(tau - tau_trace[-2]) / tau_trace[-2]).max() < cfg.tau_tol:
+            break
 
     X = np.zeros((U, rows, F), dtype=complex)
     for u, (at_rows, x_rows) in enumerate(est):

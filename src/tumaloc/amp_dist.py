@@ -3,13 +3,16 @@
 Each AP runs the centralized decoder's AMP recursion,
 :func:`tumaloc.amp_central.amp_iterate`, on its own antenna block with
 purely local likelihoods and a local Onsager term, exchanging nothing until
-the end; it then ships, per (zone, message, multiplicity), the final-iteration
-MC-averaged log-likelihood to the CPU.  Because every covariance in the
-model is block diagonal across APs, the product of local likelihoods equals
-the global likelihood exactly, and the CPU recovers the posterior by adding
-the log tables to the log prior.  :func:`distributed_decode` runs all APs
-in lockstep as one ``amp_iterate(..., per_ap=True)`` call, and every AP's
-table is bit-identical to its own :func:`local_amp_run`.
+the end but the stop: the APs stop together, after the first iteration at
+which every AP's tau has converged (``cfg.tau_tol``).  Each AP then ships,
+per (zone, message, multiplicity), the final-iteration MC-averaged
+log-likelihood to the CPU.  Because every covariance in the model is block
+diagonal across APs, the product of local likelihoods equals the global
+likelihood exactly, and the CPU recovers the posterior by adding the log
+tables to the log prior.  :func:`distributed_decode` runs all APs in
+lockstep as one ``amp_iterate(..., per_ap=True)`` call, and every AP's
+table is bit-identical to its own :func:`local_amp_run` at ``T_AMP = t``,
+t the iterations the lockstep call ran.
 """
 
 from __future__ import annotations
@@ -81,13 +84,13 @@ def distributed_decode(
     One :func:`~tumaloc.amp_central.amp_iterate` call runs the B APs as B
     stacked blocks, so a :class:`~tumaloc.amp_central.DecodeError` names AP
     j as block j.  The diagnostics hold ``fronthaul_reals_total`` and that
-    call's row counts, summed over all APs: ``weighed_rows`` per iteration,
-    every AP's U M rows since a one-AP block weighs every row, and
-    ``degenerate_rows``.
+    call's ``tau_trace`` (t, B), one row per iteration run, and its row
+    counts, summed over all APs: ``weighed_rows`` per iteration, every AP's
+    U M rows since a one-AP block weighs every row, and ``degenerate_rows``.
     """
     M = cfg.M
     _posts, log_lik, _X, _Z, diag = amp_iterate(Y, codebook, prior.log_pmf, g, cfg, per_ap=True)
     result = aggregate_posteriors([log_lik[:, b * M : (b + 1) * M] for b in range(cfg.B)], prior)
-    for key in ("weighed_rows", "degenerate_rows"):
+    for key in ("tau_trace", "weighed_rows", "degenerate_rows"):
         result.diagnostics[key] = diag[key]
     return result

@@ -162,7 +162,7 @@ def _fill_metrics(ctx: PointContext, decoder: str, seed: int, sc, round_, rec: d
             rec["status"] = "empty-type"
             return
         t_hat = result.t_hat
-        rec["decode_iters"] = cfg.T_AMP
+        rec["decode_iters"] = len(result.diagnostics["tau_trace"])
 
     rec["tv"] = metrics.tv_distance(t_true, t_hat)
     mu = metrics.WeightedPointSet(sc.targets, omega)

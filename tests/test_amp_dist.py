@@ -148,10 +148,11 @@ class TestLocalRun:
 
 
 def _dead_row_system():
-    # high SNR and A = 4, two users: most rows of every AP are noise only
+    # high SNR and A = 4, two users: most rows of every AP are noise only.
+    # All T_AMP iterations, so that every AP's own run stops where the stacked one does
     cfg, topo, prior, cb, mc = _system(B=3, A=4, M=8, Nc=128, sigma_w2=1e-6, Ec=6.0, T_AMP=6)
     Y, _ = _received(cfg, topo, cb, seed=20, n_users=2)
-    return cfg, prior, cb, mc, Y
+    return cfg.with_updates(tau_tol=0), prior, cb, mc, Y
 
 
 class TestStackedRecursion:
@@ -176,6 +177,41 @@ class TestStackedRecursion:
         per_ap_rows = [d["weighed_rows"] for d in per_ap_diag]
         assert diag["weighed_rows"] == [sum(rows) for rows in zip(*per_ap_rows)]
         assert diag["degenerate_rows"] == sum(d["degenerate_rows"] for d in per_ap_diag)
+
+    def test_stacked_blocks_stop_together(self):
+        # AP 0 settles at iteration 4 and APs 1 and 2 at 5: the stacked call
+        # stops at 5, where every AP has settled, and each block equals its
+        # own run capped at 5 with the rule off
+        cfg, topo, prior, cb, mc = _system(
+            B=3, A=4, M=8, Nc=128, sigma_w2=1e-3, Ec=6.0, T_AMP=30, seed=4
+        )
+        Y, _ = _received(cfg, topo, cb, seed=14, n_users=2)
+        A, M = cfg.A, cfg.M
+        posts, log_lik, X, Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
+        t = len(diag["tau_trace"])
+        full = amp_iterate(Y, cb, prior.log_pmf, mc, cfg.with_updates(tau_tol=0), per_ap=True)
+        change = np.abs(np.diff(full[4]["tau_trace"], axis=0)) / full[4]["tau_trace"][:-1]
+        settled = change < cfg.tau_tol                 # row s - 2: iteration s against s - 1
+        assert t == np.flatnonzero(settled.all(axis=1))[0] + 2 < cfg.T_AMP
+        per_ap_stop = np.argmax(settled, axis=0) + 2
+        assert per_ap_stop.min() < t == per_ap_stop.max()
+        capped = cfg.with_updates(T_AMP=t, tau_tol=0)
+        for b in range(cfg.B):
+            rows, cols = slice(b * M, (b + 1) * M), slice(b * A, (b + 1) * A)
+            Y_b, g_b = Y[:, cols], mc[..., b : b + 1]
+            p_b, l_b, X_b, Z_b, d_b = amp_iterate(Y_b, cb, prior.log_pmf, g_b, capped)
+            np.testing.assert_array_equal(posts[:, rows], p_b)
+            np.testing.assert_array_equal(log_lik[:, rows], l_b)
+            np.testing.assert_array_equal(X[:, rows], X_b)
+            np.testing.assert_array_equal(Z[:, cols], Z_b)
+            np.testing.assert_array_equal(diag["tau_trace"][:, b], d_b["tau_trace"][:, 0])
+            # alone, the AP stops where its own tau settles
+            alone = amp_iterate(Y_b, cb, prior.log_pmf, g_b, cfg)[4]["tau_trace"]
+            assert len(alone) == per_ap_stop[b]
+        # the distributed decoder forwards the stacked call's tau trace
+        res = distributed_decode(Y, cb, prior, mc, cfg)
+        np.testing.assert_array_equal(res.diagnostics["tau_trace"], diag["tau_trace"])
+        assert len(res.diagnostics["weighed_rows"]) == t
 
     def test_row_counts_sum_over_one_ap_runs(self):
         cfg, prior, cb, mc, Y = _dead_row_system()
@@ -209,7 +245,12 @@ class TestStackedRecursion:
             results.append(distributed_decode(Y, cb, prior, mc, cfg))
         for res in results[1:]:
             np.testing.assert_array_equal(res.posteriors, results[0].posteriors)
-            assert res.diagnostics == results[0].diagnostics
+            assert res.diagnostics.keys() == results[0].diagnostics.keys()
+            for key, want in results[0].diagnostics.items():
+                if isinstance(want, np.ndarray):
+                    np.testing.assert_array_equal(res.diagnostics[key], want, err_msg=key)
+                else:
+                    assert res.diagnostics[key] == want, key
 
     def test_paper_shaped_blocks_equal_per_ap_runs(self, monkeypatch):
         # M = 512 rows: the residual product (Nc, M) @ (M, B A) sums its

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tumaloc import harness
+from tumaloc import amp_central, amp_dist, harness
+from tumaloc.amp_central import amp_iterate
 from tumaloc.cli import main as cli_main
 from tumaloc.config import ConfigError, build_topology, desk_preset, load_config
 from tumaloc.harness import (
@@ -88,6 +89,24 @@ class TestRunSingle:
         rec = run_single(ctx, "centralized", seed=2)
         assert rec["status"] in ("empty-type", "no-active-sensors")
         assert rec["tv"] is None
+
+    @pytest.mark.parametrize("decoder", ["centralized", "distributed"])
+    def test_decode_iters_counts_the_iterations_run(self, tiny_ctx, monkeypatch, decoder):
+        # a cap the rule stops before: the record holds the iterations run
+        cfg = tiny_ctx.cfg.with_updates(T_AMP=30)
+        ctx = harness.PointContext(cfg, tiny_ctx.topology, tiny_ctx.quantizer, tiny_ctx.prior)
+        runs = []
+
+        def counted(*args, **kwargs):
+            out = amp_iterate(*args, **kwargs)
+            runs.append(len(out[4]["tau_trace"]))
+            return out
+
+        monkeypatch.setattr(amp_central, "amp_iterate", counted)
+        monkeypatch.setattr(amp_dist, "amp_iterate", counted)
+        rec = run_single(ctx, decoder, seed=5)
+        assert rec["status"] == "ok"
+        assert rec["decode_iters"] == runs[0] < cfg.T_AMP and len(runs) == 1
 
     def test_unknown_decoder_rejected(self, tiny_ctx):
         with pytest.raises(ConfigError):
