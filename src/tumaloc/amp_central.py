@@ -182,9 +182,9 @@ next chunk is denoised.  The dense (U, G M, F' / G) estimates that
 
 Stopping.  The recursion runs at most ``T_AMP`` iterations and stops after
 iteration t >= 2 once ``max_b |tau_b(t) - tau_b(t-1)| / tau_b(t-1)`` is
-below ``cfg.tau_tol``, tau_b(t) the residual variance that iteration t
+below :data:`TAU_TOL`, tau_b(t) the residual variance that iteration t
 starts from; the max runs over every AP of every block, so stacked blocks
-stop together.  ``tau_tol = 0`` runs all ``T_AMP`` iterations.  The rule
+stop together.  ``TAU_TOL = 0`` runs all ``T_AMP`` iterations.  The rule
 reads only the tau values the iterations compute anyway.  The recursion
 returns its final iterate; iteration t of a run, the last one of a stopped
 run included, is reproduced exactly by a run with ``T_AMP = t``.
@@ -204,6 +204,7 @@ __all__ = [
     "DecodeResult",
     "DecodeError",
     "TAU_FLOOR",
+    "TAU_TOL",
     "build_mc_table",
     "residual_covariance",
     "denoise_rows",
@@ -215,6 +216,7 @@ __all__ = [
 ]
 
 TAU_FLOOR = 1e-15
+TAU_TOL = 1e-3         # stop once every tau_b moves by less than this share of its last value
 _TINY = np.finfo(float).tiny
 _REL_FLOOR = 1e-16     # M drops sample columns, a multi-AP block rules rows dead, below this share of the peak
 _Q2_CHUNK_REALS = 1 << 18     # bound on the Onsager Q2 product's temporary, in float64 values (2 MB)
@@ -659,7 +661,7 @@ def amp_iterate(
     size (module docstring).  A non-finite iterate raises
     :class:`DecodeError` by its rule for stacked blocks.  The recursion
     stops after iteration t >= 2 once every AP's tau moved by less than
-    ``cfg.tau_tol`` relative to iteration t - 1, else after ``T_AMP``
+    :data:`TAU_TOL` relative to iteration t - 1, else after ``T_AMP``
     (module docstring); its output is then that of a run with
     ``T_AMP = t``, bit for bit.  Returns the final iterate
     ``(posteriors, log_lik, X, Z, diagnostics)``: the per-zone multiplicity
@@ -730,8 +732,8 @@ def amp_iterate(
         Gamma_blocks -= (M / Nc) * np.matmul(Z_blocks, Q)
         Z = Y - sqrt_ec * Gamma
         _check_finite(Z.reshape(Nc, G, F).transpose(1, 0, 2), t)
-        # converged: every AP's tau moved by less than tau_tol of its last value
-        if t >= 2 and (np.abs(tau - tau_trace[-2]) / tau_trace[-2]).max() < cfg.tau_tol:
+        # converged: every AP's tau moved by less than TAU_TOL of its last value
+        if t >= 2 and (np.abs(tau - tau_trace[-2]) / tau_trace[-2]).max() < TAU_TOL:
             break
 
     X = np.zeros((U, rows, F), dtype=complex)

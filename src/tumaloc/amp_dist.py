@@ -4,13 +4,13 @@ Each AP runs the centralized decoder's AMP recursion,
 :func:`tumaloc.amp_central.amp_iterate`, on its own antenna block with
 purely local likelihoods and a local Onsager term, exchanging nothing until
 the end but the stop: the APs stop together, after the first iteration at
-which every AP's tau has converged (``cfg.tau_tol``).  Each AP then ships,
-per (zone, message, multiplicity), the final-iteration MC-averaged
-log-likelihood to the CPU.  Because every covariance in the model is block
-diagonal across APs, the product of local likelihoods equals the global
-likelihood exactly, and the CPU recovers the posterior by adding the log
-tables to the log prior.  :func:`distributed_decode` runs all APs in
-lockstep as one ``amp_iterate(..., per_ap=True)`` call, and every AP's
+which every AP's tau has converged (:data:`~tumaloc.amp_central.TAU_TOL`).
+Each AP then ships, per (zone, message, multiplicity), the final-iteration
+MC-averaged log-likelihood to the CPU.  Because every covariance in the
+model is block diagonal across APs, the product of local likelihoods equals
+the global likelihood exactly, and the CPU recovers the posterior by adding
+the log tables to the log prior.  :func:`distributed_decode` runs all APs
+in lockstep as one ``amp_iterate(..., per_ap=True)`` call, and every AP's
 table is bit-identical to its own :func:`local_amp_run` at ``T_AMP = t``,
 t the iterations the lockstep call ran.
 """

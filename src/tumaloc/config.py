@@ -63,7 +63,6 @@ class SystemConfig:
     T_targets: int = 50
     N_MC: int = 500                 # Monte-Carlo samples per (zone, multiplicity)
     T_AMP: int = 10                 # cap on AMP iterations
-    tau_tol: float = 1e-3           # stop once every tau_b moves by less than this share; 0: run T_AMP
     K_max: int = 11                 # maximum multiplicity hypothesis
     c_gospa: float = 37.5
     p_order: float = 2.0
@@ -86,8 +85,6 @@ class SystemConfig:
             raise ConfigError(f"M must be a power of two in 4..4096 (2..12 bits), got {self.M}")
         if self.Nc < 1 or self.Ns < 1 or self.N_MC < 1 or self.T_AMP < 1:
             raise ConfigError("Nc, Ns, N_MC and T_AMP must be at least 1")
-        if not (math.isfinite(self.tau_tol) and self.tau_tol >= 0):
-            raise ConfigError(f"tau_tol must be finite and >= 0, got {self.tau_tol}")
         if self.K < 0 or self.T_targets < 0 or self.master_seed < 0:
             raise ConfigError("K, T_targets and master_seed must be non-negative")
         if not min(self.K, 1) <= self.K_max <= self.K:

@@ -308,13 +308,14 @@ def _desk_decode_runs(cfg, ctx, decoder, master, runs):
     return tvs
 
 
-def test_criterion_12_state_evolution_consistency(desk_prior_cache):
+def test_criterion_12_state_evolution_consistency(desk_prior_cache, monkeypatch):
     # iterations 6 and T_AMP of each run, unnormalized codebook; the stop
     # rule is off, so that both are iterations the recursion runs
+    monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)
     cfg0 = desk_preset()
     topo = build_topology(cfg0)
     ctx0 = harness.prepare_context(cfg0, cache_dir=desk_prior_cache)
-    cfg = cfg0.with_updates(sigma_w2=sigma_w2_for_snr_rx(cfg0, topo, 10.0), tau_tol=0)
+    cfg = cfg0.with_updates(sigma_w2=sigma_w2_for_snr_rx(cfg0, topo, 10.0))
     ctx = harness.PointContext(cfg, ctx0.topology, ctx0.quantizer, ctx0.prior)
     traces = [
         amp_traces(Y, cb, ctx.prior.log_pmf, mc, cfg, X, (6, cfg.T_AMP))

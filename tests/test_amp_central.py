@@ -268,7 +268,7 @@ class TestOnsager:
         # mass on k >= 1 below 1e-16 of the zone's peak in the all-rows
         # denoiser, the premise of the dropped-row bounds; all T_AMP iterations
         cfg, cb, prior, mc, Y = _desk_at_10db()
-        cfg = cfg.with_updates(tau_tol=0)
+        monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)
         denoise, left_out = amp_central.denoise_rows, []
 
         def checked(R, tau, g, log_prior, Ec, A):
@@ -424,7 +424,7 @@ class TestRuledDeadRows:
         np.testing.assert_array_equal(den.weighed, np.arange(R.shape[0]))
         _assert_one_ap_matches_reference(den, ref)
 
-    def test_stacked_one_ap_blocks_weigh_every_row(self, rng):
+    def test_stacked_one_ap_blocks_weigh_every_row(self, rng, monkeypatch):
         # three stacked one-AP blocks whose rows span far below 1e-16 of
         # their block's peak: every row enters m2, and the stacked desk
         # recursion puts every row of every AP in its residual and Onsager
@@ -440,7 +440,7 @@ class TestRuledDeadRows:
         assert den.m2.shape == (G * M, 1, 1)
         _assert_one_ap_matches_reference(den, denoise_rows_reference(R, tau, g, lp, Ec, A))
         cfg, cb, prior, mc, Y = _desk_at_10db()
-        cfg = cfg.with_updates(tau_tol=0)     # all T_AMP iterations
+        monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)     # all T_AMP iterations
         diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)[4]
         assert diag["weighed_rows"] == [cfg.B * cfg.U * cfg.M] * cfg.T_AMP
         assert "live_rows" not in diag
@@ -752,7 +752,7 @@ class TestBatchedQ2:
     @pytest.mark.parametrize("per_ap", [False, True], ids=["centralized", "stacked"])
     def test_desk_recursion_vs_per_output_ap_loop(self, monkeypatch, per_ap):
         cfg, cb, prior, mc, Y = _desk_at_10db()
-        cfg = cfg.with_updates(tau_tol=0)     # all T_AMP iterations
+        monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)     # all T_AMP iterations
         weighed = self._checked(monkeypatch)
         amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=per_ap)
         assert len(weighed) == cfg.T_AMP * cfg.U
@@ -827,9 +827,9 @@ def _desk_at_10db(seed=3):
 
 
 class TestAmpRun:
-    def test_noise_only_with_k0_prior(self):
+    def test_noise_only_with_k0_prior(self, monkeypatch):
         cfg, topo = _tiny_system()
-        cfg = cfg.with_updates(tau_tol=0)       # all T_AMP iterations
+        monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)       # all T_AMP iterations
         pm = np.full((cfg.U, cfg.M), 1.0 / cfg.M)
         prior = build_prior(cfg, 1e-9, pm)      # essentially all mass at k=0
         cb = airlink.gen_codebook(cfg, seed=1)
@@ -880,12 +880,12 @@ class TestAmpRun:
         )
         np.testing.assert_allclose(res.posteriors[0, 2], post_o, atol=0.02)
 
-    def test_weighed_rows_vs_all_rows_reference(self):
+    def test_weighed_rows_vs_all_rows_reference(self, monkeypatch):
         # desk at 10 dB: most rows are ruled dead, their mass on k >= 1 far
         # below 1e-16 of the zone's peak, and skip the Onsager and residual
         # products.  The reference runs all T_AMP iterations, and so does the decoder
         cfg, cb, prior, mc, Y = _desk_at_10db()
-        cfg = cfg.with_updates(tau_tol=0)
+        monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)
         posts, _ll, _Xh, _Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)
         want = amp_iterate_reference(Y, cb, prior.log_pmf, mc, cfg)[0]
         assert len(diag["weighed_rows"]) == cfg.T_AMP
@@ -935,29 +935,32 @@ class TestStop:
         X[0, 2] = airlink.sample_fading(np.array([[20.0, 15.0]]), topo, cfg, seed=0)[0]
         return cfg, prior, cb, mc, airlink.synthesize_rx(cb, X, cfg, seed=0)
 
-    def test_stopped_run_equals_a_run_capped_at_its_iteration(self):
+    def test_stopped_run_equals_a_run_capped_at_its_iteration(self, monkeypatch):
         # the run stops after the first t >= 2 at which every AP's tau moved
-        # by less than tau_tol, and its output is that of a run capped at t
+        # by less than TAU_TOL, and its output is that of a run capped at t
         # with the rule off, bit for bit
         cfg, prior, cb, mc, Y = self._one_codeword(T_AMP=30)
         got = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)
         t = len(got[4]["tau_trace"])
-        full = amp_iterate(Y, cb, prior.log_pmf, mc, cfg.with_updates(tau_tol=0))[4]["tau_trace"]
+        tol = amp_central.TAU_TOL
+        monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)
+        full = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)[4]["tau_trace"]
         change = np.abs(np.diff(full, axis=0)) / full[:-1]     # row s - 2: iteration s against s - 1
-        assert np.all(change[: t - 2].max(axis=1) >= cfg.tau_tol)
-        assert change[t - 2].max() < cfg.tau_tol
+        assert np.all(change[: t - 2].max(axis=1) >= tol)
+        assert change[t - 2].max() < tol
         assert 2 < t < cfg.T_AMP
-        want = amp_iterate(Y, cb, prior.log_pmf, mc, cfg.with_updates(T_AMP=t, tau_tol=0))
+        want = amp_iterate(Y, cb, prior.log_pmf, mc, cfg.with_updates(T_AMP=t))
         for a, b in zip(got[:4], want[:4]):          # posteriors, log-likelihoods, X and Z
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(got[4].pop("tau_trace"), want[4].pop("tau_trace"))
         assert got[4] == want[4]
         assert len(got[4]["weighed_rows"]) == t
 
-    def test_zero_tolerance_runs_every_iteration(self):
+    def test_zero_tolerance_runs_every_iteration(self, monkeypatch):
         cfg, prior, cb, mc, Y = self._one_codeword(T_AMP=12)
         assert len(amp_iterate(Y, cb, prior.log_pmf, mc, cfg)[4]["tau_trace"]) < cfg.T_AMP
-        diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg.with_updates(tau_tol=0))[4]
+        monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)
+        diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)[4]
         assert diag["tau_trace"].shape == (cfg.T_AMP, cfg.B)
         assert len(diag["weighed_rows"]) == cfg.T_AMP
 

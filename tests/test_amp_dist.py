@@ -147,17 +147,18 @@ class TestLocalRun:
             local_amp_run(np.zeros((cfg.Nc, 3), dtype=complex), 0, cb, prior, mc, cfg)
 
 
-def _dead_row_system():
+def _dead_row_system(monkeypatch):
     # high SNR and A = 4, two users: most rows of every AP are noise only.
     # All T_AMP iterations, so that every AP's own run stops where the stacked one does
+    monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)
     cfg, topo, prior, cb, mc = _system(B=3, A=4, M=8, Nc=128, sigma_w2=1e-6, Ec=6.0, T_AMP=6)
     Y, _ = _received(cfg, topo, cb, seed=20, n_users=2)
-    return cfg.with_updates(tau_tol=0), prior, cb, mc, Y
+    return cfg, prior, cb, mc, Y
 
 
 class TestStackedRecursion:
-    def test_stacked_blocks_equal_per_ap_runs(self):
-        cfg, prior, cb, mc, Y = _dead_row_system()
+    def test_stacked_blocks_equal_per_ap_runs(self, monkeypatch):
+        cfg, prior, cb, mc, Y = _dead_row_system(monkeypatch)
         A, M = cfg.A, cfg.M
         posts, log_lik, X, Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
         per_ap_diag = []
@@ -178,7 +179,7 @@ class TestStackedRecursion:
         assert diag["weighed_rows"] == [sum(rows) for rows in zip(*per_ap_rows)]
         assert diag["degenerate_rows"] == sum(d["degenerate_rows"] for d in per_ap_diag)
 
-    def test_stacked_blocks_stop_together(self):
+    def test_stacked_blocks_stop_together(self, monkeypatch):
         # AP 0 settles at iteration 4 and APs 1 and 2 at 5: the stacked call
         # stops at 5, where every AP has settled, and each block equals its
         # own run capped at 5 with the rule off
@@ -189,32 +190,38 @@ class TestStackedRecursion:
         A, M = cfg.A, cfg.M
         posts, log_lik, X, Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
         t = len(diag["tau_trace"])
-        full = amp_iterate(Y, cb, prior.log_pmf, mc, cfg.with_updates(tau_tol=0), per_ap=True)
-        change = np.abs(np.diff(full[4]["tau_trace"], axis=0)) / full[4]["tau_trace"][:-1]
-        settled = change < cfg.tau_tol                 # row s - 2: iteration s against s - 1
-        assert t == np.flatnonzero(settled.all(axis=1))[0] + 2 < cfg.T_AMP
-        per_ap_stop = np.argmax(settled, axis=0) + 2
-        assert per_ap_stop.min() < t == per_ap_stop.max()
-        capped = cfg.with_updates(T_AMP=t, tau_tol=0)
-        for b in range(cfg.B):
-            rows, cols = slice(b * M, (b + 1) * M), slice(b * A, (b + 1) * A)
-            Y_b, g_b = Y[:, cols], mc[..., b : b + 1]
-            p_b, l_b, X_b, Z_b, d_b = amp_iterate(Y_b, cb, prior.log_pmf, g_b, capped)
-            np.testing.assert_array_equal(posts[:, rows], p_b)
-            np.testing.assert_array_equal(log_lik[:, rows], l_b)
-            np.testing.assert_array_equal(X[:, rows], X_b)
-            np.testing.assert_array_equal(Z[:, cols], Z_b)
-            np.testing.assert_array_equal(diag["tau_trace"][:, b], d_b["tau_trace"][:, 0])
-            # alone, the AP stops where its own tau settles
-            alone = amp_iterate(Y_b, cb, prior.log_pmf, g_b, cfg)[4]["tau_trace"]
-            assert len(alone) == per_ap_stop[b]
         # the distributed decoder forwards the stacked call's tau trace
         res = distributed_decode(Y, cb, prior, mc, cfg)
         np.testing.assert_array_equal(res.diagnostics["tau_trace"], diag["tau_trace"])
         assert len(res.diagnostics["weighed_rows"]) == t
+        # alone, each AP stops where its own tau settles
+        cols = [slice(b * A, (b + 1) * A) for b in range(cfg.B)]
+        alone = [
+            len(amp_iterate(Y[:, c], cb, prior.log_pmf, mc[..., b : b + 1], cfg)[4]["tau_trace"])
+            for b, c in enumerate(cols)
+        ]
+        tol = amp_central.TAU_TOL
+        monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)
+        full = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
+        change = np.abs(np.diff(full[4]["tau_trace"], axis=0)) / full[4]["tau_trace"][:-1]
+        settled = change < tol                         # row s - 2: iteration s against s - 1
+        assert t == np.flatnonzero(settled.all(axis=1))[0] + 2 < cfg.T_AMP
+        per_ap_stop = np.argmax(settled, axis=0) + 2
+        assert per_ap_stop.min() < t == per_ap_stop.max()
+        np.testing.assert_array_equal(alone, per_ap_stop)
+        capped = cfg.with_updates(T_AMP=t)
+        for b, c in enumerate(cols):
+            rows = slice(b * M, (b + 1) * M)
+            g_b = mc[..., b : b + 1]
+            p_b, l_b, X_b, Z_b, d_b = amp_iterate(Y[:, c], cb, prior.log_pmf, g_b, capped)
+            np.testing.assert_array_equal(posts[:, rows], p_b)
+            np.testing.assert_array_equal(log_lik[:, rows], l_b)
+            np.testing.assert_array_equal(X[:, rows], X_b)
+            np.testing.assert_array_equal(Z[:, c], Z_b)
+            np.testing.assert_array_equal(diag["tau_trace"][:, b], d_b["tau_trace"][:, 0])
 
-    def test_row_counts_sum_over_one_ap_runs(self):
-        cfg, prior, cb, mc, Y = _dead_row_system()
+    def test_row_counts_sum_over_one_ap_runs(self, monkeypatch):
+        cfg, prior, cb, mc, Y = _dead_row_system(monkeypatch)
         A = cfg.A
         res = distributed_decode(Y, cb, prior, mc, cfg)
         per_ap = [
@@ -228,7 +235,7 @@ class TestStackedRecursion:
 
     def test_group_size_does_not_change_results(self, monkeypatch):
         # a group: the chunk of stacked blocks that one denoiser call takes
-        cfg, prior, cb, mc, Y = _dead_row_system()
+        cfg, prior, cb, mc, Y = _dead_row_system(monkeypatch)
         A, M = cfg.A, cfg.M
         per_ap = cfg.M * cfg.K_max * cfg.N_MC
         one_ap = [
@@ -298,7 +305,7 @@ class TestStackedRecursion:
 
     def test_one_amp_iterate_call(self, monkeypatch):
         # chunks of one AP, and a failing AP, still take one call and no per-AP re-run
-        cfg, prior, cb, mc, Y = _dead_row_system()
+        cfg, prior, cb, mc, Y = _dead_row_system(monkeypatch)
         monkeypatch.setattr(amp_central, "_MAX_STACKED_WEIGHTS", cfg.M * cfg.K_max * cfg.N_MC)
         calls = {"amp_iterate": 0, "local_amp_run": 0}
         for name in calls:

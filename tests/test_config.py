@@ -229,9 +229,6 @@ class TestConfigIO:
             {"Nc": 0},
             {"N_MC": 0},
             {"T_AMP": 0},
-            {"tau_tol": -1e-3},
-            {"tau_tol": float("nan")},
-            {"tau_tol": float("inf")},
             {"K_max": 0},
             {"K": -1, "K_max": 0},
             {"T_targets": -1},
@@ -264,9 +261,6 @@ MALFORMED = [
     {"N_MC": 0},
     {"K_max": 0},
     {"T_AMP": 0},
-    {"tau_tol": -1},
-    {"tau_tol": float("nan")},
-    {"tau_tol": "1e-3"},
     {"master_seed": -3},
     {"A": 2.5},
     {"A": True},
