@@ -108,52 +108,56 @@ its Onsager part one GEMM per iteration).  One-AP blocks drop no row.
 One-AP blocks.  There M is one scalar per row,
 ``sum_k post(k | r) sum_i w_i(k) c_{i,k}^2``.  :func:`denoise_rows` weighs
 every row, since the distributed decoder fronthauls their
-log-likelihoods, and leaves the weights ``w_i = exp(log p_i - mx_k)``
-unnormalized: it takes ``S_j = sum_i w_i c_i^j``, j = 0, 1, 2, per
-(row, k) from one (M, N) @ (N, 3) product per (block, k) with the table
-``[1, c, c^2]``, then ``log_mc_k = mx_k + log(S_0 / N)``,
-``H = sum_k post_k S_1 / S_0`` and ``M = sum_k post_k S_2 / S_0``.
-Against a sum, a normalization and two products over normalized weights
-this changes only the order of sums of N non-negative terms, each within
-N eps relative; ``psi = H H - M`` cancels, so the change in Q is not
-bounded by an ulp.
+log-likelihoods, and leaves the weights ``w_i = exp(log p_i - s_k)``
+unnormalized, s_k a shift per (row, k) (below): it takes
+``S_j = sum_i w_i c_i^j``, j = 0, 1, 2, per (row, k) from one
+(M, N) @ (N, 3) product per (block, k) with the table ``[1, c, c^2]``,
+then ``log_mc_k = s_k + log(S_0 / N)``, ``H = sum_k post_k S_1 / S_0``
+and ``M = sum_k post_k S_2 / S_0``.  Against a sum, a normalization and
+two products over normalized weights this changes only the order of sums
+of N non-negative terms, each within N eps relative; ``psi = H H - M``
+cancels, so the change in Q is not bounded by an ulp.
 
 The weights take three passes: one product, one exp and the moment
-product.  Sample i's log-likelihood ``log p_i = e (-1/v_i) - logdet_i``,
-with ``v_i = tau + Ec g_i`` and ``logdet_i = A log(pi v_i)``, depends on
-the sample only through v_i, and as a function of v it has one peak: its
-derivative ``(e - A v) / v^2`` is positive below ``v* = e / A`` and
-negative above.  So the largest sample of a row is one of the two on
-either side of v* in sorted order.  :func:`denoise_rows` sorts each
-(block, k)'s N variances once per call, finds every row's two samples by
-one branch-free binary search over all (block, k, row) at once,
-ceil(log2 N) steps of a gather, and takes mx_k as the larger ``log p`` of
-the two, in the table's own expression.  Then one (M, 3) @ (3, N)
-product per (block, k), rows ``[e_m, -1, -mx_{m,k}]`` against columns
-``[-1/v_i; logdet_i; 1]``, writes ``log p - mx`` for every sample.  A
-GEMM kernel that sums each entry's three terms in order rounds it in the
-steps of a multiply, a subtraction of logdet and a subtraction of mx, the
-last two products being exact, so the peak weight is exactly 1.  The exp
-runs in place and the moment product reads the result.  The raw weights
-stay k-major, (G, K, M, N), the layout that product reads;
-``ZoneDenoiseResult.sample_weights`` builds the normalized (G M, K, N)
-array on first read.  Two rounding effects remain.
+product.  Sample i's log-likelihood ``log p_i = f(v_i)``,
+``f(v) = e (-1/v) - A log(pi v)`` with ``v_i = tau + Ec g_i``, depends on
+the sample only through v_i, and f has one peak: its derivative
+``(e - A v) / v^2`` is positive below ``v* = e / A`` and negative above.
+With v_min and v_max the smallest and largest variance of a (block, k)
+group, the shift
 
-- Near-ties: the computed ``log p`` is unimodal in v only up to its
-  rounding, each entry within ``2 eps s_i`` of the exact log-likelihood
-  of its v_i, ``s_i = e / v_i + |logdet_i| + A``.  The exact one is
-  largest at a searched sample, so mx_k falls short of the table's max by
-  at most ``2 eps (s_a + s_b)``, a the table's argmax and b the searched
-  sample: a few ulps of |mx| unless e / v and logdet cancel in mx.  The
-  raw weights then peak at exp of that gap, and
-  ``log_mc_k = mx_k + log(S_0 / N)`` absorbs it.  A near-tie needs two
-  samples on one side of v* within about 1e-8 relative of it, or two
-  variances a few ulps apart.
-- With one row or one sample per block numpy calls GEMV or a dot in
-  place of a GEMM, and their kernels may fuse ``e (-1/v_i)`` into the
-  sum: each entry of ``log p - mx`` then moves by at most
-  ``3 eps (e / v_i + |logdet_i| + |mx_k|)``.  Decodes have M >= 4 rows;
-  ``N_MC = 1`` takes this path.
+    s = f(clip(v*, v_min, v_max)),
+
+in the table's own expression, bounds every sample's log p of the row
+from above, up to rounding.  A row whose v* is clipped attains the bound
+at an extreme sample, so s is its table max.  An interior row's max is at
+least f at the next sample above v*, ``v* e^D``, so s exceeds it by at most
+
+    f(v*) - f(v* e^D) = A (D - 1 + e^-D) < A log(v_max / v_min).
+
+The raw weights therefore peak between ``exp(-A log(v_max / v_min))`` and
+1, up to rounding, and ``log_mc_k = s_k + log(S_0 / N)`` absorbs the gap.
+A wide group, one whose ``A log(v_max / v_min)`` exceeds
+:data:`_MAX_SHIFT_SLACK` = 700, takes its exact table max as s instead, so
+that no peak weight leaves the normal range; on the desk and paper
+presets' MC tables that quantity is about 17 and 34, even at
+``tau = TAU_FLOOR``.  One (M, 3) @ (3, N) product per (block, k), rows
+``[e_m, -1, -s_{m,k}]`` against columns ``[-1/v_i; logdet_i; 1]``, then
+writes ``log p - s`` for every sample.  A GEMM kernel that sums each
+entry's three terms in order rounds it in the steps of a multiply, a
+subtraction of logdet and a subtraction of s, the last two products being
+exact, so the peak weight of a clipped row or a wide group is exactly 1.
+Each entry and s round within a few eps of ``e / v + |logdet|``, by which
+an interior row's peak may exceed 1 relative.  The exp runs in place and
+the moment product reads the result.  The raw weights stay k-major,
+(G, K, M, N), the layout that product reads;
+``ZoneDenoiseResult.sample_weights`` builds the normalized (G M, K, N)
+array on first read.  With one row or
+one sample per block numpy calls GEMV or a dot in place of a GEMM, and
+their kernels may fuse ``e (-1/v_i)`` into the sum: each entry of
+``log p - s`` then moves by at most
+``3 eps (e / v_i + |logdet_i| + |s|)``.  Decodes have M >= 4 rows;
+``N_MC = 1`` takes this path.
 
 Stacked one-AP blocks.  The matched filter is one (F, Nc) @ (Nc, M) GEMM,
 whose rows j A .. (j+1) A - 1 are block j's, reshaped to R_u of shape
@@ -163,15 +167,18 @@ whose rows j A .. (j+1) A - 1 are block j's, reshaped to R_u of shape
 the desk preset, one AP per chunk at the paper preset.  They read a
 chunk's block count off the shapes of R and the MC table and sum rows
 only within a block.  The zone's estimates, block j's in columns
-j A .. (j+1) A - 1 of one (M, F') array, enter one residual GEMM per
-zone.  Every stacked operation does a one-block call's arithmetic on
-each block (element-wise passes; per-slice BLAS calls on stacks with the
-one-block strides; and GEMMs whose output columns are the blocks' and
-whose summed terms, Nc in the matched filter, M in the residual product,
-BLAS splits by their own count only, never by the output width), so each
-block's output is bit-identical to :func:`amp_iterate` on that block
-alone, capped at the iterations the stacked call ran (Stopping, below),
-whatever the chunk size.
+j A .. (j+1) A - 1 of one (M, F') array X_u, enter one residual GEMM per
+zone, taken as ``(X_u^T C_u^T)^T`` so that, as in the matched filter, the
+blocks lie along the rows of the GEMM's output (BLAS's N dimension).
+Every stacked operation does a one-block call's arithmetic on each block
+(element-wise passes; per-slice BLAS calls on stacks with the one-block
+strides; and these two GEMMs, which BLAS splits along their summed terms,
+Nc in the matched filter and M in the residual product, by that count
+only), so for A >= 2 each block's output is bit-identical to
+:func:`amp_iterate` on that block alone, capped at the iterations the
+stacked call ran (Stopping, below), whatever the chunk size.  At A = 1 a
+one-block call's products have one output row, numpy runs them as GEMV
+where the stacked call runs a GEMM, and the two may round differently.
 
 Between zone steps the recursion keeps only what the next step reads: the
 residual, and each zone's latest estimates as its weighed rows and their
@@ -221,6 +228,7 @@ _TINY = np.finfo(float).tiny
 _REL_FLOOR = 1e-16     # M drops sample columns, a multi-AP block rules rows dead, below this share of the peak
 _Q2_CHUNK_REALS = 1 << 18     # bound on the Onsager Q2 product's temporary, in float64 values (2 MB)
 _MAX_STACKED_WEIGHTS = 1 << 22     # bound on a denoiser call's (rows, K_max, N_MC) weight array
+_MAX_SHIFT_SLACK = 700.0     # a one-AP group with A log(v_max / v_min) above this takes its table max as the shift
 
 
 class DecodeError(RuntimeError):
@@ -317,9 +325,9 @@ class ZoneDenoiseResult:
 
     On a block of more than one AP, ``weights`` holds the normalized
     weights and ``weight_sums`` is None.  On one-AP blocks, ``weights``
-    holds the raw weights ``exp(log p - mx_k)`` k-major, shape
-    (G, K_max, M, N), and ``weight_sums`` their (G M, K_max) sums over the
-    N samples; :attr:`sample_weights` divides them out on first read into
+    holds the raw weights k-major, shape (G, K_max, M, N), and
+    ``weight_sums`` their (G M, K_max) sums over the N samples (module
+    docstring); :attr:`sample_weights` divides them out on first read into
     the (G M, K_max, N) row layout and clears ``weight_sums``, so
     ``weight_sums is None`` always means normalized row-layout weights.
     """
@@ -424,55 +432,29 @@ def _weighed_rows(log_mc: np.ndarray, log_prior: np.ndarray, N: int) -> np.ndarr
     return np.flatnonzero(s_hi >= floor_lo / 2)
 
 
-def _one_ap_peaks(e: np.ndarray, v: np.ndarray, neg_inv_v: np.ndarray, logdet: np.ndarray, A: int) -> np.ndarray:
-    """Largest sample log-likelihood ``mx[g, k, m]`` of G one-AP blocks, by a search.
-
-    ``e`` (G, M) row energies; ``v``, ``neg_inv_v`` = -1 / v and ``logdet``
-    (G, K, N) per block, contiguous.  Row m's log-likelihood of sample i,
-    ``e_m (-1/v_i) - logdet_i``, rises in v_i up to e_m / A and falls after
-    it, so its largest value sits at one of the two samples on either side of
-    e_m / A in sorted order (module docstring).
-    """
-    G, K, N = v.shape
-    M = e.shape[1]
-    first = N * np.arange(G * K).reshape(G, K, 1)                  # each (block, k) group's first sample
-    sample = (np.argsort(v, axis=2) + first).ravel()               # flat samples, by v within each group
-    v_sorted = v.ravel()[sample]
-    peak = np.broadcast_to((e / A)[:, None], (G, K, M))
-    # a branch-free binary search of all (block, k, row) at once: ``at`` ends
-    # at the first position of its group with v >= e / A, or just past the group
-    at = np.repeat(first, M, axis=2)
-    n = N
-    while n > 1:
-        half = n // 2
-        np.add(at, half, out=at, where=v_sorted[at + half] < peak)
-        n -= half
-    at += v_sorted[at] < peak
-    below = sample[np.maximum(at - 1, first)]
-    above = sample[np.minimum(at, first + N - 1)]
-    # the table's own expression, so that W - mx is exactly 0 at the peak
-    e_k, nv, ld = e[:, None], neg_inv_v.ravel(), logdet.ravel()
-    return np.maximum(e_k * nv[below] - ld[below], e_k * nv[above] - ld[above])
-
-
 def _weigh_one_ap(e, tau, v, neg_inv_v, logdet, log_tau, c, log_prior, A):
     """Log-likelihoods, posteriors and shrinkage moments of G one-AP blocks.
 
-    Three passes over the (G, K, M, N) weights: ``W - mx`` from one
-    (M, 3) @ (3, N) product per (block, k), its exp in place, and the moment
-    product with the table ``[1, c, c^2]`` (module docstring).  Returns
+    ``e`` (G, M) row energies; ``v``, ``neg_inv_v``, ``logdet`` and ``c``
+    (G, K, N) per block, contiguous.  The one-AP scheme, its shift s and its
+    bounds are in the module docstring.  Returns
     ``(log_mc, post, degenerate, H, m2, W, w_sum)``, the raw weights
-    ``W`` k-major.
+    ``W = exp(log p - s)`` k-major.
     """
     G, K, N = v.shape
     M = e.shape[1]
     rows = G * M
-    mx = _one_ap_peaks(e, v, neg_inv_v, logdet, A)                  # (G, K, M)
-    # rows [e_m, -1, -mx_{m,k}] against columns [-1/v_i; logdet_i; 1]
+    lo, hi = v.min(axis=2, keepdims=True), v.max(axis=2, keepdims=True)
+    v_s = np.clip((e / A)[:, None], lo, hi)                           # (G, K, M)
+    s = e[:, None] * -(1.0 / v_s) - A * np.log(np.pi * v_s)
+    wide = np.nonzero(A * np.log(hi[..., 0] / lo[..., 0]) > _MAX_SHIFT_SLACK)
+    if wide[0].size:
+        s[wide] = (e[wide[0], :, None] * neg_inv_v[wide][:, None] - logdet[wide][:, None]).max(axis=2)
+    # rows [e_m, -1, -s_{m,k}] against columns [-1/v_i; logdet_i; 1]
     lhs = np.empty((G, K, M, 3))
     lhs[..., 0] = e[:, None]
     lhs[..., 1] = -1.0
-    lhs[..., 2] = -mx
+    lhs[..., 2] = -s
     W = np.matmul(lhs, np.stack([neg_inv_v, logdet, np.ones_like(logdet)], axis=2))
     np.exp(W, out=W)
     # sum_i w_i, sum_i w_i c_i and sum_i w_i c_i^2 per (row, k): one
@@ -485,7 +467,7 @@ def _weigh_one_ap(e, tau, v, neg_inv_v, logdet, log_tau, c, log_prior, A):
     w_sum = sums[..., 0]
     log_mc = np.empty((rows, K + 1))
     log_mc[:, 0] = (-(e * (1.0 / tau)[:, None]) - log_tau[:, None]).reshape(rows)
-    log_mc[:, 1:] = mx.transpose(0, 2, 1).reshape(rows, K) + np.log(w_sum / N)
+    log_mc[:, 1:] = s.transpose(0, 2, 1).reshape(rows, K) + np.log(w_sum / N)
     post, degenerate = _posterior(log_mc, log_prior, M)
     # the weights stay unnormalized: ZoneDenoiseResult.sample_weights divides on first read
     if degenerate.any():
@@ -656,9 +638,9 @@ def amp_iterate(
     APs.  The columns form one block, or with ``per_ap`` one independent
     recursion per AP, G = F' / A of them, run at once with their rows
     stacked: block j's rows are ``j M .. (j+1) M - 1`` of every per-zone
-    array, and its outputs equal those of a one-block call on its columns,
-    capped at the same iteration count, bit for bit, whatever the chunk
-    size (module docstring).  A non-finite iterate raises
+    array, and for A >= 2 its outputs equal those of a one-block call on
+    its columns, capped at the same iteration count, bit for bit, whatever
+    the chunk size (module docstring).  A non-finite iterate raises
     :class:`DecodeError` by its rule for stacked blocks.  The recursion
     stops after iteration t >= 2 once every AP's tau moved by less than
     :data:`TAU_TOL` relative to iteration t - 1, else after ``T_AMP``
@@ -724,10 +706,12 @@ def amp_iterate(
                 del den     # one chunk's denoiser output alive at a time
             at_rows, x_rows = est[u] = (np.concatenate(new_rows), np.concatenate(new_x))
             # one residual GEMM per zone on the weighed rows, block j's estimates in
-            # columns j F .. (j+1) F - 1; only a block that runs alone leaves rows out
+            # columns j F .. (j+1) F - 1; only a block that runs alone leaves rows out.
+            # Taken as (X_u^T C^T)^T: with the blocks along the output's rows, as in
+            # the matched filter, BLAS rounds each block as a one-block call does
             n = len(at_rows) // G
             X_u = x_rows.reshape(G, n, F).transpose(1, 0, 2).reshape(n, G * F)
-            Gamma += (Cu if n == M else Cu[:, at_rows]) @ X_u
+            Gamma += (X_u.T @ (Cu if n == M else Cu[:, at_rows]).T).T
         # the Onsager correction of all zones in one GEMM per block: Z (sum_u Q_u)
         Gamma_blocks -= (M / Nc) * np.matmul(Z_blocks, Q)
         Z = Y - sqrt_ec * Gamma

@@ -10,9 +10,10 @@ MC-averaged log-likelihood to the CPU.  Because every covariance in the
 model is block diagonal across APs, the product of local likelihoods equals
 the global likelihood exactly, and the CPU recovers the posterior by adding
 the log tables to the log prior.  :func:`distributed_decode` runs all APs
-in lockstep as one ``amp_iterate(..., per_ap=True)`` call, and every AP's
-table is bit-identical to its own :func:`local_amp_run` at ``T_AMP = t``,
-t the iterations the lockstep call ran.
+in lockstep as one ``amp_iterate(..., per_ap=True)`` call; with A >= 2
+antennas per AP every AP's table is bit-identical to its own
+:func:`local_amp_run` at ``T_AMP = t``, t the iterations the lockstep call
+ran (the stacked one-AP blocks of :mod:`tumaloc.amp_central`).
 """
 
 from __future__ import annotations

@@ -582,9 +582,10 @@ class TestOneApSecondMoment:
 
     @pytest.mark.parametrize("G", [1, 3])
     def test_sample_weights_normalized_on_first_read(self, rng, G):
-        # one-AP blocks keep the raw weights exp(log p - mx_k) k-major,
-        # (G, K, M, N), each (row, k) peaking at exactly 1, and their sums;
-        # sample_weights divides them once, into the (G M, K, N) row layout
+        # one-AP blocks keep the raw weights exp(log p - s_k) k-major,
+        # (G, K, M, N), each (row, k) peaking at no more than 1 up to the
+        # rounding of log p - s, and their sums; sample_weights divides
+        # them once, into the (G M, K, N) row layout
         R, tau, g, lp, Ec, A = self._blocks(rng, G)
         K, N = g.shape[:2]
         M = len(R) // G
@@ -592,7 +593,7 @@ class TestOneApSecondMoment:
         den = denoise_rows(R, tau, g, lp, Ec, A)
         raw, sums = den.weights, den.weight_sums
         assert raw.shape == (G, K, M, N) and sums.shape == (len(R), K)
-        np.testing.assert_array_equal(raw.max(axis=3), 1.0)
+        assert raw.max() <= 1 + 4 * eps
         by_row = raw.transpose(0, 2, 1, 3).reshape(len(R), K, N)
         np.testing.assert_allclose(sums, by_row.sum(axis=2), rtol=2 * N * eps)
         W = den.sample_weights
@@ -649,74 +650,103 @@ def _one_ap_blocks(draw):
     return R, tau, g, lp, Ec, A
 
 
-class TestOneApPeakSearch:
-    @staticmethod
-    def _peaks(R, tau, g, Ec, A):
-        """The searched mx, the full log-likelihood table and its terms' sizes ``e / v + |logdet|``.
+def _shift_rounding(den, ref, lp):
+    """``d_log_lik`` of ``_assert_one_ap_matches_reference`` for a one-AP output and its reference.
 
-        The search's inputs are built as ``denoise_rows`` builds them; mx
-        is (G M, K), the others (G M, K, N).
-        """
+    Read before ``den.sample_weights``, while ``den.weights`` holds the raw
+    weights ``exp(log p - s)``.  The package rounds ``log p - s``, the
+    reference ``log p - mx``, each by eps / 2 of its size on the weights
+    that stay normal: ``|log p - mx| <= -log w`` with w the reference's
+    normalized weight, and ``s - mx`` is minus the log of the peak raw
+    weight.  ``log_mc_lik`` and the log-posterior, up to |log p| ~ 1e3 on
+    rows far above the variances, round to eps of their size.
+    """
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    G, K, M, N = den.weights.shape
+    slack = -np.log(den.weights.max(axis=3)).transpose(0, 2, 1).reshape(G * M, K, 1)
+    w = ref.sample_weights
+    to_mx = np.where(w >= tiny, -np.log(np.maximum(w, tiny)), 0.0)
+    size = np.abs(ref.log_mc_lik).reshape(G, M, K + 1) + np.abs(lp)
+    return eps / 2 * (2 * to_mx + slack).max() + 2 * eps * size.max()
+
+
+class TestOneApShift:
+    """The one-AP shift s: the log-likelihood at the peak v* = e / A, clipped to the group's variances."""
+
+    @staticmethod
+    def _table(R, tau, g, Ec, A):
+        """Per (row, k, sample): the variances v, v* = e / A and the sizes ``e / v + |logdet|`` of log p's terms."""
         K, N, G = g.shape
         M = len(R) // G
-        v = tau + Ec * g
-        logdet = A * np.log(np.pi * v)
-        e = (np.abs(R) ** 2).reshape(G * M, 1, A).sum(axis=2).reshape(G, M)
-        blocks = [np.ascontiguousarray(x.transpose(2, 0, 1)) for x in (v, -(1.0 / v), logdet)]
-        mx = amp_central._one_ap_peaks(e, *blocks, A)
-        W, _ll0 = log_lik_table_reference(R, tau, g, Ec, A)
-        terms = e[:, :, None, None] / blocks[0][:, None] + np.abs(blocks[2])[:, None]
-        return mx.transpose(0, 2, 1).reshape(G * M, K), W, terms.reshape(G * M, K, N)
+        v = np.repeat((tau + Ec * g).transpose(2, 0, 1), M, axis=0)         # (G M, K, N)
+        e = (np.abs(R) ** 2).sum(axis=1)[:, None, None]
+        return v, e / A, e / v + A * np.abs(np.log(np.pi * v))
 
     @given(_one_ap_blocks())
     @settings(max_examples=60, deadline=None)
-    def test_search_finds_the_table_max(self, block):
+    def test_shift_bounds_the_table_max(self, block):
         R, tau, g, lp, Ec, A = block
-        mx, W, terms = self._peaks(R, tau, g, Ec, A)
-        np.testing.assert_array_equal(mx, W.max(axis=2))
+        K, N, G = g.shape
+        M = len(R) // G
+        eps = np.finfo(float).eps
         den = denoise_rows(R, tau, g, lp, Ec, A)
         ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
-        G, K, M, N = den.weights.shape
-        eps = np.finfo(float).eps
-        # log_mc_lik and the log-posterior, up to |log p| ~ 1e3 on rows far
-        # above the variances, round to eps of their size
-        d_log_lik = 2 * eps * (np.abs(ref.log_mc_lik).reshape(G, M, K + 1) + np.abs(lp)).max()
-        if M > 1 and N > 1:
-            # numpy runs W - mx as a GEMM, whose kernel sums each entry's
-            # three terms in order, so the peak is exp(0)
-            np.testing.assert_array_equal(den.weights.max(axis=3), 1.0)
+        v, v_star, terms = self._table(R, tau, g, Ec, A)
+        # max_i log p_i - s per (row, k), as the product rounds it: the log of the peak raw weight
+        gap = np.log(den.weights.max(axis=3)).transpose(0, 2, 1).reshape(G * M, K)
+        # log p and s each round twice and their difference once, within
+        # eps of the largest term each; with one row or one sample numpy
+        # calls GEMV or a dot, whose kernel may fuse the product into the
+        # sum, within 3 eps of the terms and of |s| (module docstring)
+        gemm = M > 1 and N > 1
+        r = (3 if gemm else 6) * eps * terms.max(axis=2) + 2 * eps
+        assert np.all(gap <= r)
+        clipped = ((v_star <= v.min(axis=2, keepdims=True)) | (v_star >= v.max(axis=2, keepdims=True)))[..., 0]
+        if gemm:
+            # a clipped row's v* is an extreme sample's variance: s is that
+            # sample's table entry, in the table's own expression, and its max
+            np.testing.assert_array_equal(gap[clipped], 0.0)
         else:
-            # with one row or one sample it calls GEMV or a dot, which may
-            # fuse the product e (-1/v) into the sum: each entry within
-            # 3 eps of its terms' sizes (module docstring)
-            d_log_lik += 3 * eps * (terms + np.abs(mx)[..., None]).max()
+            assert np.all(np.abs(gap[clipped]) <= r[clipped])
+        # an interior row's shift exceeds its max by at most A (d - 1 + e^-d),
+        # d the log-gap from v* to the next sample above
+        inner = ~clipped
+        above = np.where(v >= v_star, v, np.inf).min(axis=2)[inner]
+        d = np.log(above / np.broadcast_to(v_star[..., 0], inner.shape)[inner])
+        slack = A * (d - 1 + np.exp(-d))
+        assert np.all(-gap[inner] <= slack + r[inner] + eps * np.abs(gap[inner]))
         # posteriors far out in the tails reach the subnormal range
+        d_log_lik = _shift_rounding(den, ref, lp)
         _assert_one_ap_matches_reference(den, ref, atol=np.finfo(float).tiny, d_log_lik=d_log_lik)
 
-    def test_near_tie_within_bound(self, rng):
-        # 64 samples within 256 ulps of the peak v* = e / A, where the
-        # log-likelihood is flat to well below its rounding: the search may
-        # miss the table max, by at most 2 eps (s_a + s_b), s_i = e / v_i +
-        # |logdet_i| + A at the table's argmax a and the searched sample b
-        A, tau, Ec, M, N = 2, 0.5, 1.0, 16, 64
-        peak = 1.7
-        g = ((peak - tau) + 8 * np.spacing(peak) * np.arange(-N // 2, N // 2)).reshape(1, N, 1)
-        e = A * (peak + np.spacing(peak) * rng.integers(-200, 200, size=M))
-        R = np.repeat(np.sqrt(e / A)[:, None], A, axis=1).astype(complex)
-        lp = np.log(rng.dirichlet(np.ones(2), size=M))
-        mx, W, terms = self._peaks(R, np.array([tau]), g, Ec, A)
-        full = W.max(axis=2)
-        assert np.all(mx <= full) and np.any(mx < full)
-        a = W.argmax(axis=2)[..., None]
-        b = (W == mx[..., None]).argmax(axis=2)[..., None]
-        s = terms + A
-        bound = 2 * np.finfo(float).eps * (np.take_along_axis(s, a, 2) + np.take_along_axis(s, b, 2))[..., 0]
-        assert np.all(full - mx <= bound)
-        # the raw weights peak at exp(full - mx) >= 1, and the outputs keep
-        # the reference's rounding bounds
-        den = denoise_rows(R, np.array([tau]), g, lp, Ec, A)
-        np.testing.assert_array_equal(den.weights[0].max(axis=2).T, np.exp(full - mx))
-        _assert_one_ap_matches_reference(den, denoise_rows_reference(R, np.array([tau]), g, lp, Ec, A))
+    @pytest.mark.parametrize("A, log_span, x", [(2, 400.0, 400.0), (120, 12.0, 20.0)], ids=["span", "antennas"])
+    def test_wide_groups_take_the_table_max(self, rng, A, log_span, x):
+        # block 0's variances span about e^400 at A = 2, or e^12 at A = 120:
+        # its A log(v_max / v_min) exceeds 700, and its interior rows, at
+        # v* = x v_min, sit so far from both neighbouring samples that
+        # exp(log p - s) would underflow at every sample.  Block 1 is an
+        # ordinary block.  A wide group takes its exact table max as the
+        # shift, so its raw weights peak at exactly 1
+        K, N, M, tau, Ec = 2, 16, 6, np.array([1.0, 0.7]), 1.0
+        g = np.empty((K, N, 2))
+        g[..., 0] = np.where(np.arange(N) % 2, np.exp(log_span), 1.0)     # two distinct variances
+        g[..., 1] = np.cumsum(rng.uniform(0.1, 1.0, size=(K, N)), axis=0)
+        v = tau + Ec * g
+        span = A * np.log(v.max(axis=1) / v.min(axis=1))
+        assert np.all(span[:, 0] > amp_central._MAX_SHIFT_SLACK) and np.all(span[:, 1] < 100)
+        # block 0's rows: v* = x v_min, clipped below v_min, clipped above v_max
+        peak = np.concatenate([np.full(M - 2, x * v[0, 0, 0]), [0.5, 2 * np.exp(log_span)]])
+        z = rng.normal(size=(2 * M, A)) + 1j * rng.normal(size=(2 * M, A))
+        e = np.concatenate([A * peak, A * rng.uniform(v[..., 1].min(), v[..., 1].max(), size=M)])
+        R = z * np.sqrt(e / (np.abs(z) ** 2).sum(axis=1))[:, None]
+        lp = np.log(rng.dirichlet(np.ones(K + 1), size=M))
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
+        np.testing.assert_array_equal(den.weights[0].max(axis=2), 1.0)
+        d_log_lik = _shift_rounding(den, ref, lp)
+        for name in ("x_hat", "posterior", "log_mc_lik", "H", "m2"):
+            assert np.isfinite(getattr(den, name)).all(), name
+        _assert_one_ap_matches_reference(den, ref, atol=np.finfo(float).tiny, d_log_lik=d_log_lik)
 
 
 def _paper_shaped(rng):

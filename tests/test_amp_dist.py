@@ -147,19 +147,22 @@ class TestLocalRun:
             local_amp_run(np.zeros((cfg.Nc, 3), dtype=complex), 0, cb, prior, mc, cfg)
 
 
-def _dead_row_system(monkeypatch):
-    # high SNR and A = 4, two users: most rows of every AP are noise only.
-    # All T_AMP iterations, so that every AP's own run stops where the stacked one does
+def _dead_row_system(monkeypatch, A=4):
+    # high SNR, two users: most rows of every AP are noise only.  All
+    # T_AMP iterations, so that every AP's own run stops where the stacked one does
     monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)
-    cfg, topo, prior, cb, mc = _system(B=3, A=4, M=8, Nc=128, sigma_w2=1e-6, Ec=6.0, T_AMP=6)
+    cfg, topo, prior, cb, mc = _system(B=3, A=A, M=8, Nc=128, sigma_w2=1e-6, Ec=6.0, T_AMP=6)
     Y, _ = _received(cfg, topo, cb, seed=20, n_users=2)
     return cfg, prior, cb, mc, Y
 
 
 class TestStackedRecursion:
-    def test_stacked_blocks_equal_per_ap_runs(self, monkeypatch):
-        cfg, prior, cb, mc, Y = _dead_row_system(monkeypatch)
-        A, M = cfg.A, cfg.M
+    # A = 2 is the desk preset's antenna count.  A = 1 is left out: there a
+    # one-AP run's products are GEMV calls where the stacked call's are GEMMs
+    @pytest.mark.parametrize("A", [2, 4])
+    def test_stacked_blocks_equal_per_ap_runs(self, monkeypatch, A):
+        cfg, prior, cb, mc, Y = _dead_row_system(monkeypatch, A)
+        M = cfg.M
         posts, log_lik, X, Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
         per_ap_diag = []
         for b in range(cfg.B):
@@ -259,15 +262,15 @@ class TestStackedRecursion:
                 else:
                     assert res.diagnostics[key] == want, key
 
-    def test_paper_shaped_blocks_equal_per_ap_runs(self, monkeypatch):
-        # M = 512 rows: the residual product (Nc, M) @ (M, B A) sums its
-        # terms in more than one BLAS panel.  All APs in one chunk, then one
-        # AP per chunk
+    @pytest.mark.parametrize("A", [2, 4])
+    def test_paper_shaped_blocks_equal_per_ap_runs(self, monkeypatch, A):
+        # M = 512 rows: the residual product sums its terms in more than one
+        # BLAS panel.  All APs in one chunk, then one AP per chunk
         cfg, topo, prior, cb, mc = _system(
-            B=4, A=4, M=512, Nc=200, N_MC=16, sigma_w2=1e-6, Ec=6.0, T_AMP=2
+            B=4, A=A, M=512, Nc=200, N_MC=16, sigma_w2=1e-6, Ec=6.0, T_AMP=2
         )
         Y, _ = _received(cfg, topo, cb, seed=20)
-        A, M = cfg.A, cfg.M
+        M = cfg.M
         per_ap = [
             amp_iterate(Y[:, b * A : (b + 1) * A], cb, prior.log_pmf, mc[..., b : b + 1], cfg)
             for b in range(cfg.B)
