@@ -74,30 +74,61 @@ are non-negative, so the dropped terms move each entry of M by at most
 plus K N 2.3e-308 / Ec for the subnormal flush: at most K N roundings
 relative to the row's largest possible term max_j omega[m, j] / Ec.
 
-On such a block most rows are ruled dead before the weight passes.  Let
+On such a block most rows are ruled dead before the dense passes.  Let
 ``s_m = sum_{k>=1} post(k | r_m)`` be row m's posterior mass on k >= 1
 and ``floor = max(1e-16 * max_m' s_m', tiny)`` the row floor, m' over the
 block's rows, both as the all-rows denoiser gives them.  With
 ``mx_k = max_i log p(r | rho^i_{1:k})`` the MC average of N samples obeys
 ``mx_k - log N <= log_mc_k <= mx_k``, and s_m grows with each log_mc_k,
-k >= 1.  So s_m evaluated at ``log_mc_k = mx_k``, s_m^hi, bounds s_m from
-above, s_m at ``mx_k - log N``, s_m^lo, from below, and
-``floor^lo = max(1e-16 * max_m' s_m'^lo, tiny)`` bounds the row floor
-from below.  A row with ``s_m^hi < floor^lo / 2`` (the factor 2 absorbs
-rounding) is ruled dead: it skips the subtraction, exp, sum,
-normalization and shrinkage product over its (K_max, N) weights and
-keeps ``log_mc_k = mx_k``, ``H = 0``, ``x_hat = 0`` and zero sample
-weights.  The other rows keep the all-rows arithmetic, so their
-posteriors and s_m are unchanged bit for bit; only their shrinkage
-product, a GEMM on the gathered rows, may round in another order.
+k >= 1.  Sample i's log-likelihood ``sum_b e_b (-1/v_{k,i,b}) - logdet_{k,i}``
+grows with no v_{k,i,b}, so the sample-free bound
+
+    u_k = -sum_b e_b / (tau_b + Ec max_i g_{k,i,b}) - min_i logdet_{k,i},
+
+one (M, Bb) @ (Bb, K) product, holds ``mx_k <= u_k``.  Every step of both
+computations rounds monotonically, and only the order of their Bb-term
+sums differs, so with every ``v >= tau`` the computed mx_k exceeds the
+computed u_k by at most ``2 (Bb + 2) eps (sum_b e_b / tau_b + max |logdet|)``;
+u_k carries twice that as its rounding margin.
+
+s_m evaluated at ``log_mc_k = u_k``, s_m^ub, bounds s_m from above.  The
+exact mx of the top row, the row of largest s^ub, gives that row's
+s^lo, s evaluated at ``mx_k - log N``, and
+``floor^est = max(1e-16 s^lo, tiny)`` bounds the row floor from below.  A
+row with ``s_m^ub < floor^est / 4`` is ruled dead at once; when every
+row clears ``max(1e-16 max_m' s_m'^ub, tiny) / 4``, at least
+floor^est / 4, no row is, and the top row's exact pass is skipped.  The
+others, the survivors, take the dense passes: the (L', K_max, N)
+log-likelihood product, the subtraction of logdet and the max over
+samples, then the weighed-row test.  There s_m^hi, s_m at ``mx_k``,
+bounds s_m from above, s_m^lo from below,
+``floor^lo = max(1e-16 * max_m' s_m'^lo, tiny)``, m' over the survivors,
+bounds the row floor from below, and a row with
+``s_m^hi < floor^lo / 2`` is ruled dead too.  The factor 2 between the two
+tests absorbs their rounding, so the survivors hold every row the test
+weighs.  A row the bound rules dead has
+``s^lo <= s^ub < floor^est / 4``, so it holds the largest s^lo only if
+every s^lo is below tiny, when floor^lo is tiny over any rows: floor^lo and
+the weighed rows are those of the all-rows test.
+
+A ruled-dead row skips the exp, sum, normalization and shrinkage product
+over its (K_max, N) weights and keeps ``H = 0``, ``x_hat = 0`` and zero
+sample weights, and its ``log_mc_k`` holds u_k if the bound ruled it dead,
+mx_k if the test did: at least the MC average either way.  The weighed
+rows keep the all-rows arithmetic, except that their two products, the
+log-likelihoods' and the shrinkage product, run on the gathered rows,
+which BLAS may round in another order than an all-rows product: OpenBLAS
+does in its edge tiles, which for the log-likelihoods hold the last
+samples of k = K_max.
 
 A ruled-dead row's mass lies below the row floor,
-``s_m <= s_m^hi < floor^lo / 2 <= floor``.  That mass moves by at most a
-factor N, and the row's H, x_hat and weights, at most s_m / sqrt(Ec),
-s_m |r| / sqrt(Ec) and 1, become zero; only the posterior, the
-``diag(mean_m H)`` term and the next matched filter see them.  Its
-|H_b| <= s_m / sqrt(Ec) and M_{b,b'} <= s_m / Ec, so leaving it out of
-the products moves each entry by at most
+``s_m <= s_m^ub < floor^est / 4 <= floor / 4`` or
+``s_m <= s_m^hi < floor^lo / 2 <= floor / 2``, and so does the mass its
+posterior reports; its MAP multiplicity is 0.  Its H, x_hat and weights,
+at most s_m / sqrt(Ec), s_m |r| / sqrt(Ec) and 1, become zero; only the
+posterior, the ``diag(mean_m H)`` term and the next matched filter see
+them.  Its |H_b| <= s_m / sqrt(Ec) and M_{b,b'} <= s_m / Ec, so leaving it
+out of the products moves each entry by at most
 
     |dQ[a, f]|     <= 2 s_m |r_ma| |r_mf| / (M sqrt(Ec) tau_{b(a)}),
     |dGamma[n, f]| <= |C[n, m]| s_m |r_mf| / sqrt(Ec)
@@ -225,6 +256,7 @@ __all__ = [
 TAU_FLOOR = 1e-15
 TAU_TOL = 1e-3         # stop once every tau_b moves by less than this share of its last value
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 _REL_FLOOR = 1e-16     # M drops sample columns, a multi-AP block rules rows dead, below this share of the peak
 _Q2_CHUNK_REALS = 1 << 18     # bound on the Onsager Q2 product's temporary, in float64 values (2 MB)
 _MAX_STACKED_WEIGHTS = 1 << 22     # bound on a denoiser call's (rows, K_max, N_MC) weight array
@@ -320,22 +352,26 @@ class ZoneDenoiseResult:
     APs of a block, on either block shape; the recursion and
     :func:`onsager` read no sample weights.  :attr:`sample_weights` are
     self-normalized on weighed rows and zero on ruled-dead rows, whose
-    ``log_mc_lik`` on k >= 1 holds the largest sample log-likelihood and
-    whose ``H`` and ``x_hat`` are zero (module docstring).
+    ``log_mc_lik`` on k >= 1 holds an upper bound on the largest sample
+    log-likelihood, the sample-free bound or the exact max, and whose
+    ``H`` and ``x_hat`` are zero (module docstring).
 
     On a block of more than one AP, ``weights`` holds the normalized
-    weights and ``weight_sums`` is None.  On one-AP blocks, ``weights``
+    weights of the weighed rows, (L, K_max, N), and ``weight_sums`` is
+    None; :attr:`sample_weights` scatters them into the (M, K_max, N) row
+    layout, zero on ruled-dead rows, on first read.  On one-AP blocks, ``weights``
     holds the raw weights k-major, shape (G, K_max, M, N), and
     ``weight_sums`` their (G M, K_max) sums over the N samples (module
     docstring); :attr:`sample_weights` divides them out on first read into
-    the (G M, K_max, N) row layout and clears ``weight_sums``, so
-    ``weight_sums is None`` always means normalized row-layout weights.
+    the (G M, K_max, N) row layout and clears ``weight_sums``.  After the
+    first read, ``weights`` holds that normalized row layout on either
+    block shape.
     """
 
     x_hat: np.ndarray              # (G M, F')
     posterior: np.ndarray          # (G M, K_max + 1)
     log_mc_lik: np.ndarray         # (G M, K_max + 1): log (1/N) sum_i p(r | rho^i_{1:k}) on weighed rows
-    weights: np.ndarray            # (G M, K_max, N) sample weights; raw and (G, K_max, M, N) while weight_sums is set
+    weights: np.ndarray            # (G M, K_max, N) sample weights; (L, K_max, N) or raw (G, K_max, M, N) before the first read
     shrink: np.ndarray             # (K_max, N, B) per-sample shrinkage factors
     H: np.ndarray                  # (G M, Bb) total shrinkage per AP of the row's block
     degenerate: np.ndarray         # (G M,) bool: prior-only fallback rows
@@ -345,12 +381,14 @@ class ZoneDenoiseResult:
 
     @property
     def sample_weights(self) -> np.ndarray:
-        """(G M, K_max, N) self-normalized on weighed rows, else zero; normalized once, on first read."""
+        """(G M, K_max, N) self-normalized on weighed rows, else zero; built once, on first read."""
         if self.weight_sums is not None:
             G, K, M, N = self.weights.shape
             W = np.empty((G, M, K, N))
             np.divide(self.weights.transpose(0, 2, 1, 3), self.weight_sums.reshape(G, M, K, 1), out=W)
             self.weights, self.weight_sums = W.reshape(G * M, K, N), None
+        elif len(self.weights) < len(self.posterior):
+            self.weights = _scatter_rows(self.weights, self.weighed, len(self.posterior))
         return self.weights
 
 
@@ -405,7 +443,7 @@ def _second_moment(omega: np.ndarray, c: np.ndarray) -> np.ndarray:
     if not keep.all():
         omega, c = omega[:, keep], c[keep]
     B = c.shape[1]
-    cpair = (c[:, :, None] * c[:, None, :]).reshape(-1, B * B)
+    cpair = np.einsum("jb,jc->jbc", c, c).reshape(-1, B * B)
     return (omega @ cpair).reshape(-1, B, B)
 
 
@@ -416,6 +454,45 @@ def _scatter_rows(values: np.ndarray, at: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
+def _mx_bound(energy: np.ndarray, neg_inv_v: np.ndarray, logdet: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """A sample-free upper bound on every row's mx_k of one block, (M, K), rounding margin included.
+
+    ``energy`` (M, Bb), ``neg_inv_v`` (K, N, Bb), ``logdet`` (K, N) and
+    ``q`` (M,), each row's ``sum_b e_b / tau_b``.  The bound and its margin
+    are in the module docstring.
+    """
+    Bb = energy.shape[1]
+    # max_i -1/v as a reduction along the last axis of a (K, Bb, N) copy:
+    # in the (K, N, Bb) layout, whose last axis is short, it takes twice as
+    # long at the desk preset's shape
+    nv_max = np.ascontiguousarray(neg_inv_v.transpose(0, 2, 1)).max(axis=2)
+    bound = energy @ nv_max.T - logdet.min(axis=1)
+    bound += (4 * (Bb + 2) * _EPS) * (q + np.abs(logdet).max())[:, None]
+    return bound
+
+
+def _surviving_rows(log_bound, log_prior, energy, nv, logdet, N) -> np.ndarray:
+    """Rows of one block that the bound cannot rule out of the row floor.
+
+    ``log_bound[:, 1:]`` holds the bound on mx_k; ``nv`` is the (Bb, K N)
+    matrix of -1/v and ``logdet`` (K, N).  A row survives unless its mass
+    on k >= 1 at the bound, s^ub, lies below a quarter of the floor
+    estimate from the exact mx of the row of largest s^ub (module
+    docstring).
+    """
+    M, K1 = log_bound.shape
+    s_ub = _posterior(log_bound, log_prior, M)[0][:, 1:].sum(axis=1)
+    top = np.argmax(s_ub)
+    if s_ub.min() >= max(_REL_FLOOR * s_ub[top], _TINY) / 4:
+        return np.arange(M)     # every row clears even the top row's s^ub as floor estimate
+    # the top row's s^lo, at its exact mx_k - log N
+    mx_top = ((energy[top] @ nv).reshape(K1 - 1, -1) - logdet).max(axis=1)
+    a = log_prior[top] + np.concatenate([log_bound[top, :1], mx_top - np.log(N)])
+    p = np.exp(a - a.max())
+    s_lo = p[1:].sum() / p.sum()
+    return np.flatnonzero(s_ub >= np.fmax(_REL_FLOOR * s_lo, _TINY) / 4)
+
+
 def _weighed_rows(log_mc: np.ndarray, log_prior: np.ndarray, N: int) -> np.ndarray:
     """Rows of one block that the weight passes cannot rule out of the row floor.
 
@@ -424,10 +501,13 @@ def _weighed_rows(log_mc: np.ndarray, log_prior: np.ndarray, N: int) -> np.ndarr
     (module docstring).
     """
     M = len(log_mc)
-    s_hi = _posterior(log_mc, log_prior, M)[0][:, 1:].sum(axis=1)
-    lower = log_mc.copy()
-    lower[:, 1:] -= np.log(N)
-    s_lo = _posterior(lower, log_prior, M)[0][:, 1:].sum(axis=1)
+    if M == 0:
+        return np.zeros(0, dtype=int)
+    # s^hi and s^lo from one posterior of the rows at mx_k, then at mx_k - log N
+    both = np.concatenate([log_mc, log_mc])
+    both[M:, 1:] -= np.log(N)
+    s = _posterior(both, log_prior, M)[0][:, 1:].sum(axis=1)
+    s_hi, s_lo = s[:M], s[M:]
     floor_lo = max(_REL_FLOOR * s_lo.max(), _TINY)
     return np.flatnonzero(s_hi >= floor_lo / 2)
 
@@ -506,7 +586,8 @@ def denoise_rows(
     sees only its own block's APs, with the arithmetic of a one-block call.
     The result holds the Onsager second moment of the weighed rows, ``m2``.
     On a block of more than one AP, rows that provably miss the row floor
-    skip the weight passes (module docstring).
+    skip the weight passes; most of them, ruled dead by a sample-free
+    bound, also skip the dense log-likelihood passes (module docstring).
     """
     K, N, B = g.shape
     G, M, Bb = _block_shape(R, B, A)
@@ -529,20 +610,29 @@ def denoise_rows(
             energy.reshape(G, M), tau, v_g, neg_inv_v_g, logdet, log_tau, c_g, log_prior, A,
         )
     else:
-        # one block (G = 1) and one (M, K, N) buffer: log-likelihoods, then
-        # weights, then normalized weights, on a copy of the weighed rows
-        W = (energy @ neg_inv_v.reshape(K * N, Bb).T).reshape(M, K, N)
-        W -= logdet[0]
-        mx = W.max(axis=2)                                           # (M, K)
+        # one block (G = 1).  The sample-free bound rules rows dead; the
+        # survivors' log-likelihoods, weights and normalized weights share
+        # one (L', K, N) buffer, L' the survivors
+        log_prior = np.broadcast_to(log_prior, (M, K + 1))
+        ld = logdet[0]                                               # (K, N)
+        nv = neg_inv_v.reshape(K * N, Bb).T                          # (Bb, K N)
+        q = (energy @ (1.0 / tau).reshape(Bb, 1))[:, 0]              # sum_b e_b / tau_b
         log_mc = np.empty((M, K + 1))
-        log_mc[:, 0] = -(energy @ (1.0 / tau).reshape(Bb, 1))[:, 0] - log_tau[0]
-        log_mc[:, 1:] = mx       # log_mc_k <= mx_k: kept on ruled-dead rows
-        weighed = _weighed_rows(log_mc, log_prior, N)
-        W = W[weighed]
-        W -= mx[weighed][..., None]
+        log_mc[:, 0] = -q - log_tau[0]
+        log_mc[:, 1:] = _mx_bound(energy, neg_inv_v, ld, q)     # kept on ruled-dead rows
+        live = _surviving_rows(log_mc, log_prior, energy, nv, ld, N)
+        W = (energy[live] @ nv).reshape(len(live), K, N)
+        W -= ld
+        mx = W.max(axis=2)                                           # (L', K)
+        log_mc[live, 1:] = mx
+        kept = _weighed_rows(log_mc[live], log_prior[live], N)
+        weighed = live[kept]
+        if len(kept) < len(live):
+            W, mx = W[kept], mx[kept]
+        W -= mx[..., None]
         np.exp(W, out=W)
         w_sum = W.sum(axis=2)
-        log_mc[weighed, 1:] = mx[weighed] + np.log(w_sum / N)
+        log_mc[weighed, 1:] = mx + np.log(w_sum / N)
         post, degenerate = _posterior(log_mc, log_prior, M)
 
         W /= w_sum[..., None]
@@ -562,8 +652,7 @@ def denoise_rows(
     for part in (x_hat.real, x_hat.imag):
         part[np.abs(part) < _TINY] = 0.0     # subnormal operands slow the residual GEMM
     if len(x_hat) < rows:
-        # zero weights and estimates on the ruled-dead rows
-        weights, x_hat = _scatter_rows(weights, weighed, rows), _scatter_rows(x_hat, weighed, rows)
+        x_hat = _scatter_rows(x_hat, weighed, rows)     # zero estimates on the ruled-dead rows
     return ZoneDenoiseResult(
         x_hat=x_hat,
         posterior=post,
@@ -666,6 +755,7 @@ def amp_iterate(
     # each zone's latest estimates on its weighed rows, (rows, values); zero on the other rows
     est = [(np.zeros(0, dtype=int), np.zeros((0, F), dtype=complex))] * U
     Z = Y.copy()
+    R_u = np.empty((rows, F), dtype=complex)     # each zone's matched filter, overwritten zone by zone
     posts = np.zeros((U, rows, cfg.K_max + 1))
     log_lik = np.zeros((U, rows, cfg.K_max + 1))
     tau_trace = []
@@ -684,11 +774,10 @@ def amp_iterate(
         for u in range(U):
             Cu = codebook[:, u]
             # matched filter Cu^H Z as one (F', Nc) @ (Nc, M) GEMM, conjugating the
-            # small residual instead of Cu; stacked rows in C order, which
-            # _check_finite's float view and onsager need
-            R_u = np.ascontiguousarray(
-                (Zh @ Cu).reshape(G, F, M).conj().transpose(0, 2, 1).reshape(rows, F)
-            )
+            # small residual instead of Cu, then conjugate-transposed in one pass
+            # into stacked rows in C order, which _check_finite's float view and
+            # onsager need
+            np.conjugate((Zh @ Cu).reshape(G, F, M).transpose(0, 2, 1), out=R_u.reshape(G, M, F))
             at_rows, x_rows = est[u]
             R_u[at_rows] += sqrt_ec * x_rows
             _check_finite(R_u.reshape(G, M, F), t)

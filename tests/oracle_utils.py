@@ -260,6 +260,34 @@ def denoise_rows_reference(R, tau, g, log_prior, Ec, A):
     return den
 
 
+def weighed_rows_reference(R, tau, g, log_prior, Ec, A):
+    """The rows of one block that the all-rows weighed-row test keeps.
+
+    Every row's exact ``mx_k``, the max of :func:`log_lik_table_reference`
+    over the samples, gives s^hi (each row's mass on k >= 1 at ``mx_k``)
+    and s^lo (at ``mx_k - log N``); the rows with
+    ``s^hi >= max(1e-16 max s^lo, tiny) / 2`` are kept.  The set that
+    ``denoise_rows`` weighed on a block of several APs before it ruled rows
+    dead by a sample-free bound.
+    """
+    K, N, _B = g.shape
+    tau = np.maximum(np.asarray(tau, dtype=float), TAU_FLOOR)
+    W, ll0 = log_lik_table_reference(R, tau, g, Ec, A)
+    log_mc = np.empty((len(R), K + 1))
+    log_mc[:, 0] = ll0.reshape(-1)
+    log_mc[:, 1:] = W.max(axis=2)
+
+    def mass(log_lik):
+        log_post = log_lik + log_prior
+        post = np.exp(log_post - log_post.max(axis=1, keepdims=True))
+        return (post / post.sum(axis=1, keepdims=True))[:, 1:].sum(axis=1)
+
+    s_hi = mass(log_mc)
+    log_mc[:, 1:] -= np.log(N)
+    floor_lo = max(1e-16 * mass(log_mc).max(), np.finfo(float).tiny)
+    return np.flatnonzero(s_hi >= floor_lo / 2)
+
+
 def second_moment_reference(den, rows):
     """The Onsager second moment M of ``rows`` by one plain einsum: every sample column, no flush.
 

@@ -18,6 +18,7 @@ from oracle_utils import (
     onsager_reference,
     random_denoiser_instance,
     second_moment_reference,
+    weighed_rows_reference,
 )
 from tumaloc import airlink, amp_central, harness
 from tumaloc.amp_central import (
@@ -403,13 +404,109 @@ class TestRuledDeadRows:
         np.testing.assert_allclose(
             den.x_hat[weighed], ref.x_hat[weighed], rtol=rtol, atol=np.finfo(float).tiny
         )
-        # a ruled-dead row keeps mx_k, at most log N above the MC average
-        mx = den.log_mc_lik[dead, 1:]
-        assert np.all(ref.log_mc_lik[dead, 1:] <= mx)
-        assert np.all(ref.log_mc_lik[dead, 1:] >= mx - np.log(N) - 1e-12 * (1 + np.abs(mx)))
+        # a ruled-dead row holds an upper bound on mx_k, at least the MC
+        # average, and its mass on k >= 1 evaluated there stays below half
+        # the floor
+        assert np.all(den.log_mc_lik[dead, 1:] >= ref.log_mc_lik[dead, 1:])
+        assert np.all(den.posterior[dead, 1:].sum(axis=1) < floor / 2)
         np.testing.assert_array_equal(den.log_mc_lik[dead, 0], ref.log_mc_lik[dead, 0])
         assert not den.H[dead].any() and not den.x_hat[dead].any()
         assert not den.sample_weights[dead].any()
+
+    @staticmethod
+    def _bound_and_mx(R, tau, g, Ec, A):
+        """``_mx_bound`` of one block's rows, their exact mx_k from the all-rows table, and the bound's margin."""
+        K, N, B = g.shape
+        energy = (np.abs(R) ** 2).reshape(len(R), B, A).sum(axis=2)
+        v = tau + Ec * g
+        logdet = A * np.log(np.pi * v).sum(axis=2)
+        q = (energy @ (1.0 / tau).reshape(B, 1))[:, 0]
+        bound = amp_central._mx_bound(energy, -(1.0 / v), logdet, q)
+        margin = 4 * (B + 2) * np.finfo(float).eps * (q + np.abs(logdet).max())
+        return bound, log_lik_table_reference(R, tau, g, Ec, A)[0].max(axis=2), margin
+
+    @pytest.mark.parametrize("N", [1, 50])
+    def test_bound_holds_on_spanning_rows(self, rng, N):
+        # with one sample the bound is that sample's log-likelihood: it
+        # exceeds mx_k by its rounding margin, give or take the rounding
+        # that the margin covers twice over
+        R, tau, g, _lp, Ec, A = self._spanning(rng, N, B=3)
+        bound, mx, margin = self._bound_and_mx(R, tau, g, Ec, A)
+        assert np.all(bound >= mx)
+        if N == 1:
+            assert np.all(bound - mx >= margin[:, None] / 2)
+            assert np.all(bound - mx <= 2 * margin[:, None])
+
+    def test_bound_holds_on_random_denoiser_instances(self):
+        # the two-AP instances of the grid-oracle comparisons, K_max = 2
+        for i in range(20):
+            inst = random_denoiser_instance(300 + i)
+            g = mc_table_for(inst["aps"], inst["zone"], inst["d0"], inst["beta"], 200, 2, 900 + i)
+            bound, mx, _margin = self._bound_and_mx(inst["r"][None], inst["tau"], g, inst["Ec"], 1)
+            assert np.all(bound >= mx)
+
+    @pytest.mark.parametrize("B, A, K, N", [(2, 1, 4, 30), (5, 2, 3, 64), (12, 2, 5, 100), (40, 4, 11, 100)])
+    def test_bound_holds_on_multi_ap_blocks(self, rng, B, A, K, N):
+        # rows from pure noise up to strong signal, tau from 1e-3 to 1e3
+        # times the LSFC scale, so that e_b / v and logdet span wide ranges
+        M = 64
+        g = np.cumsum(rng.uniform(0.0, 0.02, size=(K, N, B)), axis=0)
+        for tau_scale in (1e-5, 1e-2, 10.0):
+            tau = tau_scale * rng.uniform(0.5, 2.0, size=B)
+            R = (rng.normal(size=(M, B * A)) + 1j * rng.normal(size=(M, B * A))) * np.sqrt(
+                np.repeat(tau, A) / 2
+            )
+            R *= np.geomspace(1.0, 1e3, M)[:, None]
+            bound, mx, _margin = self._bound_and_mx(R, tau, g, 1.0, A)
+            assert np.all(bound >= mx)
+
+    @pytest.mark.parametrize("N", [1, 50])
+    def test_weighed_rows_equal_the_all_rows_test(self, rng, N):
+        # the bound only rules out rows that the all-rows test leaves out,
+        # and it rules out some before the dense passes: those rows hold
+        # the bound itself
+        shapes = [self._spanning(rng, N, B) for B in (3, 8)] + [_paper_shaped(rng)]
+        for R, tau, g, lp, Ec, A in shapes:
+            den = denoise_rows(R, tau, g, lp, Ec, A)
+            want = weighed_rows_reference(R, tau, g, lp, Ec, A)
+            assert 0 < len(want) < len(R)
+            np.testing.assert_array_equal(den.weighed, want)
+            bound = self._bound_and_mx(R, tau, g, Ec, A)[0]
+            assert (den.log_mc_lik[:, 1:] == bound).all(axis=1).any()
+
+    def test_every_row_ruled_dead(self, rng):
+        # every row's mass on k >= 1 is zero at its bound: the bound rules
+        # every row dead, so no row takes the dense passes or the weighed-row
+        # test, and the call returns no weighed row and an empty m2
+        R, tau, g, Ec, A = TestOnsager._instance(rng)
+        M, K, N, B = R.shape[0], g.shape[0], g.shape[1], len(tau)
+        lp = np.zeros((M, K + 1))
+        lp[:, 1:] = -800.0
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        assert den.weighed.shape == (0,) and den.m2.shape == (0, B, B)
+        np.testing.assert_array_equal(den.log_mc_lik[:, 1:], self._bound_and_mx(R, tau, g, Ec, A)[0])
+        ref = denoise_rows_reference(R, tau, g, lp, Ec, A)
+        assert np.all(den.log_mc_lik[:, 1:] >= ref.log_mc_lik[:, 1:])
+        np.testing.assert_array_equal(den.posterior[:, 1:], 0.0)
+        assert not den.H.any() and not den.x_hat.any()
+        assert den.sample_weights.shape == (M, K, N) and not den.sample_weights.any()
+        Q = onsager(R, den, tau, Ec, A)[0]
+        np.testing.assert_array_equal(Q, np.zeros((B * A, B * A)))
+
+    def test_sample_weights_scattered_on_first_read(self, rng):
+        # a block of several APs keeps the weighed rows' weights only; the
+        # first read of sample_weights builds the row layout, zero on the
+        # ruled-dead rows, and later reads return that same array
+        R, tau, g, lp, Ec, A = self._spanning(rng, 50, B=3)
+        den = denoise_rows(R, tau, g, lp, Ec, A)
+        M, K, N = R.shape[0], g.shape[0], g.shape[1]
+        L = len(den.weighed)
+        assert 0 < L < M and den.weights.shape == (L, K, N)
+        kept = den.weights
+        W = den.sample_weights
+        assert W.shape == (M, K, N) and den.sample_weights is W
+        np.testing.assert_array_equal(W[den.weighed], kept)
+        assert not np.delete(W, den.weighed, axis=0).any()
 
     def test_one_ap_block_weighs_every_row(self, rng):
         # one-AP blocks, the distributed decoder's and B = 1, keep the exact
