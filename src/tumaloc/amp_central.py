@@ -205,11 +205,30 @@ Every stacked operation does a one-block call's arithmetic on each block
 (element-wise passes; per-slice BLAS calls on stacks with the one-block
 strides; and these two GEMMs, which BLAS splits along their summed terms,
 Nc in the matched filter and M in the residual product, by that count
-only), so for A >= 2 each block's output is bit-identical to
+only; the argument holds alike for the single-precision matched filter),
+so for A >= 2 each block's output is bit-identical to
 :func:`amp_iterate` on that block alone, capped at the iterations the
 stacked call ran (Stopping, below), whatever the chunk size.  At A = 1 a
 one-block call's products have one output row, numpy runs them as GEMV
 where the stacked call runs a GEMM, and the two may round differently.
+
+The matched filter.  ``C_u^H Z`` runs in the codebook's precision: the
+residual Z is conjugated, transposed and rounded to the codebook's dtype once
+per iteration, so the complex64 codebook of
+:func:`~tumaloc.airlink.gen_codebook` takes one single-precision (cgemm)
+product per zone, whose result is conjugate-transposed into the complex128
+R_u.  Everything after it, the denoiser, the Onsager term, tau and the
+residual GEMM on the weighed columns (upcast exactly), stays in double.  By
+the standard inner-product bound (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2002, section 3.1), each entry of R moves by about
+
+    |dR[m, f]| <= gamma_Nc ||c_m|| ||z_f||,    gamma_n = n u / (1 - n u),
+
+with u = 2^-24, ||c_m|| = 1 within 2^-24, and a few u more for the complex
+products and the rounding of Z: a worst case of about 6e-5 ||z_f|| at
+Nc = 1000.  The posterior gap this opens against the same decode on the
+codebook's exact complex128 upcast is measured in
+``BENCH_c64_matched_filter.json`` and bounded by the tests.
 
 Between zone steps the recursion keeps only what the next step reads: the
 residual, and each zone's latest estimates as its weighed rows and their
@@ -768,15 +787,15 @@ def amp_iterate(
         Gamma = np.zeros_like(Z)
         Gamma_blocks = Gamma.reshape(Nc, G, F).transpose(1, 0, 2)   # (G, Nc, F) views
         Z_blocks = Z.reshape(Nc, G, F).transpose(1, 0, 2)
-        Zh = Z.conj().T
+        Zh = Z.conj().T.astype(codebook.dtype, copy=False)
         Q = np.zeros((G, F, F), dtype=complex)
         weighed_rows.append(0)
         for u in range(U):
             Cu = codebook[:, u]
-            # matched filter Cu^H Z as one (F', Nc) @ (Nc, M) GEMM, conjugating the
-            # small residual instead of Cu, then conjugate-transposed in one pass
-            # into stacked rows in C order, which _check_finite's float view and
-            # onsager need
+            # matched filter Cu^H Z as one (F', Nc) @ (Nc, M) GEMM in the codebook's
+            # precision, conjugating the small residual instead of Cu, then
+            # conjugate-transposed in one pass into the complex128 stacked rows in
+            # C order, which _check_finite's float view and onsager need
             np.conjugate((Zh @ Cu).reshape(G, F, M).transpose(0, 2, 1), out=R_u.reshape(G, M, F))
             at_rows, x_rows = est[u]
             R_u[at_rows] += sqrt_ec * x_rows
@@ -800,7 +819,8 @@ def amp_iterate(
             # the matched filter, BLAS rounds each block as a one-block call does
             n = len(at_rows) // G
             X_u = x_rows.reshape(G, n, F).transpose(1, 0, 2).reshape(n, G * F)
-            Gamma += (X_u.T @ (Cu if n == M else Cu[:, at_rows]).T).T
+            C_w = (Cu if n == M else Cu[:, at_rows]).astype(complex, copy=False)   # exact upcast
+            Gamma += (X_u.T @ C_w.T).T
         # the Onsager correction of all zones in one GEMM per block: Z (sum_u Q_u)
         Gamma_blocks -= (M / Nc) * np.matmul(Z_blocks, Q)
         Z = Y - sqrt_ec * Gamma

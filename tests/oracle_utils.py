@@ -384,7 +384,7 @@ def amp_iterate_reference(Y, codebook, log_prior, g, cfg):
     for _t in range(cfg.T_AMP):
         tau = residual_covariance(Z, A)
         Gamma = np.zeros_like(Z)
-        Zh = Z.conj().T
+        Zh = Z.conj().T.astype(codebook.dtype)     # the matched filter in the codebook's precision
         for u in range(U):
             Cu = codebook[:, u]
             R_u = (Zh @ Cu).conj().T + np.sqrt(cfg.Ec) * X[u]
@@ -649,7 +649,8 @@ def decoder_loglik(r, tau, g, Ec, A):
 def raw_gaussian_codebook(cfg, seed):
     """Unnormalized CN(0, 1/Nc) codebook: ``gen_codebook``'s draws before the column scaling.
 
-    An (Nc, U, M) array, as ``gen_codebook`` returns.
+    An (Nc, U, M) complex128 array, shaped as ``gen_codebook`` returns; the
+    AMP recursion runs its matched filter on it in double precision.
     """
     rng = substream(seed, STREAM_CODEBOOK)
     shape = (cfg.Nc, cfg.U * cfg.M)
@@ -658,9 +659,19 @@ def raw_gaussian_codebook(cfg, seed):
 
 
 def gen_codebook_reference(cfg, seed):
-    """The codebook by whole-array arithmetic: ``gen_codebook`` before it was built in place."""
-    c = raw_gaussian_codebook(cfg, seed).reshape(cfg.Nc, cfg.U * cfg.M)
-    return (c / np.linalg.norm(c, axis=0, keepdims=True)).reshape(cfg.Nc, cfg.U, cfg.M)
+    """The codebook by whole-array arithmetic: ``gen_codebook`` without its row blocks.
+
+    The raw codebook rounded to single precision, its squared column norms
+    summed in float64 over the rows (numpy reduces axis 0 of a C-ordered
+    array row after row), real parts then imaginary parts, and each part
+    scaled in float64 by the reciprocal norm, then rounded again.
+    """
+    y = raw_gaussian_codebook(cfg, seed).reshape(cfg.Nc, cfg.U * cfg.M).astype(np.complex64)
+    re, im = y.real.astype(float), y.imag.astype(float)
+    inv = 1.0 / np.sqrt((re * re).sum(axis=0) + (im * im).sum(axis=0))
+    c = np.empty_like(y)
+    c.real, c.imag = re * inv, im * inv
+    return c.reshape(cfg.Nc, cfg.U, cfg.M)
 
 
 def channel_estimation_error(X, X_true, cfg):

@@ -7,8 +7,8 @@ array, 22.5 MiB at this preset: the uplink's effective channels, or the
 decoder's dense estimates.
 
 - At :func:`~tumaloc.amp_central.amp_run` entry, the traced memory less the
-  (Nc, U, M) complex codebook stays below one such array: the run holds no
-  effective channels.
+  bytes of the (Nc, U, M) codebook it is handed (complex64, 70.3 MiB) stays
+  below one such array: the run holds no effective channels.
 - At every :func:`~tumaloc.amp_central.denoise_rows` entry, the traced memory
   above the ``amp_run`` entry level stays below one such array: the
   recursion holds its estimates on weighed rows only and no earlier chunk's
@@ -37,12 +37,12 @@ def test_paper_decode_holds_no_dense_channel_array(monkeypatch):
     base = harness.prepare_context(cfg, need_prior=False)
     ctx = harness.PointContext(cfg, base.topology, base.quantizer, paper_prior())
     dense = cfg.U * cfg.M * cfg.F * 16
-    codebook = cfg.Nc * cfg.U * cfg.M * 16
-    at_run, at_denoise = [], []
+    at_run, codebook, at_denoise = [], [], []
     run, denoise = amp_central.amp_run, amp_central.denoise_rows
 
     def traced_run(*args, **kwargs):
         at_run.append(tracemalloc.get_traced_memory()[0])
+        codebook.append(args[1].nbytes)
         return run(*args, **kwargs)
 
     def traced_denoise(*args, **kwargs):
@@ -58,7 +58,7 @@ def test_paper_decode_holds_no_dense_channel_array(monkeypatch):
         tracemalloc.stop()
     assert rec["status"] == "ok"
     assert len(at_run) == 1 and len(at_denoise) == cfg.T_AMP * cfg.U
-    assert at_run[0] - codebook < dense, (at_run[0] - codebook) / 2**20
+    assert at_run[0] - codebook[0] < dense, (at_run[0] - codebook[0]) / 2**20
     assert max(at_denoise) - at_run[0] < dense, (max(at_denoise) - at_run[0]) / 2**20
 
 
