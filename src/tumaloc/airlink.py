@@ -3,7 +3,8 @@
 The forward model: each active user in zone ``u`` transmits the unit-norm
 codeword of its message, scaled by ``sqrt(Ec)``, through an i.i.d. Rayleigh
 channel whose per-AP variance is the position-specific LSFC.  Colliding
-users superimpose into per-(zone, message) effective channel rows.
+users superimpose into per-(zone, message) effective channel rows, built
+only for the codewords sent.
 
 The codebook is stored in single precision, complex64: half the memory of
 complex128 (70.3 MiB at the paper preset, 281 MiB at 12 bits), and the
@@ -158,39 +159,44 @@ def sample_fading(
     return std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def effective_channels(round_: TransmissionRound, fading: np.ndarray) -> np.ndarray:
-    """Sum colliding users' channels into per-(zone, message) rows, shape (U, M, F).
+def effective_channels(round_: TransmissionRound, fading: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum colliding users' channels into the sent (zone, message) rows.
 
     ``fading`` is the (K_a, F) array of per-user channels, one row per user
-    of the round in its order; rows with multiplicity zero are exactly zero.
+    of the round in its order.  Returns ``(sent, X)``: the flat indices
+    ``u M + m`` of the codewords sent in the round, in increasing order,
+    and their (len(sent), F) effective channels, each the sum of its users'
+    channels added in round order.  The other U M - len(sent) rows of the
+    (U, M, F) effective-channel array are zero and are not built.
     """
     h = np.atleast_2d(fading)
     if h.shape[0] != round_.K_a:
         raise ValueError(f"effective_channels: {h.shape[0]} fading rows for {round_.K_a} users")
-    X = np.zeros((round_.U, round_.M, h.shape[1]), dtype=complex)
-    np.add.at(X, (round_.zones, round_.messages), h)
-    return X
+    sent, user_row = np.unique(round_.zones * round_.M + round_.messages, return_inverse=True)
+    X = np.zeros((len(sent), h.shape[1]), dtype=complex)
+    np.add.at(X, user_row, h)
+    return sent, X
 
 
-def synthesize_rx(codebook: np.ndarray, X: np.ndarray, cfg: SystemConfig, seed: int) -> np.ndarray:
+def synthesize_rx(
+    codebook: np.ndarray, sent: np.ndarray, X: np.ndarray, cfg: SystemConfig, seed: int
+) -> np.ndarray:
     """Received signal ``Y = sqrt(Ec) sum_u C_u X_u + W`` with W ~ CN(0, sigma_w^2).
 
-    ``codebook`` is the (Nc, U, M) array of :func:`gen_codebook` and ``X``
-    holds the (U, M, F) effective channels.  The product runs in complex128
-    over the sent codewords only, their columns upcast exactly, so the
-    transmitter sends the codewords the receiver matches: the rows of ``X``
-    with a nonzero entry, real or imaginary, at most K_a of the U M.  The
-    other rows are exactly zero, so leaving them out changes only the
-    summation order of the signal, by a few roundings of
-    ``sum_j |C_nj| |X_jf|``; the noise is drawn as for the dense product.
+    ``codebook`` is the (Nc, U, M) array of :func:`gen_codebook`; ``sent``
+    and ``X`` are the flat indices ``u M + m`` of the sent codewords, in
+    increasing order, and their (len(sent), F) effective channels, as
+    :func:`effective_channels` returns them.  The product runs in
+    complex128 over the sent codewords only, their columns upcast exactly,
+    so the transmitter sends the codewords the receiver matches.  The noise
+    is drawn from its sub-stream of ``seed`` as an (Nc, F) array.
     """
     Nc = cfg.Nc
-    if codebook.shape != (Nc, cfg.U, cfg.M) or X.shape[:2] != (cfg.U, cfg.M):
+    sent = np.asarray(sent)
+    if codebook.shape != (Nc, cfg.U, cfg.M) or X.ndim != 2 or len(X) != len(sent):
         raise ValueError("synthesize_rx: codebook/channel shapes inconsistent with cfg")
-    F = X.shape[2]
-    Xf = np.ascontiguousarray(X.reshape(cfg.U * cfg.M, F))
-    sent = np.flatnonzero(Xf.view(float).any(axis=1))     # real or imaginary part nonzero
-    signal = codebook.reshape(Nc, cfg.U * cfg.M)[:, sent].astype(complex) @ Xf[sent]
+    F = X.shape[1]
+    signal = codebook.reshape(Nc, cfg.U * cfg.M)[:, sent].astype(complex) @ X
     rng = substream(seed, STREAM_NOISE)
     w = (rng.standard_normal((Nc, F)) + 1j * rng.standard_normal((Nc, F))) * np.sqrt(
         cfg.sigma_w2 / 2.0
@@ -208,11 +214,11 @@ def uplink(
     """One transmission round over the air; returns the (Nc, F) received signal.
 
     Fades every user's position (:func:`sample_fading`, users in round
-    order), sums collisions into the (U, M, F) effective channels
+    order), sums collisions into the sent codewords' effective channels
     (:func:`effective_channels`) and synthesizes the received signal
     (:func:`synthesize_rx`), all from sub-streams of ``seed``.  The channels
     are not returned: ``effective_channels(round_,
     sample_fading(round_.positions, topology, cfg, seed))`` rebuilds them.
     """
-    X = effective_channels(round_, sample_fading(round_.positions, topology, cfg, seed))
-    return synthesize_rx(codebook, X, cfg, seed)
+    sent, X = effective_channels(round_, sample_fading(round_.positions, topology, cfg, seed))
+    return synthesize_rx(codebook, sent, X, cfg, seed)

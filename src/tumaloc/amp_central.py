@@ -49,11 +49,13 @@ the order of the sums.
 
 Weighed rows.  The rows that go through the denoiser's weight passes,
 ``ZoneDenoiseResult.weighed``, are the rows that M, the Onsager ``Q2``
-products and the residual GEMM ``C_u @ X_u`` cover.  The denoiser's
-posteriors and log-likelihoods, the ``diag(mean_m H)`` term and the 1/M
-normalization cover all M rows.  One-AP blocks weigh every row (below); a
-block of more than one AP leaves out its ruled-dead rows, and since it runs
-alone, every block of a call keeps the same number of rows.
+products and the residual GEMM ``C_u @ X_u`` cover, in every iteration
+but the last, which computes none of them (Stopping, below).  The
+denoiser's posteriors and log-likelihoods, the ``diag(mean_m H)`` term
+and the 1/M normalization cover all M rows.  One-AP blocks weigh every
+row (below); a block of more than one AP leaves out its ruled-dead rows,
+and since it runs alone, every block of a call keeps the same number of
+rows.
 :func:`denoise_rows` also sets the real and imaginary parts of its channel
 estimates below tiny, the smallest normal double, to zero, so that the
 residual GEMM never sees subnormal operands.
@@ -198,13 +200,22 @@ whose rows j A .. (j+1) A - 1 are block j's, reshaped to R_u of shape
 the desk preset, one AP per chunk at the paper preset.  They read a
 chunk's block count off the shapes of R and the MC table and sum rows
 only within a block.  The zone's estimates, block j's in columns
-j A .. (j+1) A - 1 of one (M, F') array X_u, enter one residual GEMM per
-zone, taken as ``(X_u^T C_u^T)^T`` so that, as in the matched filter, the
-blocks lie along the rows of the GEMM's output (BLAS's N dimension).
+j A .. (j+1) A - 1 of one (M, F') array X_u, enter the residual product,
+taken as ``(X_u^T C_u^T)^T`` so that, as in the matched filter, the
+blocks lie along the rows of the GEMM's output (BLAS's N dimension).  It
+runs as one GEMM per block of codebook rows, each block's weighed columns
+upcast exactly to complex128 just before its GEMM: the largest multiple
+of 128 rows whose copy fits :data:`_RESIDUAL_UPCAST_BYTES`, 2 MiB, and 128
+rows if none does.  That is one block at the desk preset and 128 rows of
+a one-AP block at the paper preset, against 15.6 MiB for a zone's whole
+(Nc, M) block.  Each output entry is still one sum over the weighed rows,
+and a block boundary at a multiple of 128 rows falls on a boundary of
+BLAS's register tiles along N, so every entry keeps the bits of one
+product; blocks of other sizes can move an entry by an ulp.
 Every stacked operation does a one-block call's arithmetic on each block
 (element-wise passes; per-slice BLAS calls on stacks with the one-block
 strides; and these two GEMMs, which BLAS splits along their summed terms,
-Nc in the matched filter and M in the residual product, by that count
+Nc in the matched filter and M in each residual product, by that count
 only; the argument holds alike for the single-precision matched filter),
 so for A >= 2 each block's output is bit-identical to
 :func:`amp_iterate` on that block alone, capped at the iterations the
@@ -218,9 +229,10 @@ per iteration, so the complex64 codebook of
 :func:`~tumaloc.airlink.gen_codebook` takes one single-precision (cgemm)
 product per zone, whose result is conjugate-transposed into the complex128
 R_u.  Everything after it, the denoiser, the Onsager term, tau and the
-residual GEMM on the weighed columns (upcast exactly), stays in double.  By
-the standard inner-product bound (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2002, section 3.1), each entry of R moves by about
+residual GEMM on the weighed columns (upcast exactly, in row blocks),
+stays in double.  By the standard inner-product bound (Higham, *Accuracy
+and Stability of Numerical Algorithms*, 2002, section 3.1), each entry of
+R moves by about
 
     |dR[m, f]| <= gamma_Nc ||c_m|| ||z_f||,    gamma_n = n u / (1 - n u),
 
@@ -234,17 +246,25 @@ Between zone steps the recursion keeps only what the next step reads: the
 residual, and each zone's latest estimates as its weighed rows and their
 values, zero elsewhere.  The matched filter adds ``sqrt(Ec) x_hat`` on
 those rows only, and each chunk's denoiser output is dropped before the
-next chunk is denoised.  The dense (U, G M, F' / G) estimates that
-:func:`amp_iterate` returns are built once, after the loop.
+next chunk is denoised.  No dense (U, G M, F' / G) estimate array is
+built.
 
 Stopping.  The recursion runs at most ``T_AMP`` iterations and stops after
 iteration t >= 2 once ``max_b |tau_b(t) - tau_b(t-1)| / tau_b(t-1)`` is
 below :data:`TAU_TOL`, tau_b(t) the residual variance that iteration t
 starts from; the max runs over every AP of every block, so stacked blocks
 stop together.  ``TAU_TOL = 0`` runs all ``T_AMP`` iterations.  The rule
-reads only the tau values the iterations compute anyway.  The recursion
-returns its final iterate; iteration t of a run, the last one of a stopped
-run included, is reproduced exactly by a run with ``T_AMP = t``.
+reads only the tau values the iterations compute anyway, and it reads
+them at the start of iteration t, so the recursion knows there whether t
+is its last iteration: t = ``T_AMP``, or tau has converged.  The last
+iteration ends at the posteriors, the output (Bayati and Montanari, 2011:
+what follows a denoiser pass is read only by the next iteration).  Its
+denoiser calls leave out the channel estimates, H and M
+(``estimates=False``), and it runs no Onsager term, residual product,
+Onsager GEMM or residual update, and so no residual finiteness check: a
+decode whose only non-finite value would be that last residual returns
+its posteriors.  Iteration t of a run, the last one of a stopped run
+included, is reproduced exactly by a run with ``T_AMP = t``.
 """
 
 from __future__ import annotations
@@ -280,6 +300,7 @@ _REL_FLOOR = 1e-16     # M drops sample columns, a multi-AP block rules rows dea
 _Q2_CHUNK_REALS = 1 << 18     # bound on the Onsager Q2 product's temporary, in float64 values (2 MB)
 _MAX_STACKED_WEIGHTS = 1 << 22     # bound on a denoiser call's (rows, K_max, N_MC) weight array
 _MAX_SHIFT_SLACK = 700.0     # a one-AP group with A log(v_max / v_min) above this takes its table max as the shift
+_RESIDUAL_UPCAST_BYTES = 1 << 21     # bound on the residual product's complex128 copy of codebook rows (2 MiB)
 
 
 class DecodeError(RuntimeError):
@@ -384,18 +405,19 @@ class ZoneDenoiseResult:
     docstring); :attr:`sample_weights` divides them out on first read into
     the (G M, K_max, N) row layout and clears ``weight_sums``.  After the
     first read, ``weights`` holds that normalized row layout on either
-    block shape.
+    block shape.  A call without estimates, the recursion's last
+    iteration, leaves ``x_hat``, ``H`` and ``m2`` None.
     """
 
-    x_hat: np.ndarray              # (G M, F')
+    x_hat: np.ndarray | None       # (G M, F'); None on the recursion's last iteration
     posterior: np.ndarray          # (G M, K_max + 1)
     log_mc_lik: np.ndarray         # (G M, K_max + 1): log (1/N) sum_i p(r | rho^i_{1:k}) on weighed rows
     weights: np.ndarray            # (G M, K_max, N) sample weights; (L, K_max, N) or raw (G, K_max, M, N) before the first read
     shrink: np.ndarray             # (K_max, N, B) per-sample shrinkage factors
-    H: np.ndarray                  # (G M, Bb) total shrinkage per AP of the row's block
+    H: np.ndarray | None           # (G M, Bb) total shrinkage per AP of the row's block; None as x_hat
     degenerate: np.ndarray         # (G M,) bool: prior-only fallback rows
     weighed: np.ndarray            # (L,) rows that went through the weight passes: all G M on one-AP blocks
-    m2: np.ndarray                 # (L, Bb, Bb) second moment M on the weighed rows
+    m2: np.ndarray | None          # (L, Bb, Bb) second moment M on the weighed rows; None as x_hat
     weight_sums: np.ndarray | None = None   # (G M, K_max) sums of the raw weights, else None
 
     @property
@@ -531,14 +553,14 @@ def _weighed_rows(log_mc: np.ndarray, log_prior: np.ndarray, N: int) -> np.ndarr
     return np.flatnonzero(s_hi >= floor_lo / 2)
 
 
-def _weigh_one_ap(e, tau, v, neg_inv_v, logdet, log_tau, c, log_prior, A):
+def _weigh_one_ap(e, tau, v, neg_inv_v, logdet, log_tau, c, log_prior, A, estimates):
     """Log-likelihoods, posteriors and shrinkage moments of G one-AP blocks.
 
     ``e`` (G, M) row energies; ``v``, ``neg_inv_v``, ``logdet`` and ``c``
     (G, K, N) per block, contiguous.  The one-AP scheme, its shift s and its
     bounds are in the module docstring.  Returns
     ``(log_mc, post, degenerate, H, m2, W, w_sum)``, the raw weights
-    ``W = exp(log p - s)`` k-major.
+    ``W = exp(log p - s)`` k-major; H and m2 are None without ``estimates``.
     """
     G, K, N = v.shape
     M = e.shape[1]
@@ -574,6 +596,8 @@ def _weigh_one_ap(e, tau, v, neg_inv_v, logdet, log_tau, c, log_prior, A):
         d = np.flatnonzero(degenerate)
         W[d // M, :, d % M] = 1.0
         sums[degenerate] = table.sum(axis=2)[d // M]
+    if not estimates:
+        return log_mc, post, degenerate, None, None, W, w_sum
     post_k = post[:, 1:]
     H = np.einsum("mk,mk->m", post_k, sums[..., 1] / w_sum)[:, None]
     # the Onsager second moment is one scalar per row
@@ -588,6 +612,7 @@ def denoise_rows(
     log_prior: np.ndarray,
     Ec: float,
     A: int,
+    estimates: bool = True,
 ) -> ZoneDenoiseResult:
     """Vectorized PME denoiser for all rows of one zone: one block, or G stacked one-AP blocks.
 
@@ -607,6 +632,11 @@ def denoise_rows(
     On a block of more than one AP, rows that provably miss the row floor
     skip the weight passes; most of them, ruled dead by a sample-free
     bound, also skip the dense log-likelihood passes (module docstring).
+
+    With ``estimates`` False, the recursion's last iteration, the result
+    leaves out what only a next iteration reads: ``x_hat``, ``H`` and
+    ``m2`` are None, and the shrinkage and second-moment products are not
+    run.  Everything else is as with ``estimates`` True, bit for bit.
     """
     K, N, B = g.shape
     G, M, Bb = _block_shape(R, B, A)
@@ -626,7 +656,7 @@ def denoise_rows(
         # (G, K, N) tables, contiguous per block, so that each BLAS call sees a one-block call's strides
         v_g, neg_inv_v_g, c_g = (np.ascontiguousarray(x.transpose(2, 0, 1)) for x in (v, neg_inv_v, shrink))
         log_mc, post, degenerate, H, m2, weights, w_sum = _weigh_one_ap(
-            energy.reshape(G, M), tau, v_g, neg_inv_v_g, logdet, log_tau, c_g, log_prior, A,
+            energy.reshape(G, M), tau, v_g, neg_inv_v_g, logdet, log_tau, c_g, log_prior, A, estimates,
         )
     else:
         # one block (G = 1).  The sample-free bound rules rows dead; the
@@ -657,21 +687,24 @@ def denoise_rows(
         W /= w_sum[..., None]
         if degenerate.any():
             W[degenerate[weighed]] = 1.0 / N
-        # sum_k post_k sum_i w_i(k) shrink[k, i, b] per weighed row
-        mean = np.matmul(W.transpose(1, 0, 2), shrink).transpose(1, 0, 2)   # (L', K, Bb)
-        H = np.zeros((M, Bb))
-        H[weighed] = np.einsum("mk,mkb->mb", post[weighed, 1:], mean)
-        # M on the weighed rows
-        omega = post[weighed, 1:, None] * W
-        m2 = _second_moment(omega.reshape(len(weighed), K * N), shrink.reshape(K * N, Bb))
-        weights, w_sum = W, None
-    # degenerate rows: the estimate falls back to zero
-    H[degenerate] = 0.0
-    x_hat = R[weighed] * np.repeat(H[weighed], A, axis=1)
-    for part in (x_hat.real, x_hat.imag):
-        part[np.abs(part) < _TINY] = 0.0     # subnormal operands slow the residual GEMM
-    if len(x_hat) < rows:
-        x_hat = _scatter_rows(x_hat, weighed, rows)     # zero estimates on the ruled-dead rows
+        weights, w_sum, H, m2 = W, None, None, None
+        if estimates:
+            # sum_k post_k sum_i w_i(k) shrink[k, i, b] per weighed row
+            mean = np.matmul(W.transpose(1, 0, 2), shrink).transpose(1, 0, 2)   # (L', K, Bb)
+            H = np.zeros((M, Bb))
+            H[weighed] = np.einsum("mk,mkb->mb", post[weighed, 1:], mean)
+            # M on the weighed rows
+            omega = post[weighed, 1:, None] * W
+            m2 = _second_moment(omega.reshape(len(weighed), K * N), shrink.reshape(K * N, Bb))
+    x_hat = None
+    if estimates:
+        # degenerate rows: the estimate falls back to zero
+        H[degenerate] = 0.0
+        x_hat = R[weighed] * np.repeat(H[weighed], A, axis=1)
+        for part in (x_hat.real, x_hat.imag):
+            part[np.abs(part) < _TINY] = 0.0     # subnormal operands slow the residual GEMM
+        if len(x_hat) < rows:
+            x_hat = _scatter_rows(x_hat, weighed, rows)     # zero estimates on the ruled-dead rows
     return ZoneDenoiseResult(
         x_hat=x_hat,
         posterior=post,
@@ -737,7 +770,7 @@ def amp_iterate(
     g: np.ndarray,
     cfg: SystemConfig,
     per_ap: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
+) -> tuple[np.ndarray, np.ndarray, dict]:
     """The AMP recursion on the receive columns ``Y``, shared by both decoders.
 
     ``Y`` (Nc, F') holds the antennas of some APs, ``codebook`` is the
@@ -753,15 +786,19 @@ def amp_iterate(
     stops after iteration t >= 2 once every AP's tau moved by less than
     :data:`TAU_TOL` relative to iteration t - 1, else after ``T_AMP``
     (module docstring); its output is then that of a run with
-    ``T_AMP = t``, bit for bit.  Returns the final iterate
-    ``(posteriors, log_lik, X, Z, diagnostics)``: the per-zone multiplicity
-    posteriors and MC-averaged log-likelihood tables, both
-    (U, G M, K_max + 1), the channel estimates (U, G M, F' / G), the
-    residual (Nc, F') and the diagnostics: ``tau_trace`` (t, F' / A), the
-    tau each of the t iterations run started from, ``degenerate_rows`` and
-    ``weighed_rows``, the rows that went through the denoiser's weight
-    passes and reached the residual and Onsager products in each
-    iteration, summed over zones.
+    ``T_AMP = t``, bit for bit.  The last iteration ends at the
+    posteriors: it computes no channel estimates, Onsager term or
+    residual, so a decode whose only non-finite value would be that
+    residual returns its posteriors.
+
+    Returns ``(posteriors, log_lik, diagnostics)``: the last iteration's
+    per-zone multiplicity posteriors and MC-averaged log-likelihood
+    tables, both (U, G M, K_max + 1), and the diagnostics: ``tau_trace``
+    (t, F' / A), the tau each of the t iterations run started from,
+    ``degenerate_rows`` and ``weighed_rows``, the rows that went through
+    the denoiser's weight passes in each iteration, summed over zones; in
+    every iteration but the last they are the rows that reach the residual
+    and Onsager products.
     """
     Nc, F_all = Y.shape
     U, M, A = cfg.U, cfg.M, cfg.A
@@ -784,6 +821,11 @@ def amp_iterate(
     for t in range(1, cfg.T_AMP + 1):
         tau = residual_covariance(Z, A)
         tau_trace.append(tau)
+        # the last iteration: the cap, or every AP's tau moved by less than
+        # TAU_TOL of its last value.  It stops at the posteriors
+        last = t == cfg.T_AMP or (
+            t >= 2 and (np.abs(tau - tau_trace[-2]) / tau_trace[-2]).max() < TAU_TOL
+        )
         Gamma = np.zeros_like(Z)
         Gamma_blocks = Gamma.reshape(Nc, G, F).transpose(1, 0, 2)   # (G, Nc, F) views
         Z_blocks = Z.reshape(Nc, G, F).transpose(1, 0, 2)
@@ -803,41 +845,46 @@ def amp_iterate(
             new_rows, new_x = [], []
             for j0, j1 in _chunks(G, cfg):
                 at, aps = slice(j0 * M, j1 * M), slice(j0 * Bb, j1 * Bb)
-                den = denoise_rows(R_u[at], tau[aps], g[u, ..., aps], log_prior[u], cfg.Ec, A)
+                den = denoise_rows(
+                    R_u[at], tau[aps], g[u, ..., aps], log_prior[u], cfg.Ec, A, estimates=not last
+                )
                 degenerate_rows += int(den.degenerate.sum())
                 weighed_rows[-1] += len(den.weighed)
-                new_rows.append(j0 * M + den.weighed)
-                new_x.append(den.x_hat[den.weighed])
                 posts[u, at] = den.posterior
                 log_lik[u, at] = den.log_mc_lik
-                Q[j0:j1] += onsager(R_u[at], den, tau[aps], cfg.Ec, A)
+                if not last:
+                    new_rows.append(j0 * M + den.weighed)
+                    new_x.append(den.x_hat[den.weighed])
+                    Q[j0:j1] += onsager(R_u[at], den, tau[aps], cfg.Ec, A)
                 del den     # one chunk's denoiser output alive at a time
+            if last:
+                continue
             at_rows, x_rows = est[u] = (np.concatenate(new_rows), np.concatenate(new_x))
             # one residual GEMM per zone on the weighed rows, block j's estimates in
             # columns j F .. (j+1) F - 1; only a block that runs alone leaves rows out.
             # Taken as (X_u^T C^T)^T: with the blocks along the output's rows, as in
-            # the matched filter, BLAS rounds each block as a one-block call does
+            # the matched filter, BLAS rounds each block as a one-block call does.
+            # The codebook rows are upcast exactly and multiplied in blocks of a
+            # multiple of 128 rows whose copy fits the bound, if any does
             n = len(at_rows) // G
             X_u = x_rows.reshape(G, n, F).transpose(1, 0, 2).reshape(n, G * F)
-            C_w = (Cu if n == M else Cu[:, at_rows]).astype(complex, copy=False)   # exact upcast
-            Gamma += (X_u.T @ C_w.T).T
+            C_w = Cu if n == M else Cu[:, at_rows]
+            step = 128 * max(1, _RESIDUAL_UPCAST_BYTES // (16 * 128 * max(n, 1)))
+            for r0 in range(0, Nc, step):
+                Gamma[r0 : r0 + step] += (X_u.T @ C_w[r0 : r0 + step].astype(complex, copy=False).T).T
+        if last:
+            break
         # the Onsager correction of all zones in one GEMM per block: Z (sum_u Q_u)
         Gamma_blocks -= (M / Nc) * np.matmul(Z_blocks, Q)
         Z = Y - sqrt_ec * Gamma
         _check_finite(Z.reshape(Nc, G, F).transpose(1, 0, 2), t)
-        # converged: every AP's tau moved by less than TAU_TOL of its last value
-        if t >= 2 and (np.abs(tau - tau_trace[-2]) / tau_trace[-2]).max() < TAU_TOL:
-            break
 
-    X = np.zeros((U, rows, F), dtype=complex)
-    for u, (at_rows, x_rows) in enumerate(est):
-        X[u, at_rows] = x_rows
     diagnostics = {
         "tau_trace": np.array(tau_trace),
         "degenerate_rows": degenerate_rows,
         "weighed_rows": weighed_rows,
     }
-    return posts, log_lik, X, Z, diagnostics
+    return posts, log_lik, diagnostics
 
 
 def amp_run(
@@ -848,7 +895,7 @@ def amp_run(
     cfg: SystemConfig,
 ) -> DecodeResult:
     """Full centralized decode: :func:`amp_iterate` on all F antennas, then MAP type estimation."""
-    posts, _log_lik, _X, _Z, diagnostics = amp_iterate(Y, codebook, prior.log_pmf, g, cfg)
+    posts, _log_lik, diagnostics = amp_iterate(Y, codebook, prior.log_pmf, g, cfg)
     return DecodeResult.from_posteriors(posts, diagnostics)
 
 

@@ -54,7 +54,7 @@ def local_amp_run(
         raise ValueError(f"Y_b has {A} columns, expected A={cfg.A}")
     b = ap_index
     try:
-        _posts, log_lik, _X, _Z, _diag = amp_iterate(
+        _posts, log_lik, _diag = amp_iterate(
             Y_b, codebook, prior.log_pmf, g[..., b : b + 1], cfg
         )
     except DecodeError as exc:
@@ -90,7 +90,7 @@ def distributed_decode(
     U M rows since a one-AP block weighs every row, and ``degenerate_rows``.
     """
     M = cfg.M
-    _posts, log_lik, _X, _Z, diag = amp_iterate(Y, codebook, prior.log_pmf, g, cfg, per_ap=True)
+    _posts, log_lik, diag = amp_iterate(Y, codebook, prior.log_pmf, g, cfg, per_ap=True)
     result = aggregate_posteriors([log_lik[:, b * M : (b + 1) * M] for b in range(cfg.B)], prior)
     for key in ("tau_trace", "weighed_rows", "degenerate_rows"):
         result.diagnostics[key] = diag[key]

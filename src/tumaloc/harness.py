@@ -3,11 +3,13 @@
 A single run walks the whole pipeline: sample scene -> probabilistic sensing
 -> quantize reports into messages -> (perfect-communication oracle: hand the
 true type to the receiver; otherwise draw the (Nc, U, M) codebook, synthesize
-the (Nc, F) received signal with ``airlink.uplink`` and decode it) ->
-metrics.  Sweeps vary received SNR, the split of the base config's ``Ns + Nc``
-between sensing and communication, or quantizer resolution; each record is
-written as a JSON line as soon as its run returns, aggregates as CSV.  A
-spec file's ``preset`` and ``config`` are read as a config file is.
+the (Nc, F) received signal with ``airlink.uplink``, draw the MC table and
+decode) -> metrics.  A sweep draws each run once, :func:`draw_run`, and
+hands the draws to every decoder it compares.  Sweeps vary received SNR,
+the split of the base config's ``Ns + Nc`` between sensing and
+communication, or quantizer resolution; records are written as JSON lines,
+the first decoder's as each run returns, aggregates as CSV.  A spec file's
+``preset`` and ``config`` are read as a config file is.
 
 Seeds: every run gets a 64-bit seed from a splitmix-style mix of
 (master seed, sweep point index, run index); all randomness inside a run
@@ -17,6 +19,7 @@ derives from documented sub-streams of that run seed (see airlink).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -42,7 +45,9 @@ from .scene import Quantizer, build_quantizer
 __all__ = [
     "ExperimentSpec",
     "PointContext",
+    "RunDraws",
     "derive_run_seed",
+    "draw_run",
     "prepare_context",
     "run_single",
     "run_sweep",
@@ -102,18 +107,53 @@ def _sense_and_encode(ctx: PointContext, seed: int):
     return sc, round_
 
 
-def run_single(ctx: PointContext, decoder: str, seed: int) -> dict:
+@dataclass(frozen=True)
+class RunDraws:
+    """Everything a run draws from its seed; every decoder of a sweep run reads the same.
+
+    The uplink, ``codebook``, received signal ``Y`` and MC table ``mc``,
+    is drawn only when some decoder decodes and a sensor is active, else
+    None.  Its arrays are read-only, so that no decoder changes what the
+    next one reads.
+    """
+
+    scene: scene_mod.Scene
+    round: airlink.TransmissionRound
+    codebook: np.ndarray | None = None
+    Y: np.ndarray | None = None
+    mc: np.ndarray | None = None
+
+
+def draw_run(ctx: PointContext, seed: int, decoders: tuple[str, ...]) -> RunDraws:
+    """Draw the scene, the round and, if one of ``decoders`` decodes, the uplink of run ``seed``."""
+    sc, round_ = _sense_and_encode(ctx, seed)
+    if round_.K_a == 0 or all(d == "perfect" for d in decoders):
+        return RunDraws(sc, round_)
+    cfg = ctx.cfg
+    codebook = airlink.gen_codebook(cfg, seed)
+    Y = airlink.uplink(round_, codebook, ctx.topology, cfg, seed)
+    mc = amp_central.build_mc_table(cfg, ctx.topology, seed)
+    for a in (codebook, Y, mc):
+        a.flags.writeable = False
+    return RunDraws(sc, round_, codebook, Y, mc)
+
+
+def run_single(ctx: PointContext, decoder: str, seed: int, draws: RunDraws | None = None) -> dict:
     """One end-to-end run; returns a JSON-serializable record.
 
-    Decode and transport-LP failures and degenerate outcomes are recorded
-    in ``status`` rather than raised; sensing-side metrics are filled in
+    ``draws`` are the run's :func:`draw_run` draws, shared with the other
+    decoders of a sweep run; without them the run draws its own, with the
+    same helper, and ``wall_time_s`` includes them.  Decode and
+    transport-LP failures and degenerate outcomes are recorded in
+    ``status`` rather than raised; sensing-side metrics are filled in
     whenever the scene has at least one active sensor.
     """
     if decoder not in DECODERS:
         raise ConfigError(f"unknown decoder {decoder!r}")
-    cfg = ctx.cfg
     t0 = time.perf_counter()
-    sc, round_ = _sense_and_encode(ctx, seed)
+    if draws is None:
+        draws = draw_run(ctx, seed, (decoder,))
+    round_ = draws.round
     rec = {
         "seed": seed,
         "decoder": decoder,
@@ -129,14 +169,15 @@ def run_single(ctx: PointContext, decoder: str, seed: int) -> dict:
     if round_.K_a == 0:
         rec["status"] = "no-active-sensors"
     else:
-        _fill_metrics(ctx, decoder, seed, sc, round_, rec)
+        _fill_metrics(ctx, decoder, draws, rec)
     rec["wall_time_s"] = time.perf_counter() - t0
     return rec
 
 
-def _fill_metrics(ctx: PointContext, decoder: str, seed: int, sc, round_, rec: dict) -> None:
+def _fill_metrics(ctx: PointContext, decoder: str, draws: RunDraws, rec: dict) -> None:
     """Fill ``rec`` with the metrics of a run with at least one active sensor."""
     cfg = ctx.cfg
+    sc, round_ = draws.scene, draws.round
     omega, T_d = metrics.target_type(sc)
     rec["T_d"] = T_d
     rec["p_md"] = metrics.misdetection(T_d, sc.T)
@@ -147,14 +188,12 @@ def _fill_metrics(ctx: PointContext, decoder: str, seed: int, sc, round_, rec: d
     else:
         if ctx.prior is None:
             raise ConfigError("decoder runs need a prepared prior (need_prior=True)")
-        codebook = airlink.gen_codebook(cfg, seed)
-        Y = airlink.uplink(round_, codebook, ctx.topology, cfg, seed)
-        mc = amp_central.build_mc_table(cfg, ctx.topology, seed)
+        args = (draws.Y, draws.codebook, ctx.prior, draws.mc, cfg)
         try:
             if decoder == "centralized":
-                result = amp_central.amp_run(Y, codebook, ctx.prior, mc, cfg)
+                result = amp_central.amp_run(*args)
             else:
-                result = amp_dist.distributed_decode(Y, codebook, ctx.prior, mc, cfg)
+                result = amp_dist.distributed_decode(*args)
         except amp_central.DecodeError as exc:
             rec["status"] = f"decode-error:{exc.iteration}"
             return
@@ -239,13 +278,20 @@ def spec_from_json(path) -> ExperimentSpec:
 def run_sweep(spec: ExperimentSpec, progress=None, workers: int = 1) -> dict:
     """Execute the sweep; returns the aggregate table and writes output files.
 
-    Files: ``runs.jsonl`` (one record per run, timestamps in a separate
-    field) and ``summary.csv`` (one row per sweep point per decoder, means
-    and standard errors over non-degenerate runs).  ``workers > 1`` runs
-    each point's runs on one thread pool kept for the sweep, ``workers ==
-    1`` in the calling thread; records are written in (point, decoder, run)
-    order, each as soon as it returns.  Every point's config is built
-    first, so a bad point fails before any file is touched.
+    Files: ``runs.jsonl`` (one record per run and decoder, timestamps in a
+    separate field) and ``summary.csv`` (one row per sweep point per
+    decoder, means and standard errors over non-degenerate runs).  Each
+    (point, run) is drawn once, by :func:`draw_run`, and every decoder of
+    the spec decodes those draws through :func:`run_single`, so the
+    decoders see the same scene, codebook, received signal and MC table,
+    and each record equals a standalone ``run_single`` of its (decoder,
+    seed); its ``wall_time_s`` leaves out the shared draws.  ``workers > 1``
+    runs each point's runs on one thread pool kept for the sweep,
+    ``workers == 1`` in the calling thread.  Records are written in
+    (point, decoder, run) order: the first decoder's as each run returns,
+    the other decoders' once the point's last run has returned.  Every
+    point's config is built first, so a bad point fails before any file is
+    touched.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -260,23 +306,32 @@ def run_sweep(spec: ExperimentSpec, progress=None, workers: int = 1) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot write {jsonl_path}: {exc}") from exc
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+    def write(rec: dict) -> None:
+        rec["timestamp"] = time.time()
+        records.append(rec)
+        jsonl.write(json.dumps(rec) + "\n")
+        if progress is not None:
+            progress(rec)
+
+    def decode_all(ctx: PointContext, seed: int) -> list[dict]:
+        draws = draw_run(ctx, seed, spec.decoders)
+        return [run_single(ctx, decoder, seed, draws) for decoder in spec.decoders]
+
     with jsonl, pool:
         run_map = pool.map if workers > 1 else map
         for p_idx, (value, cfg) in enumerate(zip(spec.point_values(), configs)):
             ctx = prepare_context(cfg, cache_dir=spec.prior_cache, need_prior=need_prior)
-            jobs = [
-                (decoder, r_idx, derive_run_seed(spec.master_seed, p_idx, r_idx))
-                for decoder in spec.decoders
-                for r_idx in range(spec.runs)
-            ]
-            results = run_map(lambda j: run_single(ctx, j[0], j[2]), jobs)
-            for (decoder, r_idx, _seed), rec in zip(jobs, results):
-                rec.update({"point": value, "point_index": p_idx, "run": r_idx})
-                rec["timestamp"] = time.time()
-                records.append(rec)
-                jsonl.write(json.dumps(rec) + "\n")
-                if progress is not None:
-                    progress(rec)
+            seeds = [derive_run_seed(spec.master_seed, p_idx, r_idx) for r_idx in range(spec.runs)]
+            later = []      # per run, the records of the decoders after the first
+            for r_idx, recs in enumerate(run_map(functools.partial(decode_all, ctx), seeds)):
+                for rec in recs:
+                    rec.update({"point": value, "point_index": p_idx, "run": r_idx})
+                write(recs[0])
+                later.append(recs[1:])
+            for d_idx in range(len(spec.decoders) - 1):
+                for recs in later:
+                    write(recs[d_idx])
     table = aggregate_records(records)
     _write_summary_csv(csv_path, table)
     return {"records": records, "summary": table, "jsonl": jsonl_path, "csv": csv_path}

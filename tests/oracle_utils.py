@@ -30,7 +30,9 @@ k = 0..K, whose first K_max + 1 columns ``build_prior`` must reproduce.
 The helpers read quantities off the package that only tests need:
 ``decoder_loglik`` the decoder's own diagonal log-Gaussian likelihood,
 ``amp_traces`` the channel estimation error and residual-variance gap of
-chosen AMP iterations, ``raw_gaussian_codebook`` the unnormalized codebook
+chosen AMP iterations, ``effective_channels_dense`` and
+``synthesize_dense`` the dense (U, M, F) channel array of a round and the
+received signal from such an array, ``raw_gaussian_codebook`` the unnormalized codebook
 of the state-evolution analysis, ``snr_conversions`` the SNRs implied by
 a configuration and ``config_to_dict`` the JSON form of a configuration.
 """
@@ -41,11 +43,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import chndtr
 
-from tumaloc.airlink import STREAM_CODEBOOK, STREAM_PRIORS, substream
+from tumaloc.airlink import STREAM_CODEBOOK, STREAM_PRIORS, substream, synthesize_rx
 from tumaloc.amp_central import (
     TAU_FLOOR,
     ZoneDenoiseResult,
-    amp_iterate,
     denoise_rows,
     onsager,
     residual_covariance,
@@ -367,13 +368,17 @@ def onsager_loop_reference(R, den, tau, Ec, A):
     return Q
 
 
-def amp_iterate_reference(Y, codebook, log_prior, g, cfg):
-    """The AMP recursion with every row in every product.
+def amp_iterate_reference(Y, codebook, log_prior, g, cfg, denoise=denoise_rows_reference):
+    """The AMP recursion with every row in every product, all ``T_AMP`` iterations.
 
     ``amp_iterate`` as it was before the ruled-dead rows:
     ``denoise_rows_reference`` weighs every row and gives ``m2`` on all of
     them, so the Onsager term and the residual GEMM ``C_u @ X_u`` cover all
-    M rows of every zone.  Returns ``(posteriors, log_lik, X, Z)``.
+    M rows of every zone.  Its last iteration, too, runs to the residual.
+    ``denoise`` may be the package's ``denoise_rows`` instead, whose
+    estimates are zero on the rows it leaves out.  Returns
+    ``(posteriors, log_lik, X, Z)``: the final channel estimates (U, M, F)
+    and residual (Nc, F) as well.
     """
     Nc, F = Y.shape
     U, M, A = cfg.U, cfg.M, cfg.A
@@ -388,7 +393,7 @@ def amp_iterate_reference(Y, codebook, log_prior, g, cfg):
         for u in range(U):
             Cu = codebook[:, u]
             R_u = (Zh @ Cu).conj().T + np.sqrt(cfg.Ec) * X[u]
-            den = denoise_rows_reference(R_u, tau, g[u], log_prior[u], cfg.Ec, A)
+            den = denoise(R_u, tau, g[u], log_prior[u], cfg.Ec, A)
             X[u] = den.x_hat
             posts[u] = den.posterior
             log_lik[u] = den.log_mc_lik
@@ -396,6 +401,25 @@ def amp_iterate_reference(Y, codebook, log_prior, g, cfg):
             Gamma += Cu @ X[u] - (M / Nc) * (Z @ Q_u)
         Z = Y - np.sqrt(cfg.Ec) * Gamma
     return posts, log_lik, X, Z
+
+
+def effective_channels_dense(round_, fading):
+    """The round's (U, M, F) effective-channel array, zero on the codewords not sent.
+
+    Colliding users' channels are added in round order; the rows that
+    ``airlink.effective_channels`` returns are its sent rows.
+    """
+    h = np.atleast_2d(fading)
+    X = np.zeros((round_.U, round_.M, h.shape[1]), dtype=complex)
+    np.add.at(X, (round_.zones, round_.messages), h)
+    return X
+
+
+def synthesize_dense(codebook, X, cfg, seed):
+    """``airlink.synthesize_rx`` from a dense (U, M, F) channel array: its rows with a nonzero entry."""
+    Xf = np.ascontiguousarray(X).reshape(cfg.U * cfg.M, -1)
+    sent = np.flatnonzero(Xf.view(float).any(axis=1))     # real or imaginary part nonzero
+    return synthesize_rx(codebook, sent, Xf[sent], cfg, seed)
 
 
 def compute_p_closest(s, p, cfg, n_int=DEFAULT_N_CELL, seed=None):
@@ -686,15 +710,17 @@ def channel_estimation_error(X, X_true, cfg):
 def amp_traces(Y, codebook, log_prior, g, cfg, X_true, iterations):
     """Channel estimation error and residual-variance gap after each of ``iterations``.
 
-    Iteration t is the final iterate of ``amp_iterate`` at ``T_AMP = t``,
-    which reproduces iteration t of any longer run exactly.  ``Y``, ``g``
-    and ``X_true`` may be restricted to one AP's antennas, as in the
+    Iteration t is the final iterate of ``amp_iterate_reference`` with the
+    package's denoiser at ``T_AMP = t``, since ``amp_iterate`` returns no
+    estimates or residual: its iterations are ``amp_iterate``'s, up to the
+    summation order of the residual product and with no stop rule.  ``Y``,
+    ``g`` and ``X_true`` may be restricted to one AP's antennas, as in the
     distributed decoder's local runs.
     """
     errs, gaps = [], []
     for t in iterations:
-        _posts, _log_lik, X, Z, _diag = amp_iterate(
-            Y, codebook, log_prior, g, cfg.with_updates(T_AMP=t)
+        _posts, _log_lik, X, Z = amp_iterate_reference(
+            Y, codebook, log_prior, g, cfg.with_updates(T_AMP=t), denoise=denoise_rows
         )
         errs.append(channel_estimation_error(X, X_true, cfg))
         gaps.append(float(np.sum(cfg.A * (residual_covariance(Z, cfg.A) - cfg.sigma_w2))))

@@ -13,12 +13,14 @@ import pytest
 from oracle_utils import (
     amp_traces,
     decoder_loglik,
+    effective_channels_dense,
     fd_wirtinger_jacobian,
     grid_denoiser_oracle,
     mc_table_for,
     multiplicity_pmf_full,
     random_denoiser_instance,
     raw_gaussian_codebook,
+    synthesize_dense,
 )
 from tumaloc import airlink, amp_central, amp_dist, harness
 from tumaloc.amp_central import amp_run, build_mc_table, denoise_rows, onsager
@@ -131,7 +133,7 @@ def test_criterion_05_distributed_central_equivalences():
     X = np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex)
     h = airlink.sample_fading(np.array([[20.0, 20.0]]), topo, cfg, seed=5)
     X[0, 1] = h[0]
-    Y = airlink.synthesize_rx(cb, X, cfg, seed=5)
+    Y = synthesize_dense(cb, X, cfg, seed=5)
     central = amp_run(Y, cb, prior, mc, cfg)
     dist = aggregate_posteriors([local_amp_run(Y, 0, cb, prior, mc, cfg)], prior)
     bit_equal = (
@@ -293,8 +295,8 @@ def _desk_uplinks(cfg, ctx, master, runs, make_codebook=airlink.gen_codebook):
             continue
         cb = make_codebook(cfg, seed)
         fading = airlink.sample_fading(rnd.positions, ctx.topology, cfg, seed)
-        X = airlink.effective_channels(rnd, fading)
-        Y = airlink.synthesize_rx(cb, X, cfg, seed)
+        X = effective_channels_dense(rnd, fading)
+        Y = airlink.uplink(rnd, cb, ctx.topology, cfg, seed)
         yield rnd, cb, X, Y, build_mc_table(cfg, ctx.topology, seed)
 
 

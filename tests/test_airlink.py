@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracle_utils import gen_codebook_reference, raw_gaussian_codebook
+from oracle_utils import (
+    effective_channels_dense,
+    gen_codebook_reference,
+    raw_gaussian_codebook,
+    synthesize_dense,
+)
 from tumaloc import airlink
 from tumaloc.airlink import (
     TransmissionRound,
@@ -112,41 +117,67 @@ def _round(zones, messages, U, M, positions=None):
     )
 
 
+def _dense(rnd, fading):
+    """``effective_channels`` scattered into the (U, M, F) array, zero on the rows not sent."""
+    sent, X_sent = effective_channels(rnd, fading)
+    X = np.zeros((rnd.U * rnd.M, X_sent.shape[1]), dtype=complex)
+    X[sent] = X_sent
+    return X.reshape(rnd.U, rnd.M, -1)
+
+
 class TestEffectiveChannels:
     def test_zero_multiplicity_rows_exactly_zero(self):
         rnd = _round([0], [1], U=2, M=3)
-        X = effective_channels(rnd, np.array([[1 + 1j, 2.0]]))
+        sent, X_sent = effective_channels(rnd, np.array([[1 + 1j, 2.0]]))
+        np.testing.assert_array_equal(sent, [1])     # only the sent row is built
+        assert X_sent.shape == (1, 2)
+        X = _dense(rnd, np.array([[1 + 1j, 2.0]]))
         assert np.all(X[0, 0] == 0) and np.all(X[0, 2] == 0)
         assert np.all(X[1] == 0)
 
     def test_single_user_row(self):
         rnd = _round([0], [0], U=1, M=2)
         h = np.array([[3.0 - 1j, 0.5j]])
-        X = effective_channels(rnd, h)
+        X = _dense(rnd, h)
         np.testing.assert_array_equal(X[0, 0], h[0])
 
     def test_collision_sums_elementwise(self):
         rnd = _round([0, 0], [1, 1], U=1, M=2, positions=[np.zeros(2), np.ones(2)])
         h1 = np.array([1 + 2j, -1.0])
         h2 = np.array([0.5j, 4.0])
-        X = effective_channels(rnd, np.stack([h1, h2]))
+        X = _dense(rnd, np.stack([h1, h2]))
         np.testing.assert_allclose(X[0, 1], h1 + h2)
+
+    def test_sent_rows_equal_the_dense_array(self, rng):
+        # users of several zones, colliding in some rows and out of row
+        # order: the sent rows in increasing flat index u M + m, each the
+        # dense array's row bit for bit (users added in round order)
+        U, M, F = 3, 5, 4
+        zones = rng.integers(0, U, size=12)
+        ms = rng.integers(0, M, size=12)
+        rnd = _round(zones, ms, U, M, rng.uniform(0, 10, (12, 2)))
+        h = rng.normal(size=(12, F)) + 1j * rng.normal(size=(12, F))
+        sent, X_sent = effective_channels(rnd, h)
+        dense = effective_channels_dense(rnd, h).reshape(U * M, F)
+        np.testing.assert_array_equal(sent, np.flatnonzero(rnd.multiplicities.reshape(-1)))
+        np.testing.assert_array_equal(X_sent, dense[sent])
+        assert len(sent) < U * M and not dense[np.setdiff1d(np.arange(U * M), sent)].any()
 
     def test_permutation_invariance(self, rng):
         ms = rng.integers(0, 4, size=6)
         pos = rng.uniform(0, 10, (6, 2))
         h = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
         zones = np.zeros(6, dtype=int)
-        X1 = effective_channels(_round(zones, ms, 1, 4, pos), h)
+        X1 = _dense(_round(zones, ms, 1, 4, pos), h)
         perm = rng.permutation(6)
-        X2 = effective_channels(_round(zones, ms[perm], 1, 4, pos[perm]), h[perm])
+        X2 = _dense(_round(zones, ms[perm], 1, 4, pos[perm]), h[perm])
         np.testing.assert_allclose(X1, X2, atol=1e-12)
 
     def test_multiplicity_bookkeeping(self, rng):
         ms = rng.integers(0, 6, size=9)
         rnd = _round(np.zeros(9, dtype=int), ms, 1, 6, rng.uniform(0, 10, (9, 2)))
         h = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
-        X = effective_channels(rnd, h)
+        X = _dense(rnd, h)
         k = rnd.multiplicities[0]
         support = np.any(X[0] != 0, axis=1)
         np.testing.assert_array_equal(support, k > 0)
@@ -164,7 +195,7 @@ class TestSynthesizeRx:
         cfg = tiny_cfg.with_updates(Ec=1e-300)
         cb = gen_codebook(cfg, seed=0)
         X = np.ones((cfg.U, cfg.M, cfg.F), dtype=complex)
-        Y = synthesize_rx(cb, X, cfg, seed=0)
+        Y = synthesize_dense(cb, X, cfg, seed=0)
         emp = np.mean(np.abs(Y) ** 2)
         assert emp == pytest.approx(cfg.sigma_w2, rel=0.05)
 
@@ -174,7 +205,7 @@ class TestSynthesizeRx:
         X = np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex)
         h = np.arange(1, cfg.F + 1) + 0.5j
         X[0, 3] = h
-        Y = synthesize_rx(cb, X, cfg, seed=1)
+        Y = synthesize_dense(cb, X, cfg, seed=1)
         want = 2.0 * np.outer(cb[:, 0, 3], h)
         np.testing.assert_allclose(Y, want, atol=1e-10)
         assert np.linalg.matrix_rank(Y, tol=1e-8) == 1
@@ -189,7 +220,7 @@ class TestSynthesizeRx:
         vals = []
         for seed in range(30):
             cb = gen_codebook(cfg, seed=seed)
-            Y = synthesize_rx(cb, X, cfg, seed=seed)
+            Y = synthesize_dense(cb, X, cfg, seed=seed)
             vals.append(np.sum(np.abs(Y) ** 2))
         got = np.mean(vals)
         want = sig_energy + noise_energy
@@ -199,8 +230,8 @@ class TestSynthesizeRx:
         cfg = tiny_cfg.with_updates(sigma_w2=1e-300)
         cb = gen_codebook(cfg, seed=4)
         X = rng.normal(size=(cfg.U, cfg.M, cfg.F)) * (1 + 0j)
-        Y1 = synthesize_rx(cb, X, cfg, seed=4)
-        Y3 = synthesize_rx(cb, 3.0 * X, cfg, seed=4)
+        Y1 = synthesize_dense(cb, X, cfg, seed=4)
+        Y3 = synthesize_dense(cb, 3.0 * X, cfg, seed=4)
         np.testing.assert_allclose(Y3, 3.0 * Y1, rtol=1e-12, atol=1e-12)
 
     def test_sent_rows_vs_dense_product(self, tiny_cfg, rng):
@@ -220,11 +251,12 @@ class TestSynthesizeRx:
         w = (noise.standard_normal((Nc, F)) + 1j * noise.standard_normal((Nc, F))) * np.sqrt(
             cfg.sigma_w2 / 2.0
         )
-        np.testing.assert_array_equal(synthesize_rx(cb, np.zeros_like(X), cfg, seed=5), w)
+        np.testing.assert_array_equal(synthesize_rx(cb, np.zeros(0, dtype=int), np.zeros((0, F)), cfg, seed=5), w)
         Xf = X.reshape(cfg.U * cfg.M, F)
         C = cb.reshape(Nc, cfg.U * cfg.M)
         want = np.sqrt(cfg.Ec) * (C @ Xf) + w
-        got = synthesize_rx(cb, X, cfg, seed=5)
+        sent = np.array([0 * cfg.M + 1, 2 * cfg.M + 5, 3 * cfg.M + 0])
+        got = synthesize_rx(cb, sent, Xf[sent], cfg, seed=5)
         eps = np.finfo(float).eps
         bound = 2 * (3 + 2) * eps * np.sqrt(cfg.Ec) * (np.abs(C) @ np.abs(Xf))
         assert np.all(np.abs(got - want) <= bound + eps * np.abs(want))
@@ -232,15 +264,16 @@ class TestSynthesizeRx:
     def test_shape_mismatch_rejected(self, tiny_cfg):
         cfg = tiny_cfg
         cb = gen_codebook(cfg, seed=0)
-        X = np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex)
+        sent, X = np.array([0, 3]), np.zeros((2, cfg.F), dtype=complex)
         bad_cases = [
-            (cb, np.zeros((1, 2, 3), dtype=complex)),                    # channels, wrong (U, M)
-            (gen_codebook(cfg.with_updates(Nc=cfg.Nc + 1), seed=0), X),  # codebook, wrong Nc
-            (cb.reshape(cfg.Nc, cfg.M, cfg.U), X),                       # codebook, wrong (U, M)
+            (cb, sent, X[:1]),                                                 # one channel row for two codewords
+            (cb, sent, np.zeros((2, 1, cfg.F), dtype=complex)),                # channels, not (rows, F)
+            (gen_codebook(cfg.with_updates(Nc=cfg.Nc + 1), seed=0), sent, X),  # codebook, wrong Nc
+            (cb.reshape(cfg.Nc, cfg.M, cfg.U), sent, X),                       # codebook, wrong (U, M)
         ]
-        for codebook, channels in bad_cases:
+        for codebook, rows, channels in bad_cases:
             with pytest.raises(ValueError):
-                synthesize_rx(codebook, channels, cfg, seed=0)
+                synthesize_rx(codebook, rows, channels, cfg, seed=0)
 
 
 class TestUplink:
@@ -252,8 +285,11 @@ class TestUplink:
         rnd = _round([0, 0, 2], [1, 1, 5], cfg.U, cfg.M, pos)
         cb = gen_codebook(cfg, seed=3)
         Y = uplink(rnd, cb, topo, cfg, seed=3)
-        want_X = effective_channels(rnd, sample_fading(pos, topo, cfg, seed=3))
-        np.testing.assert_array_equal(Y, synthesize_rx(cb, want_X, cfg, seed=3))
+        sent, want_X = effective_channels(rnd, sample_fading(pos, topo, cfg, seed=3))
+        np.testing.assert_array_equal(Y, synthesize_rx(cb, sent, want_X, cfg, seed=3))
+        # the sent rows' product is the dense array's, bit for bit
+        dense = effective_channels_dense(rnd, sample_fading(pos, topo, cfg, seed=3))
+        np.testing.assert_array_equal(Y, synthesize_dense(cb, dense, cfg, seed=3))
 
     def test_empty_round_gives_noise_only(self, tiny_cfg):
         cfg = tiny_cfg
@@ -262,5 +298,5 @@ class TestUplink:
         Y = uplink(rnd, cb, build_topology(cfg), cfg, seed=4)
         assert rnd.K_a == 0 and not rnd.multiplicities.any() and not rnd.true_type.any()
         X = np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex)
-        np.testing.assert_array_equal(Y, synthesize_rx(cb, X, cfg, seed=4))
+        np.testing.assert_array_equal(Y, synthesize_dense(cb, X, cfg, seed=4))
         assert Y.shape == (cfg.Nc, cfg.F) and np.all(Y != 0)

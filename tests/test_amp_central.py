@@ -18,6 +18,7 @@ from oracle_utils import (
     onsager_reference,
     random_denoiser_instance,
     second_moment_reference,
+    synthesize_dense,
     weighed_rows_reference,
 )
 from tumaloc import airlink, amp_central, amp_dist, harness
@@ -274,9 +275,10 @@ class TestOnsager:
         monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)
         denoise, left_out = amp_central.denoise_rows, []
 
-        def checked(R, tau, g, log_prior, Ec, A):
-            den = denoise(R, tau, g, log_prior, Ec, A)
-            assert den.m2.shape == (len(den.weighed), cfg.B, cfg.B)
+        def checked(R, tau, g, log_prior, Ec, A, estimates=True):
+            den = denoise(R, tau, g, log_prior, Ec, A, estimates)
+            if estimates:     # the last iteration computes no second moment
+                assert den.m2.shape == (len(den.weighed), cfg.B, cfg.B)
             s = denoise_rows_reference(R, tau, g, log_prior, Ec, A).posterior[:, 1:].sum(axis=1)
             out = np.setdiff1d(np.arange(len(R)), den.weighed)
             assert np.all(s[out] < 1e-16 * s.max())
@@ -540,7 +542,7 @@ class TestRuledDeadRows:
         _assert_one_ap_matches_reference(den, denoise_rows_reference(R, tau, g, lp, Ec, A))
         cfg, cb, prior, mc, Y = _desk_at_10db()
         monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)     # all T_AMP iterations
-        diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)[4]
+        diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)[2]
         assert diag["weighed_rows"] == [cfg.B * cfg.U * cfg.M] * cfg.T_AMP
         assert "live_rows" not in diag
 
@@ -884,7 +886,7 @@ class TestBatchedQ2:
         monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)     # all T_AMP iterations
         weighed = self._checked(monkeypatch)
         amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=per_ap)
-        assert len(weighed) == cfg.T_AMP * cfg.U
+        assert len(weighed) == (cfg.T_AMP - 1) * cfg.U     # the last iteration runs no onsager
         assert 0 < min(weighed) and max(weighed) <= (cfg.B if per_ap else 1) * cfg.M
 
     def test_paper_shaped_vs_per_output_ap_loop(self, rng):
@@ -963,9 +965,7 @@ class TestAmpRun:
         prior = build_prior(cfg, 1e-9, pm)      # essentially all mass at k=0
         cb = airlink.gen_codebook(cfg, seed=1)
         mc = build_mc_table(cfg, topo, seed=1)
-        Y = airlink.synthesize_rx(
-            cb, np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex), cfg, seed=1
-        )
+        Y = synthesize_dense(cb, np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex), cfg, seed=1)
         res = amp_run(Y, cb, prior, mc, cfg)
         assert res.empty_type
         assert np.all(res.k_per_zone == 0)
@@ -973,7 +973,7 @@ class TestAmpRun:
         # one per-AP residual variance per iteration
         assert res.diagnostics["tau_trace"].shape == (cfg.T_AMP, cfg.B)
 
-    def test_single_codeword_concentrates_and_matches_grid_posterior(self):
+    def test_single_codeword_concentrates_and_matches_grid_posterior(self, monkeypatch):
         cfg, topo = _tiny_system(Ec=6.0, sigma_w2=1e-4, T_AMP=6, N_MC=20_000)
         pm = np.full((cfg.U, cfg.M), 1.0 / cfg.M)
         prior = build_prior(cfg, 0.08, pm)
@@ -983,7 +983,7 @@ class TestAmpRun:
         h = airlink.sample_fading(pos, topo, cfg, seed=3)
         X = np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex)
         X[0, 2] = h[0]
-        Y = airlink.synthesize_rx(cb, X, cfg, seed=3)
+        Y = synthesize_dense(cb, X, cfg, seed=3)
         res = amp_run(Y, cb, prior, mc, cfg)
         assert res.k_per_zone[0, 2] == 1
         assert res.posteriors[0, 2, 1] > 0.9
@@ -992,15 +992,21 @@ class TestAmpRun:
         errs, _gaps = amp_traces(Y, cb, prior.log_pmf, mc, cfg, X, (1, cfg.T_AMP))
         assert errs[-1] < errs[0]
         # brute-force posterior from the final effective observation of the
-        # true row, integrating over the real zone with the real LSFC; the
-        # last of the decode's t iterations starts from the iterate of a run
-        # at T_AMP = t - 1
+        # true row, integrating over the real zone with the real LSFC: the
+        # observation and tau that the decode's last denoiser call of zone 0 saw
+        denoise, calls = amp_central.denoise_rows, []
+
+        def kept(R, tau, g, log_prior, Ec, A, estimates=True):
+            calls.append((R.copy(), tau.copy()))
+            return denoise(R, tau, g, log_prior, Ec, A, estimates)
+
+        monkeypatch.setattr(amp_central, "denoise_rows", kept)
+        again = amp_run(Y, cb, prior, mc, cfg)
+        np.testing.assert_array_equal(again.posteriors, res.posteriors)
         t = len(res.diagnostics["tau_trace"])
-        _p, _l, X_prev, Z_prev, _d = amp_iterate(
-            Y, cb, prior.log_pmf, mc, cfg.with_updates(T_AMP=t - 1)
-        )
-        r_final = (cb[:, 0].conj().T @ Z_prev + np.sqrt(cfg.Ec) * X_prev[0])[2]
-        tau_final = residual_covariance(Z_prev, cfg.A)
+        assert len(calls) == t * cfg.U
+        R_last, tau_final = calls[(t - 1) * cfg.U]
+        r_final = R_last[2]
         x0, y0, x1, y1 = topo.zone_rects[0]
         prior_row = prior.pmf[0, 2]
         post_o, _ = grid_denoiser_oracle(
@@ -1015,7 +1021,7 @@ class TestAmpRun:
         # products.  The reference runs all T_AMP iterations, and so does the decoder
         cfg, cb, prior, mc, Y = _desk_at_10db()
         monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)
-        posts, _ll, _Xh, _Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)
+        posts, _ll, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)
         want = amp_iterate_reference(Y, cb, prior.log_pmf, mc, cfg)[0]
         assert len(diag["weighed_rows"]) == cfg.T_AMP
         assert 0 < min(diag["weighed_rows"]) and max(diag["weighed_rows"]) < cfg.U * cfg.M
@@ -1036,10 +1042,10 @@ class TestAmpRun:
 
         monkeypatch.setattr(amp_central.ZoneDenoiseResult, "sample_weights", property(unread))
         got = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=per_ap)
-        for a, b in zip(got[:4], want[:4]):
+        for a, b in zip(got[:2], want[:2]):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(got[4].pop("tau_trace"), want[4].pop("tau_trace"))
-        assert got[4] == want[4]
+        np.testing.assert_array_equal(got[2].pop("tau_trace"), want[2].pop("tau_trace"))
+        assert got[2] == want[2]
 
     def test_decode_error_raised_on_nonfinite(self):
         cfg, topo = _tiny_system()
@@ -1094,7 +1100,7 @@ class TestStop:
         mc = build_mc_table(cfg, topo, seed=0)
         X = np.zeros((cfg.U, cfg.M, cfg.F), dtype=complex)
         X[0, 2] = airlink.sample_fading(np.array([[20.0, 15.0]]), topo, cfg, seed=0)[0]
-        return cfg, prior, cb, mc, airlink.synthesize_rx(cb, X, cfg, seed=0)
+        return cfg, prior, cb, mc, synthesize_dense(cb, X, cfg, seed=0)
 
     def test_stopped_run_equals_a_run_capped_at_its_iteration(self, monkeypatch):
         # the run stops after the first t >= 2 at which every AP's tau moved
@@ -1102,28 +1108,70 @@ class TestStop:
         # with the rule off, bit for bit
         cfg, prior, cb, mc, Y = self._one_codeword(T_AMP=30)
         got = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)
-        t = len(got[4]["tau_trace"])
+        t = len(got[2]["tau_trace"])
         tol = amp_central.TAU_TOL
         monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)
-        full = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)[4]["tau_trace"]
+        full = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)[2]["tau_trace"]
         change = np.abs(np.diff(full, axis=0)) / full[:-1]     # row s - 2: iteration s against s - 1
         assert np.all(change[: t - 2].max(axis=1) >= tol)
         assert change[t - 2].max() < tol
         assert 2 < t < cfg.T_AMP
         want = amp_iterate(Y, cb, prior.log_pmf, mc, cfg.with_updates(T_AMP=t))
-        for a, b in zip(got[:4], want[:4]):          # posteriors, log-likelihoods, X and Z
+        for a, b in zip(got[:2], want[:2]):          # posteriors and log-likelihoods
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(got[4].pop("tau_trace"), want[4].pop("tau_trace"))
-        assert got[4] == want[4]
-        assert len(got[4]["weighed_rows"]) == t
+        np.testing.assert_array_equal(got[2].pop("tau_trace"), want[2].pop("tau_trace"))
+        assert got[2] == want[2]
+        assert len(got[2]["weighed_rows"]) == t
 
     def test_zero_tolerance_runs_every_iteration(self, monkeypatch):
         cfg, prior, cb, mc, Y = self._one_codeword(T_AMP=12)
-        assert len(amp_iterate(Y, cb, prior.log_pmf, mc, cfg)[4]["tau_trace"]) < cfg.T_AMP
+        assert len(amp_iterate(Y, cb, prior.log_pmf, mc, cfg)[2]["tau_trace"]) < cfg.T_AMP
         monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)
-        diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)[4]
+        diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg)[2]
         assert diag["tau_trace"].shape == (cfg.T_AMP, cfg.B)
         assert len(diag["weighed_rows"]) == cfg.T_AMP
+
+
+class TestLastIteration:
+    @pytest.mark.parametrize("per_ap", [False, True], ids=["centralized", "stacked"])
+    def test_last_iteration_stops_at_the_posteriors(self, monkeypatch, per_ap):
+        # a decode of t iterations makes t U denoiser calls and (t - 1) U
+        # onsager calls: its last U denoiser calls leave out the estimates,
+        # H and m2, and nothing after them runs
+        cfg, cb, prior, mc, Y = _desk_at_10db()
+        denoise, ons = amp_central.denoise_rows, amp_central.onsager
+        calls = {"estimates": [], "onsager": 0}
+
+        def counted_denoise(*args, **kwargs):
+            den = denoise(*args, **kwargs)
+            calls["estimates"].append(den.x_hat is not None)
+            assert (den.x_hat is None) == (den.H is None) == (den.m2 is None)
+            return den
+
+        def counted_onsager(*args, **kwargs):
+            calls["onsager"] += 1
+            return ons(*args, **kwargs)
+
+        monkeypatch.setattr(amp_central, "denoise_rows", counted_denoise)
+        monkeypatch.setattr(amp_central, "onsager", counted_onsager)
+        t = len(amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=per_ap)[2]["tau_trace"])
+        assert 2 <= t < cfg.T_AMP
+        assert calls["estimates"] == [True] * ((t - 1) * cfg.U) + [False] * cfg.U
+        assert calls["onsager"] == (t - 1) * cfg.U
+
+    @pytest.mark.parametrize("shape", ["multi_ap", "one_ap"])
+    def test_denoiser_without_estimates_keeps_the_rest(self, rng, shape):
+        # without estimates the denoiser returns what the benchmark's probes
+        # and the recursion's last iteration read, bit for bit
+        if shape == "multi_ap":
+            R, tau, g, lp, Ec, A = TestRuledDeadRows._spanning(rng, 50, B=3)
+        else:
+            R, tau, g, lp, Ec, A = TestOneApSecondMoment._blocks(rng, 3)
+        full = denoise_rows(R, tau, g, lp, Ec, A)
+        last = denoise_rows(R, tau, g, lp, Ec, A, estimates=False)
+        assert last.x_hat is None and last.H is None and last.m2 is None
+        for name in ("posterior", "log_mc_lik", "degenerate", "weighed", "shrink", "sample_weights"):
+            np.testing.assert_array_equal(getattr(last, name), getattr(full, name), err_msg=name)
 
 
 class TestEstimators:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracle_utils import amp_traces, decoder_loglik
+from oracle_utils import amp_traces, decoder_loglik, synthesize_dense
 from tumaloc import airlink, amp_central, amp_dist
 from tumaloc.amp_central import DecodeError, amp_iterate, amp_run, build_mc_table
 from tumaloc.amp_dist import aggregate_posteriors, distributed_decode, local_amp_run
@@ -38,7 +38,7 @@ def _received(cfg, topo, cb, seed, n_users=3):
         pos = rng.uniform([x0, y0], [x1, y1])[None, :]
         h = airlink.sample_fading(pos, topo, cfg, seed=int(rng.integers(1 << 30)))
         X[u, m] += h[0]
-    Y = airlink.synthesize_rx(cb, X, cfg, seed=seed)
+    Y = synthesize_dense(cb, X, cfg, seed=seed)
     return Y, X
 
 
@@ -163,19 +163,17 @@ class TestStackedRecursion:
     def test_stacked_blocks_equal_per_ap_runs(self, monkeypatch, A):
         cfg, prior, cb, mc, Y = _dead_row_system(monkeypatch, A)
         M = cfg.M
-        posts, log_lik, X, Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
+        posts, log_lik, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
         per_ap_diag = []
         for b in range(cfg.B):
             rows, cols = slice(b * M, (b + 1) * M), slice(b * A, (b + 1) * A)
-            p_b, l_b, X_b, Z_b, d_b = amp_iterate(
+            p_b, l_b, d_b = amp_iterate(
                 Y[:, cols], cb, prior.log_pmf, mc[..., b : b + 1], cfg
             )
             np.testing.assert_array_equal(log_lik[:, rows], l_b)
             local = local_amp_run(Y[:, cols], b, cb, prior, mc, cfg)
             np.testing.assert_array_equal(log_lik[:, rows], local)
             np.testing.assert_array_equal(posts[:, rows], p_b)
-            np.testing.assert_array_equal(X[:, rows], X_b)
-            np.testing.assert_array_equal(Z[:, cols], Z_b)
             np.testing.assert_array_equal(diag["tau_trace"][:, b], d_b["tau_trace"][:, 0])
             per_ap_diag.append(d_b)
         per_ap_rows = [d["weighed_rows"] for d in per_ap_diag]
@@ -191,7 +189,7 @@ class TestStackedRecursion:
         )
         Y, _ = _received(cfg, topo, cb, seed=14, n_users=2)
         A, M = cfg.A, cfg.M
-        posts, log_lik, X, Z, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
+        posts, log_lik, diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
         t = len(diag["tau_trace"])
         # the distributed decoder forwards the stacked call's tau trace
         res = distributed_decode(Y, cb, prior, mc, cfg)
@@ -200,13 +198,13 @@ class TestStackedRecursion:
         # alone, each AP stops where its own tau settles
         cols = [slice(b * A, (b + 1) * A) for b in range(cfg.B)]
         alone = [
-            len(amp_iterate(Y[:, c], cb, prior.log_pmf, mc[..., b : b + 1], cfg)[4]["tau_trace"])
+            len(amp_iterate(Y[:, c], cb, prior.log_pmf, mc[..., b : b + 1], cfg)[2]["tau_trace"])
             for b, c in enumerate(cols)
         ]
         tol = amp_central.TAU_TOL
         monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)
         full = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
-        change = np.abs(np.diff(full[4]["tau_trace"], axis=0)) / full[4]["tau_trace"][:-1]
+        change = np.abs(np.diff(full[2]["tau_trace"], axis=0)) / full[2]["tau_trace"][:-1]
         settled = change < tol                         # row s - 2: iteration s against s - 1
         assert t == np.flatnonzero(settled.all(axis=1))[0] + 2 < cfg.T_AMP
         per_ap_stop = np.argmax(settled, axis=0) + 2
@@ -216,11 +214,9 @@ class TestStackedRecursion:
         for b, c in enumerate(cols):
             rows = slice(b * M, (b + 1) * M)
             g_b = mc[..., b : b + 1]
-            p_b, l_b, X_b, Z_b, d_b = amp_iterate(Y[:, c], cb, prior.log_pmf, g_b, capped)
+            p_b, l_b, d_b = amp_iterate(Y[:, c], cb, prior.log_pmf, g_b, capped)
             np.testing.assert_array_equal(posts[:, rows], p_b)
             np.testing.assert_array_equal(log_lik[:, rows], l_b)
-            np.testing.assert_array_equal(X[:, rows], X_b)
-            np.testing.assert_array_equal(Z[:, c], Z_b)
             np.testing.assert_array_equal(diag["tau_trace"][:, b], d_b["tau_trace"][:, 0])
 
     def test_row_counts_sum_over_one_ap_runs(self, monkeypatch):
@@ -228,7 +224,7 @@ class TestStackedRecursion:
         A = cfg.A
         res = distributed_decode(Y, cb, prior, mc, cfg)
         per_ap = [
-            amp_iterate(Y[:, b * A : (b + 1) * A], cb, prior.log_pmf, mc[..., b : b + 1], cfg)[4]
+            amp_iterate(Y[:, b * A : (b + 1) * A], cb, prior.log_pmf, mc[..., b : b + 1], cfg)[2]
             for b in range(cfg.B)
         ]
         per_ap_rows = [d["weighed_rows"] for d in per_ap]
@@ -279,13 +275,30 @@ class TestStackedRecursion:
         for size in (cfg.B, 1):
             monkeypatch.setattr(amp_central, "_MAX_STACKED_WEIGHTS", size * per_ap_weights)
             assert len(amp_central._chunks(cfg.B, cfg)) == cfg.B // size
-            posts, log_lik, X, Z, _diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
-            for b, (p_b, l_b, X_b, Z_b, _d) in enumerate(per_ap):
+            posts, log_lik, _diag = amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=True)
+            for b, (p_b, l_b, _d) in enumerate(per_ap):
                 rows = slice(b * M, (b + 1) * M)
                 np.testing.assert_array_equal(log_lik[:, rows], l_b)
                 np.testing.assert_array_equal(posts[:, rows], p_b)
-                np.testing.assert_array_equal(X[:, rows], X_b)
-                np.testing.assert_array_equal(Z[:, b * A : (b + 1) * A], Z_b)
+
+    @pytest.mark.parametrize("per_ap", [False, True], ids=["centralized", "stacked"])
+    def test_residual_row_blocks_do_not_change_results(self, monkeypatch, per_ap):
+        # the residual product upcasts the codebook in row blocks: blocks of
+        # 128 of the 200 rows, the last one short, give one product's bits
+        cfg, topo, prior, cb, mc = _system(
+            B=4, A=2, M=512, Nc=200, N_MC=16, sigma_w2=1e-6, Ec=6.0, T_AMP=3
+        )
+        Y, _ = _received(cfg, topo, cb, seed=20)
+        monkeypatch.setattr(amp_central, "TAU_TOL", 0.0)     # all T_AMP iterations
+        results = []
+        for bound in (1 << 40, 1):     # one product, then 128-row blocks whatever the weighed rows
+            monkeypatch.setattr(amp_central, "_RESIDUAL_UPCAST_BYTES", bound)
+            results.append(amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=per_ap))
+        whole, blocked = results
+        for a, b in zip(blocked[:2], whole[:2]):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(blocked[2]["tau_trace"], whole[2]["tau_trace"])
+        assert len(whole[2]["tau_trace"]) == cfg.T_AMP
 
     def test_group_size_rule(self):
         # all APs in one chunk at desk scale; one AP per chunk at the paper
@@ -334,7 +347,7 @@ class TestEndToEnd:
         pos = np.array([[15.0, 20.0]])
         h = airlink.sample_fading(pos, topo, cfg, seed=2)
         X[0, 1] = h[0]
-        Y = airlink.synthesize_rx(cb, X, cfg, seed=2)
+        Y = synthesize_dense(cb, X, cfg, seed=2)
         res = distributed_decode(Y, cb, prior, mc, cfg)
         assert res.k_per_zone[0, 1] >= 1
         assert res.k_per_zone.sum() <= 3

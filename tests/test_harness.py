@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tumaloc import amp_central, amp_dist, harness
+from tumaloc import airlink, amp_central, amp_dist, harness
 from tumaloc.amp_central import amp_iterate
 from tumaloc.cli import main as cli_main
 from tumaloc.config import ConfigError, build_topology, desk_preset, load_config
@@ -99,7 +99,7 @@ class TestRunSingle:
 
         def counted(*args, **kwargs):
             out = amp_iterate(*args, **kwargs)
-            runs.append(len(out[4]["tau_trace"]))
+            runs.append(len(out[2]["tau_trace"]))
             return out
 
         monkeypatch.setattr(amp_central, "amp_iterate", counted)
@@ -189,11 +189,11 @@ class TestSweep:
         real = harness.run_single
         seeds = []
 
-        def second_run_fails(ctx, decoder, seed):
+        def second_run_fails(ctx, decoder, seed, draws=None):
             seeds.append(seed)
             if len(seeds) == 2:
                 raise RuntimeError("forced failure of the second run")
-            return real(ctx, decoder, seed)
+            return real(ctx, decoder, seed, draws)
 
         monkeypatch.setattr(harness, "run_single", second_run_fails)
         with pytest.raises(RuntimeError, match="second run"):
@@ -226,6 +226,52 @@ class TestSweep:
         serial = records(tmp_path / "serial", 1)
         assert len(serial) == 6
         assert records(tmp_path / "pooled", 2) == serial
+
+    def test_shared_draws_give_standalone_records(self, tiny_cfg, tmp_path):
+        # both decoders decode one draw per (point, run); each record is a
+        # standalone run_single of its (decoder, seed), and the file keeps
+        # (point, decoder, run) order: the first decoder's records as runs
+        # return, the second's after the point's last run
+        spec = self._spec(
+            tiny_cfg, tmp_path / "sweep", axis="snr_rx", values=(-10.0, 10.0),
+            decoders=("centralized", "distributed"), runs=3, prior_cache=str(tmp_path / "cache"),
+        )
+        streamed = []
+        res = run_sweep(spec, progress=lambda rec: streamed.append(dict(rec)))
+        lines = [json.loads(l) for l in (tmp_path / "sweep" / "runs.jsonl").read_text().splitlines()]
+        order = [(r["point_index"], r["decoder"], r["run"]) for r in lines]
+        assert order == [(p, d, r) for p in (0, 1) for d in spec.decoders for r in range(3)]
+        assert streamed == res["records"] == lines
+        assert any(r["status"] == "ok" for r in lines)
+        for p_idx, value in enumerate(spec.values):
+            ctx = prepare_context(spec.point_config(value), cache_dir=spec.prior_cache)
+            for rec in (r for r in lines if r["point_index"] == p_idx):
+                want = run_single(ctx, rec["decoder"], derive_run_seed(7, p_idx, rec["run"]))
+                want.pop("wall_time_s")
+                got = {k: v for k, v in rec.items() if k not in ("timestamp", "wall_time_s")}
+                assert got == {**want, "point": value, "point_index": p_idx, "run": rec["run"]}
+
+    def test_one_draw_per_sweep_run(self, tiny_cfg, tmp_path, monkeypatch):
+        # a sweep of two decoders draws each run's codebook once; a perfect-only
+        # sweep draws none
+        drawn = []
+        real = airlink.gen_codebook
+
+        def counted(cfg, seed):
+            drawn.append(seed)
+            return real(cfg, seed)
+
+        monkeypatch.setattr(airlink, "gen_codebook", counted)
+        spec = self._spec(
+            tiny_cfg, tmp_path / "both", decoders=("centralized", "distributed"), runs=3,
+            prior_cache=str(tmp_path / "cache"),
+        )
+        recs = run_sweep(spec)["records"]
+        active = [r["seed"] for r in recs if r["decoder"] == "centralized" and r["K_a"] > 0]
+        assert drawn == active and len(set(drawn)) == len(drawn) > 0
+        drawn.clear()
+        run_sweep(self._spec(tiny_cfg, tmp_path / "perfect"))
+        assert drawn == []
 
     def test_aggregation_recomputable_from_jsonl(self, tiny_cfg, tmp_path):
         spec = self._spec(tiny_cfg, tmp_path, runs=4)
