@@ -13,8 +13,8 @@ norm within 2^-24 (:func:`gen_codebook`).  The transmitter and the receiver
 share these rounded codewords: :func:`synthesize_rx` upcasts the sent ones
 exactly and forms the signal in complex128.
 
-Randomness is organized in documented sub-streams of the master seed so
-ablations can vary one source at a time:
+Randomness is organized in documented sub-streams of a seed so ablations
+can vary one source at a time:
 
 ====================  ==========
 stream                id
@@ -27,12 +27,14 @@ mc-samples            4
 prior-integration     5
 ====================  ==========
 
-Of the prior-integration stream the package draws only substream 2, the
-sensors and targets of ``priors.compute_msg_probs``, for one zone per
-orbit of the zone grid's axis mirrors, in increasing zone index; the
-mirrored zones draw nothing.  The activation integral is a quadrature and
-draws nothing.  Substream 0 now only places the golden prior test's pinned
-``I(s)`` sensors.
+The codebook, fading, noise, scene and mc-samples streams are sub-streams
+of the run seed.  The prior-integration stream is not: the prior is
+system knowledge, the same for every run, so the package draws only
+``substream(0, STREAM_PRIORS, 2)``, the sensors and targets of
+``priors.compute_msg_probs``, for one zone per orbit of the zone grid's
+axis mirrors, in increasing zone index; the mirrored zones draw nothing.
+The activation integral is a quadrature and draws nothing.  Substream 0
+of seed 0 only places the golden prior test's pinned ``I(s)`` sensors.
 """
 
 from __future__ import annotations

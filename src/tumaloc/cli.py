@@ -2,7 +2,9 @@
 
 Subcommands: ``run`` (a one-point sweep that prints each record), ``sweep``
 (spec file), ``priors`` (build/cache priors) and ``hist`` (multiplicity
-histogram).  Exit code 0 on success, 2 on configuration errors and 3 on
+histogram).  ``--seed`` is the run seed of ``run``, the spec's
+``master_seed``, and the histogram seed of ``hist``; the prior does not
+depend on it.  Exit code 0 on success, 2 on configuration errors and 3 on
 I/O errors.
 """
 
@@ -19,24 +21,19 @@ from .config import ConfigError, SystemConfig, load_config, preset
 
 def _base_config(args) -> SystemConfig:
     if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = preset(args.preset)
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.with_updates(master_seed=args.seed)
-    return cfg
+        return load_config(args.config)
+    return preset(args.preset)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (unknown keys rejected)")
     p.add_argument("--preset", default="desk", choices=["desk", "paper"])
-    p.add_argument("--seed", type=int, default=None, help="master seed")
 
 
 def cmd_run(args) -> int:
     cfg = _base_config(args)
     spec = harness.ExperimentSpec(
-        base=cfg, decoders=(args.decoder,), runs=args.runs, master_seed=cfg.master_seed,
+        base=cfg, decoders=(args.decoder,), runs=args.runs, master_seed=args.seed,
         out_dir=args.out, prior_cache=args.cache,
     )
     harness.run_sweep(spec, progress=lambda rec: print(json.dumps(rec)))
@@ -81,7 +78,7 @@ def cmd_priors(args) -> int:
 
 def cmd_hist(args) -> int:
     cfg = _base_config(args)
-    res = harness.multiplicity_histogram(cfg, args.runs, cfg.master_seed)
+    res = harness.multiplicity_histogram(cfg, args.runs, args.seed)
     doc = {
         "hist": res["hist"].tolist(),
         "collision_fraction": res["collision_fraction"],
@@ -101,6 +98,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="end-to-end runs at a single configuration")
     _add_config_flags(p_run)
+    p_run.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
     p_run.add_argument("--decoder", default="centralized", choices=harness.DECODERS)
     p_run.add_argument("--runs", type=int, default=1)
     p_run.add_argument("--out", default="results", help="output directory (default results)")
@@ -121,6 +119,7 @@ def main(argv=None) -> int:
 
     p_hist = sub.add_parser("hist", help="empirical nonzero-multiplicity histogram")
     _add_config_flags(p_hist)
+    p_hist.add_argument("--seed", type=int, default=0, help="histogram seed (default 0)")
     p_hist.add_argument("--runs", type=int, default=100)
     p_hist.add_argument("--out")
     p_hist.set_defaults(fn=cmd_hist)

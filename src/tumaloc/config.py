@@ -71,7 +71,6 @@ class SystemConfig:
     P_n: float = 1e-13              # thermal noise power, W
     P_s: float = 1e-3               # per-symbol sensing power, W
     gamma_threshold: float = 36.84  # detection threshold (p_fa = e^{-gamma/2})
-    master_seed: int = 0
 
     def __post_init__(self):
         rows, cols = self.zone_grid
@@ -85,8 +84,8 @@ class SystemConfig:
             raise ConfigError(f"M must be a power of two in 4..4096 (2..12 bits), got {self.M}")
         if self.Nc < 1 or self.Ns < 1 or self.N_MC < 1 or self.T_AMP < 1:
             raise ConfigError("Nc, Ns, N_MC and T_AMP must be at least 1")
-        if self.K < 0 or self.T_targets < 0 or self.master_seed < 0:
-            raise ConfigError("K, T_targets and master_seed must be non-negative")
+        if self.K < 0 or self.T_targets < 0:
+            raise ConfigError("K and T_targets must be non-negative")
         if not min(self.K, 1) <= self.K_max <= self.K:
             raise ConfigError(f"need 1 <= K_max <= K (0 only for K = 0), got K_max={self.K_max}")
         if self.area_side <= 0 or self.Ec <= 0 or self.sigma_w2 <= 0 or self.d0 <= 0:

@@ -13,7 +13,8 @@ the first decoder's as each run returns, aggregates as CSV.  A spec file's
 
 Seeds: every run gets a 64-bit seed from a splitmix-style mix of
 (master seed, sweep point index, run index); all randomness inside a run
-derives from documented sub-streams of that run seed (see airlink).
+derives from documented sub-streams of that run seed (see airlink).  The
+prior takes no seed (see priors), so it is the same for every master seed.
 """
 
 from __future__ import annotations
@@ -99,14 +100,6 @@ def prepare_context(
     return PointContext(cfg=cfg, topology=topo, quantizer=quant, prior=prior)
 
 
-def _sense_and_encode(ctx: PointContext, seed: int):
-    cfg = ctx.cfg
-    sc = scene_mod.sample_scene(cfg, ctx.topology, seed)
-    sc = scene_mod.sense_all(sc, cfg, airlink.substream(seed, airlink.STREAM_SCENE, 1))
-    round_ = scene_mod.messages_of(sc, ctx.quantizer, cfg.U)
-    return sc, round_
-
-
 @dataclass(frozen=True)
 class RunDraws:
     """Everything a run draws from its seed; every decoder of a sweep run reads the same.
@@ -126,10 +119,12 @@ class RunDraws:
 
 def draw_run(ctx: PointContext, seed: int, decoders: tuple[str, ...]) -> RunDraws:
     """Draw the scene, the round and, if one of ``decoders`` decodes, the uplink of run ``seed``."""
-    sc, round_ = _sense_and_encode(ctx, seed)
+    cfg = ctx.cfg
+    sc = scene_mod.sample_scene(cfg, ctx.topology, seed)
+    sc = scene_mod.sense_all(sc, cfg, airlink.substream(seed, airlink.STREAM_SCENE, 1))
+    round_ = scene_mod.messages_of(sc, ctx.quantizer, cfg.U)
     if round_.K_a == 0 or all(d == "perfect" for d in decoders):
         return RunDraws(sc, round_)
-    cfg = ctx.cfg
     codebook = airlink.gen_codebook(cfg, seed)
     Y = airlink.uplink(round_, codebook, ctx.topology, cfg, seed)
     mc = amp_central.build_mc_table(cfg, ctx.topology, seed)
@@ -378,15 +373,19 @@ def multiplicity_histogram(cfg: SystemConfig, runs: int, seed: int) -> dict:
     """Pooled histogram of nonzero per-(zone, message) multiplicities.
 
     Also reports the fraction of transmissions whose codeword was sent by
-    more than one sensor (the collision fraction).  ``runs`` must be >= 1.
+    more than one sensor (the collision fraction).  Round ``r`` is the
+    :func:`draw_run` round of ``derive_run_seed(seed, 0, r)``, as run r of a
+    one-point sweep with master seed ``seed``.  ``runs`` must be >= 1 and
+    ``seed`` non-negative.
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     ctx = prepare_context(cfg, need_prior=False)
     nonzero = [np.zeros(0, dtype=int)]
     for r_idx in range(runs):
-        _sc, round_ = _sense_and_encode(ctx, derive_run_seed(seed, 0, r_idx))
-        k = round_.multiplicities
+        k = draw_run(ctx, derive_run_seed(seed, 0, r_idx), ()).round.multiplicities
         nonzero.append(k[k > 0])
     nz = np.concatenate(nonzero)
     n_all = len(nz)

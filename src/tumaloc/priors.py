@@ -16,10 +16,13 @@ of 2-D integrals.  The activation integral is deterministic: its outer
 mean over sensor positions is a Gauss-Legendre rule on the square's
 symmetric eighth, and its inner single-target detection integral a radial
 quadrature, exact to about 1e-10, so that raising it to the T-th power adds
-no bias; it does not depend on the master seed.  The message-selection
-integral is Monte Carlo in both the sensor and the target position, seeded
-by ``master_seed``, for one zone per orbit of the square's axis mirrors;
-the other zones are exact mirror images of their representative's table.
+no bias.  The message-selection integral is Monte Carlo in both the
+sensor and the target position, for one zone per orbit of the square's
+axis mirrors; the other zones are exact mirror images of their
+representative's table.  It draws from one fixed stream,
+``substream(0, STREAM_PRIORS, 2)``, so the prior depends only on the
+configuration and the sample count: it is system knowledge, the same for
+every run seed.
 """
 
 from __future__ import annotations
@@ -212,9 +215,9 @@ def compute_p_active(cfg: SystemConfig, topology: Topology, n_int: int = DEFAULT
     factorization replaces the T-dimensional integral exactly.  The outer
     mean over sensor positions is a Gauss-Legendre rule on the square's
     symmetric eighth (:func:`_sensor_rule`), the inner ``I(s)`` a radial
-    quadrature (:func:`_detection_integral`); the result is deterministic
-    and does not depend on ``master_seed``.  ``n_int`` is checked to be
-    positive but has no effect: the rule fixes its own node count.
+    quadrature (:func:`_detection_integral`); the result is deterministic.
+    ``n_int`` is checked to be positive but has no effect: the rule fixes
+    its own node count.
     """
     if n_int < 1:
         raise ValueError("n_int must be positive")
@@ -257,7 +260,8 @@ def compute_msg_probs(
     row, so the mirror identity holds to the bit, whatever order a row sum
     takes.
 
-    The stream is fixed by the sample counts alone: per representative, in
+    The draws come from the fixed stream ``substream(0, STREAM_PRIORS, 2)``
+    in an order fixed by the sample counts alone: per representative, in
     increasing zone index, the sensor positions, then one target cloud per
     sensor in sensor order.  Sensors are handled in batches of about
     ``_PD_BLOCK`` pairs, which bound the working arrays of the one-pass
@@ -268,7 +272,7 @@ def compute_msg_probs(
     """
     if n_int < 1:
         raise ValueError("n_int must be positive")
-    rng = substream(cfg.master_seed, STREAM_PRIORS, 2)
+    rng = substream(0, STREAM_PRIORS, 2)
     M = quantizer.M
     rows, cols = topology.zone_grid
     iy, ix = np.divmod(np.arange(topology.U), cols)
@@ -359,10 +363,10 @@ CACHE_VERSION = 7
 
 def prior_cache_key(cfg: SystemConfig, n_cell: int) -> str:
     """Hash of what the cached integrals depend on: the sensing fields, and
-    the seed and sample count of the Monte Carlo ``msg_probs``."""
+    the sample count of the Monte Carlo ``msg_probs``."""
     blob = json.dumps(
         {f: getattr(cfg, f) for f in _SENSING_FIELDS}
-        | {"n_cell": n_cell, "seed": cfg.master_seed, "v": CACHE_VERSION},
+        | {"n_cell": n_cell, "v": CACHE_VERSION},
         sort_keys=True,
         default=list,
     )

@@ -290,18 +290,21 @@ def weighed_rows_reference(R, tau, g, log_prior, Ec, A):
 
 
 def second_moment_reference(den, rows):
-    """The Onsager second moment M of ``rows`` by one plain einsum: every sample column, no flush.
+    """The Onsager second moment M of ``rows`` by one einsum: every sample column, no flush.
 
     ``M[m, b, b'] = sum_k post_k sum_i w_i(k) c_{b,i,k} c_{b',i,k}`` over the
     APs of row m's block, from ``den.posterior``, ``den.sample_weights`` and
-    ``den.shrink``; (len(rows), Bb, Bb), as ``ZoneDenoiseResult.m2``.
+    ``den.shrink``; (len(rows), Bb, Bb), as ``ZoneDenoiseResult.m2``.  The
+    einsum takes an optimized contraction path; summed in written operand
+    order, the four-operand product takes most of a reference recursion.
     """
     K, N, B = den.shrink.shape
     Bb = den.H.shape[1]
     M = len(den.H) * Bb // B
     c = den.shrink.reshape(K, N, B // Bb, Bb)[:, :, rows // M]       # (K, N, L, Bb)
     return np.einsum(
-        "mk,mki,kimb,kimc->mbc", den.posterior[rows, 1:], den.sample_weights[rows], c, c
+        "mk,mki,kimb,kimc->mbc", den.posterior[rows, 1:], den.sample_weights[rows], c, c,
+        optimize=True,
     )
 
 
@@ -422,13 +425,13 @@ def synthesize_dense(codebook, X, cfg, seed):
     return synthesize_rx(codebook, sent, Xf[sent], cfg, seed)
 
 
-def compute_p_closest(s, p, cfg, n_int=DEFAULT_N_CELL, seed=None):
+def compute_p_closest(s, p, cfg, n_int=DEFAULT_N_CELL, seed=0):
     """Probability that target ``p`` is the closest detected one for sensor ``s``.
 
     ``J(s, p)^(T-1)`` with ``J`` the single-competitor MC integral; the
     strict-inequality indicator makes the coincident case return 1.
     """
-    rng = substream(cfg.master_seed if seed is None else seed, STREAM_PRIORS, 1)
+    rng = substream(seed, STREAM_PRIORS, 1)
     s = np.asarray(s, dtype=float)
     p = np.asarray(p, dtype=float)
     if cfg.T_targets <= 1:
@@ -542,7 +545,7 @@ def compute_msg_probs_reference(cfg, topology, quantizer, n_int=DEFAULT_N_CELL):
     cell centres reflected in the area's centre lines, ``x -> S - x`` when
     the zone lies right of the middle and ``y -> S - y`` when above it.
     """
-    rng = substream(cfg.master_seed, STREAM_PRIORS, 2)
+    rng = substream(0, STREAM_PRIORS, 2)
     U, M = topology.U, quantizer.M
     rows, cols = topology.zone_grid
     side = cfg.area_side

@@ -290,7 +290,7 @@ def _desk_uplinks(cfg, ctx, master, runs, make_codebook=airlink.gen_codebook):
     """Seeded rounds with at least one active sensor: ``(round, codebook, X, Y, mc)``."""
     for r in range(runs):
         seed = harness.derive_run_seed(master, 0, r)
-        _sc, rnd = harness._sense_and_encode(ctx, seed)
+        rnd = harness.draw_run(ctx, seed, ()).round
         if rnd.K_a == 0:
             continue
         cb = make_codebook(cfg, seed)

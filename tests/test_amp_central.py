@@ -927,7 +927,7 @@ class TestBatchedQ2:
             np.testing.assert_array_equal(Q, results[0])
 
 
-def _tiny_system(rng_seed=0, U=2, M=4, B=2, A=1, Nc=64, N_MC=64, K_max=2, Ec=3.0,
+def _tiny_system(U=2, M=4, B=2, A=1, Nc=64, N_MC=64, K_max=2, Ec=3.0,
                  sigma_w2=0.05, T_AMP=5, K=8):
     from tumaloc.config import SystemConfig
 
@@ -938,7 +938,6 @@ def _tiny_system(rng_seed=0, U=2, M=4, B=2, A=1, Nc=64, N_MC=64, K_max=2, Ec=3.0
         ap_positions=tuple((side * (b + 0.5) / B, -40.0) for b in range(B)),
         A=A, M=M, Nc=Nc, Ns=100, Ec=Ec, sigma_w2=sigma_w2,
         d0=60.0, K=K, T_targets=4, N_MC=N_MC, T_AMP=T_AMP, K_max=K_max,
-        master_seed=rng_seed,
     )
     topo = build_topology(cfg)
     return cfg, topo
@@ -951,7 +950,7 @@ def _desk_at_10db(seed=3):
     cfg = cfg0.with_updates(sigma_w2=sigma_w2_for_snr_rx(cfg0, topo, 10.0))
     ctx = harness.prepare_context(cfg, need_prior=False)
     prior = build_prior(cfg, 0.5, np.full((cfg.U, cfg.M), 1.0 / (cfg.U * cfg.M)))
-    _sc, rnd = harness._sense_and_encode(ctx, seed)
+    rnd = harness.draw_run(ctx, seed, ()).round
     cb = airlink.gen_codebook(cfg, seed)
     Y = airlink.uplink(rnd, cb, topo, cfg, seed)
     return cfg, cb, prior, build_mc_table(cfg, topo, seed), Y
@@ -1085,7 +1084,7 @@ class TestMatchedFilterPrecision:
         cfg, seed = paper_preset(T_AMP=3, N_MC=100), harness.derive_run_seed(1, 0, 0)
         base = harness.prepare_context(cfg, need_prior=False)
         ctx = harness.PointContext(cfg, base.topology, base.quantizer, paper_prior())
-        _sc, rnd = harness._sense_and_encode(ctx, seed)
+        rnd = harness.draw_run(ctx, seed, ()).round
         cb = airlink.gen_codebook(cfg, seed)
         Y = airlink.uplink(rnd, cb, ctx.topology, cfg, seed)
         self._assert_same_decode(amp_run, cfg, cb, ctx.prior, build_mc_table(cfg, ctx.topology, seed), Y)

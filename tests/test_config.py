@@ -209,6 +209,16 @@ class TestConfigIO:
             load_config(path)
         assert cli_main(["run", "--config", str(path), "--decoder", "perfect"]) == 2
 
+    def test_master_seed_key_rejected(self, tmp_path, capsys):
+        # the prior is the same for every seed; a run seed is the spec's or --seed
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "desk", "master_seed": 0}))
+        with pytest.raises(ConfigError, match="master_seed"):
+            load_config(path)
+        out = str(tmp_path / "out")
+        assert cli_main(["run", "--config", str(path), "--decoder", "perfect", "--out", out]) == 2
+        assert "master_seed" in capsys.readouterr().err
+
     def test_preset_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "desk", "K": 17}))
@@ -232,7 +242,6 @@ class TestConfigIO:
             {"K_max": 0},
             {"K": -1, "K_max": 0},
             {"T_targets": -1},
-            {"master_seed": -1},
             {"P_n": 0.0},
             {"P_s": 0.0},
             {"f_c": 0.0},
@@ -254,7 +263,8 @@ class TestConfigIO:
         assert cfg.M == 64
 
 
-# known keys whose values break a type or a range; none may reach a run
+# known keys whose values break a type or a range, and the removed
+# master_seed; none may reach a run
 MALFORMED = [
     {"Ns": 0},
     {"Ns": -5},

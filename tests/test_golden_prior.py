@@ -40,7 +40,7 @@ def _sha(a):
 
 
 def prior_digest(cfg, prior):
-    sensors = substream(cfg.master_seed, STREAM_PRIORS, 0).uniform(
+    sensors = substream(0, STREAM_PRIORS, 0).uniform(
         0, cfg.area_side, size=(N_PINNED_SENSORS, 2))
     return {
         "p_active": float(prior.p_active).hex(),

@@ -361,19 +361,25 @@ class TestSpecLoader:
         assert got.zone_grid == (3, 3) and got.B == 2
 
     @pytest.mark.parametrize(
-        "removed",
-        [{"preset": "paper", "total_blocklength": 2000}, {"config_file": "cfg.json"}],
-        ids=["total_blocklength", "config_file"],
+        "removed, key",
+        [
+            ({"preset": "paper", "total_blocklength": 2000}, "total_blocklength"),
+            ({"config_file": "cfg.json"}, "config_file"),
+            ({"config": {"master_seed": 1}}, "master_seed"),
+        ],
+        ids=["total_blocklength", "config_file", "config.master_seed"],
     )
-    def test_removed_keys_rejected(self, tmp_path, monkeypatch, removed):
-        # the blocklength total is the base config's; a config comes in the spec
+    def test_removed_keys_rejected(self, tmp_path, monkeypatch, capsys, removed, key):
+        # the blocklength total is the base config's; a config comes in the
+        # spec; the prior's Monte Carlo takes no seed from the config
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps({"preset": "paper"}))
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"axis": "ns", "values": [10], **removed}))
-        (key,) = set(removed) - {"preset"}
         with pytest.raises(ConfigError, match=key):
             spec_from_json(path)
+        assert cli_main(["sweep", "--spec", str(path)]) == 2
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "bad",
@@ -483,12 +489,43 @@ class TestCli:
         recs = [json.loads(l) for l in (out / "runs.jsonl").read_text().splitlines()]
         printed = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert printed == recs
-        ctx = prepare_context(desk_preset(master_seed=4), need_prior=False)
+        ctx = prepare_context(desk_preset(), need_prior=False)
         assert [r["run"] for r in recs] == [0, 1]
         for r, rec in enumerate(recs):
             want = run_single(ctx, "perfect", derive_run_seed(4, 0, r))
             want.pop("wall_time_s")
             assert {k: rec[k] for k in want} == want
+
+    def test_run_is_the_one_point_sweep_on_one_prior(self, tmp_path, capsys):
+        # --seed is the sweep's master seed and nothing else: decoded runs equal
+        # the one-point sweep's, and runs at several seeds share one prior file
+        cache = str(tmp_path / "cache")
+        out = tmp_path / "run"
+        code = cli_main(
+            ["run", "--preset", "desk", "--decoder", "centralized", "--seed", "1",
+             "--runs", "11", "--cache", cache, "--out", str(out)]
+        )
+        assert code == 0
+        spec = ExperimentSpec(base=desk_preset(), runs=11, master_seed=1,
+                              out_dir=str(tmp_path / "sweep"), prior_cache=cache)
+        skip = ("timestamp", "wall_time_s")
+        got = [{k: v for k, v in json.loads(l).items() if k not in skip}
+               for l in (out / "runs.jsonl").read_text().splitlines()]
+        want = [{k: v for k, v in rec.items() if k not in skip} for rec in run_sweep(spec)["records"]]
+        assert sum(r["decode_iters"] is not None for r in want) > 0
+        assert got == want
+        code = cli_main(
+            ["run", "--preset", "desk", "--decoder", "centralized", "--seed", "2",
+             "--cache", cache, "--out", str(tmp_path / "run2")]
+        )
+        assert code == 0
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            {"preset": "desk", "runs": 1, "master_seed": 3, "prior_cache": cache,
+             "out_dir": str(tmp_path / "sweep3")}
+        ))
+        assert cli_main(["sweep", "--spec", str(spec_path)]) == 0
+        assert len(list(Path(cache).iterdir())) == 1
 
     def test_run_without_runs_exit_code(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -509,6 +546,15 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: runs must be >= 1, got {runs}\n"
+
+    @pytest.mark.parametrize("command", ["run", "hist"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, command):
+        argv = [command, "--preset", "desk", "--seed", "-1", "--runs", "1"]
+        if command == "run":
+            argv += ["--decoder", "perfect", "--out", str(tmp_path / "run")]
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "seed must be non-negative" in err
 
     @pytest.mark.parametrize("workers", ["0", "-5"])
     def test_sweep_without_workers_exit_code(self, tmp_path, capsys, workers):

@@ -70,7 +70,7 @@ class TestPActive:
     def test_factorized_vs_direct_mc_oracle(self):
         # T = 2 on a tiny area: compare against the direct 2-D MC of the
         # product integral, which does not use the i.i.d. factorization
-        cfg = _one_zone_cfg(T_targets=2, Ns=40, master_seed=1)
+        cfg = _one_zone_cfg(T_targets=2, Ns=40)
         topo = build_topology(cfg)
         got = compute_p_active(cfg, topo, n_int=60_000)
         rng = np.random.default_rng(99)
@@ -99,8 +99,8 @@ class TestPActive:
     def test_monotone_in_sensing_blocklength(self):
         cfg = desk_preset()
         topo = build_topology(cfg)
-        lo = compute_p_active(cfg.with_updates(Ns=100, master_seed=3), topo, n_int=20_000)
-        hi = compute_p_active(cfg.with_updates(Ns=1000, master_seed=3), topo, n_int=20_000)
+        lo = compute_p_active(cfg.with_updates(Ns=100), topo, n_int=20_000)
+        hi = compute_p_active(cfg.with_updates(Ns=1000), topo, n_int=20_000)
         assert hi >= lo
 
 
@@ -137,7 +137,7 @@ class TestPClosest:
 class TestMsgProbs:
     def test_symmetric_zone_equal_cells(self):
         # single central AP, whole area is one zone, 2x2 grid: symmetry
-        cfg = _one_zone_cfg(P_n=1e-300, T_targets=3, master_seed=5)   # p_d ~ 1 everywhere
+        cfg = _one_zone_cfg(P_n=1e-300, T_targets=3)   # p_d ~ 1 everywhere
         topo = build_topology(cfg)
         quant = build_quantizer(2, cfg.area_side)
         probs = compute_msg_probs(cfg, topo, quant, n_int=8000)
@@ -159,7 +159,6 @@ class TestMsgProbs:
             K_max=4,
             Ns=10,
             P_n=1e-10,
-            master_seed=6,
         )
         topo = build_topology(cfg)
         quant = build_quantizer(2, cfg.area_side)
@@ -168,7 +167,7 @@ class TestMsgProbs:
 
     def test_direct_mc_oracle_zone0(self):
         # independent per-cell MC with per-pair closest integrals
-        cfg = _one_zone_cfg(T_targets=3, Ns=60, M=4, master_seed=7)
+        cfg = _one_zone_cfg(T_targets=3, Ns=60, M=4)
         topo = build_topology(cfg)
         quant = build_quantizer(2, cfg.area_side)
         got = compute_msg_probs(cfg, topo, quant, n_int=8000)[0]
@@ -344,13 +343,6 @@ class TestSensorRule:
         # no piece has nodes on both sides of either
         for cut in far:
             assert np.all((pieces < cut).all(axis=1) | (pieces > cut).all(axis=1))
-
-    @pytest.mark.parametrize("preset", [desk_preset, _one_zone_cfg], ids=["desk", "one-zone"])
-    def test_does_not_depend_on_the_seed(self, preset):
-        cfg = preset()
-        topo = build_topology(cfg)
-        got = compute_p_active(cfg.with_updates(master_seed=0), topo)
-        assert compute_p_active(cfg.with_updates(master_seed=7), topo) == got
 
 
 class TestBlockedIntegrals:
