@@ -16,25 +16,27 @@ exactly and forms the signal in complex128.
 Randomness is organized in documented sub-streams of a seed so ablations
 can vary one source at a time:
 
-====================  ==========
-stream                id
-====================  ==========
-codebook              0
-fading                1
-noise                 2
-scene                 3
-mc-samples            4
-prior-integration     5
-====================  ==========
+====================  ==  ==========
+stream                id  seed
+====================  ==  ==========
+codebook              0   0
+fading                1   run seed
+noise                 2   run seed
+scene                 3   run seed
+mc-samples            4   run seed
+prior-integration     5   0
+====================  ==  ==========
 
-The codebook, fading, noise, scene and mc-samples streams are sub-streams
-of the run seed.  The prior-integration stream is not: the prior is
-system knowledge, the same for every run, so the package draws only
-``substream(0, STREAM_PRIORS, 2)``, the sensors and targets of
+The codebook and the prior are system knowledge, the same for every run,
+so the package draws them from seed 0 only.  The codebook is
+``gen_codebook(cfg, 0)``, drawn once per sweep point, on its
+``harness.PointContext``, and shared by every run there.  The
+prior draws ``substream(0, STREAM_PRIORS, 2)``, the sensors and targets of
 ``priors.compute_msg_probs``, for one zone per orbit of the zone grid's
 axis mirrors, in increasing zone index; the mirrored zones draw nothing.
-The activation integral is a quadrature and draws nothing.  Substream 0
-of seed 0 only places the golden prior test's pinned ``I(s)`` sensors.
+The activation integral is a quadrature and draws nothing.
+``substream(0, STREAM_PRIORS, 0)`` only places the golden prior test's
+pinned ``I(s)`` sensors.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 A single run walks the whole pipeline: sample scene -> probabilistic sensing
 -> quantize reports into messages -> (perfect-communication oracle: hand the
-true type to the receiver; otherwise draw the (Nc, U, M) codebook, synthesize
-the (Nc, F) received signal with ``airlink.uplink``, draw the MC table and
+true type to the receiver; otherwise synthesize the (Nc, F) received signal
+on the point's codebook with ``airlink.uplink``, draw the MC table and
 decode) -> metrics.  A sweep draws each run once, :func:`draw_run`, and
 hands the draws to every decoder it compares.  Sweeps vary received SNR,
 the split of the base config's ``Ns + Nc`` between sensing and
@@ -12,9 +12,13 @@ the first decoder's as each run returns, aggregates as CSV.  A spec file's
 ``preset`` and ``config`` are read as a config file is.
 
 Seeds: every run gets a 64-bit seed from a splitmix-style mix of
-(master seed, sweep point index, run index); all randomness inside a run
-derives from documented sub-streams of that run seed (see airlink).  The
-prior takes no seed (see priors), so it is the same for every master seed.
+(master seed, sweep point index, run index); the run's scene, sensing,
+fading, noise and MC table derive from documented sub-streams of that run
+seed (see airlink).  The codebook and the prior take no seed: both are
+system knowledge, the same for every run and every master seed.  The
+codebook is ``airlink.gen_codebook(cfg, 0)``, drawn once per
+:class:`PointContext` at its first decode (:attr:`PointContext.codebook`);
+the prior draws from a fixed stream (see priors).
 """
 
 from __future__ import annotations
@@ -86,6 +90,20 @@ class PointContext:
     quantizer: Quantizer
     prior: priors.MultiplicityPrior | None
 
+    @functools.cached_property
+    def codebook(self) -> np.ndarray:
+        """The point's read-only (Nc, U, M) codebook, ``airlink.gen_codebook(cfg, 0)``.
+
+        In TUMA the codebook is fixed and shared by the users and the
+        receiver, so every run at the point transmits on it.  It is drawn
+        on first read and kept on the context, so a context that only runs
+        the perfect decoder never draws it; assigning to it raises, as for
+        any field of the frozen context.
+        """
+        codebook = airlink.gen_codebook(self.cfg, 0)
+        codebook.flags.writeable = False
+        return codebook
+
 
 def prepare_context(
     cfg: SystemConfig, cache_dir: str | None = None, need_prior: bool = True
@@ -104,33 +122,37 @@ def prepare_context(
 class RunDraws:
     """Everything a run draws from its seed; every decoder of a sweep run reads the same.
 
-    The uplink, ``codebook``, received signal ``Y`` and MC table ``mc``,
-    is drawn only when some decoder decodes and a sensor is active, else
-    None.  Its arrays are read-only, so that no decoder changes what the
+    The uplink, received signal ``Y`` and MC table ``mc``, is drawn only
+    when some decoder decodes and a sensor is active, else None; ``Y`` is
+    sent on the context's :attr:`PointContext.codebook`, which no run
+    draws.  The arrays are read-only, so that no decoder changes what the
     next one reads.
     """
 
     scene: scene_mod.Scene
     round: airlink.TransmissionRound
-    codebook: np.ndarray | None = None
     Y: np.ndarray | None = None
     mc: np.ndarray | None = None
 
 
 def draw_run(ctx: PointContext, seed: int, decoders: tuple[str, ...]) -> RunDraws:
-    """Draw the scene, the round and, if one of ``decoders`` decodes, the uplink of run ``seed``."""
+    """Draw the scene, the round and, if one of ``decoders`` decodes, the uplink of run ``seed``.
+
+    The uplink is sent on ``ctx.codebook``, so the first such draw on a
+    context draws the codebook too; the scene, fading, noise and MC table
+    are sub-streams of ``seed``.
+    """
     cfg = ctx.cfg
     sc = scene_mod.sample_scene(cfg, ctx.topology, seed)
     sc = scene_mod.sense_all(sc, cfg, airlink.substream(seed, airlink.STREAM_SCENE, 1))
     round_ = scene_mod.messages_of(sc, ctx.quantizer, cfg.U)
     if round_.K_a == 0 or all(d == "perfect" for d in decoders):
         return RunDraws(sc, round_)
-    codebook = airlink.gen_codebook(cfg, seed)
-    Y = airlink.uplink(round_, codebook, ctx.topology, cfg, seed)
+    Y = airlink.uplink(round_, ctx.codebook, ctx.topology, cfg, seed)
     mc = amp_central.build_mc_table(cfg, ctx.topology, seed)
-    for a in (codebook, Y, mc):
+    for a in (Y, mc):
         a.flags.writeable = False
-    return RunDraws(sc, round_, codebook, Y, mc)
+    return RunDraws(sc, round_, Y, mc)
 
 
 def run_single(ctx: PointContext, decoder: str, seed: int, draws: RunDraws | None = None) -> dict:
@@ -138,10 +160,11 @@ def run_single(ctx: PointContext, decoder: str, seed: int, draws: RunDraws | Non
 
     ``draws`` are the run's :func:`draw_run` draws, shared with the other
     decoders of a sweep run; without them the run draws its own, with the
-    same helper, and ``wall_time_s`` includes them.  Decode and
-    transport-LP failures and degenerate outcomes are recorded in
-    ``status`` rather than raised; sensing-side metrics are filled in
-    whenever the scene has at least one active sensor.
+    same helper, and ``wall_time_s`` includes them, with the codebook's
+    draw on a context's first decode.  Decode and transport-LP failures
+    and degenerate outcomes are recorded in ``status`` rather than raised;
+    sensing-side metrics are filled in whenever the scene has at least one
+    active sensor.
     """
     if decoder not in DECODERS:
         raise ConfigError(f"unknown decoder {decoder!r}")
@@ -183,7 +206,7 @@ def _fill_metrics(ctx: PointContext, decoder: str, draws: RunDraws, rec: dict) -
     else:
         if ctx.prior is None:
             raise ConfigError("decoder runs need a prepared prior (need_prior=True)")
-        args = (draws.Y, draws.codebook, ctx.prior, draws.mc, cfg)
+        args = (draws.Y, ctx.codebook, ctx.prior, draws.mc, cfg)
         try:
             if decoder == "centralized":
                 result = amp_central.amp_run(*args)
@@ -278,15 +301,17 @@ def run_sweep(spec: ExperimentSpec, progress=None, workers: int = 1) -> dict:
     decoder, means and standard errors over non-degenerate runs).  Each
     (point, run) is drawn once, by :func:`draw_run`, and every decoder of
     the spec decodes those draws through :func:`run_single`, so the
-    decoders see the same scene, codebook, received signal and MC table,
-    and each record equals a standalone ``run_single`` of its (decoder,
-    seed); its ``wall_time_s`` leaves out the shared draws.  ``workers > 1``
-    runs each point's runs on one thread pool kept for the sweep,
-    ``workers == 1`` in the calling thread.  Records are written in
-    (point, decoder, run) order: the first decoder's as each run returns,
-    the other decoders' once the point's last run has returned.  Every
-    point's config is built first, so a bad point fails before any file is
-    touched.
+    decoders see the same scene, received signal and MC table, and each
+    record equals a standalone ``run_single`` of its (decoder, seed); its
+    ``wall_time_s`` leaves out the shared draws.  Every run of a point
+    transmits on the point's one codebook (:attr:`PointContext.codebook`),
+    drawn at the point's first decode and not at all by a perfect-only
+    sweep.  ``workers > 1`` runs each point's runs on one thread pool kept
+    for the sweep, ``workers == 1`` in the calling thread.  Records are
+    written in (point, decoder, run) order: the first decoder's as each run
+    returns, the other decoders' once the point's last run has returned.
+    Every point's config is built first, so a bad point fails before any
+    file is touched.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -317,6 +342,8 @@ def run_sweep(spec: ExperimentSpec, progress=None, workers: int = 1) -> dict:
         run_map = pool.map if workers > 1 else map
         for p_idx, (value, cfg) in enumerate(zip(spec.point_values(), configs)):
             ctx = prepare_context(cfg, cache_dir=spec.prior_cache, need_prior=need_prior)
+            if workers > 1 and need_prior:
+                ctx.codebook    # drawn here, so that no two threads draw it at once
             seeds = [derive_run_seed(spec.master_seed, p_idx, r_idx) for r_idx in range(spec.runs)]
             later = []      # per run, the records of the decoders after the first
             for r_idx, recs in enumerate(run_map(functools.partial(decode_all, ctx), seeds)):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -251,9 +252,9 @@ class TestSweep:
                 got = {k: v for k, v in rec.items() if k not in ("timestamp", "wall_time_s")}
                 assert got == {**want, "point": value, "point_index": p_idx, "run": rec["run"]}
 
-    def test_one_draw_per_sweep_run(self, tiny_cfg, tmp_path, monkeypatch):
-        # a sweep of two decoders draws each run's codebook once; a perfect-only
-        # sweep draws none
+    def test_one_codebook_per_sweep_point(self, tiny_cfg, tmp_path, monkeypatch):
+        # a decoding point draws its codebook once, from seed 0, whatever its
+        # number of runs or threads, and both decoders of every run decode on it
         drawn = []
         real = airlink.gen_codebook
 
@@ -262,16 +263,38 @@ class TestSweep:
             return real(cfg, seed)
 
         monkeypatch.setattr(airlink, "gen_codebook", counted)
-        spec = self._spec(
-            tiny_cfg, tmp_path / "both", decoders=("centralized", "distributed"), runs=3,
-            prior_cache=str(tmp_path / "cache"),
-        )
-        recs = run_sweep(spec)["records"]
-        active = [r["seed"] for r in recs if r["decoder"] == "centralized" and r["K_a"] > 0]
-        assert drawn == active and len(set(drawn)) == len(drawn) > 0
-        drawn.clear()
-        run_sweep(self._spec(tiny_cfg, tmp_path / "perfect"))
-        assert drawn == []
+        for runs, workers in ((2, 1), (5, 1), (5, 3)):
+            drawn.clear()
+            spec = self._spec(
+                tiny_cfg, tmp_path, axis="snr_rx", values=(-10.0, 10.0),
+                decoders=("centralized", "distributed"), runs=runs,
+                prior_cache=str(tmp_path / "cache"),
+            )
+            recs = run_sweep(spec, workers=workers)["records"]
+            decoded = {r["point_index"] for r in recs if r["K_a"] > 0}
+            assert len(decoded) == 2 and drawn == [0, 0], (runs, workers)
+
+    def test_perfect_runs_draw_no_codebook(self, tiny_cfg, tmp_path, monkeypatch):
+        # a perfect-only sweep and the histogram never read the codebook
+        def no_codebook(cfg, seed):
+            raise AssertionError("a codebook was drawn")
+
+        monkeypatch.setattr(airlink, "gen_codebook", no_codebook)
+        recs = run_sweep(self._spec(tiny_cfg, tmp_path, runs=3))["records"]
+        assert any(r["status"] == "ok" for r in recs)
+        assert multiplicity_histogram(tiny_cfg, runs=3, seed=7)["pooled_codewords"] > 0
+
+    def test_codebook_is_read_only(self, tiny_ctx):
+        ctx = harness.PointContext(tiny_ctx.cfg, tiny_ctx.topology, tiny_ctx.quantizer, tiny_ctx.prior)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.codebook = airlink.gen_codebook(ctx.cfg, 1)
+        cb = ctx.codebook
+        assert ctx.codebook is cb
+        np.testing.assert_array_equal(cb, airlink.gen_codebook(ctx.cfg, 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.codebook = cb.copy()
+        with pytest.raises(ValueError):
+            cb[0, 0, 0] = 0.0
 
     def test_aggregation_recomputable_from_jsonl(self, tiny_cfg, tmp_path):
         spec = self._spec(tiny_cfg, tmp_path, runs=4)
