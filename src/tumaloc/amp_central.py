@@ -242,6 +242,24 @@ Nc = 1000.  The posterior gap this opens against the same decode on the
 codebook's exact complex128 upcast is measured in
 ``BENCH_c64_matched_filter.json`` and bounded by the tests.
 
+The matched filter is the recursion's largest product, and zone u + 1's
+reads only the residual, which changes only between iterations.  So when
+one zone's matched filter is large, ``F' Nc M >= _OVERLAP_MIN_MACS``
+(2^24: 4.6e5 at the desk preset, 1.6e8 at the paper preset), the process
+may run on at least two CPUs and OpenBLAS runs one thread
+(:func:`blas_threads`), :func:`amp_iterate` computes zone u + 1's matched
+filter, the cgemm and its conjugate-transpose, on one helper thread while
+this thread works on zone u, into the second of two (G M, F') buffers.
+The helper lives for one decode, and a buffer is rewritten only after its
+zone is done.  The ``sqrt(Ec) x_hat`` update, the finiteness check, the
+denoiser, the Onsager term, the residual GEMM and every accumulation stay
+on this thread in zone order, so every product is the same BLAS call on the
+same operands as in the inline loop: the posteriors, log-likelihoods and
+diagnostics are the same, bit for bit, and a :class:`DecodeError` is raised
+at the same iteration with the same message.  Else the
+loop computes each matched filter inline: small products gain less than
+the hand-off costs, and a threaded OpenBLAS has no second core to spare.
+
 Between zone steps the recursion keeps only what the next step reads: the
 residual, and each zone's latest estimates as its weighed rows and their
 values, zero elsewhere.  The matched filter adds ``sqrt(Ec) x_hat`` on
@@ -269,6 +287,9 @@ included, is reproduced exactly by a run with ``T_AMP = t``.
 
 from __future__ import annotations
 
+import contextlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,6 +311,7 @@ __all__ = [
     "amp_run",
     "estimate_multiplicities",
     "estimate_type",
+    "blas_threads",
 ]
 
 TAU_FLOOR = 1e-15
@@ -301,6 +323,7 @@ _Q2_CHUNK_REALS = 1 << 18     # bound on the Onsager Q2 product's temporary, in 
 _MAX_STACKED_WEIGHTS = 1 << 22     # bound on a denoiser call's (rows, K_max, N_MC) weight array
 _MAX_SHIFT_SLACK = 700.0     # a one-AP group with A log(v_max / v_min) above this takes its table max as the shift
 _RESIDUAL_UPCAST_BYTES = 1 << 21     # bound on the residual product's complex128 copy of codebook rows (2 MiB)
+_OVERLAP_MIN_MACS = 1 << 24     # F' Nc M of one zone's matched filter from which it overlaps the denoiser
 
 
 class DecodeError(RuntimeError):
@@ -314,6 +337,62 @@ class DecodeError(RuntimeError):
     def __init__(self, iteration: int, message: str = ""):
         super().__init__(message or f"non-finite AMP iterate at iteration {iteration}")
         self.iteration = iteration
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def blas_threads() -> int:
+    """The OpenBLAS thread count, read from the environment as OpenBLAS reads it at load."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return _usable_cpus()
+
+
+def _overlaps(F: int, Nc: int, M: int) -> bool:
+    """Whether :func:`amp_iterate` computes the next zone's (F', Nc) @ (Nc, M) matched filter on a helper thread.
+
+    Only a large product on one BLAS thread with a second CPU free gains
+    from it (module docstring).
+    """
+    return F * Nc * M >= _OVERLAP_MIN_MACS and _usable_cpus() >= 2 and blas_threads() == 1
+
+
+def _matched_filter(Zh: np.ndarray, Cu: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One zone's matched filter ``Cu^H Z`` into ``out`` (G M, F'), which it returns.
+
+    One (F', Nc) @ (Nc, M) GEMM in the codebook's precision, conjugating the
+    small residual ``Zh = Z^H`` instead of Cu, then conjugate-transposed in
+    one pass into the complex128 stacked rows in C order, which
+    _check_finite's float view and onsager need.
+    """
+    rows, F = out.shape
+    G = Zh.shape[0] // F
+    np.conjugate((Zh @ Cu).reshape(G, F, -1).transpose(0, 2, 1), out=out.reshape(G, rows // G, F))
+    return out
+
+
+def _matched_filters(Zh: np.ndarray, codebook: np.ndarray, bufs: np.ndarray, pool):
+    """Yield each zone's matched filter in zone order, in the buffers ``bufs`` (n, G M, F') in turn.
+
+    With a ``pool`` (two buffers), zone u + 1's product is submitted to it
+    before zone u's is yielded, so it runs while the caller works on zone
+    u; the caller resumes the generator only once done with zone u, and
+    zone u + 1 writes the buffer of zone u - 1.  Without one, each zone's
+    product runs inline in the one buffer.
+    """
+    U = codebook.shape[1]
+    pending = None
+    for u in range(U):
+        R_u = pending.result() if pending is not None else _matched_filter(Zh, codebook[:, u], bufs[0])
+        pending = None if pool is None or u + 1 == U else pool.submit(
+            _matched_filter, Zh, codebook[:, u + 1], bufs[(u + 1) % 2]
+        )
+        yield R_u
 
 
 def _chunks(G: int, cfg: SystemConfig) -> list[tuple[int, int]]:
@@ -789,7 +868,10 @@ def amp_iterate(
     ``T_AMP = t``, bit for bit.  The last iteration ends at the
     posteriors: it computes no channel estimates, Onsager term or
     residual, so a decode whose only non-finite value would be that
-    residual returns its posteriors.
+    residual returns its posteriors.  A large decode on one BLAS thread
+    computes each zone's matched filter on a helper thread while this
+    thread denoises the zone before, with the same output, bit for bit
+    (module docstring).
 
     Returns ``(posteriors, log_lik, diagnostics)``: the last iteration's
     per-zone multiplicity posteriors and MC-averaged log-likelihood
@@ -811,73 +893,72 @@ def amp_iterate(
     # each zone's latest estimates on its weighed rows, (rows, values); zero on the other rows
     est = [(np.zeros(0, dtype=int), np.zeros((0, F), dtype=complex))] * U
     Z = Y.copy()
-    R_u = np.empty((rows, F), dtype=complex)     # each zone's matched filter, overwritten zone by zone
     posts = np.zeros((U, rows, cfg.K_max + 1))
     log_lik = np.zeros((U, rows, cfg.K_max + 1))
     tau_trace = []
     weighed_rows = []
     degenerate_rows = 0
-
-    for t in range(1, cfg.T_AMP + 1):
-        tau = residual_covariance(Z, A)
-        tau_trace.append(tau)
-        # the last iteration: the cap, or every AP's tau moved by less than
-        # TAU_TOL of its last value.  It stops at the posteriors
-        last = t == cfg.T_AMP or (
-            t >= 2 and (np.abs(tau - tau_trace[-2]) / tau_trace[-2]).max() < TAU_TOL
-        )
-        Gamma = np.zeros_like(Z)
-        Gamma_blocks = Gamma.reshape(Nc, G, F).transpose(1, 0, 2)   # (G, Nc, F) views
-        Z_blocks = Z.reshape(Nc, G, F).transpose(1, 0, 2)
-        Zh = Z.conj().T.astype(codebook.dtype, copy=False)
-        Q = np.zeros((G, F, F), dtype=complex)
-        weighed_rows.append(0)
-        for u in range(U):
-            Cu = codebook[:, u]
-            # matched filter Cu^H Z as one (F', Nc) @ (Nc, M) GEMM in the codebook's
-            # precision, conjugating the small residual instead of Cu, then
-            # conjugate-transposed in one pass into the complex128 stacked rows in
-            # C order, which _check_finite's float view and onsager need
-            np.conjugate((Zh @ Cu).reshape(G, F, M).transpose(0, 2, 1), out=R_u.reshape(G, M, F))
-            at_rows, x_rows = est[u]
-            R_u[at_rows] += sqrt_ec * x_rows
-            _check_finite(R_u.reshape(G, M, F), t)
-            new_rows, new_x = [], []
-            for j0, j1 in _chunks(G, cfg):
-                at, aps = slice(j0 * M, j1 * M), slice(j0 * Bb, j1 * Bb)
-                den = denoise_rows(
-                    R_u[at], tau[aps], g[u, ..., aps], log_prior[u], cfg.Ec, A, estimates=not last
-                )
-                degenerate_rows += int(den.degenerate.sum())
-                weighed_rows[-1] += len(den.weighed)
-                posts[u, at] = den.posterior
-                log_lik[u, at] = den.log_mc_lik
-                if not last:
-                    new_rows.append(j0 * M + den.weighed)
-                    new_x.append(den.x_hat[den.weighed])
-                    Q[j0:j1] += onsager(R_u[at], den, tau[aps], cfg.Ec, A)
-                del den     # one chunk's denoiser output alive at a time
+    # the zones' matched filters, overwritten zone by zone: in one buffer, or
+    # in two when the next zone's is computed on a helper thread
+    overlap = _overlaps(F_all, Nc, M)
+    R_bufs = np.empty((2 if overlap else 1, rows, F), dtype=complex)
+    with ThreadPoolExecutor(1) if overlap else contextlib.nullcontext() as pool:
+        for t in range(1, cfg.T_AMP + 1):
+            tau = residual_covariance(Z, A)
+            tau_trace.append(tau)
+            # the last iteration: the cap, or every AP's tau moved by less than
+            # TAU_TOL of its last value.  It stops at the posteriors
+            last = t == cfg.T_AMP or (
+                t >= 2 and (np.abs(tau - tau_trace[-2]) / tau_trace[-2]).max() < TAU_TOL
+            )
+            Gamma = np.zeros_like(Z)
+            Gamma_blocks = Gamma.reshape(Nc, G, F).transpose(1, 0, 2)   # (G, Nc, F) views
+            Z_blocks = Z.reshape(Nc, G, F).transpose(1, 0, 2)
+            Zh = Z.conj().T.astype(codebook.dtype, copy=False)
+            Q = np.zeros((G, F, F), dtype=complex)
+            weighed_rows.append(0)
+            # every product and accumulation below stays on this thread, in zone order
+            for u, R_u in enumerate(_matched_filters(Zh, codebook, R_bufs, pool)):
+                Cu = codebook[:, u]
+                at_rows, x_rows = est[u]
+                R_u[at_rows] += sqrt_ec * x_rows
+                _check_finite(R_u.reshape(G, M, F), t)
+                new_rows, new_x = [], []
+                for j0, j1 in _chunks(G, cfg):
+                    at, aps = slice(j0 * M, j1 * M), slice(j0 * Bb, j1 * Bb)
+                    den = denoise_rows(
+                        R_u[at], tau[aps], g[u, ..., aps], log_prior[u], cfg.Ec, A, estimates=not last
+                    )
+                    degenerate_rows += int(den.degenerate.sum())
+                    weighed_rows[-1] += len(den.weighed)
+                    posts[u, at] = den.posterior
+                    log_lik[u, at] = den.log_mc_lik
+                    if not last:
+                        new_rows.append(j0 * M + den.weighed)
+                        new_x.append(den.x_hat[den.weighed])
+                        Q[j0:j1] += onsager(R_u[at], den, tau[aps], cfg.Ec, A)
+                    del den     # one chunk's denoiser output alive at a time
+                if last:
+                    continue
+                at_rows, x_rows = est[u] = (np.concatenate(new_rows), np.concatenate(new_x))
+                # one residual GEMM per zone on the weighed rows, block j's estimates in
+                # columns j F .. (j+1) F - 1; only a block that runs alone leaves rows out.
+                # Taken as (X_u^T C^T)^T: with the blocks along the output's rows, as in
+                # the matched filter, BLAS rounds each block as a one-block call does.
+                # The codebook rows are upcast exactly and multiplied in blocks of a
+                # multiple of 128 rows whose copy fits the bound, if any does
+                n = len(at_rows) // G
+                X_u = x_rows.reshape(G, n, F).transpose(1, 0, 2).reshape(n, G * F)
+                C_w = Cu if n == M else Cu[:, at_rows]
+                step = 128 * max(1, _RESIDUAL_UPCAST_BYTES // (16 * 128 * max(n, 1)))
+                for r0 in range(0, Nc, step):
+                    Gamma[r0 : r0 + step] += (X_u.T @ C_w[r0 : r0 + step].astype(complex, copy=False).T).T
             if last:
-                continue
-            at_rows, x_rows = est[u] = (np.concatenate(new_rows), np.concatenate(new_x))
-            # one residual GEMM per zone on the weighed rows, block j's estimates in
-            # columns j F .. (j+1) F - 1; only a block that runs alone leaves rows out.
-            # Taken as (X_u^T C^T)^T: with the blocks along the output's rows, as in
-            # the matched filter, BLAS rounds each block as a one-block call does.
-            # The codebook rows are upcast exactly and multiplied in blocks of a
-            # multiple of 128 rows whose copy fits the bound, if any does
-            n = len(at_rows) // G
-            X_u = x_rows.reshape(G, n, F).transpose(1, 0, 2).reshape(n, G * F)
-            C_w = Cu if n == M else Cu[:, at_rows]
-            step = 128 * max(1, _RESIDUAL_UPCAST_BYTES // (16 * 128 * max(n, 1)))
-            for r0 in range(0, Nc, step):
-                Gamma[r0 : r0 + step] += (X_u.T @ C_w[r0 : r0 + step].astype(complex, copy=False).T).T
-        if last:
-            break
-        # the Onsager correction of all zones in one GEMM per block: Z (sum_u Q_u)
-        Gamma_blocks -= (M / Nc) * np.matmul(Z_blocks, Q)
-        Z = Y - sqrt_ec * Gamma
-        _check_finite(Z.reshape(Nc, G, F).transpose(1, 0, 2), t)
+                break
+            # the Onsager correction of all zones in one GEMM per block: Z (sum_u Q_u)
+            Gamma_blocks -= (M / Nc) * np.matmul(Z_blocks, Q)
+            Z = Y - sqrt_ec * Gamma
+            _check_finite(Z.reshape(Nc, G, F).transpose(1, 0, 2), t)
 
     diagnostics = {
         "tau_trace": np.array(tau_trace),

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The full-scale decoder
 reproduction (centralized TV at 10 dB, 10-bit messages, 100 runs) took
-164 s on a 2-core VM with one BLAS thread and only runs when
+194 s on a 2-core VM with one BLAS thread and only runs when
 TUMALOC_FULL_SCALE=1 is set; TUMALOC_FULL_SCALE_RUNS sets its run count.
 """
 
@@ -362,7 +362,7 @@ def test_criterion_13_tv_vs_snr_and_decoder_ordering(desk_prior_cache):
 
 @pytest.mark.skipif(
     os.environ.get("TUMALOC_FULL_SCALE") != "1",
-    reason="full-scale reproduction: 100 paper-scale runs, 164 s on a 2-core VM with one "
+    reason="full-scale reproduction: 100 paper-scale runs, 194 s on a 2-core VM with one "
     "BLAS thread; set TUMALOC_FULL_SCALE=1",
 )
 def test_optional_full_scale_centralized_tv(desk_prior_cache):

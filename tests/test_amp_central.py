@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -943,17 +945,33 @@ def _tiny_system(U=2, M=4, B=2, A=1, Nc=64, N_MC=64, K_max=2, Ec=3.0,
     return cfg, topo
 
 
-def _desk_at_10db(seed=3):
-    """One desk round at 10 dB receive SNR: ``(cfg, codebook, prior, MC table, Y)``."""
+def _desk_at(snr_db, seed=3):
+    """One desk round at ``snr_db`` receive SNR: ``(cfg, codebook, prior, MC table, Y)``."""
     cfg0 = desk_preset()
     topo = build_topology(cfg0)
-    cfg = cfg0.with_updates(sigma_w2=sigma_w2_for_snr_rx(cfg0, topo, 10.0))
+    cfg = cfg0.with_updates(sigma_w2=sigma_w2_for_snr_rx(cfg0, topo, snr_db))
     ctx = harness.prepare_context(cfg, need_prior=False)
     prior = build_prior(cfg, 0.5, np.full((cfg.U, cfg.M), 1.0 / (cfg.U * cfg.M)))
     rnd = harness.draw_run(ctx, seed, ()).round
     cb = airlink.gen_codebook(cfg, seed)
     Y = airlink.uplink(rnd, cb, topo, cfg, seed)
     return cfg, cb, prior, build_mc_table(cfg, topo, seed), Y
+
+
+def _desk_at_10db(seed=3):
+    return _desk_at(10.0, seed)
+
+
+@pytest.fixture(scope="module")
+def paper_round():
+    """The paper-decode benchmark's run at 10 dB on the paper pins' prior: ``(cfg, codebook, prior, MC table, Y)``."""
+    cfg, seed = paper_preset(T_AMP=3, N_MC=100), harness.derive_run_seed(1, 0, 0)
+    base = harness.prepare_context(cfg, need_prior=False)
+    ctx = harness.PointContext(cfg, base.topology, base.quantizer, paper_prior())
+    rnd = harness.draw_run(ctx, seed, ()).round
+    cb = airlink.gen_codebook(cfg, seed)
+    Y = airlink.uplink(rnd, cb, ctx.topology, cfg, seed)
+    return cfg, cb, ctx.prior, build_mc_table(cfg, ctx.topology, seed), Y
 
 
 class TestAmpRun:
@@ -1079,15 +1097,126 @@ class TestMatchedFilterPrecision:
     def test_desk_at_10db(self, decode):
         self._assert_same_decode(decode, *_desk_at_10db())
 
-    def test_paper_decode(self):
-        # the paper-decode benchmark's run at 10 dB, on the paper pins' prior
-        cfg, seed = paper_preset(T_AMP=3, N_MC=100), harness.derive_run_seed(1, 0, 0)
-        base = harness.prepare_context(cfg, need_prior=False)
-        ctx = harness.PointContext(cfg, base.topology, base.quantizer, paper_prior())
-        rnd = harness.draw_run(ctx, seed, ()).round
-        cb = airlink.gen_codebook(cfg, seed)
-        Y = airlink.uplink(rnd, cb, ctx.topology, cfg, seed)
-        self._assert_same_decode(amp_run, cfg, cb, ctx.prior, build_mc_table(cfg, ctx.topology, seed), Y)
+    def test_paper_decode(self, paper_round):
+        self._assert_same_decode(amp_run, *paper_round)
+
+
+class TestMatchedFilterOverlap:
+    # with the rule on, amp_iterate computes zone u + 1's matched filter on a
+    # helper thread while this thread denoises zone u; everything after the
+    # matched filter stays on this thread in zone order, so the overlap and
+    # the inline loop agree bit for bit, and no helper outlives a decode
+
+    @staticmethod
+    def _both_paths(monkeypatch, *args, **kwargs):
+        """``amp_iterate(*args, **kwargs)`` inline, then overlapped."""
+        threads = threading.active_count()
+        out = []
+        for overlap in (False, True):
+            monkeypatch.setattr(amp_central, "_overlaps", lambda *_shape, on=overlap: on)
+            out.append(amp_iterate(*args, **kwargs))
+            assert threading.active_count() == threads
+        return out
+
+    @staticmethod
+    def _assert_same(got, want):
+        for a, b in zip(got[:2], want[:2]):          # posteriors and log-likelihoods
+            np.testing.assert_array_equal(a, b)
+        for key in ("tau_trace", "weighed_rows", "degenerate_rows"):
+            np.testing.assert_array_equal(got[2][key], want[2][key], err_msg=key)
+
+    @pytest.mark.parametrize("per_ap", [False, True], ids=["centralized", "distributed"])
+    @pytest.mark.parametrize("snr_db", [-20.0, 0.0, 10.0])
+    def test_desk_overlap_equals_inline(self, monkeypatch, snr_db, per_ap):
+        cfg, cb, prior, mc, Y = _desk_at(snr_db)
+        inline, overlap = self._both_paths(monkeypatch, Y, cb, prior.log_pmf, mc, cfg, per_ap=per_ap)
+        self._assert_same(overlap, inline)
+
+    def test_paper_decode_overlap_equals_inline(self, monkeypatch, paper_round):
+        cfg, cb, prior, mc, Y = paper_round
+        inline, overlap = self._both_paths(monkeypatch, Y, cb, prior.log_pmf, mc, cfg)
+        self._assert_same(overlap, inline)
+
+    @pytest.mark.parametrize("per_ap", [False, True], ids=["centralized", "distributed"])
+    def test_decode_error_on_both_paths(self, monkeypatch, per_ap):
+        # one NaN codeword in zone 2: its matched filter fails the check at
+        # iteration 1, while the helper computes zone 3's on the overlap
+        cfg, cb, prior, mc, Y = _desk_at(10.0)
+        cb = cb.copy()
+        cb[:, 2, 5] = np.nan
+        threads = threading.active_count()
+        errors = []
+        for overlap in (False, True):
+            monkeypatch.setattr(amp_central, "_overlaps", lambda *_shape, on=overlap: on)
+            with pytest.raises(DecodeError) as err:
+                amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=per_ap)
+            errors.append((err.value.iteration, str(err.value)))
+            assert threading.active_count() == threads
+        assert errors[0] == errors[1]
+        assert errors[0][0] == 1
+
+
+class TestOverlapRule:
+    # the helper starts only for a matched filter of F' Nc M >= _OVERLAP_MIN_MACS
+    # on one BLAS thread with two CPUs; otherwise no executor is built
+
+    @staticmethod
+    def _spy(monkeypatch, cpus, blas):
+        """Pin the CPUs and BLAS threads the rule reads; record executors built and matched-filter threads."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
+        for name in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas))
+        built, where = [], []
+        pool, mf = amp_central.ThreadPoolExecutor, amp_central._matched_filter
+
+        def counted_pool(*args, **kwargs):
+            built.append(args)
+            return pool(*args, **kwargs)
+
+        def located_mf(*args):
+            where.append(threading.current_thread() is threading.main_thread())
+            return mf(*args)
+
+        monkeypatch.setattr(amp_central, "ThreadPoolExecutor", counted_pool)
+        monkeypatch.setattr(amp_central, "_matched_filter", located_mf)
+        return built, where
+
+    def test_threshold_separates_the_presets(self):
+        desk, paper = desk_preset(), paper_preset()
+        assert desk.F * desk.Nc * desk.M < amp_central._OVERLAP_MIN_MACS <= paper.F * paper.Nc * paper.M
+
+    @pytest.mark.parametrize("per_ap", [False, True], ids=["centralized", "distributed"])
+    def test_no_executor_on_desk_shapes(self, monkeypatch, per_ap):
+        cfg, cb, prior, mc, Y = _desk_at(10.0)
+        built, where = self._spy(monkeypatch, cpus=2, blas=1)
+        amp_iterate(Y, cb, prior.log_pmf, mc, cfg, per_ap=per_ap)
+        assert built == [] and all(where)
+
+    @pytest.mark.parametrize(
+        "cpus, blas, overlap", [(2, 1, True), (1, 1, False), (2, 2, False)],
+        ids=["two-cpus-one-thread", "one-cpu", "two-blas-threads"],
+    )
+    def test_paper_shapes(self, monkeypatch, paper_round, cpus, blas, overlap):
+        cfg, cb, prior, mc, Y = paper_round
+        built, where = self._spy(monkeypatch, cpus, blas)
+        amp_iterate(Y, cb, prior.log_pmf, mc, cfg.with_updates(T_AMP=1))
+        if overlap:
+            # one executor of one thread; zone 0 inline, every later zone on the helper
+            assert built == [(1,)]
+            assert where == [True] + [False] * (cfg.U - 1)
+        else:
+            assert built == [] and where == [True] * cfg.U
+
+    def test_blas_threads_reads_the_environment(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0, 1, 2}, raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        assert amp_central.blas_threads() == 3
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert amp_central.blas_threads() == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert amp_central.blas_threads() == 1
 
 
 class TestStop:

@@ -13,7 +13,13 @@ decoder's dense estimates.
 - At every :func:`~tumaloc.amp_central.denoise_rows` entry, the traced memory
   above the ``amp_run`` entry level stays below one such array: the
   recursion holds its estimates on weighed rows only and no earlier chunk's
-  denoiser output.
+  denoiser output.  The run overlaps each zone's matched filter with the
+  previous zone's denoiser, so these entries also see the helper thread's
+  buffer and product.
+
+The overlapped decode's traced peak exceeds the inline decode's by at most
+its second (M, F) complex128 matched-filter buffer and one (F, M) complex64
+product of the helper, plus 64 KiB of Python objects.
 
 A one-AP :func:`~tumaloc.amp_central.denoise_rows` call, desk-shaped (12
 stacked APs, M = 64, K_max = 5, N = 100) and paper-shaped (one AP,
@@ -27,16 +33,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tumaloc import amp_central, harness
+from tumaloc import airlink, amp_central, harness
 from tumaloc.config import paper_preset
 
 from test_golden_paper_records import paper_prior
 
 
-def test_paper_decode_holds_no_dense_channel_array(monkeypatch):
+def _paper_ctx():
+    """A fresh context, whose codebook is drawn at its first decode."""
     cfg = paper_preset(T_AMP=2, N_MC=25)
     base = harness.prepare_context(cfg, need_prior=False)
-    ctx = harness.PointContext(cfg, base.topology, base.quantizer, paper_prior())
+    return harness.PointContext(cfg, base.topology, base.quantizer, paper_prior())
+
+
+def test_paper_decode_holds_no_dense_channel_array(monkeypatch):
+    ctx = _paper_ctx()
+    cfg = ctx.cfg
     dense = cfg.U * cfg.M * cfg.F * 16
     at_run, codebook, at_denoise = [], [], []
     run, denoise = amp_central.amp_run, amp_central.denoise_rows
@@ -52,6 +64,7 @@ def test_paper_decode_holds_no_dense_channel_array(monkeypatch):
 
     monkeypatch.setattr(amp_central, "amp_run", traced_run)
     monkeypatch.setattr(amp_central, "denoise_rows", traced_denoise)
+    monkeypatch.setattr(amp_central, "_overlaps", lambda *_shape: True)
     tracemalloc.start()
     try:
         rec = harness.run_single(ctx, "centralized", harness.derive_run_seed(1, 0, 0))
@@ -63,6 +76,28 @@ def test_paper_decode_holds_no_dense_channel_array(monkeypatch):
     assert current - codebook[0] < dense, (current - codebook[0]) / 2**20
     assert peak - codebook[0] < dense, (peak - codebook[0]) / 2**20
     assert max(at_denoise) - current < dense, (max(at_denoise) - current) / 2**20
+
+
+def test_overlap_adds_one_buffer_and_one_product(monkeypatch):
+    ctx = _paper_ctx()
+    cfg = ctx.cfg
+    seed = harness.derive_run_seed(1, 0, 0)
+    Y = airlink.uplink(harness.draw_run(ctx, seed, ()).round, ctx.codebook, ctx.topology, cfg, seed)
+    mc = amp_central.build_mc_table(cfg, ctx.topology, seed)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for overlap in (False, True):
+            monkeypatch.setattr(amp_central, "_overlaps", lambda *_shape, on=overlap: on)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            amp_central.amp_run(Y, ctx.codebook, ctx.prior, mc, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    inline, overlap = peaks
+    buffer, product = cfg.M * cfg.F * 16, cfg.M * cfg.F * 8
+    assert buffer <= overlap - inline <= buffer + product + (64 << 10), (overlap - inline) / 2**20
 
 
 @pytest.mark.parametrize("G, M, K, N, A", [(12, 64, 5, 100, 2), (1, 1024, 11, 100, 4)])

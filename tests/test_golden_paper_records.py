@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from tumaloc import amp_central, amp_dist, harness, priors
+from tumaloc.amp_central import blas_threads
 from tumaloc.config import paper_preset
 
 from test_golden_records import CLOSE_KEYS, EXACT_KEYS
@@ -32,15 +33,6 @@ from test_golden_records import CLOSE_KEYS, EXACT_KEYS
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_paper_records.jsonl")
 N_ACTIVE, N_CELL = 2000, 200        # the paper-decode benchmark workload's prior
 MASS_FLOOR = 1e-6                   # rows pinned by posterior: mass on k >= 1 at least this
-
-
-def blas_threads() -> int:
-    """The OpenBLAS thread count, read from the environment as OpenBLAS reads it at load."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 # on posterior entries: the pins were written on one BLAS thread, where they reproduce to
